@@ -6,136 +6,18 @@ exhaustive finite model checker for the underlying fixed-point claim, and a
 fractional-order boundary-value solver built on the same engine.
 """
 
-from .relations import (
-    FiniteRelation,
-    Path,
-    RelationView,
-    closed_under,
-    find_path,
-    inverse,
-    is_connected,
-    is_preserving_sequence,
-    related,
-    seed_set,
-    symmetric_closure,
-    universal_view,
-)
-from .gspace import (
-    ContractionEstimate,
-    GFunctional,
-    PropertyReport,
-    SelfMap,
-    check_limit_uniqueness,
-    estimate_contraction_factor,
-    low_discrepancy_points,
-    related_pairs,
-    relation_pattern_report,
-    verify_g_properties,
-)
-from .picard import (
-    IterationTrace,
-    PathDecayReport,
-    StoppingPolicy,
-    a_priori_bound,
-    iterate,
-    trace_to_csv,
-    uniqueness_via_path,
-)
-from .gridfn import (
-    GridFunction,
-    g_order,
-    grid_to_csv,
-    interpolate,
-    pointwise_leq,
-    sup_diff,
-)
-from .fractional import (
-    ConvergenceFailure,
-    FdeProblem,
-    LipschitzReport,
-    QuadratureWeights,
-    apply_T,
-    boundary_residuals,
-    demo_problem,
-    demo_rhs,
-    frac_integral,
-    gamma,
-    lipschitz_bound,
-    lipschitz_check,
-    quadrature_weights,
-    solve_fde,
-)
-from .finite_oracle import (
-    ALPHA_GRID,
-    FiniteInstance,
-    OracleReport,
-    SweepSpec,
-    conclusion_holds,
-    enumerate_instances,
-    hypotheses_hold,
-    image_symmetric_connected,
-    run_oracle,
-)
+from . import finite_oracle, fractional, gridfn, gspace, picard, relations
+from .relations import *  # noqa: F401,F403
+from .gspace import *  # noqa: F401,F403
+from .picard import *  # noqa: F401,F403
+from .gridfn import *  # noqa: F401,F403
+from .fractional import *  # noqa: F401,F403
+from .finite_oracle import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FiniteRelation",
-    "RelationView",
-    "Path",
-    "related",
-    "universal_view",
-    "inverse",
-    "symmetric_closure",
-    "find_path",
-    "is_connected",
-    "closed_under",
-    "seed_set",
-    "is_preserving_sequence",
-    "GFunctional",
-    "SelfMap",
-    "PropertyReport",
-    "ContractionEstimate",
-    "verify_g_properties",
-    "relation_pattern_report",
-    "estimate_contraction_factor",
-    "check_limit_uniqueness",
-    "low_discrepancy_points",
-    "related_pairs",
-    "StoppingPolicy",
-    "IterationTrace",
-    "PathDecayReport",
-    "iterate",
-    "a_priori_bound",
-    "uniqueness_via_path",
-    "trace_to_csv",
-    "GridFunction",
-    "sup_diff",
-    "g_order",
-    "pointwise_leq",
-    "interpolate",
-    "grid_to_csv",
-    "gamma",
-    "QuadratureWeights",
-    "quadrature_weights",
-    "frac_integral",
-    "FdeProblem",
-    "LipschitzReport",
-    "ConvergenceFailure",
-    "apply_T",
-    "lipschitz_check",
-    "lipschitz_bound",
-    "solve_fde",
-    "boundary_residuals",
-    "demo_rhs",
-    "demo_problem",
-    "ALPHA_GRID",
-    "FiniteInstance",
-    "SweepSpec",
-    "OracleReport",
-    "enumerate_instances",
-    "hypotheses_hold",
-    "conclusion_holds",
-    "image_symmetric_connected",
-    "run_oracle",
+    name
+    for module in (relations, gspace, picard, gridfn, fractional, finite_oracle)
+    for name in module.__all__
 ]

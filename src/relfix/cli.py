@@ -34,7 +34,7 @@ from .gspace import (
     verify_g_properties,
 )
 from .picard import StoppingPolicy, iterate, trace_to_csv
-from .relations import FiniteRelation, related
+from .relations import related
 from .svgplot import render_residual_plot
 
 EXIT_OK = 0
@@ -49,20 +49,14 @@ def _write_text(path: str, text: str, force: bool) -> None:
     p.write_text(text)
 
 
-def _load_instance(path: str) -> tuple[FiniteInstance, FiniteRelation]:
-    doc = json.loads(Path(path).read_text())
-    rel = FiniteRelation.from_pairs(doc["n"], [tuple(p) for p in doc["pairs"]])
-    mapping = tuple(int(i) for i in doc["map"])
-    if len(mapping) != rel.ground_size or not all(
-        0 <= i < rel.ground_size for i in mapping
-    ):
-        raise ValueError("map must list one ground index per element")
-    g_rows = tuple(tuple(int(v) for v in row) for row in doc["g"])
-    if len(g_rows) != rel.ground_size or any(
-        len(row) != rel.ground_size for row in g_rows
-    ):
-        raise ValueError("g must be an n-by-n integer matrix")
-    return FiniteInstance(rel.ground_size, g_rows, rel, mapping), rel
+def _load_instance(path: str) -> FiniteInstance:
+    return FiniteInstance.from_json_dict(json.loads(Path(path).read_text()))
+
+
+def _scenario(which: int) -> tuple[GFunctional, SelfMap]:
+    if which == 1:
+        return demos.example1_g, demos.example1_map
+    return demos.example2_g, demos.example2_map
 
 
 def _plane_samples() -> list[demos.PlanePoint]:
@@ -78,7 +72,7 @@ def _plane_samples() -> list[demos.PlanePoint]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.instance is not None:
-        inst, _rel = _load_instance(args.instance)
+        inst = _load_instance(args.instance)
         ok, reason = hypotheses_hold(inst)
         doc = {
             "hypotheses_hold": ok,
@@ -93,10 +87,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     which = args.example
     rel = demos.first_coord_relation()
-    if which == 1:
-        g, smap = demos.example1_g, demos.example1_map
-    else:
-        g, smap = demos.example2_g, demos.example2_map
+    g, smap = _scenario(which)
     samples = _plane_samples()
     report = verify_g_properties(g, rel, samples, tol=args.tol)
     pattern = relation_pattern_report(g, rel, samples, tol=args.tol)
@@ -136,32 +127,19 @@ def _emit_trace(trace, args: argparse.Namespace, title: str) -> None:
 def _cmd_iterate(args: argparse.Namespace) -> int:
     policy = StoppingPolicy(residual_tol=args.tol, max_iterations=args.max_iter)
     if args.instance is not None:
-        inst, rel = _load_instance(args.instance)
-        if not 0 <= args.r0 < rel.ground_size:
-            raise ValueError(f"--r0 must be a ground index below {rel.ground_size}")
+        inst = _load_instance(args.instance)
+        if not 0 <= args.r0 < inst.n:
+            raise ValueError(f"--r0 must be a ground index below {inst.n}")
         g = GFunctional(lambda i, j: float(inst.g_matrix[i][j]))
         smap = SelfMap(lambda i: inst.mapping[i])
-        trace = iterate(smap, g, rel, args.r0, policy)
+        trace = iterate(smap, g, inst.rel, args.r0, policy)
     else:
         start = [float(v) for v in args.r0_point.split(",")]
         if len(start) != 2:
             raise ValueError("--r0-point needs two comma-separated coordinates")
-        if args.example == 1:
-            trace = iterate(
-                demos.example1_map,
-                demos.example1_g,
-                demos.first_coord_relation(),
-                demos.PlanePoint(*start),
-                policy,
-            )
-        else:
-            trace = iterate(
-                demos.example2_map,
-                demos.example2_g,
-                demos.first_coord_relation(),
-                demos.PlanePoint(*start),
-                policy,
-            )
+        g, smap = _scenario(args.example)
+        rel = demos.first_coord_relation()
+        trace = iterate(smap, g, rel, demos.PlanePoint(*start), policy)
     _emit_trace(trace, args, "picard residuals")
     summary = {
         "steps": trace.steps,
@@ -293,7 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fde.add_argument("--force", action="store_true")
 
     p_oracle = sub.add_parser("oracle", help="finite model check")
-    p_oracle.add_argument("--n", type=int, choices=(2, 3, 4), required=True)
+    p_oracle.add_argument(
+        "--n",
+        type=int,
+        choices=(2, 3, 4),
+        required=True,
+        help="carrier size; the n=4 default slice is about 2.2e10 instances "
+        "and does not finish in practice",
+    )
     p_oracle.add_argument("--g-max", type=int, default=None)
     p_oracle.add_argument("--rel-cap", type=int, default=None)
     p_oracle.add_argument("--out", help="JSON report path")

@@ -74,6 +74,61 @@ class FiniteInstance:
             "alpha": None if self.alpha is None else str(self.alpha),
         }
 
+    @classmethod
+    def from_json_dict(cls, doc: object) -> "FiniteInstance":
+        """Inverse of :meth:`to_json_dict`, validating a parsed JSON document.
+
+        ``n``, ``pairs``, ``map`` and ``g`` are required; ``index`` and
+        ``alpha`` are optional. Every entry must be an integer (bools, strings
+        and non-integral or non-finite numbers are not), every index must lie
+        in the ground set, and ``g`` must be n by n. Anything else raises
+        :class:`ValueError`.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("instance JSON must be an object")
+        for key in ("n", "pairs", "map", "g"):
+            if key not in doc:
+                raise ValueError(f"instance JSON lacks the {key!r} key")
+        n = _json_int(doc["n"], "n")
+        pairs = [_json_ints(p, 2, "pair") for p in _json_list(doc["pairs"], "pairs")]
+        rel = FiniteRelation.from_pairs(n, pairs)
+        mapping = tuple(_json_ints(doc["map"], n, "map"))
+        if not all(0 <= i < n for i in mapping):
+            raise ValueError(f"map entries must be ground indices below {n}")
+        rows = _json_list(doc["g"], "g")
+        if len(rows) != n:
+            raise ValueError(f"g must have {n} rows")
+        g_matrix = tuple(tuple(_json_ints(row, n, "g row")) for row in rows)
+        alpha = doc.get("alpha")
+        if alpha is not None:
+            if not isinstance(alpha, str):
+                raise ValueError("alpha must be a fraction string such as '1/4'")
+            alpha = Fraction(alpha)
+        index = _json_int(doc.get("index", -1), "index")
+        return cls(n, g_matrix, rel, mapping, alpha, index)
+
+
+def _json_int(value: object, what: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _json_list(value: object, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _json_ints(value: object, length: int, what: str) -> list[int]:
+    """A JSON list of exactly ``length`` integers."""
+    items = _json_list(value, what)
+    if len(items) != length:
+        raise ValueError(f"{what} must list {length} integers, got {len(items)}")
+    return [_json_int(v, f"{what} entry") for v in items]
+
 
 def enumerate_instances(
     n: int,
@@ -284,7 +339,12 @@ class OracleReport:
 
 
 def default_sweeps(n: int) -> list[SweepSpec]:
-    """Per-size defaults keeping each sweep inside an interactive budget."""
+    """Per-size default slices: all of n=2, capped slices of n=3 and n=4.
+
+    The n=4 slice is 2 x 4^4 x 3^16, about 2.2e10 instances, which the
+    brute-force sweep cannot finish in practice; it becomes feasible only
+    once the verdicts are evaluated once per (relation, map) pair.
+    """
     table = {
         2: SweepSpec(2, g_max=2, rel_count_cap=None),
         3: SweepSpec(3, g_max=1, rel_count_cap=8),

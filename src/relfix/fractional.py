@@ -234,7 +234,8 @@ def lipschitz_check(
 
     Every supplied pair must satisfy u <= v pointwise. Samples where the two
     functions agree carry no ratio information and are skipped; with no
-    informative samples at all the margin degenerates to the full bound.
+    informative samples at all the margin degenerates to the full bound. A
+    non-finite rhs difference raises :class:`ArithmeticError`.
     """
     bound = lipschitz_bound(prob)
     worst_ratio = 0.0
@@ -248,7 +249,10 @@ def lipschitz_check(
             gap = vv - uv
             if gap == 0.0:
                 continue
-            ratio = abs(prob.rhs(t, vv) - prob.rhs(t, uv)) / gap
+            diff = prob.rhs(t, vv) - prob.rhs(t, uv)
+            if not math.isfinite(diff):
+                raise ArithmeticError(f"rhs difference not finite at t = {t!r}")
+            ratio = abs(diff) / gap
             if ratio > worst_ratio or worst_at is None:
                 worst_ratio = ratio
                 worst_at = (t, uv, vv)

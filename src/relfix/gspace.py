@@ -11,8 +11,8 @@ a concrete witness instead of a bare boolean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .relations import FiniteRelation, RelationView, related
 
@@ -25,7 +25,6 @@ __all__ = [
     "relation_pattern_report",
     "estimate_contraction_factor",
     "check_limit_uniqueness",
-    "low_discrepancy_points",
     "related_pairs",
 ]
 
@@ -104,6 +103,67 @@ def _check_finite(value: float, a: Any, b: Any) -> float:
     return value
 
 
+def _pairs(
+    samples: Sequence[Any], rel: FiniteRelation | RelationView | None = None
+) -> Iterator[tuple[Any, Any]]:
+    """Ordered pairs of distinct sample positions, in nested index order.
+
+    With ``rel`` given, only the related pairs are produced.
+    """
+    for i, r in enumerate(samples):
+        for j, u in enumerate(samples):
+            if i != j and (rel is None or related(rel, r, u)):
+                yield r, u
+
+
+def _triples(
+    samples: Sequence[Any], rel: FiniteRelation | RelationView | None = None
+) -> Iterator[tuple[Any, Any, Any]]:
+    """Triples ``(r, u, t)`` in nested index order, repeats included.
+
+    With ``rel`` given, only the constrained triples are produced: those
+    with both ``(r, u)`` and ``(t, u)`` related.
+    """
+    for r in samples:
+        for u in samples:
+            if rel is not None and not related(rel, r, u):
+                continue
+            for t in samples:
+                if rel is None or related(rel, t, u):
+                    yield r, u, t
+
+
+def _scan(
+    g: GFunctional,
+    pairs: Sequence[tuple[Any, Any]],
+    triples: Iterable[tuple[Any, Any, Any]],
+    tol: float,
+) -> tuple[Optional[tuple], Optional[tuple], Optional[tuple]]:
+    """First g1, g2 and g3 witness on the given patterns, None where none.
+
+    Vanishing (g1) is tested on the pairs of distinct points, absolute
+    symmetry (g2) on every pair, the triangle property (g3) on every triple.
+    Every g value read is checked for finiteness, so a non-finite value
+    raises instead of failing each comparison silently.
+    """
+    ev = g.evaluate
+
+    def mag(a: Any, b: Any) -> float:
+        return abs(_check_finite(ev(a, b), a, b))
+
+    g1 = next(((r, u) for r, u in pairs if r != u and mag(r, u) <= tol), None)
+    g2 = next(((r, u) for r, u in pairs if abs(mag(r, u) - mag(u, r)) > tol), None)
+    g3 = next(
+        (
+            (r, u, t)
+            for r, u, t in triples
+            if mag(r, u) > mag(r, t) + mag(t, u) + tol
+        ),
+        None,
+    )
+    return g1, g2, g3
+
+
 def verify_g_properties(
     g: GFunctional,
     rel: FiniteRelation | RelationView,
@@ -116,52 +176,13 @@ def verify_g_properties(
     pairs. The triangle property (g3) is scanned over triples ``(r, u, t)``
     with ``(r, u)`` and ``(t, u)`` related when the functional declares the
     relation-restricted mode, over all triples otherwise. Scan order is the
-    nested index order of ``samples``; the first violation is reported.
+    nested index order of ``samples``; the first violation is reported. A
+    non-finite g value raises :class:`ArithmeticError`.
     """
-    ev = g.evaluate
-    n = len(samples)
-
-    g1_witness = None
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            r, u = samples[i], samples[j]
-            if r == u:
-                continue
-            if abs(_check_finite(ev(r, u), r, u)) <= tol:
-                g1_witness = (r, u)
-                break
-        if g1_witness is not None:
-            break
-
-    g2_witness = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            r, u = samples[i], samples[j]
-            if abs(abs(ev(r, u)) - abs(ev(u, r))) > tol:
-                g2_witness = (r, u)
-                break
-        if g2_witness is not None:
-            break
-
     restricted = g.declared_domain_mode == "relation_restricted"
-    g3_witness = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r, u, t = samples[i], samples[j], samples[k]
-                if restricted and not (related(rel, r, u) and related(rel, t, u)):
-                    continue
-                if abs(ev(r, u)) > abs(ev(r, t)) + abs(ev(t, u)) + tol:
-                    g3_witness = (r, u, t)
-                    break
-            if g3_witness is not None:
-                break
-        if g3_witness is not None:
-            break
-
-    return PropertyReport(g1_witness, g2_witness, g3_witness, n)
+    triples = _triples(samples, rel if restricted else None)
+    pairs = list(_pairs(samples))
+    return PropertyReport(*_scan(g, pairs, triples, tol), len(samples))
 
 
 def relation_pattern_report(
@@ -176,51 +197,11 @@ def relation_pattern_report(
     the triangle property on triples ``(r, u, t)`` with both ``(r, u)`` and
     ``(t, u)`` related. A functional can fail the global scan of
     :func:`verify_g_properties` and still pass here; that gap is exactly
-    what lets a degenerate functional support a fixed-point argument.
+    what lets a degenerate functional support a fixed-point argument. A
+    non-finite g value raises :class:`ArithmeticError`.
     """
-    ev = g.evaluate
-    n = len(samples)
-
-    g1_witness = None
-    for i in range(n):
-        for j in range(n):
-            r, u = samples[i], samples[j]
-            if r == u or not related(rel, r, u):
-                continue
-            if abs(ev(r, u)) <= tol:
-                g1_witness = (r, u)
-                break
-        if g1_witness is not None:
-            break
-
-    g2_witness = None
-    for i in range(n):
-        for j in range(n):
-            r, u = samples[i], samples[j]
-            if not related(rel, r, u):
-                continue
-            if abs(abs(ev(r, u)) - abs(ev(u, r))) > tol:
-                g2_witness = (r, u)
-                break
-        if g2_witness is not None:
-            break
-
-    g3_witness = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r, u, t = samples[i], samples[j], samples[k]
-                if not (related(rel, r, u) and related(rel, t, u)):
-                    continue
-                if abs(ev(r, u)) > abs(ev(r, t)) + abs(ev(t, u)) + tol:
-                    g3_witness = (r, u, t)
-                    break
-            if g3_witness is not None:
-                break
-        if g3_witness is not None:
-            break
-
-    return PropertyReport(g1_witness, g2_witness, g3_witness, n)
+    pairs = related_pairs(rel, samples)
+    return PropertyReport(*_scan(g, pairs, _triples(samples, rel), tol), len(samples))
 
 
 @dataclass(frozen=True)
@@ -286,41 +267,8 @@ def check_limit_uniqueness(
     return abs(g.evaluate(limit_a, limit_b)) <= 2.0 * tol
 
 
-def low_discrepancy_points(
-    bounds: tuple[tuple[float, float], tuple[float, float]],
-    count: int,
-) -> list[tuple[float, float]]:
-    """Deterministic Halton points (bases 2 and 3) in a planar bounding box."""
-
-    def halton(index: int, base: int) -> float:
-        result = 0.0
-        f = 1.0
-        i = index
-        while i > 0:
-            f /= base
-            result += f * (i % base)
-            i //= base
-        return result
-
-    (x0, x1), (y0, y1) = bounds
-    pts = []
-    for k in range(1, count + 1):
-        pts.append(
-            (x0 + (x1 - x0) * halton(k, 2), y0 + (y1 - y0) * halton(k, 3))
-        )
-    return pts
-
-
 def related_pairs(
     rel: FiniteRelation | RelationView, points: Sequence[Any]
 ) -> list[tuple[Any, Any]]:
     """All ordered related pairs of distinct probe points, in scan order."""
-    out = []
-    n = len(points)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if related(rel, points[i], points[j]):
-                out.append((points[i], points[j]))
-    return out
+    return list(_pairs(points, rel))

@@ -10,7 +10,6 @@ non-indexed carriers (points in the plane, grid functions) are wrapped as
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -60,16 +59,6 @@ class FiniteRelation:
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         return pair in self.pairs
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.ground_size, "pairs": [list(p) for p in self.sorted_pairs]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FiniteRelation":
-        doc = json.loads(text)
-        return cls.from_pairs(doc["n"], [tuple(p) for p in doc["pairs"]])
 
 
 @dataclass(frozen=True)

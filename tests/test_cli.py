@@ -133,6 +133,30 @@ class TestVerifyCommand:
         assert code == 0
         assert out.read_text() == stdout
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2, "pairs": [[0, 0]], "map": [0, 0]}',
+            '{"n": "2", "pairs": [[0, 0]], "map": [0, 0], "g": [[0, 1], [1, 0]]}',
+            '[2, [[0, 0]], [0, 0], [[0, 1], [1, 0]]]',
+            '{"n": 2, "pairs": [[0, 1]], "map": [0, 0], "g": [[0, 0.5], [1, 0]]}',
+            '{"n": 2, "pairs": [[0, 0]], "map": [true, 0], "g": [[0, 1], [1, 0]]}',
+            '{"n": 2, "pairs": [[0, 0]], "map": [0, 0], "g": [[0, Infinity], [1, 0]]}',
+        ],
+        ids=["missing-g", "string-n", "top-level-list", "fractional-g", "bool-map", "infinity"],
+    )
+    @pytest.mark.parametrize("command", ["verify", "iterate"])
+    def test_malformed_instance_is_one_error_line(self, tmp_path, capsys, command, text):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        code = cli.run([command, "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_missing_instance_file(self, tmp_path, capsys):
         code = cli.run(
             ["verify", "--instance", str(tmp_path / "missing.json")]

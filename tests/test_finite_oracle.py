@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -19,6 +20,7 @@ from relfix.finite_oracle import (
     image_symmetric_connected,
     run_oracle,
 )
+from relfix.gspace import GFunctional, relation_pattern_report
 from relfix.relations import FiniteRelation
 
 
@@ -211,11 +213,20 @@ def naive_conclusion(inst):
     return True
 
 
+def g_verdicts(inst):
+    """The g1-g3 part of the oracle verdict, and the shared gspace scan's."""
+    oracle = not hypotheses_hold(inst)[1].startswith(("(g1)", "(g2)", "(g3)"))
+    g = GFunctional(lambda r, s: float(inst.g_matrix[r][s]))
+    return oracle, relation_pattern_report(g, inst.rel, range(inst.n)).passed
+
+
 class TestDoubleEntry:
     def test_against_an_enumeration_prefix(self):
         for inst in itertools.islice(enumerate_instances(2, 1), 3000):
             assert hypotheses_hold(inst)[0] == naive_hypotheses(inst)
             assert conclusion_holds(inst) == naive_conclusion(inst)
+            oracle, scan = g_verdicts(inst)
+            assert oracle == scan
 
     def test_against_random_size_three_instances(self):
         rng = random.Random(7)
@@ -234,6 +245,8 @@ class TestDoubleEntry:
             inst = mk(n, pairs, mapping, g)
             assert hypotheses_hold(inst)[0] == naive_hypotheses(inst)
             assert conclusion_holds(inst) == naive_conclusion(inst)
+            oracle, scan = g_verdicts(inst)
+            assert oracle == scan
 
     def test_satisfying_instances_never_refute_the_conclusion(self):
         seen = 0
@@ -242,6 +255,39 @@ class TestDoubleEntry:
                 seen += 1
                 assert conclusion_holds(inst)
         assert seen == 315
+
+
+class TestInstanceJson:
+    def test_round_trip(self):
+        inst = mk(3, [(0, 1), (2, 0)], (1, 1, 0), [[0, 1, -2], [1, 0, 3], [2, 3, 0]])
+        inst.alpha, inst.index = Fraction(1, 2), 17
+        doc = json.loads(json.dumps(inst.to_json_dict()))
+        assert FiniteInstance.from_json_dict(doc) == inst
+
+    def test_optional_fields_default(self):
+        doc = {"n": 2, "pairs": [[1, 0]], "map": [0, 0], "g": [[0, 1], [1, 0]]}
+        inst = FiniteInstance.from_json_dict(doc)
+        assert (inst.alpha, inst.index) == (None, -1)
+        assert inst.rel.pairs == {(1, 0)}
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n": True}, "n must be an integer"),
+            ({"pairs": [[0, 1, 1]]}, "pair must list 2"),
+            ({"pairs": [[0, 2]]}, "outside ground set"),
+            ({"map": [0, 2]}, "ground indices below 2"),
+            ({"map": [0]}, "map must list 2"),
+            ({"g": [[0, 1]]}, "g must have 2 rows"),
+            ({"g": [[0, 1], [1, "0"]]}, "g row entry must be an integer"),
+            ({"g": [[0, 1], [1, math.inf]]}, "g row entry must be an integer"),
+            ({"alpha": 0.5}, "alpha must be a fraction string"),
+        ],
+    )
+    def test_rejections(self, change, message):
+        doc = {"n": 2, "pairs": [[1, 0]], "map": [0, 0], "g": [[0, 1], [1, 0]]}
+        with pytest.raises(ValueError, match=message):
+            FiniteInstance.from_json_dict({**doc, **change})
 
 
 class TestSweeps:

@@ -210,6 +210,16 @@ class TestLipschitz:
         assert report.margin < 0.0
         assert report.worst_at is not None
 
+    def test_non_finite_rhs_raises_naming_t(self):
+        def rhs(t, u):
+            return math.nan if t > 0.5 else demo_rhs(t, u)
+
+        prob = FdeProblem(rhs=rhs, n_intervals=16)
+        nodes = [k / 16 for k in range(17)]
+        pair = (GridFunction.zeros(16), GridFunction(16, np.ones(17)))
+        with pytest.raises(ArithmeticError, match="t = 0.5625"):
+            lipschitz_check(prob, nodes, [pair])
+
     def test_unordered_pair_rejected(self):
         prob = demo_problem(64)
         with pytest.raises(ValueError, match="ordered"):

@@ -15,7 +15,6 @@ from relfix.gspace import (
     SelfMap,
     check_limit_uniqueness,
     estimate_contraction_factor,
-    low_discrepancy_points,
     related_pairs,
     relation_pattern_report,
     verify_g_properties,
@@ -110,6 +109,32 @@ class TestPatternScan:
         assert report.g1_witness == (0, 1)
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "scan, table, rel, samples",
+    [
+        # the diagonal is read only by the global triangle scan
+        (verify_g_properties, {(0, 1): 1.0, (1, 0): 1.0}, universal_view(), [0, 1]),
+        # NaN on every off-diagonal pair of the related patterns
+        (relation_pattern_report, {(0, 0): 0.0, (1, 1): 0.0}, universal_view(), [0, 1]),
+        # only the symmetry scan reads g(1, 0): (1, 0) is not related
+        (
+            relation_pattern_report,
+            {(0, 0): 0.0, (0, 1): 1.0},
+            FiniteRelation.from_pairs(2, [(0, 1)]),
+            [0, 1],
+        ),
+    ],
+    ids=["diagonal", "off-diagonal", "g2-only"],
+)
+def test_nan_where_a_scan_reads_raises(scan, table, rel, samples):
+    g = GFunctional(lambda a, b: table.get((a, b), NAN))
+    with pytest.raises(ArithmeticError, match="not finite"):
+        scan(g, rel, samples)
+
+
 class TestContractionEstimate:
     def test_quartering_map_measures_exactly_a_quarter(self):
         pairs = [
@@ -184,22 +209,6 @@ class TestLimitUniqueness:
         table = {(1, 2): 1.0, (2, 1): 1.0}
         g = GFunctional(lambda a, b: table.get((a, b), 0.0))
         assert not check_limit_uniqueness(g, [0], 1, 2)
-
-
-class TestProbePoints:
-    def test_deterministic(self):
-        box = ((-1.0, 1.0), (0.0, 2.0))
-        assert low_discrepancy_points(box, 16) == low_discrepancy_points(box, 16)
-
-    def test_inside_bounds(self):
-        box = ((-1.0, 1.0), (0.0, 2.0))
-        pts = low_discrepancy_points(box, 64)
-        assert len(pts) == 64
-        assert all(-1.0 <= x <= 1.0 and 0.0 <= y <= 2.0 for x, y in pts)
-
-    def test_first_point(self):
-        pts = low_discrepancy_points(((0.0, 1.0), (0.0, 1.0)), 1)
-        assert pts[0] == (0.5, pytest.approx(1.0 / 3.0))
 
 
 class TestRelatedPairs:

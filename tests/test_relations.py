@@ -60,12 +60,6 @@ class TestFiniteRelation:
         with pytest.raises(ValueError):
             rel_of(2, (0, 2))
 
-    def test_json_round_trip(self):
-        rel = rel_of(3, (0, 1), (2, 0), (1, 1))
-        again = FiniteRelation.from_json(rel.to_json())
-        assert again == rel
-        assert '"n": 3' in rel.to_json()
-
     def test_membership(self):
         rel = rel_of(3, (0, 1))
         assert (0, 1) in rel
