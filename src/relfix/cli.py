@@ -276,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         choices=(2, 3, 4),
         required=True,
-        help="carrier size; the n=4 default slice is about 2.2e10 instances "
-        "and does not finish in practice",
+        help="carrier size; the n=4 default slice is about 2.2e10 instances, "
+        "counted per (relation, map) pair in well under a second",
     )
     p_oracle.add_argument("--g-max", type=int, default=None)
     p_oracle.add_argument("--rel-cap", type=int, default=None)
@@ -298,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _argv_from_config(path: str) -> list[str]:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
     if "subcommand" not in doc:
         raise ValueError("config must name a 'subcommand'")
     argv = [str(doc["subcommand"])]

@@ -264,7 +264,8 @@ def check_limit_uniqueness(
     for limit in (limit_a, limit_b):
         if abs(_check_finite(g.evaluate(tail, limit), tail, limit)) > tol:
             raise ValueError("not a g-limit")
-    return abs(g.evaluate(limit_a, limit_b)) <= 2.0 * tol
+    gap = _check_finite(g.evaluate(limit_a, limit_b), limit_a, limit_b)
+    return abs(gap) <= 2.0 * tol
 
 
 def related_pairs(

@@ -265,6 +265,14 @@ class TestOracleCommand:
         assert code == cli.EXIT_OK
         assert doc["total_checked"] == 16 * 4 * 625
 
+    def test_default_sweep_for_four_points(self, capsys):
+        code, doc = run_and_parse(capsys, ["oracle", "--n", "4"])
+        assert code == cli.EXIT_OK
+        assert doc["total_checked"] == 2 * 4**4 * 3**16 == 22_039_921_152
+        assert doc["sweeps"][0]["instances_checked"] == 22_039_921_152
+        assert doc["counterexample_count"] == 0
+        assert doc["uniqueness_violation_count"] == 0
+
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         class FakeReport:
             counterexamples = [{"index": 0}]
@@ -311,6 +319,12 @@ class TestConfigMirror:
         code = cli.run(["--config", path])
         assert code == 1
         assert "subcommand" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        path = write_json(tmp_path / "config.json", ["subcommand"])
+        code = cli.run(["--config", path])
+        assert code == 1
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.run(["--config", str(tmp_path / "nope.json")])

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -7,9 +8,17 @@ from itertools import product
 
 import pytest
 
+from oracle_reference import (
+    reference_sweep,
+    report_without_timing,
+    sweep_instances,
+)
+from relfix import finite_oracle
 from relfix.finite_oracle import (
     ALPHA_GRID,
+    REJECTION_KEYS,
     FiniteInstance,
+    SweepResult,
     SweepSpec,
     conclusion_holds,
     contraction_alpha,
@@ -21,7 +30,7 @@ from relfix.finite_oracle import (
     run_oracle,
 )
 from relfix.gspace import GFunctional, relation_pattern_report
-from relfix.relations import FiniteRelation
+from relfix.relations import FiniteRelation, closed_under, seed_set
 
 
 def mk(n, pairs, mapping, g):
@@ -328,3 +337,119 @@ class TestSweeps:
         for inst in itertools.islice(enumerate_instances(2, 1), 5184):
             if hypotheses_hold(inst)[0]:
                 assert contraction_alpha(inst) in ALPHA_GRID
+
+
+# the acceptance slices, plus all of n=2 with entries in [-3, 3]: on the
+# others (g1) and (g2) always fire before the triangle test could, so only
+# that slice has (g3) rejections
+REFERENCE_SLICES = [
+    SweepSpec(2, 2, None),
+    SweepSpec(3, 1, 8),
+    SweepSpec(3, 0, 8),
+    SweepSpec(2, 3, None),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_report(spec):
+    """The one-by-one sweep of a slice, computed once per test session."""
+    return report_without_timing(reference_sweep(spec))
+
+
+def relation_of(n, mask):
+    return FiniteRelation(n, frozenset((b // n, b % n) for b in range(n * n) if mask >> b & 1))
+
+
+def pair_reports(n, g_max, mask, map_no):
+    """One (relation, map) pair, factored and one by one; stream indices as in the sweep."""
+    spec = SweepSpec(n, g_max, None)
+    maps = list(product(range(n), repeat=n))
+    rel, mapping = relation_of(n, mask), maps[map_no]
+    matrices = product(product(range(-g_max, g_max + 1), repeat=n), repeat=n)
+    first = (mask * len(maps) + map_no) * (2 * g_max + 1) ** (n * n)
+    expected = sweep_instances(
+        SweepResult(spec),
+        (FiniteInstance(n, g, rel, mapping, None, first + k) for k, g in enumerate(matrices)),
+    )
+    got = SweepResult(spec)
+    finite_oracle._sweep_pair(got, rel, mapping, first)
+    return report_without_timing(got), report_without_timing(expected)
+
+
+def structurally_sound(n, mask, mapping):
+    rel = relation_of(n, mask)
+    return closed_under(rel, mapping.__getitem__)[0] and bool(seed_set(rel, mapping.__getitem__))
+
+
+class TestFactoredSweep:
+    @pytest.mark.parametrize("spec", REFERENCE_SLICES, ids=str)
+    def test_report_equals_the_one_by_one_sweep(self, spec):
+        got = report_without_timing(run_oracle([spec]).sweeps[0])
+        assert got == reference_report(spec)
+
+    @pytest.mark.parametrize("spec", REFERENCE_SLICES, ids=str)
+    def test_rejection_histogram_matches_the_reference(self, spec):
+        sweep = run_oracle([spec]).sweeps[0]
+        assert tuple(sweep.rejections) == REJECTION_KEYS
+        assert sum(sweep.rejections.values()) == sweep.instances_checked
+        assert sweep.rejections["pass"] == sweep.hypotheses_satisfied
+        assert sweep.rejections == reference_report(spec)["rejections"]
+
+    def test_every_hypothesis_rejects_somewhere(self):
+        fired = {
+            key
+            for spec in REFERENCE_SLICES
+            for key, count in reference_report(spec)["rejections"].items()
+            if count
+        }
+        assert fired == set(REJECTION_KEYS)
+
+    def test_random_uncapped_pairs_against_brute_force(self):
+        rng = random.Random(20250917)
+        maps = list(product(range(3), repeat=3))
+        everything = [(mask, m) for mask in range(1 << 9) for m in range(len(maps))]
+        sound = [(mask, m) for mask, m in everything if structurally_sound(3, mask, maps[m])]
+        drawn = rng.sample(everything, 10) + rng.sample(sound, 10)
+        satisfied = 0
+        for mask, map_no in drawn:
+            got, expected = pair_reports(3, 1, mask, map_no)
+            assert got == expected, (mask, maps[map_no])
+            satisfied += got["hypotheses_satisfied"]
+        assert satisfied > 0
+
+    def test_forced_violations_are_reported_like_the_reference(self, monkeypatch):
+        # the claim holds on every slice, so the path that lists violating
+        # instances only runs when the verdicts are made to fail
+        real_conclusion = finite_oracle.conclusion_holds
+        real_fixed = finite_oracle.fixed_points
+        monkeypatch.setattr(
+            finite_oracle,
+            "conclusion_holds",
+            lambda inst: real_conclusion(inst) and inst.mapping[0] != inst.mapping[-1],
+        )
+        monkeypatch.setattr(
+            finite_oracle,
+            "fixed_points",
+            lambda inst: real_fixed(inst) * (2 if inst.mapping[0] == 0 else 1),
+        )
+        spec = SweepSpec(2, 2, None)
+        got = report_without_timing(run_oracle([spec]).sweeps[0])
+        expected = report_without_timing(reference_sweep(spec))
+        assert got["counterexamples"] and got["uniqueness_violations"]
+        assert got == expected
+        # n = 3 pairs that have satisfying instances, with map[0] == map[2]
+        for mask, map_no in [(1, 0), (16, 13), (273, 13)]:
+            got, expected = pair_reports(3, 1, mask, map_no)
+            assert got["counterexamples"], (mask, map_no)
+            assert got == expected
+
+    def test_four_point_default_slice(self):
+        sweep = run_oracle(default_sweeps(4)).sweeps[0]
+        assert sweep.instances_checked == 2 * 4**4 * 3**16
+        assert sum(sweep.rejections.values()) == sweep.instances_checked
+        assert sweep.rejections["pass"] == sweep.hypotheses_satisfied > 0
+        assert sweep.counterexamples == sweep.uniqueness_violations == []
+
+    def test_a_bad_slice_is_rejected(self):
+        with pytest.raises(ValueError):
+            run_oracle([SweepSpec(5, 1, 1)])

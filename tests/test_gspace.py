@@ -210,6 +210,13 @@ class TestLimitUniqueness:
         g = GFunctional(lambda a, b: table.get((a, b), 0.0))
         assert not check_limit_uniqueness(g, [0], 1, 2)
 
+    def test_non_finite_gap_between_the_limits_raises(self):
+        # both candidates are g-limits (g = 0 to the tail); only the final
+        # gap g(1, 2) is NaN, which must not read as "distinct limits"
+        g = GFunctional(lambda a, b: math.nan if {a, b} == {1, 2} else 0.0)
+        with pytest.raises(ArithmeticError, match="not finite"):
+            check_limit_uniqueness(g, [0], 1, 2)
+
 
 class TestRelatedPairs:
     def test_orders_and_filters(self):
