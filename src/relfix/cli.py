@@ -137,9 +137,11 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         start = [float(v) for v in args.r0_point.split(",")]
         if len(start) != 2:
             raise ValueError("--r0-point needs two comma-separated coordinates")
+        point = demos.PlanePoint(*start)
+        demos.validate_point(point)
         g, smap = _scenario(args.example)
         rel = demos.first_coord_relation()
-        trace = iterate(smap, g, rel, demos.PlanePoint(*start), policy)
+        trace = iterate(smap, g, rel, point, policy)
     _emit_trace(trace, args, "picard residuals")
     summary = {
         "steps": trace.steps,

@@ -21,6 +21,7 @@ from .relations import RelationView, universal_view
 
 __all__ = [
     "PlanePoint",
+    "validate_point",
     "first_coord_relation",
     "example1_map",
     "example1_g",
@@ -60,7 +61,8 @@ example2_map = SelfMap(lambda p: PlanePoint(p[0] * p[0] / 4.0, p[1] / 4.0))
 example2_g = GFunctional(lambda p, q: abs(p[0] - q[0]) + abs(p[1] - q[1]))
 
 
-def _validate_point(p: PlanePoint) -> None:
+def validate_point(p: PlanePoint) -> None:
+    """Reject a start point with a NaN or infinite coordinate."""
     if not (math.isfinite(p[0]) and math.isfinite(p[1])):
         raise ValueError("plane point coordinates must be finite")
 
@@ -72,7 +74,7 @@ def example1_run(y0: float = 1.0, n: int = 30) -> IterationTrace:
     per step, which the trace certificates reflect (alpha = 0.25).
     """
     start = PlanePoint(0.0, float(y0))
-    _validate_point(start)
+    validate_point(start)
     policy = StoppingPolicy(residual_tol=_NEVER_STOP, max_iterations=n)
     return iterate(
         example1_map,
@@ -102,7 +104,7 @@ def example2_run(u0: float = 0.0, y0: float = 1.0, n: int = 30) -> IterationTrac
     if not abs(u0) < 4.0:
         raise ValueError("first coordinate must satisfy |u0| < 4 (basin of u^2/4)")
     start = PlanePoint(float(u0), float(y0))
-    _validate_point(start)
+    validate_point(start)
     policy = StoppingPolicy(residual_tol=_NEVER_STOP, max_iterations=n)
     return iterate(
         example2_map,

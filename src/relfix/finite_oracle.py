@@ -156,13 +156,16 @@ def _json_ints(value: object, length: int, what: str) -> list[int]:
     return [_json_int(v, f"{what} entry") for v in items]
 
 
-def _check_slice(n: int, g_max: int) -> None:
+def _check_slice(n: int, g_max: int, rel_count_cap: Optional[int]) -> None:
     if n < 2:
         raise ValueError("ground size must be at least 2")
     if n > MAX_GROUND_SIZE:
         raise ValueError("instance space too large")
     if g_max < 0:
         raise ValueError("g_max must be nonnegative")
+    # a cap below 1 would sweep no relation at all and pass vacuously
+    if rel_count_cap is not None and rel_count_cap < 1:
+        raise ValueError("rel_count_cap must be at least 1")
 
 
 def _relation_map_pairs(
@@ -196,7 +199,7 @@ def enumerate_instances(
     Stream nesting is relation -> map -> matrix, and every instance carries
     its stream index.
     """
-    _check_slice(n, g_max)
+    _check_slice(n, g_max, rel_count_cap)
     entries = range(-g_max, g_max + 1)
     row_choices = list(product(entries, repeat=n))
     index = 0
@@ -555,7 +558,7 @@ def run_oracle(sweeps: Sequence[SweepSpec]) -> OracleReport:
     for spec in sweeps:
         res = SweepResult(spec=spec)
         start = time.perf_counter()
-        _check_slice(spec.n, spec.g_max)
+        _check_slice(spec.n, spec.g_max, spec.rel_count_cap)
         matrices = (2 * spec.g_max + 1) ** (spec.n * spec.n)
         pairs = _relation_map_pairs(spec.n, spec.rel_count_cap)
         for pair_no, (rel, mapping) in enumerate(pairs):

@@ -8,8 +8,10 @@ where I is the order-zeta integral with kernel (t - s)^(zeta - 1) / Gamma(zeta)
 and h is the problem right-hand side. T is discretized on a uniform grid with
 a product-trapezoid rule: the integrand is replaced by its piecewise-linear
 interpolant and the singular kernel is integrated exactly against each linear
-piece. Fixed points of T are approximated by Picard iteration under the
-sup-norm with the pointwise order as audit relation.
+piece. The weights are one column for node 0 plus a lower-triangular
+Toeplitz band, applied as one zero-padded real-FFT convolution. Fixed points
+of T are approximated by Picard iteration under the sup-norm with the
+pointwise order as audit relation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -101,29 +102,31 @@ def _stable_power_diff(ms: np.ndarray, p: float) -> np.ndarray:
 class QuadratureWeights:
     """Product-trapezoid weights for the order-zeta integral on a uniform grid.
 
-    ``matrix[i, j]`` is the weight of node j when targeting node i; row 0 is
-    identically zero and every row reproduces constants exactly:
-    sum_j matrix[i, j] = t_i^zeta / Gamma(zeta + 1).
+    For target node i >= 1 the weight of node 0 is ``start[i - 1]`` and the
+    weight of node k in 1..i is ``band[i - k]``; target node 0 has no
+    weights. Every target reproduces constants exactly:
+    start[i - 1] + band[0] + ... + band[i - 1] = t_i^zeta / Gamma(zeta + 1).
     """
 
     zeta: float
     n_intervals: int
-    matrix: np.ndarray
+    start: np.ndarray
+    band: np.ndarray
 
     @property
     def step(self) -> float:
         return 1.0 / self.n_intervals
 
 
-@lru_cache(maxsize=32)
 def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
-    """Build (and cache) the full weight table for every target node.
+    """Build the node-0 column and the Toeplitz band in O(N).
 
     Exact on piecewise-linear integrands. For each source interval
     [t_{m-1}, t_m] relative to the target, the kernel moments
     P_m = (m^z - (m-1)^z)/z and Q_m = (m^(z+1) - (m-1)^(z+1))/(z+1) give the
     left/right endpoint contributions A(m) = Q_m - (m-1) P_m and
-    B(m) = m P_m - Q_m (in units of h^z).
+    B(m) = m P_m - Q_m (in units of h^z). Node 0 at distance i gets A(i),
+    an interior node at distance d gets A(d) + B(d + 1) and the target B(1).
     """
     if zeta <= 0.0:
         raise ValueError("zeta must be positive")
@@ -137,23 +140,17 @@ def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
     a = q - (ms - 1) * p
     b = ms * p - q
     scale = h**zeta / gamma(zeta)
-    w = np.zeros((n + 1, n + 1))
-    for row in range(1, n + 1):
-        w[row, 0] = a[row - 1]
-        w[row, row] = b[0]
-        if row > 1:
-            # interior node k combines interval (k-1, k] right endpoint and
-            # interval [k, k+1) left endpoint: A(row-k) + B(row-k+1)
-            w[row, 1:row] = a[row - 2 :: -1] + b[row - 1 : 0 : -1]
-    w *= scale
-    w.setflags(write=False)
-    return QuadratureWeights(zeta=zeta, n_intervals=n, matrix=w)
+    band = np.concatenate((b[:1], a[:-1] + b[1:]))
+    return QuadratureWeights(zeta=zeta, n_intervals=n, start=a * scale, band=band * scale)
 
 
 def _apply_weights(w: QuadratureWeights, values: np.ndarray) -> np.ndarray:
-    # elementwise product + per-row pairwise sum: summation order is fixed by
-    # node index, so results are bit-identical across runs and thread counts
-    return (w.matrix * values[np.newaxis, :]).sum(axis=1)
+    # linear convolution of the band with values[1:] by zero-padded real FFT;
+    # np.fft runs single-threaded, so results do not depend on BLAS threads
+    # (np.convolve does). np.fft is loaded on first use, not at import.
+    fft, m = np.fft, 2 * w.n_intervals
+    conv = fft.irfft(fft.rfft(w.band, m) * fft.rfft(values[1:], m), m)
+    return np.concatenate(([0.0], conv[: w.n_intervals] + w.start * values[0]))
 
 
 def frac_integral(u: GridFunction, zeta: float) -> GridFunction:

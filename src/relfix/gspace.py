@@ -103,6 +103,13 @@ def _check_finite(value: float, a: Any, b: Any) -> float:
     return value
 
 
+def _check_tol(tol: float) -> None:
+    # every comparison with NaN is false, so a NaN tolerance would hide each
+    # witness; a negative one would manufacture them
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tol must be finite and nonnegative")
+
+
 def _pairs(
     samples: Sequence[Any], rel: FiniteRelation | RelationView | None = None
 ) -> Iterator[tuple[Any, Any]]:
@@ -144,8 +151,10 @@ def _scan(
     Vanishing (g1) is tested on the pairs of distinct points, absolute
     symmetry (g2) on every pair, the triangle property (g3) on every triple.
     Every g value read is checked for finiteness, so a non-finite value
-    raises instead of failing each comparison silently.
+    raises instead of failing each comparison silently, and so does a
+    non-finite or negative ``tol`` (:class:`ValueError`).
     """
+    _check_tol(tol)
     ev = g.evaluate
 
     def mag(a: Any, b: Any) -> float:
@@ -257,7 +266,9 @@ def check_limit_uniqueness(
     this raises. The verdict is |g(limit_a, limit_b)| <= 2 tol, the bound
     the triangle property forces through the common tail; under a
     degenerate functional distinct points can legitimately both pass.
+    ``tol`` must be finite and nonnegative.
     """
+    _check_tol(tol)
     if len(seq) == 0:
         raise ValueError("empty sequence")
     tail = seq[-1]

@@ -102,6 +102,15 @@ class TestVerifyCommand:
         assert doc["seed_ok"] is True
         assert doc["hypotheses_pass"] is True
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tolerance_is_an_error(self, capsys, tol):
+        # with NaN every comparison is false and scenario 1's g1 witness
+        # would vanish; with -1 g2 would fail on every pair
+        code = cli.run(["verify", "--example", "1", "--tol", tol])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tol" in err
+
     def test_scenario2_report(self, capsys):
         code, doc = run_and_parse(capsys, ["verify", "--example", "2"])
         assert code == cli.EXIT_OK
@@ -205,6 +214,13 @@ class TestIterateCommand:
         assert code == 1
         assert "coordinates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("point", ["nan,1", "0,inf"])
+    def test_non_finite_start_point(self, capsys, point):
+        code = cli.run(["iterate", "--example", "1", f"--r0-point={point}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+
 
 class TestSolveFdeCommand:
     def test_summary_and_outputs(self, tmp_path, capsys):
@@ -238,6 +254,13 @@ class TestSolveFdeCommand:
         assert code == 0
         assert summary["gamma_variant"] == "alpha_plus_one"
 
+    def test_large_grid(self, capsys):
+        # the weights are O(N); a dense table here would need 2.1 GB
+        code, summary = run_and_parse(capsys, ["solve-fde", "--grid", "16384"])
+        assert code == 0
+        assert summary["grid"] == 16384
+        assert summary["converged"] is True
+
     def test_budget_too_small_is_an_error(self, capsys):
         code = cli.run(["solve-fde", "--grid", "64", "--max-iter", "0"])
         assert code == 1
@@ -259,6 +282,15 @@ class TestOracleCommand:
         assert doc["counterexample_count"] == 0
         assert doc["uniqueness_violation_count"] == 0
         assert json.loads(out.read_text()) == doc
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_relation_cap_below_one_is_an_error(self, capsys, cap):
+        # a slice with no relation would report "total_checked": 0 and pass
+        code = cli.run(["oracle", "--n", "2", "--rel-cap", cap])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "rel_count_cap" in captured.err
 
     def test_default_sweep_for_pairs(self, capsys):
         code, doc = run_and_parse(capsys, ["oracle", "--n", "2"])

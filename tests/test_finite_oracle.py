@@ -81,6 +81,14 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             next(enumerate_instances(2, g_max=-1))
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_relation_cap_below_one(self, cap):
+        # such a slice holds no instance, so its sweep would pass vacuously
+        with pytest.raises(ValueError, match="rel_count_cap"):
+            next(enumerate_instances(2, rel_count_cap=cap))
+        with pytest.raises(ValueError, match="rel_count_cap"):
+            run_oracle([SweepSpec(2, 1, cap)])
+
 
 class TestHypothesisReasons:
     def test_vanishing_on_distinct_related_pair(self):

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from relfix.fractional import (
     GAMMA_VARIANTS,
+    _apply_weights,
     ConvergenceFailure,
     FdeProblem,
     apply_T,
@@ -21,6 +26,7 @@ from relfix.fractional import (
 from relfix.gridfn import GridFunction, pointwise_leq, sup_diff
 from relfix.picard import StoppingPolicy
 
+from fractional_reference import dense_apply, dense_weights, table_from_band
 from reference_values import (
     DOUBLE_TERM_CONSTANT_SIN,
     FRAC_INT_SIN_09,
@@ -31,6 +37,7 @@ from reference_values import (
 )
 
 ZETAS = (0.5, 0.9, 1.5)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -66,30 +73,63 @@ class TestGamma:
 class TestQuadratureWeights:
     @pytest.mark.parametrize("zeta", ZETAS)
     def test_row_zero_is_zero(self, zeta):
+        # target node 0 has no weights: the fields hold rows 1..N only, and
+        # the apply leaves node 0 at exactly zero whatever the input
         w = quadrature_weights(zeta, 64)
-        assert np.all(w.matrix[0] == 0.0)
+        assert w.start.shape == w.band.shape == (64,)
+        values = np.random.default_rng(0).standard_normal(65)
+        assert _apply_weights(w, values)[0] == 0.0
 
     @pytest.mark.parametrize("zeta", ZETAS)
     def test_rows_reproduce_constants(self, zeta):
         w = quadrature_weights(zeta, 64)
         nodes = np.arange(65) / 64
         exact = nodes**zeta / gamma(zeta + 1.0)
-        sums = w.matrix.sum(axis=1)
-        rel = np.abs(sums[1:] - exact[1:]) / exact[1:]
+        sums = w.start + np.cumsum(w.band)
+        rel = np.abs(sums - exact[1:]) / exact[1:]
         assert np.max(rel) <= 1e-12
 
     @pytest.mark.parametrize("zeta", ZETAS)
     def test_nonnegative(self, zeta):
         w = quadrature_weights(zeta, 64)
-        assert np.all(w.matrix >= 0.0)
+        assert np.all(w.start >= 0.0)
+        assert np.all(w.band >= 0.0)
 
-    def test_cache_returns_one_object(self):
-        assert quadrature_weights(0.9, 64) is quadrature_weights(0.9, 64)
+    @pytest.mark.parametrize("zeta", (0.5, 0.9, 1.5, 2.0))
+    @pytest.mark.parametrize("n", (8, 64, 513))
+    def test_rebuilt_table_equals_the_dense_reference(self, n, zeta):
+        w = quadrature_weights(zeta, n)
+        assert np.array_equal(table_from_band(w.start, w.band), dense_weights(zeta, n))
 
-    def test_matrix_is_read_only(self):
-        w = quadrature_weights(0.9, 64)
-        with pytest.raises(ValueError):
-            w.matrix[1, 0] = 0.0
+    @pytest.mark.parametrize("zeta", (0.5, 0.9, 1.5, 2.0))
+    @pytest.mark.parametrize("n", (64, 512, 4096))
+    def test_apply_matches_the_dense_reference(self, n, zeta):
+        values = np.random.default_rng(n).standard_normal(n + 1)
+        ref = dense_apply(dense_weights(zeta, n), values)
+        got = frac_integral(GridFunction(n, values), zeta).values
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_output_does_not_depend_on_blas_threads(self):
+        code = (
+            "import sys, numpy as np; from relfix.fractional import frac_integral; "
+            "from relfix.gridfn import GridFunction; n = 12000; "
+            "v = np.random.default_rng(7).standard_normal(n + 1); "
+            "sys.stdout.write(frac_integral(GridFunction(n, v), 0.9).values.tobytes().hex())"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert len(outputs[0]) == 2 * 8 * 12001
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("zeta,n", [(0.0, 8), (-0.5, 8), (0.9, 0)])
     def test_parameter_domains(self, zeta, n):
@@ -319,6 +359,31 @@ class TestSolver:
             abs(demo_solutions[256][1].values[k] - fine[2 * k]) for k in range(257)
         )
         assert e128 / e256 >= 2.5
+
+
+class TestDerivedContraction:
+    """The certified factor bounds the discrete operator itself.
+
+    Linearised in h, T is M = W + 2 t tau^T W, with W the quadrature table
+    and tau the trapezoid row. The demo rhs has Lipschitz constant 1/16 in
+    u, so (1/16) ||M||_inf bounds every step ratio; it must not exceed the
+    contraction parameter the trace certifies with.
+    """
+
+    @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
+    @pytest.mark.parametrize("n", (64, 512))
+    def test_operator_norm_bounds_the_step_ratios(self, n, zeta):
+        w = dense_weights(zeta, n)
+        nodes = np.arange(n + 1) / n
+        tau = np.full(n + 1, 1.0 / n)
+        tau[[0, -1]] = 0.5 / n
+        m = w + 2.0 * np.outer(nodes, tau @ w)
+        bound = np.max(np.abs(m).sum(axis=1)) / 16.0
+        trace, _ = solve_fde(demo_problem(n, zeta))
+        assert bound <= trace.alpha_used == 0.5
+        res = trace.residuals
+        ratios = [b / a for a, b in zip(res, res[1:]) if b > 1e-10]
+        assert ratios and max(ratios) <= bound
 
 
 class TestBoundary:

@@ -218,6 +218,28 @@ class TestLimitUniqueness:
             check_limit_uniqueness(g, [0], 1, 2)
 
 
+class TestTolerance:
+    # NaN fails every comparison, so it would erase scenario 1's g1 witness;
+    # a negative tolerance would make g2 fail on every pair
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_bad_tolerance_is_rejected(self, tol):
+        rel = first_coord_relation()
+        origin = PlanePoint(0.0, 0.0)
+        for scan in (verify_g_properties, relation_pattern_report):
+            with pytest.raises(ValueError, match="tol"):
+                scan(example1_g, rel, PLANE_SAMPLES, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            check_limit_uniqueness(example1_g, [origin], origin, origin, tol=tol)
+
+    def test_zero_tolerance_is_legal(self):
+        report = verify_g_properties(
+            example1_g, first_coord_relation(), PLANE_SAMPLES, tol=0.0
+        )
+        assert report.g1_witness == (PlanePoint(1.0, 5.0), PlanePoint(2.0, 5.0))
+        g = GFunctional(lambda a, b: abs(a - b))
+        assert check_limit_uniqueness(g, [1.0], 1.0, 1.0, tol=0.0)
+
+
 class TestRelatedPairs:
     def test_orders_and_filters(self):
         pts = [PlanePoint(0.0, 1.0), PlanePoint(0.0, 2.0), PlanePoint(1.0, 1.0)]
