@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -106,20 +107,28 @@ class QuadratureWeights:
     weight of node k in 1..i is ``band[i - k]``; target node 0 has no
     weights. Every target reproduces constants exactly:
     start[i - 1] + band[0] + ... + band[i - 1] = t_i^zeta / Gamma(zeta + 1).
+    ``band_spectrum`` is the real FFT of ``band`` zero-padded to length 2N,
+    the half of the convolution that does not depend on the input.
     """
 
     zeta: float
     n_intervals: int
     start: np.ndarray
     band: np.ndarray
+    band_spectrum: np.ndarray
 
     @property
     def step(self) -> float:
         return 1.0 / self.n_intervals
 
 
+def _check_zeta(zeta: float) -> None:
+    if not (math.isfinite(zeta) and zeta > 0.0):
+        raise ValueError("zeta must be positive and finite")
+
+
 def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
-    """Build the node-0 column and the Toeplitz band in O(N).
+    """Build the node-0 column, the Toeplitz band and its spectrum.
 
     Exact on piecewise-linear integrands. For each source interval
     [t_{m-1}, t_m] relative to the target, the kernel moments
@@ -128,8 +137,7 @@ def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
     B(m) = m P_m - Q_m (in units of h^z). Node 0 at distance i gets A(i),
     an interior node at distance d gets A(d) + B(d + 1) and the target B(1).
     """
-    if zeta <= 0.0:
-        raise ValueError("zeta must be positive")
+    _check_zeta(zeta)
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
     n = n_intervals
@@ -140,16 +148,19 @@ def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
     a = q - (ms - 1) * p
     b = ms * p - q
     scale = h**zeta / gamma(zeta)
-    band = np.concatenate((b[:1], a[:-1] + b[1:]))
-    return QuadratureWeights(zeta=zeta, n_intervals=n, start=a * scale, band=band * scale)
+    band = np.concatenate((b[:1], a[:-1] + b[1:])) * scale
+    # np.fft runs single-threaded, so results do not depend on BLAS threads
+    # (np.convolve does). np.fft is loaded on first use, not at import.
+    spectrum = np.fft.rfft(band, 2 * n)
+    return QuadratureWeights(
+        zeta=zeta, n_intervals=n, start=a * scale, band=band, band_spectrum=spectrum
+    )
 
 
 def _apply_weights(w: QuadratureWeights, values: np.ndarray) -> np.ndarray:
-    # linear convolution of the band with values[1:] by zero-padded real FFT;
-    # np.fft runs single-threaded, so results do not depend on BLAS threads
-    # (np.convolve does). np.fft is loaded on first use, not at import.
+    # linear convolution of the band with values[1:] by zero-padded real FFT
     fft, m = np.fft, 2 * w.n_intervals
-    conv = fft.irfft(fft.rfft(w.band, m) * fft.rfft(values[1:], m), m)
+    conv = fft.irfft(w.band_spectrum * fft.rfft(values[1:], m), m)
     return np.concatenate(([0.0], conv[: w.n_intervals] + w.start * values[0]))
 
 
@@ -167,14 +178,19 @@ def _trapezoid(values: np.ndarray, h: float) -> float:
 class FdeProblem:
     """A fractional-order two-point problem and its solver configuration.
 
-    ``rhs(t, u)`` is the driving term; ``lipschitz_alpha`` the contraction
+    ``rhs(t, u)`` is the driving term, evaluated elementwise on whole
+    arrays: it receives the node array ``t`` and the value array ``u`` (of
+    one shape) and returns an array that broadcasts to that shape. Write it
+    with numpy ufuncs (``np.sin``, not ``math.sin``) and branch with
+    ``np.where``, not ``if``. ``lipschitz_alpha`` is the contraction
     parameter the Lipschitz condition is tested against; ``gamma_variant``
     selects whose order feeds the Gamma factor in the Lipschitz bound
     ("alpha_plus_one" uses the contraction parameter, "zeta_plus_one" the
     integral order — both appear in circulation, so both are supported).
+    The quadrature weights are built on first use and kept as ``weights``.
     """
 
-    rhs: Callable[[float, float], float]
+    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     zeta: float = 0.9
     n_intervals: int = 512
     policy: StoppingPolicy = StoppingPolicy()
@@ -182,14 +198,17 @@ class FdeProblem:
     gamma_variant: str = "zeta_plus_one"
 
     def __post_init__(self) -> None:
-        if self.zeta <= 0.0:
-            raise ValueError("zeta must be positive")
+        _check_zeta(self.zeta)
         if self.n_intervals < 8:
             raise ValueError("n_intervals must be >= 8")
         if not (0.0 < self.lipschitz_alpha < 1.0):
             raise ValueError("lipschitz_alpha must lie in (0, 1)")
         if self.gamma_variant not in GAMMA_VARIANTS:
             raise ValueError(f"gamma_variant must be one of {GAMMA_VARIANTS}")
+
+    @cached_property
+    def weights(self) -> QuadratureWeights:
+        return quadrature_weights(self.zeta, self.n_intervals)
 
     @property
     def regime_note(self) -> str:
@@ -212,7 +231,8 @@ class LipschitzReport:
 
     ``margin = bound - worst_ratio``; nonnegative margin means every sampled
     increment fits under the bound. ``worst_at`` is (t, u_value, v_value) at
-    the worst ratio, or None when no sample was informative.
+    the worst ratio, or None when no sample was informative; such a probe
+    has not tested anything and does not pass.
     """
 
     bound: float
@@ -220,6 +240,15 @@ class LipschitzReport:
     margin: float
     passed: bool
     worst_at: Optional[tuple[float, float, float]]
+
+
+def _rhs_values(prob: FdeProblem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(np.asarray(prob.rhs(t, u), dtype=float), t.shape)
+
+
+def _first_non_finite(values: np.ndarray) -> Optional[int]:
+    bad = ~np.isfinite(values)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def lipschitz_check(
@@ -230,35 +259,41 @@ def lipschitz_check(
     """Test |rhs(t, v) - rhs(t, u)| <= bound * (v - u) on ordered samples.
 
     Every supplied pair must satisfy u <= v pointwise. Samples where the two
-    functions agree carry no ratio information and are skipped; with no
-    informative samples at all the margin degenerates to the full bound. A
-    non-finite rhs difference raises :class:`ArithmeticError`.
+    functions agree carry no ratio information and are skipped. With no
+    informative sample at all (no samples, no pairs, or every gap zero) the
+    margin degenerates to the full bound and the check does not pass. A
+    non-finite rhs difference raises :class:`ArithmeticError` naming the
+    first such t. ``worst_at`` is the first maximum in pair-then-sample
+    order.
     """
     bound = lipschitz_bound(prob)
+    ts = np.asarray(t_samples, dtype=float)
     worst_ratio = 0.0
     worst_at: Optional[tuple[float, float, float]] = None
     for u, v in pairs:
         if not pointwise_leq(u, v):
             raise ValueError("pair is not ordered: need u <= v pointwise")
-        for t in t_samples:
-            uv = interpolate(u, t)
-            vv = interpolate(v, t)
-            gap = vv - uv
-            if gap == 0.0:
-                continue
-            diff = prob.rhs(t, vv) - prob.rhs(t, uv)
-            if not math.isfinite(diff):
-                raise ArithmeticError(f"rhs difference not finite at t = {t!r}")
-            ratio = abs(diff) / gap
-            if ratio > worst_ratio or worst_at is None:
-                worst_ratio = ratio
-                worst_at = (t, uv, vv)
+        uv = interpolate(u, ts)
+        vv = interpolate(v, ts)
+        keep = vv != uv
+        if not keep.any():
+            continue
+        t, uv, vv = ts[keep], uv[keep], vv[keep]
+        diff = _rhs_values(prob, t, vv) - _rhs_values(prob, t, uv)
+        bad = _first_non_finite(diff)
+        if bad is not None:
+            raise ArithmeticError(f"rhs difference not finite at t = {float(t[bad])!r}")
+        ratio = np.abs(diff) / (vv - uv)
+        k = int(np.argmax(ratio))
+        if ratio[k] > worst_ratio or worst_at is None:
+            worst_ratio = float(ratio[k])
+            worst_at = (float(t[k]), float(uv[k]), float(vv[k]))
     margin = bound - worst_ratio
     return LipschitzReport(
         bound=bound,
         worst_ratio=worst_ratio,
         margin=margin,
-        passed=worst_ratio <= bound,
+        passed=worst_at is not None and worst_ratio <= bound,
         worst_at=worst_at,
     )
 
@@ -266,19 +301,18 @@ def lipschitz_check(
 def apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:
     """One application of the integral operator to a grid function.
 
-    The linear-in-t correction 2 t C uses C = trapezoid of the inner
-    integral's node values, computed once per call.
+    The rhs is evaluated once, on the whole node array. The linear-in-t
+    correction 2 t C uses C = trapezoid of the inner integral's node values,
+    computed once per call.
     """
     if u.n_intervals != prob.n_intervals:
         raise ValueError("grid function does not match the problem grid")
-    w = quadrature_weights(prob.zeta, prob.n_intervals)
+    w = prob.weights
     nodes = u.nodes
-    hv = np.empty_like(u.values)
-    for j, (t, uj) in enumerate(zip(nodes, u.values)):
-        val = prob.rhs(float(t), float(uj))
-        if not math.isfinite(val):
-            raise ArithmeticError(f"rhs diverged at node {j}")
-        hv[j] = val
+    hv = _rhs_values(prob, nodes, u.values)
+    bad = _first_non_finite(hv)
+    if bad is not None:
+        raise ArithmeticError(f"rhs diverged at node {bad}")
     inner = _apply_weights(w, hv)
     c = _trapezoid(inner, w.step)
     return GridFunction(u.n_intervals, inner + 2.0 * nodes * c)
@@ -312,7 +346,7 @@ def solve_fde(prob: FdeProblem) -> tuple[IterationTrace, GridFunction]:
     :class:`ConvergenceFailure` with the partial trace attached.
     """
     nodes = np.arange(prob.n_intervals + 1) / prob.n_intervals
-    report = lipschitz_check(prob, nodes.tolist(), _default_probe_pairs(prob.n_intervals))
+    report = lipschitz_check(prob, nodes, _default_probe_pairs(prob.n_intervals))
     alpha: Optional[float] = prob.lipschitz_alpha
     if not report.passed:
         warnings.warn(
@@ -345,9 +379,12 @@ def boundary_residuals(solution: GridFunction) -> tuple[float, float]:
     Returns (|f(0)|, |integral_0^1 f - f'(0)|) with the integral taken by
     the trapezoid rule and f'(0) by the one-sided second-order difference.
     The first is zero by construction; the second is reported as a
-    diagnostic and deliberately not asserted small.
+    diagnostic and deliberately not asserted small. The difference needs at
+    least 3 nodes (n_intervals >= 2).
     """
     v = solution.values
+    if len(v) < 3:
+        raise ValueError("boundary_residuals needs at least 3 nodes (n_intervals >= 2)")
     h = solution.step
     first = abs(float(v[0]))
     integral = _trapezoid(v, h)
@@ -355,9 +392,9 @@ def boundary_residuals(solution: GridFunction) -> tuple[float, float]:
     return first, abs(integral - fprime0)
 
 
-def demo_rhs(t: float, u: float) -> float:
+def demo_rhs(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Showcase right-hand side u/16 + sin t (Lipschitz ratio exactly 1/16)."""
-    return u / 16.0 + math.sin(t)
+    return u / 16.0 + np.sin(t)
 
 
 def demo_problem(

@@ -99,14 +99,21 @@ def pointwise_leq(u: GridFunction, v: GridFunction) -> bool:
     return bool(np.all(u.values <= v.values))
 
 
-def interpolate(u: GridFunction, t: float) -> float:
-    """Piecewise-linear value at t in [0, 1]."""
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"t={t} outside [0, 1]")
-    x = t * u.n_intervals
-    j = min(int(x), u.n_intervals - 1)
+def interpolate(u: GridFunction, t: float | np.ndarray) -> float | np.ndarray:
+    """Piecewise-linear value at t in [0, 1]; elementwise for an array of t.
+
+    A scalar t gives a float, an array of t an array of the same shape.
+    """
+    x = np.asarray(t, dtype=float)
+    outside = ~((0.0 <= x) & (x <= 1.0))
+    if outside.any():
+        bad = x.flat[int(np.argmax(outside))]
+        raise ValueError(f"t={float(bad)} outside [0, 1]")
+    x = x * u.n_intervals
+    j = np.minimum(x.astype(np.intp), u.n_intervals - 1)
     w = x - j
-    return float((1.0 - w) * u.values[j] + w * u.values[j + 1])
+    values = (1.0 - w) * u.values[j] + w * u.values[j + 1]
+    return float(values) if values.ndim == 0 else values
 
 
 def grid_to_csv(u: GridFunction) -> str:

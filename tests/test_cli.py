@@ -261,6 +261,12 @@ class TestSolveFdeCommand:
         assert summary["grid"] == 16384
         assert summary["converged"] is True
 
+    @pytest.mark.parametrize("zeta", ["nan", "inf"])
+    def test_non_finite_zeta_is_an_error(self, zeta, capsys):
+        code = cli.run(["solve-fde", "--grid", "64", "--zeta", zeta])
+        assert code == 1
+        assert capsys.readouterr().err == "error: zeta must be positive and finite\n"
+
     def test_budget_too_small_is_an_error(self, capsys):
         code = cli.run(["solve-fde", "--grid", "64", "--max-iter", "0"])
         assert code == 1

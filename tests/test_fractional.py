@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relfix.fractional as fractional
 from relfix.fractional import (
     GAMMA_VARIANTS,
     _apply_weights,
+    _default_probe_pairs,
     ConvergenceFailure,
     FdeProblem,
     apply_T,
@@ -26,7 +28,13 @@ from relfix.fractional import (
 from relfix.gridfn import GridFunction, pointwise_leq, sup_diff
 from relfix.picard import StoppingPolicy
 
-from fractional_reference import dense_apply, dense_weights, table_from_band
+from fractional_reference import (
+    dense_apply,
+    dense_weights,
+    per_node_apply_T,
+    scalar_lipschitz_check,
+    table_from_band,
+)
 from reference_values import (
     DOUBLE_TERM_CONSTANT_SIN,
     FRAC_INT_SIN_09,
@@ -252,7 +260,7 @@ class TestLipschitz:
 
     def test_non_finite_rhs_raises_naming_t(self):
         def rhs(t, u):
-            return math.nan if t > 0.5 else demo_rhs(t, u)
+            return np.where(t > 0.5, np.nan, demo_rhs(t, u))
 
         prob = FdeProblem(rhs=rhs, n_intervals=16)
         nodes = [k / 16 for k in range(17)]
@@ -276,6 +284,27 @@ class TestLipschitz:
         assert report.worst_at is None
         assert report.worst_ratio == 0.0
         assert report.margin == report.bound
+        assert not report.passed
+
+    def test_no_samples_does_not_pass(self):
+        prob = demo_problem(64)
+        pair = (GridFunction.zeros(64), GridFunction(64, np.ones(65)))
+        report = lipschitz_check(prob, [], [pair])
+        assert (report.passed, report.worst_at) == (False, None)
+        assert report.worst_ratio == 0.0
+        assert report.margin == report.bound
+
+    def test_no_pairs_does_not_pass(self):
+        prob = demo_problem(64)
+        report = lipschitz_check(prob, [0.0, 0.5, 1.0], [])
+        assert (report.passed, report.worst_at) == (False, None)
+        assert report.worst_ratio == 0.0
+        assert report.margin == report.bound
+
+    def test_sample_outside_the_interval_rejected(self):
+        pair = (GridFunction.zeros(64), GridFunction(64, np.ones(65)))
+        with pytest.raises(ValueError, match=r"t=1\.5 outside"):
+            lipschitz_check(demo_problem(64), [0.5, 1.5, -1.0], [pair])
 
 
 class TestOperator:
@@ -285,7 +314,7 @@ class TestOperator:
 
     def test_divergent_rhs_reports_node(self):
         prob = FdeProblem(
-            rhs=lambda t, u: math.inf if t > 0.5 else 0.0, n_intervals=8
+            rhs=lambda t, u: np.where(t > 0.5, np.inf, 0.0), n_intervals=8
         )
         with pytest.raises(ArithmeticError, match="node 5"):
             apply_T(GridFunction.zeros(8), prob)
@@ -386,6 +415,102 @@ class TestDerivedContraction:
         assert ratios and max(ratios) <= bound
 
 
+class TestWholeArrayEvaluation:
+    """The rhs and the probe run on node arrays, equal to per-node loops."""
+
+    @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
+    @pytest.mark.parametrize("n", (8, 64, 512, 4096))
+    def test_apply_T_equals_the_per_node_loop(self, n, zeta):
+        prob = demo_problem(n, zeta)
+        u = GridFunction(n, np.random.default_rng(n).standard_normal(n + 1))
+        assert np.array_equal(apply_T(u, prob).values, per_node_apply_T(u, prob).values)
+
+    @staticmethod
+    def _probes(n):
+        rng = np.random.default_rng(n)
+        base = rng.standard_normal(n + 1)
+        bump = np.abs(rng.standard_normal(n + 1))
+        bump[::3] = 0.0  # gaps of zero between nodes 3k
+        pairs = [
+            (GridFunction(n, base), GridFunction(n, base + bump)),
+            (GridFunction.zeros(n), GridFunction(n, np.ones(n + 1))),
+            (GridFunction(n, base), GridFunction(n, base)),
+        ]
+        ts = sorted(set(rng.uniform(0.0, 1.0, 40).tolist() + [k / n for k in range(n + 1)]))
+        return ts, pairs
+
+    @pytest.mark.parametrize("variant", GAMMA_VARIANTS)
+    @pytest.mark.parametrize(
+        "rhs",
+        [demo_rhs, lambda t, u: u, lambda t, u: np.cos(3.0 * t) * u * u],
+        ids=["demo", "steep", "curved"],
+    )
+    @pytest.mark.parametrize("n", (8, 64, 512))
+    def test_lipschitz_report_equals_the_scalar_loop(self, n, rhs, variant):
+        prob = FdeProblem(rhs=rhs, n_intervals=n, gamma_variant=variant)
+        ts, pairs = self._probes(n)
+        got = lipschitz_check(prob, np.array(ts), pairs)
+        assert got == scalar_lipschitz_check(prob, ts, pairs)
+        assert got.worst_at is not None
+
+    def test_default_probe_equals_the_scalar_loop(self):
+        for variant in GAMMA_VARIANTS:
+            prob = demo_problem(512, 1.5, gamma_variant=variant)
+            nodes = np.arange(513) / 512
+            pairs = _default_probe_pairs(512)
+            got = lipschitz_check(prob, nodes, pairs)
+            assert got == scalar_lipschitz_check(prob, nodes.tolist(), pairs)
+            assert got.passed
+
+    def test_tied_ratios_keep_the_first_maximum(self):
+        # rhs = 2u gives the ratio 2.0 exactly at every informative sample of
+        # every pair, so worst_at is the first informative sample of pair 1
+        prob = FdeProblem(rhs=lambda t, u: 2.0 * u, n_intervals=16)
+        ident = GridFunction.from_callable(lambda t: t, 16)
+        pairs = [
+            (GridFunction.zeros(16), ident),
+            (GridFunction.zeros(16), GridFunction(16, np.ones(17))),
+        ]
+        ts = [0.0, 0.25, 0.5, 1.0]
+        got = lipschitz_check(prob, ts, pairs)
+        assert got == scalar_lipschitz_check(prob, ts, pairs)
+        assert got.worst_ratio == 2.0
+        assert got.worst_at == (0.25, 0.0, 0.25)
+
+    def test_solve_calls_the_rhs_on_arrays_a_few_times(self):
+        calls = []
+
+        def rhs(t, u):
+            calls.append((type(t), type(u)))
+            return demo_rhs(t, u)
+
+        prob = FdeProblem(rhs=rhs, n_intervals=256)
+        trace, _ = solve_fde(prob)
+        assert 0 < len(calls) <= trace.steps + 6
+        assert set(calls) == {(np.ndarray, np.ndarray)}
+
+    def test_weights_are_built_once_per_problem(self, monkeypatch):
+        built = []
+        real = fractional.quadrature_weights
+
+        def counting(zeta, n):
+            built.append((zeta, n))
+            return real(zeta, n)
+
+        monkeypatch.setattr(fractional, "quadrature_weights", counting)
+        prob = demo_problem(64)
+        trace, _ = solve_fde(prob)
+        assert trace.steps > 1
+        assert built == [(0.9, 64)]
+        assert prob.weights is prob.weights
+
+    def test_large_grid_converges_in_ten_steps(self):
+        trace, solution = solve_fde(demo_problem(65536, 0.9))
+        assert trace.converged
+        assert trace.steps == 10
+        assert solution.n_intervals == 65536
+
+
 class TestBoundary:
     def test_left_value_is_exactly_zero(self, demo_solutions):
         _, solution = demo_solutions[512]
@@ -396,6 +521,11 @@ class TestBoundary:
         _, r2_coarse = boundary_residuals(demo_solutions[256][1])
         _, r2_fine = boundary_residuals(demo_solutions[512][1])
         assert 1.5 <= r2_coarse / r2_fine <= 2.5
+
+    def test_tiny_grid_is_rejected(self):
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            boundary_residuals(GridFunction(1, np.zeros(2)))
+        assert boundary_residuals(GridFunction(2, np.zeros(3))) == (0.0, 0.0)
 
 
 class TestProblemConfig:
@@ -415,6 +545,13 @@ class TestProblemConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             FdeProblem(**base)
+
+    @pytest.mark.parametrize("zeta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_zeta(self, zeta):
+        with pytest.raises(ValueError, match="zeta must be positive and finite"):
+            FdeProblem(rhs=demo_rhs, zeta=zeta)
+        with pytest.raises(ValueError, match="zeta must be positive and finite"):
+            quadrature_weights(zeta, 8)
 
     def test_regime_note(self):
         assert "demonstration" in demo_problem(64).regime_note

@@ -155,6 +155,19 @@ class TestInterpolate:
         with pytest.raises(ValueError):
             interpolate(GridFunction.zeros(4), t)
 
+    def test_array_of_t_matches_scalar_calls(self):
+        u = GridFunction.from_callable(math.sin, 8)
+        ts = np.array([0.0, 0.05, 0.125, 0.3, 0.77, 0.999, 1.0])
+        got = interpolate(u, ts)
+        assert isinstance(got, np.ndarray) and got.shape == ts.shape
+        assert got.tolist() == [interpolate(u, float(t)) for t in ts]
+        assert isinstance(interpolate(u, 0.3), float)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
+    def test_array_domain_names_the_first_bad_t(self, bad):
+        with pytest.raises(ValueError, match=f"t={bad} outside"):
+            interpolate(GridFunction.zeros(4), np.array([0.5, bad, 2.0]))
+
 
 class TestCsv:
     def test_shape_and_format(self):
