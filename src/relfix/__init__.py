@@ -4,20 +4,107 @@ Mechanical hypothesis checks for contraction arguments that only hold on a
 binary relation, Picard iteration with certified geometric error bounds, an
 exhaustive finite model checker for the underlying fixed-point claim, and a
 fractional-order boundary-value solver built on the same engine.
+
+Exports resolve on first access (PEP 562): ``relfix.solve_fde`` imports
+``relfix.fractional`` then, not ``import relfix``. Only the grid and
+solver modules and the oracle's classifier load numpy, so the pure-Python
+checks start without it.
 """
 
-from . import finite_oracle, fractional, gridfn, gspace, picard, relations
-from .relations import *  # noqa: F401,F403
-from .gspace import *  # noqa: F401,F403
-from .picard import *  # noqa: F401,F403
-from .gridfn import *  # noqa: F401,F403
-from .fractional import *  # noqa: F401,F403
-from .finite_oracle import *  # noqa: F401,F403
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    name
-    for module in (relations, gspace, picard, gridfn, fractional, finite_oracle)
-    for name in module.__all__
-]
+# the public names of each engine module, equal to that module's __all__
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "relations": (
+        "FiniteRelation",
+        "RelationView",
+        "Path",
+        "related",
+        "universal_view",
+        "symmetric_closure",
+        "find_path",
+        "is_connected",
+        "closed_under",
+        "seed_set",
+        "is_preserving_sequence",
+    ),
+    "gspace": (
+        "GFunctional",
+        "SelfMap",
+        "PropertyReport",
+        "ContractionEstimate",
+        "verify_g_properties",
+        "relation_pattern_report",
+        "estimate_contraction_factor",
+        "related_pairs",
+    ),
+    "picard": (
+        "StoppingPolicy",
+        "IterationTrace",
+        "iterate",
+        "a_priori_bound",
+        "trace_to_csv",
+    ),
+    "gridfn": (
+        "GridFunction",
+        "sup_diff",
+        "pointwise_leq",
+        "interpolate",
+        "grid_to_csv",
+    ),
+    "fractional": (
+        "gamma",
+        "QuadratureWeights",
+        "quadrature_weights",
+        "frac_integral",
+        "FdeProblem",
+        "LipschitzReport",
+        "ConvergenceFailure",
+        "apply_T",
+        "lipschitz_check",
+        "lipschitz_bound",
+        "solve_fde",
+        "boundary_residuals",
+        "demo_rhs",
+        "demo_problem",
+    ),
+    "finite_oracle": (
+        "ALPHA_GRID",
+        "REJECTION_KEYS",
+        "FiniteInstance",
+        "SweepSpec",
+        "SweepResult",
+        "OracleReport",
+        "enumerate_instances",
+        "fixed_points",
+        "contraction_alpha",
+        "hypotheses_hold",
+        "conclusion_holds",
+        "image_symmetric_connected",
+        "run_oracle",
+        "default_sweeps",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    # only a name listed above may import a module; anything else (such as
+    # the submodule probe of ``from . import demos``) fails without imports
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -5,6 +5,10 @@ instance or a plane scenario), solve-fde (fractional boundary-value
 solver), oracle (finite model check), example (plane scenario figure
 data). Exit codes: 0 success, 2 hypothesis-check failure, 3 oracle found a
 counterexample. Output files are never silently overwritten; pass --force.
+
+Only solve-fde and oracle load numpy: the solver is imported inside its
+subcommand and the oracle imports numpy when it classifies, so the other
+subcommands start without it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import demos, fractional
+from . import demos
 from .finite_oracle import (
     FiniteInstance,
     SweepSpec,
@@ -24,7 +28,6 @@ from .finite_oracle import (
     hypotheses_hold,
     run_oracle,
 )
-from .gridfn import grid_to_csv
 from .gspace import (
     GFunctional,
     SelfMap,
@@ -155,6 +158,9 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_fde(args: argparse.Namespace) -> int:
+    from . import fractional
+    from .gridfn import grid_to_csv
+
     policy = StoppingPolicy(residual_tol=args.tol, max_iterations=args.max_iter)
     variant = "alpha_plus_one" if args.gamma_variant == "alpha" else "zeta_plus_one"
     prob = fractional.demo_problem(

@@ -17,6 +17,8 @@ once per pair, classifies every assignment of the touched entries at once
 in numpy, and multiplies each count by the number of ways to fill the
 untouched entries. Its counts are exact multiplicities of the instance
 stream of :func:`enumerate_instances`, not instances visited one by one.
+Only that classifier uses numpy, and it imports numpy when first called, so
+the instance type and the hypothesis and conclusion checks load without it.
 
 Completeness and continuity are automatic on a finite carrier under the
 discrete reading; the success reason records that explicitly rather than
@@ -29,9 +31,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .relations import (
     FiniteRelation,
@@ -40,6 +40,9 @@ from .relations import (
     seed_set,
     symmetric_closure,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ALPHA_GRID",
@@ -395,6 +398,8 @@ def default_sweeps(n: int) -> list[SweepSpec]:
 
 def _place_values(width: int, base: int) -> np.ndarray:
     """``base**(width-1), ..., base, 1``; raises OverflowError past int64."""
+    import numpy as np
+
     return np.array([base**p for p in range(width - 1, -1, -1)], dtype=np.int64)
 
 
@@ -421,6 +426,8 @@ def _classify_pair(
     in :data:`REJECTION_KEYS` order and the codes of the assignments that
     pass every hypothesis.
     """
+    import numpy as np
+
     n = rel.ground_size
     k = 2 * g_max + 1
     pairs = rel.sorted_pairs
@@ -478,6 +485,8 @@ def _materialise(
     base 2 g_max + 1, so scanning the offsets in chunks yields the instances
     in stream order; ``first_index`` is the stream index of offset 0.
     """
+    import numpy as np
+
     n = rel.ground_size
     k = 2 * g_max + 1
     code_weights = _place_values(len(cells), k)

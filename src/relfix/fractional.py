@@ -127,6 +127,14 @@ def _check_zeta(zeta: float) -> None:
         raise ValueError("zeta must be positive and finite")
 
 
+def _check_intervals(n_intervals: int, minimum: int) -> None:
+    # a float or bool would pass the bound and fail later inside numpy
+    if not isinstance(n_intervals, int) or isinstance(n_intervals, bool):
+        raise ValueError(f"n_intervals must be an integer, got {n_intervals!r}")
+    if n_intervals < minimum:
+        raise ValueError(f"n_intervals must be >= {minimum}")
+
+
 def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
     """Build the node-0 column, the Toeplitz band and its spectrum.
 
@@ -138,8 +146,7 @@ def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
     an interior node at distance d gets A(d) + B(d + 1) and the target B(1).
     """
     _check_zeta(zeta)
-    if n_intervals < 1:
-        raise ValueError("n_intervals must be >= 1")
+    _check_intervals(n_intervals, 1)
     n = n_intervals
     h = 1.0 / n
     ms = np.arange(1, n + 1)
@@ -180,13 +187,15 @@ class FdeProblem:
 
     ``rhs(t, u)`` is the driving term, evaluated elementwise on whole
     arrays: it receives the node array ``t`` and the value array ``u`` (of
-    one shape) and returns an array that broadcasts to that shape. Write it
-    with numpy ufuncs (``np.sin``, not ``math.sin``) and branch with
-    ``np.where``, not ``if``. ``lipschitz_alpha`` is the contraction
-    parameter the Lipschitz condition is tested against; ``gamma_variant``
-    selects whose order feeds the Gamma factor in the Lipschitz bound
-    ("alpha_plus_one" uses the contraction parameter, "zeta_plus_one" the
-    integral order — both appear in circulation, so both are supported).
+    one shape) and returns an array that broadcasts to that shape (a scalar
+    does); any other result raises :class:`ValueError`. Write it with numpy
+    ufuncs (``np.sin``, not ``math.sin``) and branch with ``np.where``, not
+    ``if``. ``n_intervals`` is an ``int`` of at least 8.
+    ``lipschitz_alpha`` is the contraction parameter the Lipschitz
+    condition is tested against; ``gamma_variant`` selects whose order
+    feeds the Gamma factor in the Lipschitz bound ("alpha_plus_one" uses
+    the contraction parameter, "zeta_plus_one" the integral order — both
+    appear in circulation, so both are supported).
     The quadrature weights are built on first use and kept as ``weights``.
     """
 
@@ -199,8 +208,7 @@ class FdeProblem:
 
     def __post_init__(self) -> None:
         _check_zeta(self.zeta)
-        if self.n_intervals < 8:
-            raise ValueError("n_intervals must be >= 8")
+        _check_intervals(self.n_intervals, 8)
         if not (0.0 < self.lipschitz_alpha < 1.0):
             raise ValueError("lipschitz_alpha must lie in (0, 1)")
         if self.gamma_variant not in GAMMA_VARIANTS:
@@ -243,7 +251,14 @@ class LipschitzReport:
 
 
 def _rhs_values(prob: FdeProblem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(np.asarray(prob.rhs(t, u), dtype=float), t.shape)
+    values = np.asarray(prob.rhs(t, u), dtype=float)
+    try:
+        return np.broadcast_to(values, t.shape)
+    except ValueError:
+        raise ValueError(
+            "rhs(t, u) must return an array that broadcasts to the node shape "
+            f"{t.shape}, got shape {values.shape}"
+        ) from None
 
 
 def _first_non_finite(values: np.ndarray) -> Optional[int]:

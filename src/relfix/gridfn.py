@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -10,7 +10,6 @@ import numpy as np
 __all__ = [
     "GridFunction",
     "sup_diff",
-    "g_order",
     "pointwise_leq",
     "interpolate",
     "grid_to_csv",
@@ -80,17 +79,6 @@ def sup_diff(u: GridFunction, v: GridFunction) -> float:
     """Sup-norm distance max_j |u_j - v_j| (a metric)."""
     _check_same_grid(u, v)
     return float(np.max(np.abs(u.values - v.values)))
-
-
-def g_order(u: GridFunction, v: GridFunction) -> float:
-    """Signed functional max_j (u_j - v_j).
-
-    Not a metric: it vanishes on the diagonal but also whenever u <= v
-    touches equality somewhere, and it is antisymmetric only up to sign on
-    comparable pairs.
-    """
-    _check_same_grid(u, v)
-    return float(np.max(u.values - v.values))
 
 
 def pointwise_leq(u: GridFunction, v: GridFunction) -> bool:

@@ -24,7 +24,6 @@ __all__ = [
     "verify_g_properties",
     "relation_pattern_report",
     "estimate_contraction_factor",
-    "check_limit_uniqueness",
     "related_pairs",
 ]
 
@@ -251,32 +250,6 @@ def estimate_contraction_factor(
     if worst_pair is None:
         raise ValueError("no informative pairs")
     return ContractionEstimate(best, worst_pair)
-
-
-def check_limit_uniqueness(
-    g: GFunctional,
-    seq: Sequence[Any],
-    limit_a: Any,
-    limit_b: Any,
-    tol: float = 1e-12,
-) -> bool:
-    """Whether two candidate limits of one sequence coincide g-wise.
-
-    Both candidates must actually be g-limits of the sequence tail, else
-    this raises. The verdict is |g(limit_a, limit_b)| <= 2 tol, the bound
-    the triangle property forces through the common tail; under a
-    degenerate functional distinct points can legitimately both pass.
-    ``tol`` must be finite and nonnegative.
-    """
-    _check_tol(tol)
-    if len(seq) == 0:
-        raise ValueError("empty sequence")
-    tail = seq[-1]
-    for limit in (limit_a, limit_b):
-        if abs(_check_finite(g.evaluate(tail, limit), tail, limit)) > tol:
-            raise ValueError("not a g-limit")
-    gap = _check_finite(g.evaluate(limit_a, limit_b), limit_a, limit_b)
-    return abs(gap) <= 2.0 * tol
 
 
 def related_pairs(

@@ -9,19 +9,17 @@ bound alpha^m / (1 - alpha) * |g(r0, r1)| to every step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from .gspace import GFunctional, SelfMap
-from .relations import FiniteRelation, Path, RelationView, is_preserving_sequence, related
+from .relations import FiniteRelation, RelationView, is_preserving_sequence, related
 
 __all__ = [
     "StoppingPolicy",
     "IterationTrace",
-    "PathDecayReport",
     "iterate",
     "a_priori_bound",
-    "uniqueness_via_path",
     "trace_to_csv",
 ]
 
@@ -131,64 +129,6 @@ def iterate(
         converged=converged,
         certified=certified,
         bound_certificates=certificates,
-    )
-
-
-@dataclass(frozen=True)
-class PathDecayReport:
-    """Bound sequence for two fixed points joined by a symmetric-closure path.
-
-    ``bounds[k]`` is alpha^k times the total g-length of the path; it
-    dominates |g(fp_a, fp_b)| after k map applications, so its decay to zero
-    certifies the two fixed points coincide g-wise.
-    """
-
-    bounds: tuple[float, ...]
-    measured: float
-    coincide: bool
-
-
-def uniqueness_via_path(
-    smap: SelfMap,
-    g: GFunctional,
-    rel: FiniteRelation | RelationView,
-    fp_a: Any,
-    fp_b: Any,
-    path_nodes: Sequence[Any],
-    alpha: float,
-    n_steps: int,
-    *,
-    fp_tol: float = 1e-9,
-    tol: float = 1e-12,
-) -> PathDecayReport:
-    """Certify that two fixed points coincide via a connecting path.
-
-    ``path_nodes`` must run from ``fp_a`` to ``fp_b`` with every consecutive
-    pair related in the symmetric closure (either orientation). The bound
-    sequence is alpha^k * sum of edge |g| values; the report concludes the
-    fixed points coincide when the final bound falls below ``tol``.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
-    if len(path_nodes) < 2:
-        raise ValueError("a path needs at least two nodes (one edge)")
-    if path_nodes[0] != fp_a or path_nodes[-1] != fp_b:
-        raise ValueError("path endpoints must be the two fixed points")
-    for point in (fp_a, fp_b):
-        drift = abs(g.evaluate(point, smap.apply(point)))
-        if drift > fp_tol:
-            raise ValueError(f"candidate {point!r} is not fixed within {fp_tol}")
-    total = 0.0
-    for a, b in zip(path_nodes[:-1], path_nodes[1:]):
-        if not (related(rel, a, b) or related(rel, b, a)):
-            raise ValueError("not a path in the symmetric closure")
-        total += abs(g.evaluate(a, b))
-    bounds = tuple(total * alpha**k for k in range(n_steps + 1))
-    measured = abs(g.evaluate(fp_a, fp_b))
-    return PathDecayReport(
-        bounds=bounds, measured=measured, coincide=bounds[-1] < tol
     )
 
 

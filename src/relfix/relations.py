@@ -20,7 +20,6 @@ __all__ = [
     "Path",
     "related",
     "universal_view",
-    "inverse",
     "symmetric_closure",
     "find_path",
     "is_connected",
@@ -96,11 +95,6 @@ class Path:
 
     def edges(self) -> list[tuple[int, int]]:
         return list(zip(self.nodes[:-1], self.nodes[1:]))
-
-
-def inverse(rel: FiniteRelation) -> FiniteRelation:
-    """Swap every pair: ``(r, s)`` becomes ``(s, r)``."""
-    return FiniteRelation(rel.ground_size, frozenset((s, r) for r, s in rel.pairs))
 
 
 def symmetric_closure(rel: FiniteRelation) -> FiniteRelation:

@@ -319,6 +319,21 @@ class TestOperator:
         with pytest.raises(ArithmeticError, match="node 5"):
             apply_T(GridFunction.zeros(8), prob)
 
+    def test_rhs_of_the_wrong_shape_names_the_contract(self):
+        prob = FdeProblem(rhs=lambda t, u: u[:-1], n_intervals=8)
+        message = r"rhs\(t, u\) must return an array that broadcasts to the node shape \(9,\)"
+        with pytest.raises(ValueError, match=message):
+            solve_fde(prob)
+        with pytest.raises(ValueError, match=message):
+            apply_T(GridFunction.zeros(8), prob)
+
+    def test_scalar_rhs_broadcasts(self):
+        scalar = FdeProblem(rhs=lambda t, u: 0.25, n_intervals=8)
+        array = FdeProblem(rhs=lambda t, u: np.full_like(t, 0.25), n_intervals=8)
+        u = GridFunction(8, np.linspace(0.0, 1.0, 9))
+        assert apply_T(u, scalar) == apply_T(u, array)
+        assert solve_fde(scalar)[1] == solve_fde(array)[1]
+
     def test_starts_at_zero(self):
         image = apply_T(GridFunction.zeros(64), demo_problem(64))
         assert image.values[0] == 0.0
@@ -552,6 +567,13 @@ class TestProblemConfig:
             FdeProblem(rhs=demo_rhs, zeta=zeta)
         with pytest.raises(ValueError, match="zeta must be positive and finite"):
             quadrature_weights(zeta, 8)
+
+    @pytest.mark.parametrize("n", [8.5, 16.0, True, "16", None])
+    def test_non_integer_intervals(self, n):
+        with pytest.raises(ValueError, match="n_intervals must be an integer"):
+            FdeProblem(rhs=demo_rhs, n_intervals=n)
+        with pytest.raises(ValueError, match="n_intervals must be an integer"):
+            quadrature_weights(0.9, n)
 
     def test_regime_note(self):
         assert "demonstration" in demo_problem(64).regime_note

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from relfix.gridfn import (
     GridFunction,
-    g_order,
     grid_to_csv,
     interpolate,
     pointwise_leq,
@@ -83,26 +82,6 @@ class TestSupDiff:
             sup_diff(GridFunction.zeros(4), GridFunction.zeros(8))
 
 
-class TestGOrder:
-    def test_signed_and_asymmetric(self):
-        u = GridFunction.from_callable(lambda t: t, 4)
-        v = GridFunction.from_callable(lambda t: t * t, 4)
-        assert g_order(u, v) == 0.25
-        assert g_order(v, u) == 0.0
-
-    def test_vanishes_off_diagonal(self):
-        # strictly below: the one-sided max is negative for (u, v) yet the
-        # points are distinct, so this functional is no metric
-        u = GridFunction.zeros(4)
-        v = GridFunction(4, np.full(5, 2.0))
-        assert g_order(u, v) == -2.0
-        assert g_order(v, u) == 2.0
-
-    def test_sine_against_zero(self):
-        u = GridFunction.from_callable(math.sin, 512)
-        assert g_order(u, GridFunction.zeros(512)) == math.sin(1.0)
-
-
 class TestPointwiseOrder:
     @settings(max_examples=100, deadline=None)
     @given(grid_triples())
@@ -119,12 +98,6 @@ class TestPointwiseOrder:
         v = GridFunction(2, np.array([1.0, 1.0, 1.0]))
         assert not pointwise_leq(u, v)
         assert not pointwise_leq(v, u)
-
-    def test_order_respects_g_order_sign(self):
-        u = GridFunction.zeros(4)
-        v = GridFunction(4, np.full(5, 2.0))
-        assert pointwise_leq(u, v)
-        assert g_order(u, v) <= 0.0
 
 
 class TestInterpolate:

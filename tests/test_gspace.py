@@ -13,7 +13,6 @@ from relfix.demos import (
 from relfix.gspace import (
     GFunctional,
     SelfMap,
-    check_limit_uniqueness,
     estimate_contraction_factor,
     related_pairs,
     relation_pattern_report,
@@ -180,64 +179,21 @@ class TestContractionEstimate:
         assert est.factor == 5.25
 
 
-class TestLimitUniqueness:
-    def test_degenerate_functional_accepts_distinct_limits(self):
-        seq = [PlanePoint(0.0, 1.0), PlanePoint(0.0, 1e-13)]
-        a = PlanePoint(5.0, 0.0)
-        b = PlanePoint(7.0, 0.0)
-        assert check_limit_uniqueness(example1_g, seq, a, b)
-        assert a != b
-
-    def test_non_limit_is_rejected(self):
-        seq = [PlanePoint(0.0, 0.0)]
-        with pytest.raises(ValueError, match="not a g-limit"):
-            check_limit_uniqueness(
-                example1_g, seq, PlanePoint(0.0, 1.0), PlanePoint(0.0, 0.0)
-            )
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            check_limit_uniqueness(example1_g, [], 0, 0)
-
-    def test_metric_verdict_follows_the_triangle_bound(self):
-        # a genuine metric can never certify both candidates as limits and
-        # then separate them: the triangle bound caps their gap at 2 tol
-        g = GFunctional(lambda a, b: abs(a - b))
-        assert check_limit_uniqueness(g, [0.0], 0.0, 1e-13, tol=1e-12)
-
-    def test_triangle_violator_can_separate(self):
-        table = {(1, 2): 1.0, (2, 1): 1.0}
-        g = GFunctional(lambda a, b: table.get((a, b), 0.0))
-        assert not check_limit_uniqueness(g, [0], 1, 2)
-
-    def test_non_finite_gap_between_the_limits_raises(self):
-        # both candidates are g-limits (g = 0 to the tail); only the final
-        # gap g(1, 2) is NaN, which must not read as "distinct limits"
-        g = GFunctional(lambda a, b: math.nan if {a, b} == {1, 2} else 0.0)
-        with pytest.raises(ArithmeticError, match="not finite"):
-            check_limit_uniqueness(g, [0], 1, 2)
-
-
 class TestTolerance:
     # NaN fails every comparison, so it would erase scenario 1's g1 witness;
     # a negative tolerance would make g2 fail on every pair
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
     def test_bad_tolerance_is_rejected(self, tol):
         rel = first_coord_relation()
-        origin = PlanePoint(0.0, 0.0)
         for scan in (verify_g_properties, relation_pattern_report):
             with pytest.raises(ValueError, match="tol"):
                 scan(example1_g, rel, PLANE_SAMPLES, tol=tol)
-        with pytest.raises(ValueError, match="tol"):
-            check_limit_uniqueness(example1_g, [origin], origin, origin, tol=tol)
 
     def test_zero_tolerance_is_legal(self):
         report = verify_g_properties(
             example1_g, first_coord_relation(), PLANE_SAMPLES, tol=0.0
         )
         assert report.g1_witness == (PlanePoint(1.0, 5.0), PlanePoint(2.0, 5.0))
-        g = GFunctional(lambda a, b: abs(a - b))
-        assert check_limit_uniqueness(g, [1.0], 1.0, 1.0, tol=0.0)
 
 
 class TestRelatedPairs:

@@ -2,14 +2,12 @@ import re
 
 import pytest
 
-from relfix.demos import PlanePoint, example1_g, example1_map, first_coord_relation
 from relfix.gspace import GFunctional, SelfMap
 from relfix.picard import (
     StoppingPolicy,
     a_priori_bound,
     iterate,
     trace_to_csv,
-    uniqueness_via_path,
 )
 from relfix.relations import FiniteRelation, RelationView, universal_view
 
@@ -104,118 +102,6 @@ class TestAPrioriBound:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             a_priori_bound(0.5, 1.0, -1)
-
-
-class TestUniquenessViaPath:
-    # both candidates are genuinely fixed g-wise: their second coordinate
-    # is zero, and the functional ignores the first coordinate
-    FP_A = PlanePoint(0.0, 0.0)
-    FP_B = PlanePoint(1.0, 0.0)
-    ORDERED = RelationView(lambda p, q: p[0] <= q[0])
-
-    def test_geometric_decay(self):
-        path = [self.FP_A, PlanePoint(1.0, 1.0), self.FP_B]
-        report = uniqueness_via_path(
-            example1_map,
-            example1_g,
-            self.ORDERED,
-            self.FP_A,
-            self.FP_B,
-            path,
-            alpha=0.5,
-            n_steps=50,
-        )
-        assert report.bounds == tuple(2.0 * 0.5**k for k in range(51))
-        assert report.measured == 0.0
-        assert report.coincide
-
-    def test_single_edge_path(self):
-        report = uniqueness_via_path(
-            example1_map,
-            example1_g,
-            self.ORDERED,
-            self.FP_A,
-            self.FP_B,
-            [self.FP_A, self.FP_B],
-            alpha=0.5,
-            n_steps=10,
-        )
-        assert report.bounds[0] == 0.0
-        assert report.coincide
-
-    def test_short_bound_sequence_withholds_verdict(self):
-        path = [self.FP_A, PlanePoint(1.0, 1.0), self.FP_B]
-        report = uniqueness_via_path(
-            example1_map,
-            example1_g,
-            self.ORDERED,
-            self.FP_A,
-            self.FP_B,
-            path,
-            alpha=0.5,
-            n_steps=3,
-        )
-        assert not report.coincide
-
-    def test_edge_outside_symmetric_closure(self):
-        path = [self.FP_A, self.FP_B]
-        with pytest.raises(ValueError, match="symmetric closure"):
-            uniqueness_via_path(
-                example1_map,
-                example1_g,
-                first_coord_relation(),
-                self.FP_A,
-                self.FP_B,
-                path,
-                alpha=0.5,
-                n_steps=10,
-            )
-
-    def test_non_fixed_candidate_rejected(self):
-        drifter = PlanePoint(1.0, 0.5)
-        with pytest.raises(ValueError, match="not fixed"):
-            uniqueness_via_path(
-                example1_map,
-                example1_g,
-                self.ORDERED,
-                self.FP_A,
-                drifter,
-                [self.FP_A, drifter],
-                alpha=0.5,
-                n_steps=10,
-            )
-
-    def test_endpoint_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="endpoints"):
-            uniqueness_via_path(
-                example1_map,
-                example1_g,
-                self.ORDERED,
-                self.FP_A,
-                self.FP_B,
-                [self.FP_A, PlanePoint(0.5, 0.0)],
-                alpha=0.5,
-                n_steps=10,
-            )
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"alpha": 1.0, "n_steps": 1},
-            {"alpha": 0.5, "n_steps": -1},
-        ],
-    )
-    def test_parameter_domains(self, kwargs):
-        with pytest.raises(ValueError):
-            uniqueness_via_path(
-                example1_map,
-                example1_g,
-                self.ORDERED,
-                self.FP_A,
-                self.FP_B,
-                [self.FP_A, self.FP_B],
-                **kwargs,
-            )
 
 
 class TestTraceCsv:
