@@ -20,11 +20,9 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "relations": (
         "FiniteRelation",
         "RelationView",
-        "Path",
         "related",
         "universal_view",
         "symmetric_closure",
-        "find_path",
         "is_connected",
         "closed_under",
         "seed_set",

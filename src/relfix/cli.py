@@ -3,8 +3,9 @@
 Subcommands: verify (hypothesis checks), iterate (Picard on a finite
 instance or a plane scenario), solve-fde (fractional boundary-value
 solver), oracle (finite model check), example (plane scenario figure
-data). Exit codes: 0 success, 2 hypothesis-check failure, 3 oracle found a
-counterexample. Output files are never silently overwritten; pass --force.
+data). Exit codes: 0 success, 1 bad input (a malformed flag included), 2
+hypothesis-check failure, 3 oracle found a counterexample. Output files are
+never silently overwritten; pass --force.
 
 Only solve-fde and oracle load numpy: the solver is imported inside its
 subcommand and the oracle imports numpy when it classifies, so the other
@@ -17,7 +18,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import demos
 from .finite_oracle import (
@@ -234,8 +235,15 @@ def _cmd_example(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a rejected command line instead of exiting 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relfix",
         description="relation-constrained fixed-point iteration toolkit",
     )
@@ -334,8 +342,8 @@ _HANDLERS = {
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config is not None:
             args = parser.parse_args(_argv_from_config(args.config))
         if args.subcommand is None:

@@ -12,9 +12,11 @@ enumeration index.
 The sweep is factored: closedness, the seed set, the conclusion and
 uniqueness read only the (relation, map) pair, and the g-hypotheses read
 only the matrix entries on related pairs, their constrained triples and
-their images. :func:`run_oracle` therefore decides the structural verdicts
-once per pair, classifies every assignment of the touched entries at once
-in numpy, and multiplies each count by the number of ways to fill the
+their images. One function, ``_patterns``, lists those pairs, triples and
+images and decides closedness and the seed set; :func:`hypotheses_hold`
+reads its table for one instance, and :func:`run_oracle` builds it once
+per pair, classifies every assignment of the touched entries at once in
+numpy, and multiplies each count by the number of ways to fill the
 untouched entries. Its counts are exact multiplicities of the instance
 stream of :func:`enumerate_instances`, not instances visited one by one.
 Only that classifier uses numpy, and it imports numpy when first called, so
@@ -31,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .relations import (
     FiniteRelation,
@@ -230,45 +232,65 @@ def contraction_alpha(inst: FiniteInstance) -> Optional[Fraction]:
     return None
 
 
+class _Patterns(NamedTuple):
+    """What the hypotheses read of one (relation, map) pair, g aside."""
+
+    pairs: tuple[tuple[int, int], ...]  # related pairs, sorted
+    triples: list[tuple[int, int, int]]  # (r, u, t) with (r, u), (t, u) related
+    images: list[tuple[int, int]]  # (m(r), m(s)) of each related pair
+    structural: Optional[tuple[str, str]]  # first failing key and reason
+
+
+def _patterns(rel: FiniteRelation, mapping: tuple[int, ...]) -> _Patterns:
+    """The pattern table of one pair; triples are ordered by u, then r, then t.
+
+    ``structural`` is ``("not_closed", reason)`` or ``("seed_empty",
+    reason)`` for the first structural hypothesis that fails, else None.
+    """
+    pairs = rel.sorted_pairs
+    in_nbrs: list[list[int]] = [[] for _ in range(rel.ground_size)]
+    for r, s in pairs:
+        in_nbrs[s].append(r)
+    triples = [(r, u, t) for u, ins in enumerate(in_nbrs) for r in ins for t in ins]
+    images = [(mapping[r], mapping[s]) for r, s in pairs]
+    image_of = mapping.__getitem__
+    closed, witness = closed_under(rel, image_of)
+    if not closed:
+        reason = "relation not closed under the map: image of ({}, {}) escapes"
+        structural: Optional[tuple[str, str]] = ("not_closed", reason.format(*witness))
+    elif not seed_set(rel, image_of):
+        structural = ("seed_empty", "seed set empty: no u with (u, map(u)) related")
+    else:
+        structural = None
+    return _Patterns(pairs, triples, images, structural)
+
+
 def hypotheses_hold(inst: FiniteInstance) -> tuple[bool, str]:
     """Mechanically test every hypothesis on the patterns the claim uses.
 
     Vanishing and absolute symmetry are required on related pairs, the
     triangle property on triples (r, u, t) with (r, u) and (t, u) both
     related; then closedness of the relation under the map, a nonempty seed
-    set, and contraction on related pairs for some grid factor.
+    set, and contraction on related pairs for some grid factor. The reason
+    names the first failing hypothesis and its first witness.
     """
-    n = inst.n
     g = inst.g_matrix
-    image_of = inst.mapping.__getitem__
-    pairs = inst.rel.sorted_pairs
+    pat = _patterns(inst.rel, inst.mapping)
 
-    for r, s in pairs:
+    for r, s in pat.pairs:
         if r != s and g[r][s] == 0:
             return False, f"(g1) fails: g[{r}][{s}] = 0 on related distinct pair ({r}, {s})"
 
-    for r, s in pairs:
+    for r, s in pat.pairs:
         if abs(g[r][s]) != abs(g[s][r]):
             return False, f"(g2) fails: |g[{r}][{s}]| != |g[{s}][{r}]| on related pair ({r}, {s})"
 
-    in_nbrs: list[list[int]] = [[] for _ in range(n)]
-    for r, s in pairs:
-        in_nbrs[s].append(r)
-    for u in range(n):
-        ins = in_nbrs[u]
-        for r in ins:
-            gru = abs(g[r][u])
-            for t in ins:
-                if gru > abs(g[r][t]) + abs(g[t][u]):
-                    return False, f"(g3) fails on constrained triple ({r}, {u}, {t})"
+    for r, u, t in pat.triples:
+        if abs(g[r][u]) > abs(g[r][t]) + abs(g[t][u]):
+            return False, f"(g3) fails on constrained triple ({r}, {u}, {t})"
 
-    closed, witness = closed_under(inst.rel, image_of)
-    if not closed:
-        r, s = witness
-        return False, f"relation not closed under the map: image of ({r}, {s}) escapes"
-
-    if not seed_set(inst.rel, image_of):
-        return False, "seed set empty: no u with (u, map(u)) related"
+    if pat.structural is not None:
+        return False, pat.structural[1]
 
     alpha = contraction_alpha(inst)
     if alpha is None:
@@ -283,13 +305,10 @@ def hypotheses_hold(inst: FiniteInstance) -> tuple[bool, str]:
 def conclusion_holds(inst: FiniteInstance) -> bool:
     """A fixed point exists and every seeded orbit reaches one within n steps."""
     mapping = inst.mapping
-    fixed = {i for i in range(inst.n) if mapping[i] == i}
+    fixed = set(fixed_points(inst))
     if not fixed:
         return False
-    pair_set = inst.rel.pairs
-    for r0 in range(inst.n):
-        if (r0, mapping[r0]) not in pair_set:
-            continue
+    for r0 in seed_set(inst.rel, mapping.__getitem__):
         cur = r0
         if cur in fixed:
             continue
@@ -409,42 +428,37 @@ def _digits(codes: np.ndarray, width: int, base: int) -> np.ndarray:
 
 
 def _classify_pair(
-    rel: FiniteRelation,
-    mapping: tuple[int, ...],
-    g_max: int,
-    structural: Optional[str],
+    pat: _Patterns, n: int, g_max: int
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """First failing hypothesis for every assignment of the touched entries.
 
-    The touched cells (row-major ids, ascending) are ``g[r][s]`` and
-    ``g[s][r]`` on related pairs, ``g[r][t]`` of each constrained triple
-    (r, u, t), and ``g[m(r)][m(s)]``; no hypothesis reads another entry.
-    An assignment is a code whose base-(2 g_max + 1) digits, first cell most
-    significant, are the cell values shifted by ``g_max``. ``structural`` is
-    the key of the failing structural hypothesis, or None when closedness
-    and the seed set hold. Returns the cells, the per-key assignment counts
-    in :data:`REJECTION_KEYS` order and the codes of the assignments that
-    pass every hypothesis.
+    The touched cells (row-major ids, ascending) are the entries the pattern
+    table ``pat`` names: ``g[r][s]`` and ``g[s][r]`` on related pairs,
+    ``g[r][t]`` of each constrained triple (r, u, t), and ``g[m(r)][m(s)]``;
+    no hypothesis reads another entry. An assignment is a code whose
+    base-(2 g_max + 1) digits, first cell most significant, are the cell
+    values shifted by ``g_max``. Returns the cells, the per-key assignment
+    counts in :data:`REJECTION_KEYS` order and the codes of the assignments
+    that pass every hypothesis.
     """
     import numpy as np
 
-    n = rel.ground_size
     k = 2 * g_max + 1
-    pairs = rel.sorted_pairs
-    swapped = [(s, r) for r, s in pairs]
-    images = [(mapping[r], mapping[s]) for r, s in pairs]
-    triples = [(r, u, t) for r, u in pairs for t, w in pairs if w == u]
-    shortcuts = [(r, t) for r, _, t in triples]
-    cells = sorted({i * n + j for i, j in (*pairs, *swapped, *shortcuts, *images)})
+    structural = None if pat.structural is None else pat.structural[0]
+    fwd = [r * n + s for r, s in pat.pairs]
+    bwd = [s * n + r for r, s in pat.pairs]
+    img = [a * n + b for a, b in pat.images]
+    ru = [r * n + u for r, u, _ in pat.triples]
+    rt = [r * n + t for r, _, t in pat.triples]
+    tu = [t * n + u for _, u, t in pat.triples]
+    cells = sorted({*fwd, *bwd, *rt, *img})  # ru and tu are related pairs
     slot = {cell: pos for pos, cell in enumerate(cells)}
 
-    def at(cell_pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        return np.array([slot[i * n + j] for i, j in cell_pairs], dtype=np.intp)
+    def at(ids: Sequence[int]) -> np.ndarray:
+        return np.array([slot[cell] for cell in ids], dtype=np.intp)
 
-    distinct = at([(r, s) for r, s in pairs if r != s])
-    fwd, bwd, img = at(pairs), at(swapped), at(images)
-    ru, rt = at([(r, u) for r, u, _ in triples]), at(shortcuts)
-    tu = at([(t, u) for _, u, t in triples])
+    distinct = at([cell for cell, (r, s) in zip(fwd, pat.pairs) if r != s])
+    fwd, bwd, img, ru, rt, tu = map(at, (fwd, bwd, img, ru, rt, tu))
     num, den = _ALPHA_INT[-1]  # contraction holds for some grid factor iff for the largest
 
     counts = np.zeros(len(REJECTION_KEYS), dtype=np.int64)
@@ -513,20 +527,13 @@ def _sweep_pair(
     """
     n, g_max = rel.ground_size, res.spec.g_max
     matrices = (2 * g_max + 1) ** (n * n)
-    image_of = mapping.__getitem__
-    if not closed_under(rel, image_of)[0]:
-        structural: Optional[str] = "not_closed"
-    elif not seed_set(rel, image_of):
-        structural = "seed_empty"
-    else:
-        structural = None
     # the structural verdicts read no g entry
     probe = FiniteInstance(n, (), rel, mapping)
     concludes = conclusion_holds(probe)
     candidate = image_symmetric_connected(probe)
     fixed = fixed_points(probe)
     unique = not candidate or len(fixed) == 1
-    cells, counts, passing = _classify_pair(rel, mapping, g_max, structural)
+    cells, counts, passing = _classify_pair(_patterns(rel, mapping), n, g_max)
     multiplicity = matrices // (2 * g_max + 1) ** len(cells)
     for key, count in zip(REJECTION_KEYS, counts.tolist()):
         res.rejections[key] += count * multiplicity

@@ -2,26 +2,23 @@
 
 Finite relations are explicit pair sets over ``{0, ..., n-1}`` and support
 the structural queries the iteration engine and the model checker need:
-inversion, symmetric closure, shortest relational paths, connectivity of a
-subset, closedness under a self-map, and seed extraction. Relations over
-non-indexed carriers (points in the plane, grid functions) are wrapped as
-:class:`RelationView` predicates instead.
+symmetric closure, connectivity of a subset, closedness under a self-map,
+and seed extraction. Relations over non-indexed carriers (points in the
+plane, grid functions) are wrapped as :class:`RelationView` predicates
+instead.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 __all__ = [
     "FiniteRelation",
     "RelationView",
-    "Path",
     "related",
     "universal_view",
     "symmetric_closure",
-    "find_path",
     "is_connected",
     "closed_under",
     "seed_set",
@@ -79,24 +76,6 @@ def related(rel: FiniteRelation | RelationView, a: Any, b: Any) -> bool:
     return bool(rel.comparability_test(a, b))
 
 
-@dataclass(frozen=True)
-class Path:
-    """A relational path: ``len(nodes) - 1`` consecutive edges, at least one."""
-
-    nodes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.nodes) < 2:
-            raise ValueError("a path needs at least two nodes (one edge)")
-
-    @property
-    def length(self) -> int:
-        return len(self.nodes) - 1
-
-    def edges(self) -> list[tuple[int, int]]:
-        return list(zip(self.nodes[:-1], self.nodes[1:]))
-
-
 def symmetric_closure(rel: FiniteRelation) -> FiniteRelation:
     """Union of the relation with its inverse. No transitive closure is taken."""
     return FiniteRelation(
@@ -104,60 +83,31 @@ def symmetric_closure(rel: FiniteRelation) -> FiniteRelation:
     )
 
 
-def _successors(rel: FiniteRelation) -> list[list[int]]:
-    succ: list[list[int]] = [[] for _ in range(rel.ground_size)]
-    for r, s in rel.sorted_pairs:
-        succ[r].append(s)
-    return succ
-
-
-def find_path(rel: FiniteRelation, start: int, goal: int) -> Optional[Path]:
-    """Shortest path from ``start`` to ``goal`` using at least one edge.
-
-    Breadth-first search expanding successors in ascending index order, so
-    ties break toward lower indices and the result is deterministic.
-    ``start == goal`` demands a genuine cycle; absence is reported as None,
-    not an error.
-    """
-    if not (0 <= start < rel.ground_size and 0 <= goal < rel.ground_size):
-        raise ValueError("endpoint outside ground set")
-    succ = _successors(rel)
-    parent: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for s in succ[start]:
-        if s not in parent:
-            parent[s] = start
-            queue.append(s)
-    if goal in parent:
-        return Path((start, goal))
-    while queue:
-        node = queue.popleft()
-        for s in succ[node]:
-            if s not in parent:
-                parent[s] = node
-                if s == goal:
-                    rev = [s]
-                    cur = s
-                    while True:
-                        cur = parent[cur]
-                        rev.append(cur)
-                        if cur == start:
-                            break
-                    return Path(tuple(reversed(rev)))
-                queue.append(s)
-    return None
-
-
 def is_connected(rel: FiniteRelation, subset: Iterable[int]) -> bool:
     """Every ordered pair drawn from ``subset`` is joined by some path.
 
-    Diagonal pairs count: a singleton subset is connected only when its
-    element carries a loop (a length-1 path back to itself).
+    A path has at least one edge, so diagonal pairs count: a singleton
+    subset is connected only when its element lies on a cycle. Each member
+    is checked by a search for the nodes reachable from it in one or more
+    steps.
     """
-    members = sorted(set(subset))
-    return all(
-        find_path(rel, a, b) is not None for a in members for b in members
-    )
+    members = set(subset)
+    if not all(0 <= a < rel.ground_size for a in members):
+        raise ValueError("subset element outside ground set")
+    succ: list[list[int]] = [[] for _ in range(rel.ground_size)]
+    for r, s in rel.pairs:
+        succ[r].append(s)
+    for start in members:
+        reached: set[int] = set()
+        stack = list(succ[start])
+        while stack:
+            node = stack.pop()
+            if node not in reached:
+                reached.add(node)
+                stack.extend(succ[node])
+        if not members <= reached:
+            return False
+    return True
 
 
 def closed_under(

@@ -1,10 +1,13 @@
 """Test-only reference for the finite oracle: the one-by-one sweep.
 
 ``sweep_instances`` walks the instance stream and decides every instance
-with ``hypotheses_hold``, ``conclusion_holds`` and the uniqueness check, the
-brute-force definition the factored ``run_oracle`` must reproduce exactly.
-The verdict functions are looked up on the module at call time, so a test
-that monkeypatches them changes both this reference and ``run_oracle``.
+with ``reference_hypotheses``, ``conclusion_holds`` and the uniqueness
+check, the brute-force definition the factored ``run_oracle`` must
+reproduce exactly. ``reference_hypotheses`` is the hypothesis check written
+as plain integer loops over one instance, independent of the oracle's
+pattern table. The other verdict functions are looked up on the module at
+call time, so a test that monkeypatches them changes both this reference
+and ``run_oracle``.
 """
 
 from relfix import finite_oracle
@@ -29,11 +32,52 @@ def rejection_key(reason):
     raise ValueError(f"unclassified reason {reason!r}")
 
 
+def reference_hypotheses(inst):
+    """``hypotheses_hold`` with its own loops: same verdict, same reason."""
+    n, g, m = inst.n, inst.g_matrix, inst.mapping
+    pairs, related = inst.rel.sorted_pairs, inst.rel.pairs
+
+    for r, s in pairs:
+        if r != s and g[r][s] == 0:
+            return False, f"(g1) fails: g[{r}][{s}] = 0 on related distinct pair ({r}, {s})"
+
+    for r, s in pairs:
+        if abs(g[r][s]) != abs(g[s][r]):
+            return False, f"(g2) fails: |g[{r}][{s}]| != |g[{s}][{r}]| on related pair ({r}, {s})"
+
+    in_nbrs = [[] for _ in range(n)]
+    for r, s in pairs:
+        in_nbrs[s].append(r)
+    for u in range(n):
+        ins = in_nbrs[u]
+        for r in ins:
+            gru = abs(g[r][u])
+            for t in ins:
+                if gru > abs(g[r][t]) + abs(g[t][u]):
+                    return False, f"(g3) fails on constrained triple ({r}, {u}, {t})"
+
+    for r, s in pairs:
+        if (m[r], m[s]) not in related:
+            return False, f"relation not closed under the map: image of ({r}, {s}) escapes"
+
+    if not any((u, m[u]) in related for u in range(n)):
+        return False, "seed set empty: no u with (u, map(u)) related"
+
+    alpha = finite_oracle.contraction_alpha(inst)
+    if alpha is None:
+        return False, "contraction fails on a related pair for every alpha in {1/4, 1/2, 3/4}"
+
+    return True, (
+        f"hypotheses hold at alpha = {alpha}; completeness and continuity are "
+        "automatic on a finite carrier (discrete reading)"
+    )
+
+
 def sweep_instances(res, instances):
     """Decide each instance one by one and add it to ``res``."""
     for inst in instances:
         res.instances_checked += 1
-        ok, reason = finite_oracle.hypotheses_hold(inst)
+        ok, reason = reference_hypotheses(inst)
         res.rejections[rejection_key(reason)] += 1
         if not ok:
             continue

@@ -376,6 +376,37 @@ class TestTopLevel:
         assert code == 2
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--example", "3"], "invalid choice: 3"),
+            (["oracle", "--n", "x"], "invalid int value: 'x'"),
+            (["verify", "--example", "1", "--bogus"], "unrecognized arguments: --bogus"),
+            (["--bogus"], "unrecognized arguments: --bogus"),
+            (["oracle"], "required: --n"),
+            (["--config", "{config}"], "invalid choice: 3"),
+        ],
+        ids=["bad-choice", "bad-int", "unknown-flag", "unknown-top-flag", "missing-flag", "config"],
+    )
+    def test_malformed_flags_are_one_error_line(self, tmp_path, capsys, argv, message):
+        # exit 2 means a failed hypothesis check, so a rejected command line
+        # must not return it
+        config = write_json(tmp_path / "c.json", {"subcommand": "verify", "example": 3})
+        code = cli.run([arg.format(config=config) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: relfix")
+        assert message in lines[0]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out
+
     def test_exit_codes(self):
         assert cli.EXIT_OK == 0
         assert cli.EXIT_HYPOTHESIS_FAILURE == 2

@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 from oracle_reference import (
+    reference_hypotheses,
     reference_sweep,
     report_without_timing,
     sweep_instances,
@@ -111,6 +112,20 @@ class TestHypothesisReasons:
         ok, reason = hypotheses_hold(inst)
         assert not ok
         assert reason == "(g3) fails on constrained triple (0, 2, 1)"
+
+    def test_triangle_witness_is_the_first_triple_by_middle_point(self):
+        # (1, 0, 2) and (0, 1, 2) both fail; triples are ordered by u, then
+        # r, then t, so the witness is the one through u = 0
+        inst = mk(
+            3,
+            [(0, 1), (1, 0), (2, 0), (2, 1)],
+            (0, 0, 0),
+            [[0, 3, 1], [3, 0, 1], [1, 1, 0]],
+        )
+        assert hypotheses_hold(inst) == (
+            False,
+            "(g3) fails on constrained triple (1, 0, 2)",
+        )
 
     def test_relation_escapes_under_the_map(self):
         inst = mk(2, [(0, 1)], (1, 0), [[0, 1], [1, 0]])
@@ -241,6 +256,7 @@ class TestDoubleEntry:
     def test_against_an_enumeration_prefix(self):
         for inst in itertools.islice(enumerate_instances(2, 1), 3000):
             assert hypotheses_hold(inst)[0] == naive_hypotheses(inst)
+            assert hypotheses_hold(inst) == reference_hypotheses(inst)
             assert conclusion_holds(inst) == naive_conclusion(inst)
             oracle, scan = g_verdicts(inst)
             assert oracle == scan
@@ -261,6 +277,7 @@ class TestDoubleEntry:
             )
             inst = mk(n, pairs, mapping, g)
             assert hypotheses_hold(inst)[0] == naive_hypotheses(inst)
+            assert hypotheses_hold(inst) == reference_hypotheses(inst)
             assert conclusion_holds(inst) == naive_conclusion(inst)
             oracle, scan = g_verdicts(inst)
             assert oracle == scan

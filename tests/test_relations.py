@@ -4,10 +4,8 @@ from hypothesis import strategies as st
 
 from relfix.relations import (
     FiniteRelation,
-    Path,
     RelationView,
     closed_under,
-    find_path,
     is_connected,
     is_preserving_sequence,
     related,
@@ -79,52 +77,30 @@ class TestClosures:
         assert (0, 2) not in sym.pairs
 
 
-class TestFindPath:
-    def test_cycle_path(self):
-        cycle = rel_of(6, *[(i, (i + 1) % 6) for i in range(6)])
-        path = find_path(cycle, 0, 3)
-        assert path.nodes == (0, 1, 2, 3)
-        assert path.length == 3
-
-    def test_absence_is_a_value(self):
-        assert find_path(rel_of(3, (0, 1)), 1, 0) is None
-
-    def test_self_path_needs_a_cycle(self):
-        assert find_path(rel_of(2, (0, 1)), 0, 0) is None
-        looped = rel_of(2, (0, 1), (1, 0))
-        path = find_path(looped, 0, 0)
-        assert path.nodes == (0, 1, 0)
-        assert find_path(rel_of(1, (0, 0)), 0, 0).nodes == (0, 0)
-
-    def test_tie_breaks_toward_lower_index(self):
-        # two shortest routes 0->1->3 and 0->2->3; BFS must pick node 1
-        rel = rel_of(4, (0, 1), (0, 2), (1, 3), (2, 3))
-        assert find_path(rel, 0, 3).nodes == (0, 1, 3)
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        small_relations(max_n=5),
-        st.integers(0, 5),
-        st.integers(0, 5),
-    )
-    def test_matches_brute_force(self, rel, start, goal):
-        start %= rel.ground_size
-        goal %= rel.ground_size
-        expected = brute_force_shortest(rel, start, goal)
-        got = find_path(rel, start, goal)
-        if expected is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert got.length == len(expected) - 1
-            for a, b in got.edges():
-                assert (a, b) in rel.pairs
-
-
 class TestConnectivity:
     def test_singleton_needs_loop(self):
         assert is_connected(rel_of(2, (0, 0)), {0})
         assert not is_connected(rel_of(2, (0, 1)), {0})
+        # a longer cycle back to the element also counts
+        assert is_connected(rel_of(2, (0, 1), (1, 0)), {0})
+
+    def test_paths_may_run_outside_the_subset(self):
+        cycle = rel_of(6, *[(i, (i + 1) % 6) for i in range(6)])
+        assert is_connected(cycle, {0, 3})
+        assert not is_connected(rel_of(3, (0, 1), (1, 2)), {0, 2})
+
+    def test_element_outside_ground_set(self):
+        with pytest.raises(ValueError, match="outside ground set"):
+            is_connected(rel_of(2, (0, 1)), {0, 2})
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_relations(max_n=5), st.sets(st.integers(0, 4), max_size=5))
+    def test_matches_brute_force(self, rel, subset):
+        subset = {a % rel.ground_size for a in subset}
+        expected = all(
+            brute_force_shortest(rel, a, b) is not None for a in subset for b in subset
+        )
+        assert is_connected(rel, subset) == expected
 
     def test_ordered_pairs_both_ways(self):
         one_way = rel_of(2, (0, 1), (0, 0), (1, 1))
@@ -172,12 +148,3 @@ class TestPreservingSequence:
 
     def test_universal_view(self):
         assert related(universal_view(), object(), object())
-
-
-class TestPath:
-    def test_needs_two_nodes(self):
-        with pytest.raises(ValueError):
-            Path((0,))
-
-    def test_edges(self):
-        assert Path((0, 1, 2)).edges() == [(0, 1), (1, 2)]
