@@ -7,8 +7,8 @@ fractional-order boundary-value solver built on the same engine.
 
 Exports resolve on first access (PEP 562): ``relfix.solve_fde`` imports
 ``relfix.fractional`` then, not ``import relfix``. Only the grid and
-solver modules and the oracle's classifier load numpy, so the pure-Python
-checks start without it.
+solver modules load numpy, so the pure-Python checks and the oracle run
+without it.
 """
 
 import importlib

@@ -7,9 +7,9 @@ data). Exit codes: 0 success, 1 bad input (a malformed flag included), 2
 hypothesis-check failure, 3 oracle found a counterexample. Output files are
 never silently overwritten; pass --force.
 
-Only solve-fde and oracle load numpy: the solver is imported inside its
-subcommand and the oracle imports numpy when it classifies, so the other
-subcommands start without it.
+Only solve-fde loads numpy: the solver is imported inside its subcommand,
+and the oracle is plain Python, so every other subcommand starts and runs
+without it.
 """
 
 from __future__ import annotations

@@ -15,12 +15,13 @@ only the matrix entries on related pairs, their constrained triples and
 their images. One function, ``_patterns``, lists those pairs, triples and
 images and decides closedness and the seed set; :func:`hypotheses_hold`
 reads its table for one instance, and :func:`run_oracle` builds it once
-per pair, classifies every assignment of the touched entries at once in
-numpy, and multiplies each count by the number of ways to fill the
-untouched entries. Its counts are exact multiplicities of the instance
-stream of :func:`enumerate_instances`, not instances visited one by one.
-Only that classifier uses numpy, and it imports numpy when first called, so
-the instance type and the hypothesis and conclusion checks load without it.
+per pair, classifies the touched entries by magnitude (every hypothesis
+reads g only through |g|, so one magnitude vector stands for 2**(nonzero
+entries) signed assignments), and multiplies each count by the number of
+ways to fill the untouched entries. Its counts are exact multiplicities of
+the instance stream of :func:`enumerate_instances`, not instances visited
+one by one. The module is plain Python with Python integers throughout, so
+no count can overflow and running the oracle loads no array library.
 
 Completeness and continuity are automatic on a finite carrier under the
 discrete reading; the success reason records that explicitly rather than
@@ -33,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .relations import (
     FiniteRelation,
@@ -42,9 +43,6 @@ from .relations import (
     seed_set,
     symmetric_closure,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ALPHA_GRID",
@@ -80,8 +78,6 @@ DEFAULT_G_MAX = 3
 REJECTION_KEYS: tuple[str, ...] = (
     "g1", "g2", "g3", "not_closed", "seed_empty", "contraction", "pass"
 )
-# assignments of the touched matrix entries classified per numpy pass
-_CHUNK = 1 << 16
 
 
 @dataclass(slots=True)
@@ -415,74 +411,61 @@ def default_sweeps(n: int) -> list[SweepSpec]:
     return [table[n]]
 
 
-def _place_values(width: int, base: int) -> np.ndarray:
-    """``base**(width-1), ..., base, 1``; raises OverflowError past int64."""
-    import numpy as np
-
-    return np.array([base**p for p in range(width - 1, -1, -1)], dtype=np.int64)
-
-
-def _digits(codes: np.ndarray, width: int, base: int) -> np.ndarray:
-    """Base-``base`` digits of each code, most significant first: (width, len)."""
-    return codes // _place_values(width, base)[:, None] % base
-
-
 def _classify_pair(
     pat: _Patterns, n: int, g_max: int
-) -> tuple[list[int], np.ndarray, np.ndarray]:
+) -> tuple[list[int], list[int], set[tuple[int, ...]]]:
     """First failing hypothesis for every assignment of the touched entries.
 
     The touched cells (row-major ids, ascending) are the entries the pattern
     table ``pat`` names: ``g[r][s]`` and ``g[s][r]`` on related pairs,
     ``g[r][t]`` of each constrained triple (r, u, t), and ``g[m(r)][m(s)]``;
-    no hypothesis reads another entry. An assignment is a code whose
-    base-(2 g_max + 1) digits, first cell most significant, are the cell
-    values shifted by ``g_max``. Returns the cells, the per-key assignment
-    counts in :data:`REJECTION_KEYS` order and the codes of the assignments
-    that pass every hypothesis.
+    no hypothesis reads another entry. Every hypothesis reads an entry only
+    through its magnitude (g1's ``g == 0`` is ``|g| == 0``), so each vector
+    of magnitudes in [0, g_max] stands for the 2**(nonzero cells) signed
+    assignments that share it, and only vectors that pass g1 are walked.
+    Returns the cells, the per-key assignment counts in
+    :data:`REJECTION_KEYS` order and the magnitude vectors that pass every
+    hypothesis.
     """
-    import numpy as np
-
-    k = 2 * g_max + 1
-    structural = None if pat.structural is None else pat.structural[0]
+    structural = None if pat.structural is None else REJECTION_KEYS.index(pat.structural[0])
     fwd = [r * n + s for r, s in pat.pairs]
     bwd = [s * n + r for r, s in pat.pairs]
     img = [a * n + b for a, b in pat.images]
-    ru = [r * n + u for r, u, _ in pat.triples]
     rt = [r * n + t for r, _, t in pat.triples]
-    tu = [t * n + u for _, u, t in pat.triples]
-    cells = sorted({*fwd, *bwd, *rt, *img})  # ru and tu are related pairs
+    cells = sorted({*fwd, *bwd, *rt, *img})  # g[r][u] and g[t][u] are related pairs
     slot = {cell: pos for pos, cell in enumerate(cells)}
-
-    def at(ids: Sequence[int]) -> np.ndarray:
-        return np.array([slot[cell] for cell in ids], dtype=np.intp)
-
-    distinct = at([cell for cell, (r, s) in zip(fwd, pat.pairs) if r != s])
-    fwd, bwd, img, ru, rt, tu = map(at, (fwd, bwd, img, ru, rt, tu))
+    distinct = {slot[cell] for cell, (r, s) in zip(fwd, pat.pairs) if r != s}
+    swaps = sorted({(slot[min(a, b)], slot[max(a, b)]) for a, b in zip(fwd, bwd) if a != b})
+    # the triangle cannot fail when t is r or u
+    triangles = [
+        (slot[r * n + u], slot[r * n + t], slot[t * n + u])
+        for r, u, t in pat.triples
+        if t != r and t != u
+    ]
+    shrinks = [(slot[a], slot[b]) for a, b in zip(img, fwd)]
     num, den = _ALPHA_INT[-1]  # contraction holds for some grid factor iff for the largest
 
-    counts = np.zeros(len(REJECTION_KEYS), dtype=np.int64)
-    passing = [np.zeros(0, dtype=np.int64)]
-    total = k ** len(cells)
-    for lo in range(0, total, _CHUNK):
-        codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        g = _digits(codes, len(cells), k) - g_max
-        mag = np.abs(g)
-        fails = np.stack(
-            [
-                (g[distinct] == 0).any(axis=0),
-                (mag[fwd] != mag[bwd]).any(axis=0),
-                (mag[ru] > mag[rt] + mag[tu]).any(axis=0),
-                np.full(len(codes), structural == "not_closed"),
-                np.full(len(codes), structural == "seed_empty"),
-                (den * mag[img] > num * mag[fwd]).any(axis=0),
-                np.ones(len(codes), dtype=bool),
-            ]
-        )
-        first = fails.argmax(axis=0)
-        counts += np.bincount(first, minlength=len(REJECTION_KEYS))
-        passing.append(codes[first == len(REJECTION_KEYS) - 1])
-    return cells, counts, np.concatenate(passing)
+    counts = [0] * len(REJECTION_KEYS)  # indexed like REJECTION_KEYS
+    passing: set[tuple[int, ...]] = set()
+    # g1 fails exactly when an entry of a distinct related pair is 0: count
+    # those assignments in closed form and walk only the others
+    k, free = 2 * g_max + 1, len(cells) - len(distinct)
+    counts[0] = k ** len(cells) - (k - 1) ** len(distinct) * k**free
+    ranges = [range(1 if pos in distinct else 0, g_max + 1) for pos in range(len(cells))]
+    for mag in product(*ranges):
+        if any(mag[a] != mag[b] for a, b in swaps):
+            key = 1
+        elif any(mag[a] > mag[b] + mag[c] for a, b, c in triangles):
+            key = 2
+        elif structural is not None:
+            key = structural
+        elif any(den * mag[a] > num * mag[b] for a, b in shrinks):
+            key = 5
+        else:
+            key = 6
+            passing.add(mag)
+        counts[key] += 1 << (len(cells) - mag.count(0))
+    return cells, counts, passing
 
 
 def _materialise(
@@ -490,29 +473,42 @@ def _materialise(
     mapping: tuple[int, ...],
     g_max: int,
     cells: list[int],
-    codes: np.ndarray,
+    passing: set[tuple[int, ...]],
     first_index: int,
 ) -> Iterator[FiniteInstance]:
-    """Every instance of one pair whose touched entries take one of ``codes``.
+    """Every instance of one pair whose touched magnitudes are in ``passing``.
 
-    A matrix's offset within its pair is its row-major digit string read in
-    base 2 g_max + 1, so scanning the offsets in chunks yields the instances
-    in stream order; ``first_index`` is the stream index of offset 0.
+    The matrices are built entry by entry in row-major order, each entry
+    taking its values in ascending order, so they come out in stream order;
+    a touched entry keeps only the values whose magnitudes still start some
+    passing vector, so the work grows with the instances yielded. A
+    matrix's offset within its pair is its digit string (entry + g_max)
+    read in base 2 g_max + 1; ``first_index`` is the stream index of offset 0.
     """
-    import numpy as np
-
     n = rel.ground_size
     k = 2 * g_max + 1
-    code_weights = _place_values(len(cells), k)
-    total = k ** (n * n)
-    for lo in range(0, total, _CHUNK):
-        offsets = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        digits = _digits(offsets, n * n, k)
-        hit = np.isin(code_weights @ digits[cells], codes)
-        matrices = (digits[:, hit] - g_max).T.reshape(-1, n, n)
-        for offset, g in zip(offsets[hit].tolist(), matrices.tolist()):
-            g_matrix = tuple(tuple(row) for row in g)
-            yield FiniteInstance(n, g_matrix, rel, mapping, None, first_index + offset)
+    values = range(-g_max, g_max + 1)
+    touched = set(cells)
+    prefixes = {mag[:end] for mag in passing for end in range(len(cells) + 1)}
+    # (entries so far, their touched magnitudes, offset so far)
+    partial: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
+    for cell in range(n * n):
+        if cell in touched:
+            partial = [
+                (entries + (v,), mags + (abs(v),), offset * k + v + g_max)
+                for entries, mags, offset in partial
+                for v in values
+                if mags + (abs(v),) in prefixes
+            ]
+        else:
+            partial = [
+                (entries + (v,), mags, offset * k + v + g_max)
+                for entries, mags, offset in partial
+                for v in values
+            ]
+    for entries, _, offset in partial:
+        g_matrix = tuple(entries[row * n : row * n + n] for row in range(n))
+        yield FiniteInstance(n, g_matrix, rel, mapping, None, first_index + offset)
 
 
 def _sweep_pair(
@@ -535,9 +531,9 @@ def _sweep_pair(
     unique = not candidate or len(fixed) == 1
     cells, counts, passing = _classify_pair(_patterns(rel, mapping), n, g_max)
     multiplicity = matrices // (2 * g_max + 1) ** len(cells)
-    for key, count in zip(REJECTION_KEYS, counts.tolist()):
+    for key, count in zip(REJECTION_KEYS, counts):
         res.rejections[key] += count * multiplicity
-    satisfied = counts[-1].item() * multiplicity
+    satisfied = counts[-1] * multiplicity
     res.instances_checked += matrices
     res.hypotheses_satisfied += satisfied
     if candidate:

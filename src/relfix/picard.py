@@ -34,7 +34,8 @@ class StoppingPolicy:
     def __post_init__(self) -> None:
         if not (self.residual_tol > 0.0 and math.isfinite(self.residual_tol)):
             raise ValueError("residual_tol must be positive and finite")
-        if self.max_iterations < 1:
+        steps = self.max_iterations
+        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
             raise ValueError("max_iterations must be a positive integer")
 
 
@@ -66,14 +67,18 @@ class IterationTrace:
         return len(self.residuals)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 def a_priori_bound(alpha: float, g01: float, m: int) -> float:
     """Geometric tail bound alpha^m / (1 - alpha) * g01.
 
     Dominates |g(r_m, r_n)| for every n > m once the per-step residual
     contracts by alpha.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     if g01 < 0.0:
         raise ValueError("g01 is an absolute residual, must be >= 0")
     if m < 0:
@@ -94,8 +99,11 @@ def iterate(
 
     A start point outside the seed set (its image is not related to it) is
     tolerated: the run proceeds but the trace is marked non-certified. A
-    non-finite residual aborts with the offending step index.
+    non-finite residual aborts with the offending step index. A contraction
+    factor outside (0, 1) is rejected before the first step.
     """
+    if alpha is not None:
+        _check_alpha(alpha)
     iterates: list[Any] = [r0]
     residuals: list[float] = []
     converged = False

@@ -8,10 +8,31 @@ as plain integer loops over one instance, independent of the oracle's
 pattern table. The other verdict functions are looked up on the module at
 call time, so a test that monkeypatches them changes both this reference
 and ``run_oracle``.
+
+``classify_pair`` and ``materialise`` are the numpy classifier and
+materialiser the oracle used before it classified by magnitude: every
+signed assignment of the touched entries is a base-(2 g_max + 1) code, and
+the materialiser scans every matrix offset of a pair.
 """
 
+from typing import Iterator, Sequence
+
+import numpy as np
+
 from relfix import finite_oracle
-from relfix.finite_oracle import SweepResult, SweepSpec, enumerate_instances
+from relfix.finite_oracle import (
+    _ALPHA_INT,
+    REJECTION_KEYS,
+    FiniteInstance,
+    SweepResult,
+    SweepSpec,
+    _Patterns,
+    enumerate_instances,
+)
+from relfix.relations import FiniteRelation
+
+# assignments of the touched matrix entries classified per numpy pass
+CHUNK = 1 << 16
 
 REASON_PREFIXES = (
     ("(g1)", "g1"),
@@ -106,3 +127,80 @@ def report_without_timing(res: SweepResult) -> dict:
     doc = res.to_json_dict()
     del doc["elapsed_seconds"]
     return doc
+
+
+def place_values(width: int, base: int) -> np.ndarray:
+    """``base**(width-1), ..., base, 1``; raises OverflowError past int64."""
+    return np.array([base**p for p in range(width - 1, -1, -1)], dtype=np.int64)
+
+
+def digits(codes: np.ndarray, width: int, base: int) -> np.ndarray:
+    """Base-``base`` digits of each code, most significant first: (width, len)."""
+    return codes // place_values(width, base)[:, None] % base
+
+
+def classify_pair(pat: _Patterns, n: int, g_max: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Cells, per-key counts and passing codes over every signed assignment."""
+    k = 2 * g_max + 1
+    structural = None if pat.structural is None else pat.structural[0]
+    fwd = [r * n + s for r, s in pat.pairs]
+    bwd = [s * n + r for r, s in pat.pairs]
+    img = [a * n + b for a, b in pat.images]
+    ru = [r * n + u for r, u, _ in pat.triples]
+    rt = [r * n + t for r, _, t in pat.triples]
+    tu = [t * n + u for _, u, t in pat.triples]
+    cells = sorted({*fwd, *bwd, *rt, *img})  # ru and tu are related pairs
+    slot = {cell: pos for pos, cell in enumerate(cells)}
+
+    def at(ids: Sequence[int]) -> np.ndarray:
+        return np.array([slot[cell] for cell in ids], dtype=np.intp)
+
+    distinct = at([cell for cell, (r, s) in zip(fwd, pat.pairs) if r != s])
+    fwd, bwd, img, ru, rt, tu = map(at, (fwd, bwd, img, ru, rt, tu))
+    num, den = _ALPHA_INT[-1]
+
+    counts = np.zeros(len(REJECTION_KEYS), dtype=np.int64)
+    passing = [np.zeros(0, dtype=np.int64)]
+    total = k ** len(cells)
+    for lo in range(0, total, CHUNK):
+        codes = np.arange(lo, min(lo + CHUNK, total), dtype=np.int64)
+        g = digits(codes, len(cells), k) - g_max
+        mag = np.abs(g)
+        fails = np.stack(
+            [
+                (g[distinct] == 0).any(axis=0),
+                (mag[fwd] != mag[bwd]).any(axis=0),
+                (mag[ru] > mag[rt] + mag[tu]).any(axis=0),
+                np.full(len(codes), structural == "not_closed"),
+                np.full(len(codes), structural == "seed_empty"),
+                (den * mag[img] > num * mag[fwd]).any(axis=0),
+                np.ones(len(codes), dtype=bool),
+            ]
+        )
+        first = fails.argmax(axis=0)
+        counts += np.bincount(first, minlength=len(REJECTION_KEYS))
+        passing.append(codes[first == len(REJECTION_KEYS) - 1])
+    return cells, counts, np.concatenate(passing)
+
+
+def materialise(
+    rel: FiniteRelation,
+    mapping: tuple[int, ...],
+    g_max: int,
+    cells: list[int],
+    codes: np.ndarray,
+    first_index: int,
+) -> Iterator[FiniteInstance]:
+    """Every instance of one pair whose touched entries take one of ``codes``."""
+    n = rel.ground_size
+    k = 2 * g_max + 1
+    code_weights = place_values(len(cells), k)
+    total = k ** (n * n)
+    for lo in range(0, total, CHUNK):
+        offsets = np.arange(lo, min(lo + CHUNK, total), dtype=np.int64)
+        entries = digits(offsets, n * n, k)
+        hit = np.isin(code_weights @ entries[cells], codes)
+        matrices = (entries[:, hit] - g_max).T.reshape(-1, n, n)
+        for offset, g in zip(offsets[hit].tolist(), matrices.tolist()):
+            g_matrix = tuple(tuple(row) for row in g)
+            yield FiniteInstance(n, g_matrix, rel, mapping, None, first_index + offset)

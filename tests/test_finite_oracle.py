@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+import oracle_reference
 from oracle_reference import (
     reference_hypotheses,
     reference_sweep,
@@ -478,3 +479,129 @@ class TestFactoredSweep:
     def test_a_bad_slice_is_rejected(self):
         with pytest.raises(ValueError):
             run_oracle([SweepSpec(5, 1, 1)])
+
+
+def touched_cell_count(pat, n):
+    """Entries a pair's hypotheses read: related pairs, swaps, g[r][t], images."""
+    return len(
+        {r * n + s for r, s in pat.pairs}
+        | {s * n + r for r, s in pat.pairs}
+        | {r * n + t for r, _, t in pat.triples}
+        | {a * n + b for a, b in pat.images}
+    )
+
+
+def drawn_pairs(n, g_max, seed, count=8, budget=100_000):
+    """Seeded pairs whose touched entries have at most ``budget`` assignments.
+
+    The first list draws relation masks from all of them and a map. The
+    second closes a random relation plus one seed pair (u, m(u)) under a
+    random map, so its pairs are closed and seeded, and every such pair can
+    come up.
+    """
+    rng = random.Random(seed)
+    maps = list(product(range(n), repeat=n))
+    k = 2 * g_max + 1
+    anywhere, sound = [], []
+    while len(anywhere) < count or len(sound) < count:
+        mapping = rng.choice(maps)
+        if len(anywhere) < count:
+            rel = relation_of(n, rng.randrange(1 << (n * n)))
+            pat = finite_oracle._patterns(rel, mapping)
+            if k ** touched_cell_count(pat, n) <= budget:
+                anywhere.append((rel, mapping, pat))
+            continue
+        u = rng.randrange(n)
+        pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(3))}
+        pairs.add((u, mapping[u]))
+        while not {(mapping[r], mapping[s]) for r, s in pairs} <= pairs:
+            pairs |= {(mapping[r], mapping[s]) for r, s in pairs}
+        rel = FiniteRelation(n, frozenset(pairs))
+        pat = finite_oracle._patterns(rel, mapping)
+        assert pat.structural is None
+        if k ** touched_cell_count(pat, n) <= budget:
+            sound.append((rel, mapping, pat))
+    return anywhere, sound
+
+
+def magnitudes(codes, width, g_max):
+    """The magnitude vector of each signed reference code."""
+    k = 2 * g_max + 1
+    mags = abs(oracle_reference.digits(codes, width, k) - g_max)
+    return [tuple(column) for column in mags.T.tolist()]
+
+
+class TestMagnitudeClassifier:
+    """The magnitude classifier against the signed numpy reference."""
+
+    @pytest.mark.parametrize("n, g_max", [(3, 2), (3, 3), (4, 1), (4, 2)])
+    def test_counts_and_passing_vectors_equal_the_reference(self, n, g_max):
+        passing_total, above_one = 0, False
+        anywhere, sound = drawn_pairs(n, g_max, seed=1000 * n + g_max)
+        for rel, mapping, pat in anywhere + sound:
+            cells, counts, passing = finite_oracle._classify_pair(pat, n, g_max)
+            ref_cells, ref_counts, ref_codes = oracle_reference.classify_pair(pat, n, g_max)
+            assert cells == ref_cells
+            assert counts == ref_counts.tolist(), (sorted(rel.pairs), mapping)
+            assert passing == set(magnitudes(ref_codes, len(cells), g_max))
+            passing_total += len(passing)
+            above_one |= any(max(mag, default=0) >= 2 for mag in passing)
+        assert passing_total > 0
+        assert above_one or g_max == 1
+
+    def test_materialised_instances_equal_the_reference(self):
+        # the reference scans all 5**9 matrices of a pair, so one pair
+        n, g_max = 3, 2
+        _, sound = drawn_pairs(n, g_max, seed=78, count=1)
+        for rel, mapping, pat in sound:
+            cells, _, passing = finite_oracle._classify_pair(pat, n, g_max)
+            _, _, codes = oracle_reference.classify_pair(pat, n, g_max)
+            got = finite_oracle._materialise(rel, mapping, g_max, cells, passing, 11)
+            expected = oracle_reference.materialise(rel, mapping, g_max, cells, codes, 11)
+            got = [(inst.index, inst.g_matrix) for inst in got]
+            assert got == [(inst.index, inst.g_matrix) for inst in expected]
+            assert any(-2 in row for _, g in got for row in g)
+
+
+def decoded_matrix(offset, n, g_max):
+    """The matrix at ``offset`` within its pair: row-major base-k digits."""
+    k = 2 * g_max + 1
+    entries = [offset // k**p % k - g_max for p in range(n * n - 1, -1, -1)]
+    return [entries[row * n : row * n + n] for row in range(n)]
+
+
+def test_forced_violations_at_four_points(monkeypatch):
+    # a satisfying n=4 matrix at g_max = 1 has at least two choices for
+    # each off-diagonal entry, and a connected relation forces a constant
+    # map, which forces only one diagonal entry to 0; so no pair has fewer
+    # than 2**12 * 3**3 = 110,592 satisfying instances, the count of this
+    # one. Listing them takes seconds, so the classifier's passing vectors
+    # are narrowed to those with a zero diagonal: 2**12 = 4,096 instances
+    n, g_max = 4, 1
+    rel = FiniteRelation(n, frozenset(product(range(n), repeat=2)) - {(1, 1), (2, 2), (3, 3)})
+    mapping = (0, 0, 0, 0)
+    real_classify = finite_oracle._classify_pair
+    diagonal = [r * n + r for r in range(n)]
+
+    def narrowed(pat, n, g_max):
+        cells, counts, passing = real_classify(pat, n, g_max)
+        keep = {mag for mag in passing if not any(mag[cells.index(c)] for c in diagonal)}
+        moved = sum(1 << (len(mag) - mag.count(0)) for mag in passing - keep)
+        counts = counts[:-2] + [counts[-2] + moved, counts[-1] - moved]
+        return cells, counts, keep
+
+    monkeypatch.setattr(finite_oracle, "_classify_pair", narrowed)
+    monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda inst: False)
+    first = 3 * (2 * g_max + 1) ** (n * n)
+    res = SweepResult(SweepSpec(n, g_max, None))
+    finite_oracle._sweep_pair(res, rel, mapping, first)
+
+    listed = res.counterexamples
+    assert res.hypotheses_satisfied == len(listed) == 2**12
+    indices = [doc["index"] for doc in listed]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    for doc in listed:
+        assert doc["g"] == decoded_matrix(doc["index"] - first, n, g_max)
+        assert [doc["g"][r][r] for r in range(n)] == [0] * n
+        inst = FiniteInstance.from_json_dict(doc)
+        assert reference_hypotheses(inst)[0]

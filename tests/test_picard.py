@@ -79,6 +79,14 @@ class TestIterate:
         assert trace.certified
         assert trace.preserved
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.5, float("nan")])
+    def test_bad_alpha_is_rejected_before_the_first_step(self, alpha):
+        applied = []
+        smap = SelfMap(lambda x: applied.append(x) or x / 2.0)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            iterate(smap, ABS_DIFF, universal_view(), 1.0, alpha=alpha)
+        assert applied == []
+
     def test_overflow_aborts_with_step_index(self):
         blowup = SelfMap(lambda x: x * 1e200)
         with pytest.raises(ArithmeticError, match="diverged at step 1"):
@@ -136,3 +144,8 @@ class TestStoppingPolicy:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             StoppingPolicy(**kwargs)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, False, "10", None])
+    def test_step_budget_must_be_an_int(self, steps):
+        with pytest.raises(ValueError, match="max_iterations must be a positive integer"):
+            StoppingPolicy(max_iterations=steps)
