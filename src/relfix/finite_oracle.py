@@ -270,32 +270,39 @@ def hypotheses_hold(inst: FiniteInstance) -> tuple[bool, str]:
     set, and contraction on related pairs for some grid factor. The reason
     names the first failing hypothesis and its first witness.
     """
-    g = inst.g_matrix
-    pat = _patterns(inst.rel, inst.mapping)
+    ok, reason, _ = _check_hypotheses(_patterns(inst.rel, inst.mapping), inst)
+    return ok, reason
 
+
+def _check_hypotheses(
+    pat: _Patterns, inst: FiniteInstance
+) -> tuple[bool, str, Optional[Fraction]]:
+    """:func:`hypotheses_hold` on the pair's pattern table ``pat``, also
+    returning the contraction factor (None unless every hypothesis holds)."""
+    g = inst.g_matrix
     for r, s in pat.pairs:
         if r != s and g[r][s] == 0:
-            return False, f"(g1) fails: g[{r}][{s}] = 0 on related distinct pair ({r}, {s})"
+            return False, f"(g1) fails: g[{r}][{s}] = 0 on related distinct pair ({r}, {s})", None
 
     for r, s in pat.pairs:
         if abs(g[r][s]) != abs(g[s][r]):
-            return False, f"(g2) fails: |g[{r}][{s}]| != |g[{s}][{r}]| on related pair ({r}, {s})"
+            return False, f"(g2) fails: |g[{r}][{s}]| != |g[{s}][{r}]| on related pair ({r}, {s})", None
 
     for r, u, t in pat.triples:
         if abs(g[r][u]) > abs(g[r][t]) + abs(g[t][u]):
-            return False, f"(g3) fails on constrained triple ({r}, {u}, {t})"
+            return False, f"(g3) fails on constrained triple ({r}, {u}, {t})", None
 
     if pat.structural is not None:
-        return False, pat.structural[1]
+        return False, pat.structural[1], None
 
     alpha = contraction_alpha(inst)
     if alpha is None:
-        return False, "contraction fails on a related pair for every alpha in {1/4, 1/2, 3/4}"
+        return False, "contraction fails on a related pair for every alpha in {1/4, 1/2, 3/4}", None
 
     return True, (
         f"hypotheses hold at alpha = {alpha}; completeness and continuity are "
         "automatic on a finite carrier (discrete reading)"
-    )
+    ), alpha
 
 
 def conclusion_holds(inst: FiniteInstance) -> bool:
@@ -529,7 +536,8 @@ def _sweep_pair(
     candidate = image_symmetric_connected(probe)
     fixed = fixed_points(probe)
     unique = not candidate or len(fixed) == 1
-    cells, counts, passing = _classify_pair(_patterns(rel, mapping), n, g_max)
+    pat = _patterns(rel, mapping)
+    cells, counts, passing = _classify_pair(pat, n, g_max)
     multiplicity = matrices // (2 * g_max + 1) ** len(cells)
     for key, count in zip(REJECTION_KEYS, counts):
         res.rejections[key] += count * multiplicity
@@ -541,10 +549,10 @@ def _sweep_pair(
     if satisfied == 0 or (concludes and unique):
         return
     for inst in _materialise(rel, mapping, g_max, cells, passing, first_index):
-        ok, reason = hypotheses_hold(inst)
+        # re-check each listed instance on the pair's one table
+        ok, reason, inst.alpha = _check_hypotheses(pat, inst)
         if not ok:
             raise RuntimeError(f"instance {inst.index} misclassified: {reason}")
-        inst.alpha = contraction_alpha(inst)
         if not concludes:
             res.counterexamples.append({**inst.to_json_dict(), "reason": reason})
         if not unique:

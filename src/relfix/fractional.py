@@ -12,6 +12,11 @@ piece. The weights are one column for node 0 plus a lower-triangular
 Toeplitz band, applied as one zero-padded real-FFT convolution. Fixed points
 of T are approximated by Picard iteration under the sup-norm with the
 pointwise order as audit relation.
+
+The rhs is only ever called on whole arrays: once per Picard step on the
+node array, and once per side of the Lipschitz probe on the values of every
+probe pair stacked into one array. A problem builds its weights and node
+array once and reuses them in every step.
 """
 
 from __future__ import annotations
@@ -85,17 +90,16 @@ def gamma(x: float) -> float:
 
 
 def _stable_power_diff(ms: np.ndarray, p: float) -> np.ndarray:
-    """m^p - (m-1)^p without cancellation, for integer m >= 1.
+    """m^p - (m-1)^p without cancellation, for ms = 1, 2, ..., n.
 
     Written as m^p * (-expm1(p * log1p(-1/m))) so the difference keeps full
     relative precision even when m is large and the two powers nearly agree.
+    m = 1, at index 0, is exactly 1 (the formula would take log1p(-1)).
     """
-    out = np.empty_like(ms, dtype=float)
-    first = ms == 1
-    out[first] = 1.0
-    rest = ~first
-    m = ms[rest].astype(float)
-    out[rest] = m**p * (-np.expm1(p * np.log1p(-1.0 / m)))
+    out = np.empty(len(ms))
+    out[0] = 1.0
+    m = ms[1:].astype(float)
+    out[1:] = m**p * (-np.expm1(p * np.log1p(-1.0 / m)))
     return out
 
 
@@ -166,9 +170,12 @@ def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
 
 def _apply_weights(w: QuadratureWeights, values: np.ndarray) -> np.ndarray:
     # linear convolution of the band with values[1:] by zero-padded real FFT
-    fft, m = np.fft, 2 * w.n_intervals
-    conv = fft.irfft(w.band_spectrum * fft.rfft(values[1:], m), m)
-    return np.concatenate(([0.0], conv[: w.n_intervals] + w.start * values[0]))
+    fft, n = np.fft, w.n_intervals
+    conv = fft.irfft(w.band_spectrum * fft.rfft(values[1:], 2 * n), 2 * n)
+    out = np.empty(n + 1)
+    out[0] = 0.0
+    np.add(conv[:n], w.start * values[0], out=out[1:])
+    return out
 
 
 def frac_integral(u: GridFunction, zeta: float) -> GridFunction:
@@ -188,15 +195,19 @@ class FdeProblem:
     ``rhs(t, u)`` is the driving term, evaluated elementwise on whole
     arrays: it receives the node array ``t`` and the value array ``u`` (of
     one shape) and returns an array that broadcasts to that shape (a scalar
-    does); any other result raises :class:`ValueError`. Write it with numpy
-    ufuncs (``np.sin``, not ``math.sin``) and branch with ``np.where``, not
-    ``if``. ``n_intervals`` is an ``int`` of at least 8.
+    does); any other result raises :class:`ValueError`. The Picard step
+    passes the node array, of shape (N+1,); the Lipschitz probe passes its
+    pairs stacked, one row each, so the rhs must act elementwise on arrays
+    of any shape. Write it with numpy ufuncs (``np.sin``, not ``math.sin``)
+    and branch with ``np.where``, not ``if``. ``n_intervals`` is an ``int``
+    of at least 8.
     ``lipschitz_alpha`` is the contraction parameter the Lipschitz
     condition is tested against; ``gamma_variant`` selects whose order
     feeds the Gamma factor in the Lipschitz bound ("alpha_plus_one" uses
     the contraction parameter, "zeta_plus_one" the integral order — both
     appear in circulation, so both are supported).
-    The quadrature weights are built on first use and kept as ``weights``.
+    The quadrature weights and the read-only node array are built on first
+    use and kept as ``weights`` and ``nodes``.
     """
 
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -217,6 +228,12 @@ class FdeProblem:
     @cached_property
     def weights(self) -> QuadratureWeights:
         return quadrature_weights(self.zeta, self.n_intervals)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        nodes = np.arange(self.n_intervals + 1) / self.n_intervals
+        nodes.flags.writeable = False  # every step shares it with the rhs
+        return nodes
 
     @property
     def regime_note(self) -> str:
@@ -251,19 +268,22 @@ class LipschitzReport:
 
 
 def _rhs_values(prob: FdeProblem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The rhs on arrays ``t`` and ``u`` of one shape: nodes, or probe rows."""
     values = np.asarray(prob.rhs(t, u), dtype=float)
+    if values.shape == t.shape:
+        return values
     try:
         return np.broadcast_to(values, t.shape)
     except ValueError:
         raise ValueError(
             "rhs(t, u) must return an array that broadcasts to the node shape "
-            f"{t.shape}, got shape {values.shape}"
+            f"{t.shape[-1:]}, got shape {values.shape} for t and u of shape {t.shape}"
         ) from None
 
 
 def _first_non_finite(values: np.ndarray) -> Optional[int]:
-    bad = ~np.isfinite(values)
-    return int(np.argmax(bad)) if bad.any() else None
+    finite = np.isfinite(values)
+    return None if finite.all() else int(np.argmin(finite))
 
 
 def lipschitz_check(
@@ -273,64 +293,77 @@ def lipschitz_check(
 ) -> LipschitzReport:
     """Test |rhs(t, v) - rhs(t, u)| <= bound * (v - u) on ordered samples.
 
-    Every supplied pair must satisfy u <= v pointwise. Samples where the two
+    Every supplied pair must satisfy u <= v pointwise. Each pair is
+    interpolated at the samples and the pairs are stacked, one row each, so
+    the rhs is called once per side for all of them. Samples where the two
     functions agree carry no ratio information and are skipped. With no
     informative sample at all (no samples, no pairs, or every gap zero) the
     margin degenerates to the full bound and the check does not pass. A
     non-finite rhs difference raises :class:`ArithmeticError` naming the
-    first such t. ``worst_at`` is the first maximum in pair-then-sample
-    order.
+    first such t in pair-then-sample order. ``worst_at`` is the first
+    maximum in that order.
     """
-    bound = lipschitz_bound(prob)
-    ts = np.asarray(t_samples, dtype=float)
-    worst_ratio = 0.0
-    worst_at: Optional[tuple[float, float, float]] = None
     for u, v in pairs:
         if not pointwise_leq(u, v):
             raise ValueError("pair is not ordered: need u <= v pointwise")
-        uv = interpolate(u, ts)
-        vv = interpolate(v, ts)
-        keep = vv != uv
-        if not keep.any():
-            continue
-        t, uv, vv = ts[keep], uv[keep], vv[keep]
-        diff = _rhs_values(prob, t, vv) - _rhs_values(prob, t, uv)
-        bad = _first_non_finite(diff)
-        if bad is not None:
-            raise ArithmeticError(f"rhs difference not finite at t = {float(t[bad])!r}")
-        ratio = np.abs(diff) / (vv - uv)
-        k = int(np.argmax(ratio))
-        if ratio[k] > worst_ratio or worst_at is None:
-            worst_ratio = float(ratio[k])
-            worst_at = (float(t[k]), float(uv[k]), float(vv[k]))
-    margin = bound - worst_ratio
+    ts = np.asarray(t_samples, dtype=float)
+    lower = np.array([interpolate(u, ts) for u, _ in pairs])
+    upper = np.array([interpolate(v, ts) for _, v in pairs])
+    return _stacked_check(prob, ts, lower, upper)
+
+
+def _stacked_check(
+    prob: FdeProblem, t: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> LipschitzReport:
+    """The Lipschitz probe on stacked values: row p of ``lower`` and
+    ``upper`` holds pair p's two functions at the samples ``t``.
+
+    The rhs is called on the whole stack, uninformative samples included,
+    so its arrays keep the stacked shape; only informative samples are
+    checked and ranked.
+    """
+    bound = lipschitz_bound(prob)
+    keep = upper != lower
+    if not keep.any():
+        return LipschitzReport(bound, 0.0, bound, False, None)
+    t = np.broadcast_to(t, lower.shape)
+    high = _rhs_values(prob, t, upper)
+    low = _rhs_values(prob, t, lower)
+    # row-major boolean indexing keeps pair-then-sample order
+    t, lower, upper = t[keep], lower[keep], upper[keep]
+    diff = high[keep] - low[keep]
+    bad = _first_non_finite(diff)
+    if bad is not None:
+        raise ArithmeticError(f"rhs difference not finite at t = {float(t[bad])!r}")
+    ratio = np.abs(diff) / (upper - lower)
+    k = int(np.argmax(ratio))
+    worst_ratio = float(ratio[k])
     return LipschitzReport(
         bound=bound,
         worst_ratio=worst_ratio,
-        margin=margin,
-        passed=worst_at is not None and worst_ratio <= bound,
-        worst_at=worst_at,
+        margin=bound - worst_ratio,
+        passed=worst_ratio <= bound,
+        worst_at=(float(t[k]), float(lower[k]), float(upper[k])),
     )
 
 
 def apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:
     """One application of the integral operator to a grid function.
 
-    The rhs is evaluated once, on the whole node array. The linear-in-t
+    The rhs is evaluated once, on the problem's node array. The linear-in-t
     correction 2 t C uses C = trapezoid of the inner integral's node values,
     computed once per call.
     """
     if u.n_intervals != prob.n_intervals:
         raise ValueError("grid function does not match the problem grid")
-    w = prob.weights
-    nodes = u.nodes
+    w, nodes = prob.weights, prob.nodes
     hv = _rhs_values(prob, nodes, u.values)
     bad = _first_non_finite(hv)
     if bad is not None:
         raise ArithmeticError(f"rhs diverged at node {bad}")
     inner = _apply_weights(w, hv)
-    c = _trapezoid(inner, w.step)
-    return GridFunction(u.n_intervals, inner + 2.0 * nodes * c)
+    inner += 2.0 * nodes * _trapezoid(inner, w.step)
+    return GridFunction(u.n_intervals, inner)
 
 
 class ConvergenceFailure(RuntimeError):
@@ -341,27 +374,30 @@ class ConvergenceFailure(RuntimeError):
         self.trace = trace
 
 
-def _default_probe_pairs(n_intervals: int) -> list[tuple[GridFunction, GridFunction]]:
-    nodes = np.arange(n_intervals + 1) / n_intervals
-    zero = GridFunction(n_intervals, np.zeros(n_intervals + 1))
-    one = GridFunction(n_intervals, np.ones(n_intervals + 1))
-    ident = GridFunction(n_intervals, nodes.copy())
-    half = GridFunction(n_intervals, 0.5 * nodes)
-    half_up = GridFunction(n_intervals, 0.5 * nodes + 0.25)
-    return [(zero, one), (zero, ident), (half, half_up)]
+def _probe_rows(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node values of the probe pairs (0, 1), (0, t) and (t/2, t/2 + 1/4),
+    stacked one pair per row: the lower functions, then the upper ones."""
+    half = 0.5 * nodes
+    lower = np.zeros((3, len(nodes)))
+    lower[2] = half
+    upper = np.array((np.ones_like(nodes), nodes, half + 0.25))
+    return lower, upper
 
 
 def solve_fde(prob: FdeProblem) -> tuple[IterationTrace, GridFunction]:
     """Picard-iterate the integral operator from the zero function.
 
-    Residuals are sup-norm successive differences; the pointwise order is
-    audited along the orbit. When the sampled Lipschitz condition passes,
-    the contraction parameter is recorded on the trace and drives the
-    per-step bound certificates. Non-convergence raises
-    :class:`ConvergenceFailure` with the partial trace attached.
+    The Lipschitz condition is first sampled at every node on three ordered
+    pairs, (0, 1), (0, t) and (t/2, t/2 + 1/4). At a node a grid function
+    equals its node value, so the probe reads node values directly, stacked,
+    and calls the rhs twice in all. Residuals are sup-norm successive
+    differences; the pointwise order is audited along the orbit. When the
+    sampled Lipschitz condition passes, the contraction parameter is
+    recorded on the trace and drives the per-step bound certificates.
+    Non-convergence raises :class:`ConvergenceFailure` with the partial
+    trace attached.
     """
-    nodes = np.arange(prob.n_intervals + 1) / prob.n_intervals
-    report = lipschitz_check(prob, nodes, _default_probe_pairs(prob.n_intervals))
+    report = _stacked_check(prob, prob.nodes, *_probe_rows(prob.nodes))
     alpha: Optional[float] = prob.lipschitz_alpha
     if not report.passed:
         warnings.warn(

@@ -37,7 +37,7 @@ class GridFunction:
             raise ValueError(
                 f"need {self.n_intervals + 1} node values, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("node values must be finite")
         self.values = vals
 
@@ -78,13 +78,13 @@ def _check_same_grid(u: GridFunction, v: GridFunction) -> None:
 def sup_diff(u: GridFunction, v: GridFunction) -> float:
     """Sup-norm distance max_j |u_j - v_j| (a metric)."""
     _check_same_grid(u, v)
-    return float(np.max(np.abs(u.values - v.values)))
+    return float(np.abs(u.values - v.values).max())
 
 
 def pointwise_leq(u: GridFunction, v: GridFunction) -> bool:
     """Whether u_j <= v_j at every node (the order relation of the solver)."""
     _check_same_grid(u, v)
-    return bool(np.all(u.values <= v.values))
+    return bool((u.values <= v.values).all())
 
 
 def interpolate(u: GridFunction, t: float | np.ndarray) -> float | np.ndarray:
@@ -107,6 +107,7 @@ def interpolate(u: GridFunction, t: float | np.ndarray) -> float | np.ndarray:
 def grid_to_csv(u: GridFunction) -> str:
     """Node values as CSV with header t,value."""
     lines = ["t,value"]
-    for t, v in zip(u.nodes, u.values):
+    # Python floats format faster than numpy scalars, to the same text
+    for t, v in zip(u.nodes.tolist(), u.values.tolist()):
         lines.append(f"{t:.16e},{v:.16e}")
     return "\n".join(lines) + "\n"

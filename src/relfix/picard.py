@@ -9,6 +9,7 @@ bound alpha^m / (1 - alpha) * |g(r0, r1)| to every step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -32,7 +33,13 @@ class StoppingPolicy:
     max_iterations: int = 1000
 
     def __post_init__(self) -> None:
-        if not (self.residual_tol > 0.0 and math.isfinite(self.residual_tol)):
+        tol = self.residual_tol
+        # a bool would compare as 0 or 1; a string would fail the comparison
+        if (
+            not isinstance(tol, numbers.Real)
+            or isinstance(tol, bool)
+            or not (tol > 0.0 and math.isfinite(tol))
+        ):
             raise ValueError("residual_tol must be positive and finite")
         steps = self.max_iterations
         if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:

@@ -5,25 +5,44 @@ by per-row sums: the column-plus-band form in :mod:`relfix.fractional` is
 compared with it, the rebuilt table exactly and the FFT apply within a
 rounding tolerance. The operator and the Lipschitz probe as per-node loops
 that call the rhs and the interpolation one scalar at a time: the whole-array
-versions must agree with them exactly.
+versions must agree with them exactly. The solver as it was before its
+probe was stacked and its step preallocated: the masked power difference,
+the concatenating weight apply, the operator that rebuilds the node array
+and always broadcasts the rhs, and the probe that interpolates every pair
+at the nodes and calls the rhs once per pair and side. The lean solver must
+reproduce it bit for bit.
 """
 
 import math
+import warnings
 from typing import Optional
 
 import numpy as np
 
 from relfix.fractional import (
+    ConvergenceFailure,
     FdeProblem,
     LipschitzReport,
-    _apply_weights,
-    _stable_power_diff,
     _trapezoid,
     gamma,
     lipschitz_bound,
     quadrature_weights,
 )
-from relfix.gridfn import GridFunction, pointwise_leq
+from relfix.gridfn import GridFunction, interpolate, pointwise_leq, sup_diff
+from relfix.gspace import GFunctional, SelfMap
+from relfix.picard import IterationTrace, iterate
+from relfix.relations import RelationView
+
+
+def masked_power_diff(ms: np.ndarray, p: float) -> np.ndarray:
+    """m^p - (m-1)^p for integer m >= 1, with m == 1 picked out by a mask."""
+    out = np.empty_like(ms, dtype=float)
+    first = ms == 1
+    out[first] = 1.0
+    rest = ~first
+    m = ms[rest].astype(float)
+    out[rest] = m**p * (-np.expm1(p * np.log1p(-1.0 / m)))
+    return out
 
 
 def dense_weights(zeta: float, n_intervals: int) -> np.ndarray:
@@ -31,8 +50,8 @@ def dense_weights(zeta: float, n_intervals: int) -> np.ndarray:
     n = n_intervals
     h = 1.0 / n
     ms = np.arange(1, n + 1)
-    p = _stable_power_diff(ms, zeta) / zeta
-    q = _stable_power_diff(ms, zeta + 1.0) / (zeta + 1.0)
+    p = masked_power_diff(ms, zeta) / zeta
+    q = masked_power_diff(ms, zeta + 1.0) / (zeta + 1.0)
     a = q - (ms - 1) * p
     b = ms * p - q
     scale = h**zeta / gamma(zeta)
@@ -52,6 +71,111 @@ def dense_apply(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
     # elementwise product + per-row pairwise sum: summation order is fixed by
     # node index, so results are bit-identical across runs and thread counts
     return (matrix * values[np.newaxis, :]).sum(axis=1)
+
+
+def concat_apply_weights(w, values: np.ndarray) -> np.ndarray:
+    """The FFT weight apply that joins node 0 and the band by concatenation."""
+    fft, m = np.fft, 2 * w.n_intervals
+    conv = fft.irfft(w.band_spectrum * fft.rfft(values[1:], m), m)
+    return np.concatenate(([0.0], conv[: w.n_intervals] + w.start * values[0]))
+
+
+def first_non_finite(values: np.ndarray) -> Optional[int]:
+    bad = ~np.isfinite(values)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def broadcast_rhs_values(prob: FdeProblem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    values = np.asarray(prob.rhs(t, u), dtype=float)
+    try:
+        return np.broadcast_to(values, t.shape)
+    except ValueError:
+        raise ValueError(
+            "rhs(t, u) must return an array that broadcasts to the node shape "
+            f"{t.shape}, got shape {values.shape}"
+        ) from None
+
+
+def concat_apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:
+    """The operator on a fresh node array, with the concatenating apply."""
+    if u.n_intervals != prob.n_intervals:
+        raise ValueError("grid function does not match the problem grid")
+    w = prob.weights
+    nodes = u.nodes
+    hv = broadcast_rhs_values(prob, nodes, u.values)
+    bad = first_non_finite(hv)
+    if bad is not None:
+        raise ArithmeticError(f"rhs diverged at node {bad}")
+    inner = concat_apply_weights(w, hv)
+    c = _trapezoid(inner, w.step)
+    return GridFunction(u.n_intervals, inner + 2.0 * nodes * c)
+
+
+def interpolating_lipschitz_check(prob, t_samples, pairs) -> LipschitzReport:
+    """The probe pair by pair: interpolate, skip zero gaps, two rhs calls."""
+    bound = lipschitz_bound(prob)
+    ts = np.asarray(t_samples, dtype=float)
+    worst_ratio = 0.0
+    worst_at: Optional[tuple[float, float, float]] = None
+    for u, v in pairs:
+        if not pointwise_leq(u, v):
+            raise ValueError("pair is not ordered: need u <= v pointwise")
+        uv = interpolate(u, ts)
+        vv = interpolate(v, ts)
+        keep = vv != uv
+        if not keep.any():
+            continue
+        t, uv, vv = ts[keep], uv[keep], vv[keep]
+        diff = broadcast_rhs_values(prob, t, vv) - broadcast_rhs_values(prob, t, uv)
+        bad = first_non_finite(diff)
+        if bad is not None:
+            raise ArithmeticError(f"rhs difference not finite at t = {float(t[bad])!r}")
+        ratio = np.abs(diff) / (vv - uv)
+        k = int(np.argmax(ratio))
+        if ratio[k] > worst_ratio or worst_at is None:
+            worst_ratio = float(ratio[k])
+            worst_at = (float(t[k]), float(uv[k]), float(vv[k]))
+    return LipschitzReport(
+        bound=bound,
+        worst_ratio=worst_ratio,
+        margin=bound - worst_ratio,
+        passed=worst_at is not None and worst_ratio <= bound,
+        worst_at=worst_at,
+    )
+
+
+def default_probe_pairs(n_intervals: int) -> list[tuple[GridFunction, GridFunction]]:
+    """The solver's three probe pairs as grid functions."""
+    nodes = np.arange(n_intervals + 1) / n_intervals
+    zero = GridFunction(n_intervals, np.zeros(n_intervals + 1))
+    one = GridFunction(n_intervals, np.ones(n_intervals + 1))
+    ident = GridFunction(n_intervals, nodes.copy())
+    half = GridFunction(n_intervals, 0.5 * nodes)
+    half_up = GridFunction(n_intervals, 0.5 * nodes + 0.25)
+    return [(zero, one), (zero, ident), (half, half_up)]
+
+
+def reference_solve_fde(prob: FdeProblem) -> tuple[LipschitzReport, IterationTrace]:
+    """The solver with the interpolating probe and the concatenating step.
+
+    Returns the probe's report with the trace; raises like ``solve_fde``.
+    """
+    nodes = np.arange(prob.n_intervals + 1) / prob.n_intervals
+    report = interpolating_lipschitz_check(prob, nodes, default_probe_pairs(prob.n_intervals))
+    alpha = prob.lipschitz_alpha if report.passed else None
+    if alpha is None:
+        warnings.warn("rhs failed the sampled Lipschitz condition", stacklevel=2)
+    trace = iterate(
+        SelfMap(lambda fn: concat_apply_T(fn, prob)),
+        GFunctional(sup_diff),
+        RelationView(pointwise_leq),
+        GridFunction.zeros(prob.n_intervals),
+        prob.policy,
+        alpha=alpha,
+    )
+    if not trace.converged:
+        raise ConvergenceFailure("no convergence", trace)
+    return report, trace
 
 
 def table_from_band(start: np.ndarray, band: np.ndarray) -> np.ndarray:
@@ -84,7 +208,7 @@ def per_node_apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:
         if not math.isfinite(val):
             raise ArithmeticError(f"rhs diverged at node {j}")
         hv[j] = val
-    inner = _apply_weights(w, hv)
+    inner = concat_apply_weights(w, hv)
     c = _trapezoid(inner, w.step)
     return GridFunction(u.n_intervals, inner + 2.0 * nodes * c)
 

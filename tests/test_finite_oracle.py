@@ -605,3 +605,20 @@ def test_forced_violations_at_four_points(monkeypatch):
         assert [doc["g"][r][r] for r in range(n)] == [0] * n
         inst = FiniteInstance.from_json_dict(doc)
         assert reference_hypotheses(inst)[0]
+
+
+def test_listed_instances_are_rechecked(monkeypatch):
+    # a classifier that lets an all-zero magnitude vector pass (g1 fails on
+    # it) must be caught when the pair's instances are listed
+    n, g_max = 2, 1
+    rel = FiniteRelation(n, frozenset(product(range(n), repeat=2)))
+    real_classify = finite_oracle._classify_pair
+
+    def lenient(pat, n, g_max):
+        cells, counts, passing = real_classify(pat, n, g_max)
+        return cells, counts, passing | {(0,) * len(cells)}
+
+    monkeypatch.setattr(finite_oracle, "_classify_pair", lenient)
+    monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda inst: False)
+    with pytest.raises(RuntimeError, match=r"misclassified: \(g1\) fails"):
+        finite_oracle._sweep_pair(SweepResult(SweepSpec(n, g_max, None)), rel, (0, 0), 0)

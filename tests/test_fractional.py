@@ -11,7 +11,8 @@ import relfix.fractional as fractional
 from relfix.fractional import (
     GAMMA_VARIANTS,
     _apply_weights,
-    _default_probe_pairs,
+    _probe_rows,
+    _stacked_check,
     ConvergenceFailure,
     FdeProblem,
     apply_T,
@@ -29,9 +30,14 @@ from relfix.gridfn import GridFunction, pointwise_leq, sup_diff
 from relfix.picard import StoppingPolicy
 
 from fractional_reference import (
+    concat_apply_T,
+    concat_apply_weights,
+    default_probe_pairs,
     dense_apply,
     dense_weights,
+    interpolating_lipschitz_check,
     per_node_apply_T,
+    reference_solve_fde,
     scalar_lipschitz_check,
     table_from_band,
 )
@@ -268,14 +274,14 @@ class TestLipschitz:
         with pytest.raises(ArithmeticError, match="t = 0.5625"):
             lipschitz_check(prob, nodes, [pair])
 
-    def test_unordered_pair_rejected(self):
+    @pytest.mark.parametrize("position", (0, 1))
+    def test_unordered_pair_rejected(self, position):
         prob = demo_problem(64)
+        ordered = (GridFunction.zeros(64), GridFunction(64, np.ones(65)))
+        pairs = [ordered, ordered]
+        pairs[position] = ordered[::-1]
         with pytest.raises(ValueError, match="ordered"):
-            lipschitz_check(
-                prob,
-                [0.5],
-                [(GridFunction(64, np.ones(65)), GridFunction.zeros(64))],
-            )
+            lipschitz_check(prob, [0.5], pairs)
 
     def test_uninformative_samples_degenerate_to_full_margin(self):
         prob = demo_problem(64)
@@ -472,9 +478,10 @@ class TestWholeArrayEvaluation:
         for variant in GAMMA_VARIANTS:
             prob = demo_problem(512, 1.5, gamma_variant=variant)
             nodes = np.arange(513) / 512
-            pairs = _default_probe_pairs(512)
+            pairs = default_probe_pairs(512)
             got = lipschitz_check(prob, nodes, pairs)
             assert got == scalar_lipschitz_check(prob, nodes.tolist(), pairs)
+            assert got == _stacked_check(prob, nodes, *_probe_rows(nodes))
             assert got.passed
 
     def test_tied_ratios_keep_the_first_maximum(self):
@@ -501,7 +508,8 @@ class TestWholeArrayEvaluation:
 
         prob = FdeProblem(rhs=rhs, n_intervals=256)
         trace, _ = solve_fde(prob)
-        assert 0 < len(calls) <= trace.steps + 6
+        # one call per Picard step, one per side of the stacked probe
+        assert len(calls) == trace.steps + 2
         assert set(calls) == {(np.ndarray, np.ndarray)}
 
     def test_weights_are_built_once_per_problem(self, monkeypatch):
@@ -524,6 +532,85 @@ class TestWholeArrayEvaluation:
         assert trace.converged
         assert trace.steps == 10
         assert solution.n_intervals == 65536
+
+
+SWEEP_ZETAS = tuple(0.5 + k / 16 for k in range(25))
+
+
+class TestLeanSolverEqualsTheReference:
+    """The stacked probe and the preallocated step reproduce the old path."""
+
+    @staticmethod
+    def _assert_same_run(prob, exact_probe=True):
+        report, ref = reference_solve_fde(prob)
+        trace, solution = solve_fde(prob)
+        assert np.array_equal(solution.values, ref.iterates[-1].values)
+        assert len(trace.iterates) == len(ref.iterates)
+        for got, want in zip(trace.iterates, ref.iterates):
+            assert np.array_equal(got.values, want.values)
+        assert trace.residuals == ref.residuals
+        assert trace.bound_certificates == ref.bound_certificates
+        assert (trace.alpha_used, trace.preserved, trace.certified, trace.converged) == (
+            ref.alpha_used, ref.preserved, ref.certified, ref.converged
+        )
+        nodes = prob.nodes
+        got = _stacked_check(prob, nodes, *_probe_rows(nodes))
+        if exact_probe:
+            assert got == report
+        assert got.passed == report.passed
+
+    @pytest.mark.parametrize("variant", GAMMA_VARIANTS)
+    @pytest.mark.parametrize("zeta", SWEEP_ZETAS)
+    def test_sweep_grid(self, zeta, variant):
+        self._assert_same_run(demo_problem(512, zeta, gamma_variant=variant))
+
+    @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
+    @pytest.mark.parametrize("n", (8, 4096))
+    def test_other_grids(self, n, zeta):
+        for variant in GAMMA_VARIANTS:
+            self._assert_same_run(demo_problem(n, zeta, gamma_variant=variant))
+
+    @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
+    def test_grid_where_interpolation_at_a_node_rounds(self, zeta):
+        # (j / 100) * 100 != j for some j, so the old probe's interpolated
+        # node values can differ from the node values in the last bit
+        nodes = np.arange(101) / 100
+        assert not np.array_equal(nodes * 100, np.arange(101))
+        for variant in GAMMA_VARIANTS:
+            self._assert_same_run(demo_problem(100, zeta, gamma_variant=variant), False)
+
+    def test_failed_probe_drops_certificates_on_both_paths(self):
+        prob = FdeProblem(rhs=lambda t, u: u, n_intervals=64)
+        with pytest.warns(UserWarning, match="Lipschitz"):
+            self._assert_same_run(prob)
+
+    @pytest.mark.parametrize("n", (8, 100, 512))
+    def test_step_and_weight_apply(self, n):
+        u = GridFunction(n, np.random.default_rng(n).standard_normal(n + 1))
+        for zeta in (0.5, 0.9, 2.0):
+            prob = demo_problem(n, zeta)
+            assert np.array_equal(apply_T(u, prob).values, concat_apply_T(u, prob).values)
+            w = prob.weights
+            assert np.array_equal(_apply_weights(w, u.values), concat_apply_weights(w, u.values))
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [demo_rhs, lambda t, u: u, lambda t, u: np.cos(3.0 * t) * u * u],
+        ids=["demo", "steep", "curved"],
+    )
+    @pytest.mark.parametrize("n", (8, 100, 512))
+    def test_arbitrary_samples(self, n, rhs):
+        prob = FdeProblem(rhs=rhs, n_intervals=n)
+        ts, pairs = TestWholeArrayEvaluation._probes(n)
+        got = lipschitz_check(prob, ts, pairs)
+        assert got == interpolating_lipschitz_check(prob, ts, pairs)
+
+    def test_problem_nodes_are_built_once_and_read_only(self):
+        prob = demo_problem(64)
+        assert prob.nodes is prob.nodes
+        assert np.array_equal(prob.nodes, GridFunction.zeros(64).nodes)
+        with pytest.raises(ValueError, match="read-only"):
+            prob.nodes[1] = 0.5
 
 
 class TestBoundary:

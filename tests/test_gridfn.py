@@ -155,3 +155,12 @@ class TestCsv:
     def test_deterministic(self):
         u = GridFunction.from_callable(math.cos, 32)
         assert grid_to_csv(u) == grid_to_csv(u)
+
+    @pytest.mark.parametrize("n", (8, 100, 4096))
+    def test_equals_the_numpy_scalar_formatter(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n + 1) * 10.0 ** rng.integers(-300, 300, n + 1)
+        values[:4] = (0.0, -0.0, 5e-324, -1.7976931348623157e308)
+        u = GridFunction(n, values)
+        rows = [f"{t:.16e},{v:.16e}" for t, v in zip(u.nodes, u.values)]
+        assert grid_to_csv(u) == "\n".join(["t,value", *rows]) + "\n"

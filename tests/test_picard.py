@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -144,6 +145,11 @@ class TestStoppingPolicy:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             StoppingPolicy(**kwargs)
+
+    @pytest.mark.parametrize("tol", [True, False, "1e-3", None, math.nan, math.inf])
+    def test_tolerance_must_be_a_positive_finite_real(self, tol):
+        with pytest.raises(ValueError, match="residual_tol must be positive and finite"):
+            StoppingPolicy(residual_tol=tol)
 
     @pytest.mark.parametrize("steps", [2.5, 3.0, True, False, "10", None])
     def test_step_budget_must_be_an_int(self, steps):
