@@ -15,6 +15,7 @@ without it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,7 +24,6 @@ from typing import NoReturn, Optional, Sequence
 from . import demos
 from .finite_oracle import (
     FiniteInstance,
-    SweepSpec,
     conclusion_holds,
     default_sweeps,
     hypotheses_hold,
@@ -194,18 +194,12 @@ def _cmd_solve_fde(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.g_max is not None or args.rel_cap is not None:
-        base = default_sweeps(args.n)[0]
-        sweeps = [
-            SweepSpec(
-                args.n,
-                g_max=base.g_max if args.g_max is None else args.g_max,
-                rel_count_cap=base.rel_count_cap if args.rel_cap is None else args.rel_cap,
-            )
-        ]
-    else:
-        sweeps = default_sweeps(args.n)
-    report = run_oracle(sweeps)
+    spec = default_sweeps(args.n)[0]
+    if args.g_max is not None:
+        spec = dataclasses.replace(spec, g_max=args.g_max)
+    if args.rel_cap is not None:
+        spec = dataclasses.replace(spec, rel_count_cap=args.rel_cap)
+    report = run_oracle([spec])
     out = json.dumps(report.to_json_dict(), indent=2) + "\n"
     if args.out:
         _write_text(args.out, out, args.force)

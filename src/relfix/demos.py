@@ -28,7 +28,6 @@ __all__ = [
     "example2_map",
     "example2_g",
     "example1_run",
-    "example1_g1_violation_witness",
     "example2_run",
     "example2_noncontraction_witness",
     "NoncontractionWitness",
@@ -67,32 +66,20 @@ def validate_point(p: PlanePoint) -> None:
         raise ValueError("plane point coordinates must be finite")
 
 
+def _run(smap: SelfMap, g: GFunctional, start: PlanePoint, n: int) -> IterationTrace:
+    """Exactly n Picard steps from a finite start, certified at alpha = 1/4."""
+    validate_point(start)
+    policy = StoppingPolicy(residual_tol=_NEVER_STOP, max_iterations=n)
+    return iterate(smap, g, first_coord_relation(), start, policy, alpha=0.25)
+
+
 def example1_run(y0: float = 1.0, n: int = 30) -> IterationTrace:
     """Picard trace of scenario 1 from (0, y0), exactly n steps.
 
     Second coordinates follow y0 / 4^k; residuals contract by exactly 1/4
     per step, which the trace certificates reflect (alpha = 0.25).
     """
-    start = PlanePoint(0.0, float(y0))
-    validate_point(start)
-    policy = StoppingPolicy(residual_tol=_NEVER_STOP, max_iterations=n)
-    return iterate(
-        example1_map,
-        example1_g,
-        first_coord_relation(),
-        start,
-        policy,
-        alpha=0.25,
-    )
-
-
-def example1_g1_violation_witness() -> tuple[PlanePoint, PlanePoint]:
-    """Two distinct points the scenario-1 functional cannot tell apart.
-
-    They differ in the first coordinate only, so the functional value is
-    zero although the points are distinct; no metric could do that.
-    """
-    return PlanePoint(1.0, 5.0), PlanePoint(2.0, 5.0)
+    return _run(example1_map, example1_g, PlanePoint(0.0, float(y0)), n)
 
 
 def example2_run(u0: float = 0.0, y0: float = 1.0, n: int = 30) -> IterationTrace:
@@ -103,17 +90,7 @@ def example2_run(u0: float = 0.0, y0: float = 1.0, n: int = 30) -> IterationTrac
     """
     if not abs(u0) < 4.0:
         raise ValueError("first coordinate must satisfy |u0| < 4 (basin of u^2/4)")
-    start = PlanePoint(float(u0), float(y0))
-    validate_point(start)
-    policy = StoppingPolicy(residual_tol=_NEVER_STOP, max_iterations=n)
-    return iterate(
-        example2_map,
-        example2_g,
-        first_coord_relation(),
-        start,
-        policy,
-        alpha=0.25,
-    )
+    return _run(example2_map, example2_g, PlanePoint(float(u0), float(y0)), n)
 
 
 class NoncontractionWitness(NamedTuple):

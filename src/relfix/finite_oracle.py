@@ -30,7 +30,6 @@ silently assuming it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -68,7 +67,6 @@ ALPHA_GRID: tuple[Fraction, ...] = (
     Fraction(1, 2),
     Fraction(3, 4),
 )
-_ALPHA_INT: tuple[tuple[int, int], ...] = ((1, 4), (2, 4), (3, 4))
 
 MAX_GROUND_SIZE = 4
 DEFAULT_G_MAX = 3
@@ -219,12 +217,13 @@ def contraction_alpha(inst: FiniteInstance) -> Optional[Fraction]:
     g = inst.g_matrix
     mapping = inst.mapping
     pairs = inst.rel.sorted_pairs
-    for (num, den), frac in zip(_ALPHA_INT, ALPHA_GRID):
+    for alpha in ALPHA_GRID:
+        num, den = alpha.as_integer_ratio()
         for r, s in pairs:
             if den * abs(g[mapping[r]][mapping[s]]) > num * abs(g[r][s]):
                 break
         else:
-            return frac
+            return alpha
     return None
 
 
@@ -353,7 +352,6 @@ class SweepResult:
         "completeness and continuity treated as automatic on finite carriers "
         "(discrete reading)"
     )
-    elapsed_seconds: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -367,7 +365,6 @@ class SweepResult:
             "uniqueness_violations": self.uniqueness_violations,
             "rejections": dict(self.rejections),
             "completeness_note": self.completeness_note,
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
         }
 
 
@@ -450,7 +447,8 @@ def _classify_pair(
         if t != r and t != u
     ]
     shrinks = [(slot[a], slot[b]) for a, b in zip(img, fwd)]
-    num, den = _ALPHA_INT[-1]  # contraction holds for some grid factor iff for the largest
+    # contraction holds for some grid factor iff for the largest
+    num, den = ALPHA_GRID[-1].as_integer_ratio()
 
     counts = [0] * len(REJECTION_KEYS)  # indexed like REJECTION_KEYS
     passing: set[tuple[int, ...]] = set()
@@ -577,12 +575,10 @@ def run_oracle(sweeps: Sequence[SweepSpec]) -> OracleReport:
     results: list[SweepResult] = []
     for spec in sweeps:
         res = SweepResult(spec=spec)
-        start = time.perf_counter()
         _check_slice(spec.n, spec.g_max, spec.rel_count_cap)
         matrices = (2 * spec.g_max + 1) ** (spec.n * spec.n)
         pairs = _relation_map_pairs(spec.n, spec.rel_count_cap)
         for pair_no, (rel, mapping) in enumerate(pairs):
             _sweep_pair(res, rel, mapping, pair_no * matrices)
-        res.elapsed_seconds = time.perf_counter() - start
         results.append(res)
     return OracleReport(results)

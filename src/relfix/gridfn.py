@@ -18,10 +18,20 @@ __all__ = [
 DEFAULT_INTERVALS = 512
 
 
+def _check_intervals(n_intervals: int, minimum: int) -> None:
+    """The one rule for interval counts: an ``int`` (not a bool) >= minimum."""
+    # a float or bool would pass the bound and fail later inside numpy
+    if not isinstance(n_intervals, int) or isinstance(n_intervals, bool):
+        raise ValueError(f"n_intervals must be an integer, got {n_intervals!r}")
+    if n_intervals < minimum:
+        raise ValueError(f"n_intervals must be >= {minimum}")
+
+
 @dataclass
 class GridFunction:
     """Values on the uniform nodes t_j = j / n_intervals, j = 0..n_intervals.
 
+    ``n_intervals`` is an ``int`` of at least 1 and the values are finite.
     Treated as immutable once built; comparisons and arithmetic go through
     the module functions rather than operator overloads.
     """
@@ -30,8 +40,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n_intervals < 1:
-            raise ValueError("n_intervals must be >= 1")
+        _check_intervals(self.n_intervals, 1)
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.n_intervals + 1,):
             raise ValueError(

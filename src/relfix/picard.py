@@ -86,10 +86,10 @@ def a_priori_bound(alpha: float, g01: float, m: int) -> float:
     contracts by alpha.
     """
     _check_alpha(alpha)
-    if g01 < 0.0:
-        raise ValueError("g01 is an absolute residual, must be >= 0")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    if not (g01 >= 0.0 and math.isfinite(g01)):
+        raise ValueError("g01 is an absolute residual, must be finite and >= 0")
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        raise ValueError("m must be a nonnegative integer")
     return (alpha**m) / (1.0 - alpha) * g01
 
 

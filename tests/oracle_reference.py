@@ -21,7 +21,7 @@ import numpy as np
 
 from relfix import finite_oracle
 from relfix.finite_oracle import (
-    _ALPHA_INT,
+    ALPHA_GRID,
     REJECTION_KEYS,
     FiniteInstance,
     SweepResult,
@@ -123,12 +123,6 @@ def reference_sweep(spec: SweepSpec) -> SweepResult:
     return sweep_instances(SweepResult(spec=spec), instances)
 
 
-def report_without_timing(res: SweepResult) -> dict:
-    doc = res.to_json_dict()
-    del doc["elapsed_seconds"]
-    return doc
-
-
 def place_values(width: int, base: int) -> np.ndarray:
     """``base**(width-1), ..., base, 1``; raises OverflowError past int64."""
     return np.array([base**p for p in range(width - 1, -1, -1)], dtype=np.int64)
@@ -157,7 +151,7 @@ def classify_pair(pat: _Patterns, n: int, g_max: int) -> tuple[list[int], np.nda
 
     distinct = at([cell for cell, (r, s) in zip(fwd, pat.pairs) if r != s])
     fwd, bwd, img, ru, rt, tu = map(at, (fwd, bwd, img, ru, rt, tu))
-    num, den = _ALPHA_INT[-1]
+    num, den = ALPHA_GRID[-1].as_integer_ratio()
 
     counts = np.zeros(len(REJECTION_KEYS), dtype=np.int64)
     passing = [np.zeros(0, dtype=np.int64)]

@@ -303,6 +303,14 @@ class TestOracleCommand:
         assert code == cli.EXIT_OK
         assert doc["total_checked"] == 16 * 4 * 625
 
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_reruns_are_byte_identical(self, capsys, n):
+        outputs = []
+        for _ in range(2):
+            assert cli.run(["oracle", "--n", n]) == cli.EXIT_OK
+            outputs.append(capsys.readouterr().out.encode())
+        assert outputs[0] == outputs[1]
+
     def test_default_sweep_for_four_points(self, capsys):
         code, doc = run_and_parse(capsys, ["oracle", "--n", "4"])
         assert code == cli.EXIT_OK

@@ -5,17 +5,14 @@ import pytest
 from relfix.demos import (
     PlanePoint,
     example1_g,
-    example1_g1_violation_witness,
     example1_map,
     example1_run,
     example2_g,
     example2_map,
     example2_noncontraction_witness,
     example2_run,
-    first_coord_relation,
 )
 from relfix.picard import a_priori_bound
-from relfix.relations import related
 
 
 class TestScenario1:
@@ -51,12 +48,6 @@ class TestScenario1:
         trace = example1_run(8.0, 10)
         for k, point in enumerate(trace.iterates):
             assert point.second == 8.0 * 4.0 ** (-k)
-
-    def test_violation_witness(self):
-        a, b = example1_g1_violation_witness()
-        assert a != b
-        assert example1_g.evaluate(a, b) == 0.0
-        assert not related(first_coord_relation(), a, b)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_start_rejected(self, bad):

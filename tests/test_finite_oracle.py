@@ -12,7 +12,6 @@ import oracle_reference
 from oracle_reference import (
     reference_hypotheses,
     reference_sweep,
-    report_without_timing,
     sweep_instances,
 )
 from relfix import finite_oracle
@@ -379,7 +378,7 @@ REFERENCE_SLICES = [
 @functools.lru_cache(maxsize=None)
 def reference_report(spec):
     """The one-by-one sweep of a slice, computed once per test session."""
-    return report_without_timing(reference_sweep(spec))
+    return reference_sweep(spec).to_json_dict()
 
 
 def relation_of(n, mask):
@@ -399,7 +398,7 @@ def pair_reports(n, g_max, mask, map_no):
     )
     got = SweepResult(spec)
     finite_oracle._sweep_pair(got, rel, mapping, first)
-    return report_without_timing(got), report_without_timing(expected)
+    return got.to_json_dict(), expected.to_json_dict()
 
 
 def structurally_sound(n, mask, mapping):
@@ -410,7 +409,7 @@ def structurally_sound(n, mask, mapping):
 class TestFactoredSweep:
     @pytest.mark.parametrize("spec", REFERENCE_SLICES, ids=str)
     def test_report_equals_the_one_by_one_sweep(self, spec):
-        got = report_without_timing(run_oracle([spec]).sweeps[0])
+        got = run_oracle([spec]).sweeps[0].to_json_dict()
         assert got == reference_report(spec)
 
     @pytest.mark.parametrize("spec", REFERENCE_SLICES, ids=str)
@@ -459,8 +458,8 @@ class TestFactoredSweep:
             lambda inst: real_fixed(inst) * (2 if inst.mapping[0] == 0 else 1),
         )
         spec = SweepSpec(2, 2, None)
-        got = report_without_timing(run_oracle([spec]).sweeps[0])
-        expected = report_without_timing(reference_sweep(spec))
+        got = run_oracle([spec]).sweeps[0].to_json_dict()
+        expected = reference_sweep(spec).to_json_dict()
         assert got["counterexamples"] and got["uniqueness_violations"]
         assert got == expected
         # n = 3 pairs that have satisfying instances, with map[0] == map[2]

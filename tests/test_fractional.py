@@ -71,6 +71,10 @@ class TestGamma:
         expected = float(expected_str)
         assert gamma(x) == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("k", range(1, 24))
+    def test_exact_at_integers(self, k):
+        assert gamma(float(k)) == math.factorial(k - 1)
+
     def test_half_integer(self):
         assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 

@@ -39,6 +39,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GridFunction(0, np.array([1.0]))
 
+    @pytest.mark.parametrize("n", [2.0, True, "2"])
+    def test_non_integer_intervals_rejected(self, n):
+        # value counts that would fit n + 1 if 2.0 and True were taken as numbers
+        with pytest.raises(ValueError, match="n_intervals must be an integer"):
+            GridFunction(n, np.zeros(3 if n == 2.0 else 2))
+
     def test_nodes_and_step(self):
         u = GridFunction.zeros(4)
         assert u.step == 0.25

@@ -112,6 +112,16 @@ class TestAPrioriBound:
         with pytest.raises(ValueError):
             a_priori_bound(0.5, 1.0, -1)
 
+    @pytest.mark.parametrize("g01", [math.nan, math.inf])
+    def test_non_finite_residual_rejected(self, g01):
+        with pytest.raises(ValueError, match="finite"):
+            a_priori_bound(0.5, g01, 2)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, True, "2"])
+    def test_non_integer_index_rejected(self, m):
+        with pytest.raises(ValueError, match="integer"):
+            a_priori_bound(0.5, 1.0, m)
+
 
 class TestTraceCsv:
     def test_format(self):
