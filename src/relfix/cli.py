@@ -7,39 +7,67 @@ data). Exit codes: 0 success, 1 bad input (a malformed flag included), 2
 hypothesis-check failure, 3 oracle found a counterexample. Output files are
 never silently overwritten; pass --force.
 
-Only solve-fde loads numpy: the solver is imported inside its subcommand,
-and the oracle is plain Python, so every other subcommand starts and runs
-without it.
+Each subcommand imports only the engine it runs, when it runs:
+
+- ``oracle`` and ``verify --instance``: ``finite_oracle`` and ``relations``;
+- ``verify --example``, ``iterate --example`` and ``example``: ``demos``,
+  ``gspace``, ``picard`` and ``relations``, and ``svgplot`` for ``--svg``;
+- ``iterate --instance``: ``finite_oracle`` for the instance file, then
+  ``gspace``, ``picard`` and ``relations``, and ``svgplot`` for ``--svg``;
+- ``solve-fde``: ``fractional`` with numpy, ``gridfn``, ``gspace``,
+  ``picard`` and ``relations``, and ``svgplot`` for ``--svg``.
+
+So only solve-fde loads numpy. The engine functions the handlers call
+through this module (``_ENGINE_NAMES``) stay attributes of it: each
+resolves on first access (PEP 562), and the handlers read it here on every
+call, so a rebinding, such as a test's monkeypatch or the traced benchmark
+pass, takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import importlib
 import json
 import sys
 from pathlib import Path
-from typing import NoReturn, Optional, Sequence
+from typing import TYPE_CHECKING, Any, NoReturn, Optional, Sequence
 
-from . import demos
-from .finite_oracle import (
-    FiniteInstance,
-    conclusion_holds,
-    default_sweeps,
-    hypotheses_hold,
-    run_oracle,
-)
-from .gspace import (
-    GFunctional,
-    SelfMap,
-    estimate_contraction_factor,
-    related_pairs,
-    relation_pattern_report,
-    verify_g_properties,
-)
-from .picard import StoppingPolicy, iterate, trace_to_csv
-from .relations import related
-from .svgplot import render_residual_plot
+if TYPE_CHECKING:
+    from .finite_oracle import FiniteInstance
+    from .gspace import GFunctional, SelfMap
+    from .picard import IterationTrace
+
+# the engine functions the handlers call as attributes of this module, each
+# with the module that defines it
+_ENGINE_NAMES = {
+    "hypotheses_hold": "finite_oracle",
+    "conclusion_holds": "finite_oracle",
+    "run_oracle": "finite_oracle",
+    "verify_g_properties": "gspace",
+    "relation_pattern_report": "gspace",
+    "estimate_contraction_factor": "gspace",
+    "iterate": "picard",
+    "render_residual_plot": "svgplot",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _ENGINE_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    # bind the engine's own function, as an import at start-up would have: a
+    # wrapper put on the engine module since (it carries __wrapped__, as
+    # functools.wraps sets) intercepts the engine's own calls, not the CLI's
+    while hasattr(value, "__wrapped__"):
+        value = value.__wrapped__
+    globals()[name] = value
+    return value
+
+
+# this module; its attribute reads fall back to __getattr__
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS_FAILURE = 2
@@ -54,34 +82,27 @@ def _write_text(path: str, text: str, force: bool) -> None:
 
 
 def _load_instance(path: str) -> FiniteInstance:
+    from .finite_oracle import FiniteInstance
+
     return FiniteInstance.from_json_dict(json.loads(Path(path).read_text()))
 
 
 def _scenario(which: int) -> tuple[GFunctional, SelfMap]:
+    from . import demos
+
     if which == 1:
         return demos.example1_g, demos.example1_map
     return demos.example2_g, demos.example2_map
 
 
-def _plane_samples() -> list[demos.PlanePoint]:
-    # deterministic probe set: a few columns of the plane, mixed heights;
-    # includes the degenerate pair (1,5)/(2,5)
-    pts = [
-        demos.PlanePoint(float(a), float(v))
-        for a in (0.0, 1.0, 2.0)
-        for v in (0.0, 0.25, 1.0, 5.0)
-    ]
-    return pts
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.instance is not None:
         inst = _load_instance(args.instance)
-        ok, reason = hypotheses_hold(inst)
+        ok, reason = _cli.hypotheses_hold(inst)
         doc = {
             "hypotheses_hold": ok,
             "reason": reason,
-            "conclusion_holds": conclusion_holds(inst) if ok else None,
+            "conclusion_holds": _cli.conclusion_holds(inst) if ok else None,
         }
         out = json.dumps(doc, indent=2) + "\n"
         if args.out:
@@ -89,14 +110,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         sys.stdout.write(out)
         return EXIT_OK if ok else EXIT_HYPOTHESIS_FAILURE
 
+    from . import demos
+    from .gspace import related_pairs
+    from .relations import related
+
     which = args.example
     rel = demos.first_coord_relation()
     g, smap = _scenario(which)
-    samples = _plane_samples()
-    report = verify_g_properties(g, rel, samples, tol=args.tol)
-    pattern = relation_pattern_report(g, rel, samples, tol=args.tol)
+    # deterministic probe set: a few columns of the plane, mixed heights;
+    # includes the degenerate pair (1,5)/(2,5)
+    samples = [
+        demos.PlanePoint(float(a), float(v))
+        for a in (0.0, 1.0, 2.0)
+        for v in (0.0, 0.25, 1.0, 5.0)
+    ]
+    report = _cli.verify_g_properties(g, rel, samples, tol=args.tol)
+    pattern = _cli.relation_pattern_report(g, rel, samples, tol=args.tol)
     pairs = related_pairs(rel, samples)
-    contraction = estimate_contraction_factor(g, smap, rel, pairs)
+    contraction = _cli.estimate_contraction_factor(g, smap, rel, pairs)
     seed_point = demos.PlanePoint(0.0, 1.0)
     seed_ok = related(rel, seed_point, smap.apply(seed_point))
     hypotheses_pass = pattern.passed and contraction.factor < 1.0 and seed_ok
@@ -121,14 +152,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if hypotheses_pass else EXIT_HYPOTHESIS_FAILURE
 
 
-def _emit_trace(trace, args: argparse.Namespace, title: str) -> None:
+def _emit_trace(trace: IterationTrace, args: argparse.Namespace, title: str) -> None:
+    from .picard import trace_to_csv
+
     if args.out:
         _write_text(args.out, trace_to_csv(trace), args.force)
     if args.svg:
-        _write_text(args.svg, render_residual_plot(trace.residuals, title), args.force)
+        plot = _cli.render_residual_plot(trace.residuals, title)
+        _write_text(args.svg, plot, args.force)
 
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
+    from .gspace import GFunctional, SelfMap
+    from .picard import StoppingPolicy
+
     policy = StoppingPolicy(residual_tol=args.tol, max_iterations=args.max_iter)
     if args.instance is not None:
         inst = _load_instance(args.instance)
@@ -136,8 +173,10 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
             raise ValueError(f"--r0 must be a ground index below {inst.n}")
         g = GFunctional(lambda i, j: float(inst.g_matrix[i][j]))
         smap = SelfMap(lambda i: inst.mapping[i])
-        trace = iterate(smap, g, inst.rel, args.r0, policy)
+        trace = _cli.iterate(smap, g, inst.rel, args.r0, policy)
     else:
+        from . import demos
+
         start = [float(v) for v in args.r0_point.split(",")]
         if len(start) != 2:
             raise ValueError("--r0-point needs two comma-separated coordinates")
@@ -145,7 +184,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         demos.validate_point(point)
         g, smap = _scenario(args.example)
         rel = demos.first_coord_relation()
-        trace = iterate(smap, g, rel, point, policy)
+        trace = _cli.iterate(smap, g, rel, point, policy)
     _emit_trace(trace, args, "picard residuals")
     summary = {
         "steps": trace.steps,
@@ -161,6 +200,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
 def _cmd_solve_fde(args: argparse.Namespace) -> int:
     from . import fractional
     from .gridfn import grid_to_csv
+    from .picard import StoppingPolicy, trace_to_csv
 
     policy = StoppingPolicy(residual_tol=args.tol, max_iterations=args.max_iter)
     variant = "alpha_plus_one" if args.gamma_variant == "alpha" else "zeta_plus_one"
@@ -175,7 +215,7 @@ def _cmd_solve_fde(args: argparse.Namespace) -> int:
     if args.svg:
         _write_text(
             args.svg,
-            render_residual_plot(trace.residuals, "solver residuals (sup norm)"),
+            _cli.render_residual_plot(trace.residuals, "solver residuals (sup norm)"),
             args.force,
         )
     r1, r2 = fractional.boundary_residuals(solution)
@@ -194,12 +234,14 @@ def _cmd_solve_fde(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .finite_oracle import default_sweeps
+
     spec = default_sweeps(args.n)[0]
     if args.g_max is not None:
-        spec = dataclasses.replace(spec, g_max=args.g_max)
+        spec = spec._replace(g_max=args.g_max)
     if args.rel_cap is not None:
-        spec = dataclasses.replace(spec, rel_count_cap=args.rel_cap)
-    report = run_oracle([spec])
+        spec = spec._replace(rel_count_cap=args.rel_cap)
+    report = _cli.run_oracle([spec])
     out = json.dumps(report.to_json_dict(), indent=2) + "\n"
     if args.out:
         _write_text(args.out, out, args.force)
@@ -210,6 +252,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
+    from . import demos
+
     if args.which == 1:
         trace = demos.example1_run(y0=args.y0, n=args.n)
         title = "scenario 1 residuals"
@@ -306,6 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flags that take no value; a config gives them as true or false
+_SWITCHES = ("--force",)
+
+
 def _argv_from_config(path: str) -> list[str]:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
@@ -317,6 +365,10 @@ def _argv_from_config(path: str) -> list[str]:
         if key == "subcommand":
             continue
         flag = "--" + key.replace("_", "-")
+        if value is None:
+            raise ValueError(f"config value for {key!r} is null; leave the key out")
+        if flag in _SWITCHES and not isinstance(value, bool):
+            raise ValueError(f"config value for {key!r} must be true or false, got {value!r}")
         if isinstance(value, bool):
             if value:
                 argv.append(flag)

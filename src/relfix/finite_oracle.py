@@ -30,11 +30,11 @@ silently assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, NamedTuple, Optional, Sequence
 
+from ._records import Record
 from .relations import (
     FiniteRelation,
     closed_under,
@@ -78,26 +78,29 @@ REJECTION_KEYS: tuple[str, ...] = (
 )
 
 
-@dataclass(slots=True)
-class FiniteInstance:
+class FiniteInstance(Record):
     """One model-check instance; treated as immutable once enumerated."""
 
-    n: int
-    g_matrix: tuple[tuple[int, ...], ...]
-    rel: FiniteRelation
-    mapping: tuple[int, ...]
-    alpha: Optional[Fraction] = None
-    index: int = -1
+    __slots__ = _fields = ("n", "g_matrix", "rel", "mapping", "alpha", "index")
+
+    def __init__(
+        self,
+        n: int,
+        g_matrix: tuple[tuple[int, ...], ...],
+        rel: FiniteRelation,
+        mapping: tuple[int, ...],
+        alpha: Optional[Fraction] = None,
+        index: int = -1,
+    ) -> None:
+        self.n = n
+        self.g_matrix = g_matrix
+        self.rel = rel
+        self.mapping = mapping
+        self.alpha = alpha
+        self.index = index
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "n": self.n,
-            "pairs": [list(p) for p in self.rel.sorted_pairs],
-            "map": list(self.mapping),
-            "g": [list(row) for row in self.g_matrix],
-            "alpha": None if self.alpha is None else str(self.alpha),
-        }
+        return _instance_json(self, _pair_json(self.rel, self.mapping))
 
     @classmethod
     def from_json_dict(cls, doc: object) -> "FiniteInstance":
@@ -153,6 +156,24 @@ def _json_ints(value: object, length: int, what: str) -> list[int]:
     if len(items) != length:
         raise ValueError(f"{what} must list {length} integers, got {len(items)}")
     return [_json_int(v, f"{what} entry") for v in items]
+
+
+def _pair_json(rel: FiniteRelation, mapping: tuple[int, ...]) -> dict:
+    """The ``pairs`` and ``map`` fields of an instance's JSON: the part every
+    instance of one (relation, map) pair shares, built once per pair by the
+    sweep, so its listed documents share these two lists."""
+    return {"pairs": [list(p) for p in rel.sorted_pairs], "map": list(mapping)}
+
+
+def _instance_json(inst: FiniteInstance, pair_json: dict) -> dict:
+    """:meth:`FiniteInstance.to_json_dict` given its pair's ``_pair_json``."""
+    return {
+        "index": inst.index,
+        "n": inst.n,
+        **pair_json,
+        "g": [list(row) for row in inst.g_matrix],
+        "alpha": None if inst.alpha is None else str(inst.alpha),
+    }
 
 
 def _check_slice(n: int, g_max: int, rel_count_cap: Optional[int]) -> None:
@@ -328,8 +349,7 @@ def image_symmetric_connected(inst: FiniteInstance) -> bool:
     return is_connected(symmetric_closure(inst.rel), set(inst.mapping))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     """One enumeration slice: carrier size, entry bound, relation cap."""
 
     n: int
@@ -337,21 +357,49 @@ class SweepSpec:
     rel_count_cap: Optional[int] = None
 
 
-@dataclass
-class SweepResult:
-    spec: SweepSpec
-    instances_checked: int = 0
-    hypotheses_satisfied: int = 0
-    counterexamples: list[dict] = field(default_factory=list)
-    uniqueness_candidates: int = 0
-    uniqueness_violations: list[dict] = field(default_factory=list)
-    rejections: dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(REJECTION_KEYS, 0)
+_COMPLETENESS_NOTE = (
+    "completeness and continuity treated as automatic on finite carriers "
+    "(discrete reading)"
+)
+
+
+class SweepResult(Record):
+    """Tallies of one slice; ``run_oracle`` fills them pair by pair."""
+
+    __slots__ = _fields = (
+        "spec",
+        "instances_checked",
+        "hypotheses_satisfied",
+        "counterexamples",
+        "uniqueness_candidates",
+        "uniqueness_violations",
+        "rejections",
+        "completeness_note",
     )
-    completeness_note: str = (
-        "completeness and continuity treated as automatic on finite carriers "
-        "(discrete reading)"
-    )
+
+    def __init__(
+        self,
+        spec: SweepSpec,
+        instances_checked: int = 0,
+        hypotheses_satisfied: int = 0,
+        counterexamples: Optional[list[dict]] = None,
+        uniqueness_candidates: int = 0,
+        uniqueness_violations: Optional[list[dict]] = None,
+        rejections: Optional[dict[str, int]] = None,
+        completeness_note: str = _COMPLETENESS_NOTE,
+    ) -> None:
+        self.spec = spec
+        self.instances_checked = instances_checked
+        self.hypotheses_satisfied = hypotheses_satisfied
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.uniqueness_candidates = uniqueness_candidates
+        self.uniqueness_violations = (
+            [] if uniqueness_violations is None else uniqueness_violations
+        )
+        self.rejections = (
+            dict.fromkeys(REJECTION_KEYS, 0) if rejections is None else rejections
+        )
+        self.completeness_note = completeness_note
 
     def to_json_dict(self) -> dict:
         return {
@@ -368,9 +416,11 @@ class SweepResult:
         }
 
 
-@dataclass
-class OracleReport:
-    sweeps: list[SweepResult]
+class OracleReport(Record):
+    __slots__ = _fields = ("sweeps",)
+
+    def __init__(self, sweeps: list[SweepResult]) -> None:
+        self.sweeps = sweeps
 
     @property
     def total_checked(self) -> int:
@@ -546,15 +596,17 @@ def _sweep_pair(
         res.uniqueness_candidates += satisfied
     if satisfied == 0 or (concludes and unique):
         return
+    pair_json = _pair_json(rel, mapping)
     for inst in _materialise(rel, mapping, g_max, cells, passing, first_index):
         # re-check each listed instance on the pair's one table
         ok, reason, inst.alpha = _check_hypotheses(pat, inst)
         if not ok:
             raise RuntimeError(f"instance {inst.index} misclassified: {reason}")
+        doc = _instance_json(inst, pair_json)
         if not concludes:
-            res.counterexamples.append({**inst.to_json_dict(), "reason": reason})
+            res.counterexamples.append({**doc, "reason": reason})
         if not unique:
-            res.uniqueness_violations.append({**inst.to_json_dict(), "fixed_points": fixed})
+            res.uniqueness_violations.append({**doc, "fixed_points": fixed})
 
 
 def run_oracle(sweeps: Sequence[SweepSpec]) -> OracleReport:

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._records import FrozenRecord
 from .gridfn import GridFunction, _check_intervals, interpolate, pointwise_leq, sup_diff
 from .gspace import GFunctional, SelfMap
 from .picard import IterationTrace, StoppingPolicy, iterate
@@ -82,8 +81,7 @@ def _stable_power_diff(ms: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class QuadratureWeights:
+class QuadratureWeights(FrozenRecord):
     """Product-trapezoid weights for the order-zeta integral on a uniform grid.
 
     For target node i >= 1 the weight of node 0 is ``start[i - 1]`` and the
@@ -92,13 +90,21 @@ class QuadratureWeights:
     start[i - 1] + band[0] + ... + band[i - 1] = t_i^zeta / Gamma(zeta + 1).
     ``band_spectrum`` is the real FFT of ``band`` zero-padded to length 2N,
     the half of the convolution that does not depend on the input.
+    Immutable; the fields live in the instance ``__dict__`` (no
+    ``__slots__``), so ``vars()`` lists the arrays.
     """
 
-    zeta: float
-    n_intervals: int
-    start: np.ndarray
-    band: np.ndarray
-    band_spectrum: np.ndarray
+    _fields = ("zeta", "n_intervals", "start", "band", "band_spectrum")
+
+    def __init__(
+        self,
+        zeta: float,
+        n_intervals: int,
+        start: np.ndarray,
+        band: np.ndarray,
+        band_spectrum: np.ndarray,
+    ) -> None:
+        super().__init__(zeta, n_intervals, start, band, band_spectrum)
 
     @property
     def step(self) -> float:
@@ -159,8 +165,7 @@ def _trapezoid(values: np.ndarray, h: float) -> float:
     return float(h * (0.5 * values[0] + values[1:-1].sum() + 0.5 * values[-1]))
 
 
-@dataclass(frozen=True)
-class FdeProblem:
+class FdeProblem(FrozenRecord):
     """A fractional-order two-point problem and its solver configuration.
 
     ``rhs(t, u)`` is the driving term, evaluated elementwise on whole
@@ -181,30 +186,42 @@ class FdeProblem:
     use and kept as ``weights`` and ``nodes``.
     """
 
-    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    zeta: float = 0.9
-    n_intervals: int = 512
-    policy: StoppingPolicy = StoppingPolicy()
-    lipschitz_alpha: float = 0.5
-    gamma_variant: str = "zeta_plus_one"
+    _fields = ("rhs", "zeta", "n_intervals", "policy", "lipschitz_alpha", "gamma_variant")
+    __slots__ = (*_fields, "_weights", "_nodes")
 
-    def __post_init__(self) -> None:
-        _check_zeta(self.zeta)
-        _check_intervals(self.n_intervals, 8)
-        if not (0.0 < self.lipschitz_alpha < 1.0):
+    def __init__(
+        self,
+        rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        zeta: float = 0.9,
+        n_intervals: int = 512,
+        policy: StoppingPolicy = StoppingPolicy(),
+        lipschitz_alpha: float = 0.5,
+        gamma_variant: str = "zeta_plus_one",
+    ) -> None:
+        _check_zeta(zeta)
+        _check_intervals(n_intervals, 8)
+        if not (0.0 < lipschitz_alpha < 1.0):
             raise ValueError("lipschitz_alpha must lie in (0, 1)")
-        if self.gamma_variant not in GAMMA_VARIANTS:
+        if gamma_variant not in GAMMA_VARIANTS:
             raise ValueError(f"gamma_variant must be one of {GAMMA_VARIANTS}")
+        super().__init__(rhs, zeta, n_intervals, policy, lipschitz_alpha, gamma_variant)
+        object.__setattr__(self, "_weights", None)
+        object.__setattr__(self, "_nodes", None)
 
-    @cached_property
+    @property
     def weights(self) -> QuadratureWeights:
-        return quadrature_weights(self.zeta, self.n_intervals)
+        if self._weights is None:
+            w = quadrature_weights(self.zeta, self.n_intervals)
+            object.__setattr__(self, "_weights", w)
+        return self._weights
 
-    @cached_property
+    @property
     def nodes(self) -> np.ndarray:
-        nodes = np.arange(self.n_intervals + 1) / self.n_intervals
-        nodes.flags.writeable = False  # every step shares it with the rhs
-        return nodes
+        if self._nodes is None:
+            nodes = np.arange(self.n_intervals + 1) / self.n_intervals
+            nodes.flags.writeable = False  # every step shares it with the rhs
+            object.__setattr__(self, "_nodes", nodes)
+        return self._nodes
 
     @property
     def regime_note(self) -> str:
@@ -220,8 +237,7 @@ def lipschitz_bound(prob: FdeProblem) -> float:
     return a * gamma(order + 1.0) / 4.0
 
 
-@dataclass(frozen=True)
-class LipschitzReport:
+class LipschitzReport(NamedTuple):
     """Outcome of sampling the rhs Lipschitz condition.
 
     ``margin = bound - worst_ratio``; nonnegative margin means every sampled

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from ._records import Record
 
 __all__ = [
     "GridFunction",
@@ -27,8 +28,7 @@ def _check_intervals(n_intervals: int, minimum: int) -> None:
         raise ValueError(f"n_intervals must be >= {minimum}")
 
 
-@dataclass
-class GridFunction:
+class GridFunction(Record):
     """Values on the uniform nodes t_j = j / n_intervals, j = 0..n_intervals.
 
     ``n_intervals`` is an ``int`` of at least 1 and the values are finite.
@@ -36,18 +36,16 @@ class GridFunction:
     the module functions rather than operator overloads.
     """
 
-    n_intervals: int
-    values: np.ndarray
+    __slots__ = _fields = ("n_intervals", "values")
 
-    def __post_init__(self) -> None:
-        _check_intervals(self.n_intervals, 1)
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.n_intervals + 1,):
-            raise ValueError(
-                f"need {self.n_intervals + 1} node values, got shape {vals.shape}"
-            )
+    def __init__(self, n_intervals: int, values: np.ndarray) -> None:
+        _check_intervals(n_intervals, 1)
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != (n_intervals + 1,):
+            raise ValueError(f"need {n_intervals + 1} node values, got shape {vals.shape}")
         if not np.isfinite(vals).all():
             raise ValueError("node values must be finite")
+        self.n_intervals = n_intervals
         self.values = vals
 
     @property
@@ -67,6 +65,7 @@ class GridFunction:
 
     @classmethod
     def zeros(cls, n_intervals: int = DEFAULT_INTERVALS) -> "GridFunction":
+        _check_intervals(n_intervals, 1)
         return cls(n_intervals, np.zeros(n_intervals + 1))
 
     def __eq__(self, other: object) -> bool:
@@ -75,8 +74,6 @@ class GridFunction:
         return self.n_intervals == other.n_intervals and np.array_equal(
             self.values, other.values
         )
-
-    __hash__ = None  # mutable ndarray payload
 
 
 def _check_same_grid(u: GridFunction, v: GridFunction) -> None:

@@ -11,9 +11,9 @@ a concrete witness instead of a bare boolean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from ._records import FrozenRecord, Record
 from .relations import FiniteRelation, RelationView, related
 
 __all__ = [
@@ -30,8 +30,7 @@ __all__ = [
 _MODES = ("global", "relation_restricted")
 
 
-@dataclass(frozen=True)
-class GFunctional:
+class GFunctional(FrozenRecord):
     """Pairwise functional with a declared domain for its axioms.
 
     ``declared_domain_mode`` records whether the vanishing, absolute-symmetry
@@ -39,16 +38,17 @@ class GFunctional:
     relation-constrained ones ("relation_restricted").
     """
 
-    evaluate: Callable[[Any, Any], float]
-    declared_domain_mode: str = "global"
+    __slots__ = _fields = ("evaluate", "declared_domain_mode")
 
-    def __post_init__(self) -> None:
-        if self.declared_domain_mode not in _MODES:
+    def __init__(
+        self, evaluate: Callable[[Any, Any], float], declared_domain_mode: str = "global"
+    ) -> None:
+        if declared_domain_mode not in _MODES:
             raise ValueError(f"declared_domain_mode must be one of {_MODES}")
+        super().__init__(evaluate, declared_domain_mode)
 
 
-@dataclass(frozen=True)
-class SelfMap:
+class SelfMap(NamedTuple):
     """A self-map of the carrier."""
 
     apply: Callable[[Any], Any]
@@ -65,18 +65,26 @@ def _json_safe(x: Any) -> Any:
     return str(x)
 
 
-@dataclass
-class PropertyReport:
+class PropertyReport(Record):
     """Outcome of a g-functional property scan.
 
     Each witness field is None when the property held on every pattern
     scanned, otherwise it is the first violating pair/triple in scan order.
     """
 
-    g1_witness: Optional[tuple[Any, Any]]
-    g2_witness: Optional[tuple[Any, Any]]
-    g3_witness: Optional[tuple[Any, Any, Any]]
-    samples_checked: int
+    __slots__ = _fields = ("g1_witness", "g2_witness", "g3_witness", "samples_checked")
+
+    def __init__(
+        self,
+        g1_witness: Optional[tuple[Any, Any]],
+        g2_witness: Optional[tuple[Any, Any]],
+        g3_witness: Optional[tuple[Any, Any, Any]],
+        samples_checked: int,
+    ) -> None:
+        self.g1_witness = g1_witness
+        self.g2_witness = g2_witness
+        self.g3_witness = g3_witness
+        self.samples_checked = samples_checked
 
     @property
     def passed(self) -> bool:
@@ -212,8 +220,7 @@ def relation_pattern_report(
     return PropertyReport(*_scan(g, pairs, _triples(samples, rel), tol), len(samples))
 
 
-@dataclass(frozen=True)
-class ContractionEstimate:
+class ContractionEstimate(NamedTuple):
     """Largest observed ratio |g(S a, S b)| / |g(a, b)| and where it occurred."""
 
     factor: float

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Any, Optional
 
+from ._records import FrozenRecord, Record
 from .gspace import GFunctional, SelfMap
 from .relations import FiniteRelation, RelationView, is_preserving_sequence, related
 
@@ -25,15 +25,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StoppingPolicy:
+class StoppingPolicy(FrozenRecord):
     """When to stop iterating: residual threshold or step budget."""
 
-    residual_tol: float = 1e-12
-    max_iterations: int = 1000
+    __slots__ = _fields = ("residual_tol", "max_iterations")
 
-    def __post_init__(self) -> None:
-        tol = self.residual_tol
+    def __init__(self, residual_tol: float = 1e-12, max_iterations: int = 1000) -> None:
+        tol = residual_tol
         # a bool would compare as 0 or 1; a string would fail the comparison
         if (
             not isinstance(tol, numbers.Real)
@@ -41,13 +39,13 @@ class StoppingPolicy:
             or not (tol > 0.0 and math.isfinite(tol))
         ):
             raise ValueError("residual_tol must be positive and finite")
-        steps = self.max_iterations
+        steps = max_iterations
         if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
             raise ValueError("max_iterations must be a positive integer")
+        super().__init__(residual_tol, max_iterations)
 
 
-@dataclass
-class IterationTrace:
+class IterationTrace(Record):
     """Record of one Picard run.
 
     ``residuals[k]`` is |g(iterates[k], iterates[k+1])|, so there is one
@@ -57,13 +55,33 @@ class IterationTrace:
     a-priori bound on |g(r_m, r_n)| for every n > m.
     """
 
-    iterates: list[Any]
-    residuals: list[float]
-    alpha_used: Optional[float]
-    preserved: bool
-    converged: bool
-    certified: bool
-    bound_certificates: Optional[list[float]] = None
+    __slots__ = _fields = (
+        "iterates",
+        "residuals",
+        "alpha_used",
+        "preserved",
+        "converged",
+        "certified",
+        "bound_certificates",
+    )
+
+    def __init__(
+        self,
+        iterates: list[Any],
+        residuals: list[float],
+        alpha_used: Optional[float],
+        preserved: bool,
+        converged: bool,
+        certified: bool,
+        bound_certificates: Optional[list[float]] = None,
+    ) -> None:
+        self.iterates = iterates
+        self.residuals = residuals
+        self.alpha_used = alpha_used
+        self.preserved = preserved
+        self.converged = converged
+        self.certified = certified
+        self.bound_certificates = bound_certificates
 
     @property
     def fixed_point(self) -> Any:

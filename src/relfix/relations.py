@@ -10,8 +10,9 @@ instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+
+from ._records import FrozenRecord
 
 __all__ = [
     "FiniteRelation",
@@ -26,25 +27,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteRelation:
-    """Explicit binary relation on the ground set ``{0, ..., ground_size-1}``."""
+class FiniteRelation(FrozenRecord):
+    """Explicit binary relation on the ground set ``{0, ..., ground_size-1}``.
 
-    ground_size: int
-    pairs: frozenset[tuple[int, int]]
+    Immutable; ``==`` and the hash read ``ground_size`` and ``pairs`` only.
+    """
+
+    _fields = ("ground_size", "pairs")
     # sorted copy, shared by every scan so violation reports are deterministic
-    sorted_pairs: tuple[tuple[int, int], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = (*_fields, "sorted_pairs")
 
-    def __post_init__(self) -> None:
-        if self.ground_size < 0:
+    def __init__(self, ground_size: int, pairs: frozenset[tuple[int, int]]) -> None:
+        if ground_size < 0:
             raise ValueError("ground_size must be nonnegative")
-        pairs = frozenset((int(r), int(s)) for r, s in self.pairs)
+        pairs = frozenset((int(r), int(s)) for r, s in pairs)
         for r, s in pairs:
-            if not (0 <= r < self.ground_size and 0 <= s < self.ground_size):
+            if not (0 <= r < ground_size and 0 <= s < ground_size):
                 raise ValueError(f"pair {(r, s)} outside ground set")
-        object.__setattr__(self, "pairs", pairs)
+        super().__init__(ground_size, pairs)
         object.__setattr__(self, "sorted_pairs", tuple(sorted(pairs)))
 
     @classmethod
@@ -57,8 +57,7 @@ class FiniteRelation:
         return pair in self.pairs
 
 
-@dataclass(frozen=True)
-class RelationView:
+class RelationView(NamedTuple):
     """Relation on an abstract carrier, given as a comparability predicate."""
 
     comparability_test: Callable[[Any, Any], bool]

@@ -372,10 +372,67 @@ class TestConfigMirror:
         assert code == 1
         assert capsys.readouterr().err == "error: config must be a JSON object\n"
 
+    def test_null_value_is_rejected(self, tmp_path, capsys, monkeypatch):
+        # a null used to reach argparse as the string "None": exit 0 and a
+        # report written to a file named None
+        monkeypatch.chdir(tmp_path)
+        config = {"subcommand": "oracle", "n": 2, "out": None}
+        code = cli.run(["--config", write_json(tmp_path / "c.json", config)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: config value for 'out' is null; leave the key out\n"
+        assert not (tmp_path / "None").exists()
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, [True]])
+    def test_switch_needs_a_bool(self, tmp_path, capsys, value):
+        config = {"subcommand": "verify", "example": 1, "force": value}
+        code = cli.run(["--config", write_json(tmp_path / "c.json", config)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines == [
+            f"error: config value for 'force' must be true or false, got {value!r}"
+        ]
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_switch_as_bool_still_works(self, tmp_path, capsys, value):
+        config = {"subcommand": "verify", "example": 1, "force": value}
+        assert cli.run(["--config", write_json(tmp_path / "c.json", config)]) == 0
+        capsys.readouterr()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.run(["--config", str(tmp_path / "nope.json")])
         assert code == 1
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("hypotheses_hold", ["verify", "--instance", "{instance}"]),
+        ("conclusion_holds", ["verify", "--instance", "{instance}"]),
+        ("run_oracle", ["oracle", "--n", "2"]),
+        ("verify_g_properties", ["verify", "--example", "1"]),
+        ("relation_pattern_report", ["verify", "--example", "1"]),
+        ("estimate_contraction_factor", ["verify", "--example", "2"]),
+        ("iterate", ["iterate", "--instance", "{instance}"]),
+        ("iterate", ["iterate", "--example", "2"]),
+        ("render_residual_plot", ["example", "--which", "1", "--svg", "{tmp}/p.svg"]),
+    ],
+)
+def test_handlers_call_engine_names_through_the_module(name, argv, tmp_path, capsys, monkeypatch):
+    # engines are imported lazily, so a handler must read these names from
+    # the cli module at call time for a rebinding (the traced pass) to count
+    def stub(*args, **kwargs):
+        raise ValueError(f"stub {name}")
+
+    monkeypatch.setattr(cli, name, stub)
+    instance = write_json(tmp_path / "instance.json", GOOD_INSTANCE)
+    code = cli.run([a.format(instance=instance, tmp=tmp_path) for a in argv])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: stub {name}\n"
 
 
 class TestTopLevel:

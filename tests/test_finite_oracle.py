@@ -621,3 +621,33 @@ def test_listed_instances_are_rechecked(monkeypatch):
     monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda inst: False)
     with pytest.raises(RuntimeError, match=r"misclassified: \(g1\) fails"):
         finite_oracle._sweep_pair(SweepResult(SweepSpec(n, g_max, None)), rel, (0, 0), 0)
+
+
+def test_listed_instances_serialise_like_to_json_dict(monkeypatch):
+    # the sweep builds each pair's "pairs" and "map" once; every listed
+    # document must still be byte-identical to the instance's own JSON
+    n, g_max = 3, 1
+    rel = FiniteRelation(n, frozenset({(0, 1), (1, 0), (2, 0), (0, 0)}))
+    mapping = (0, 0, 0)
+    monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda inst: False)
+    monkeypatch.setattr(finite_oracle, "image_symmetric_connected", lambda inst: True)
+    monkeypatch.setattr(finite_oracle, "fixed_points", lambda inst: [0, 2])
+    res = SweepResult(SweepSpec(n, g_max, None))
+    finite_oracle._sweep_pair(res, rel, mapping, 5 * 3 ** (n * n))
+    assert res.counterexamples and len(res.counterexamples) == len(res.uniqueness_violations)
+    for listed, violation in zip(res.counterexamples, res.uniqueness_violations):
+        g = tuple(tuple(row) for row in listed["g"])
+        inst = FiniteInstance(n, g, rel, mapping, Fraction(listed["alpha"]), listed["index"])
+        ok, reason = hypotheses_hold(inst)
+        assert ok
+        own = {
+            "index": inst.index,
+            "n": n,
+            "pairs": [[0, 0], [0, 1], [1, 0], [2, 0]],
+            "map": [0, 0, 0],
+            "g": [list(row) for row in g],
+            "alpha": str(inst.alpha),
+        }
+        assert json.dumps(inst.to_json_dict()) == json.dumps(own)
+        assert json.dumps(listed) == json.dumps({**own, "reason": reason})
+        assert json.dumps(violation) == json.dumps({**own, "fixed_points": [0, 2]})

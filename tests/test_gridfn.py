@@ -45,6 +45,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="n_intervals must be an integer"):
             GridFunction(n, np.zeros(3 if n == 2.0 else 2))
 
+    @pytest.mark.parametrize("n", [2.0, True, "2", 0])
+    def test_zeros_checks_the_interval_count_first(self, n):
+        # numpy would take True and raise its own TypeError on 2.0 and "2"
+        with pytest.raises(ValueError, match="n_intervals must be"):
+            GridFunction.zeros(n)
+
     def test_nodes_and_step(self):
         u = GridFunction.zeros(4)
         assert u.step == 0.25

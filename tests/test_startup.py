@@ -1,9 +1,10 @@
-"""Start-up cost: numpy loads only for the command that computes with it.
+"""Start-up cost: each command loads only the modules it computes with.
 
-``import relfix`` resolves its exports lazily, the CLI imports the solver
-inside ``solve-fde``, and the oracle is plain Python, so every other
-subcommand runs without numpy. Whether numpy is loaded is a property of a
-fresh interpreter, so the checks run in subprocesses.
+``import relfix`` resolves its exports lazily, the CLI imports each
+subcommand's engine inside its handler, and the oracle is plain Python, so
+only ``solve-fde`` loads numpy, no command loads ``dataclasses``, and the
+finite and plane engines do not load each other. What is loaded is a
+property of a fresh interpreter, so the checks run in subprocesses.
 """
 
 import json
@@ -35,8 +36,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = relfix.cli.run(json.loads(sys.argv[1]))
 stages["exit"] = code
 stages["run"] = "numpy" in sys.modules
+stages["dataclasses"] = "dataclasses" in sys.modules
+stages["modules"] = sorted(m for m in sys.modules if m.startswith("relfix."))
 print(json.dumps(stages))
 """
+
+PLANE_ENGINE = {"relfix.demos", "relfix.gspace", "relfix.picard", "relfix.svgplot"}
 
 
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -93,6 +98,38 @@ def test_numeric_commands_load_numpy_when_run(argv):
     assert stages["exit"] == 0
     assert not stages["import relfix.cli"]
     assert stages["run"]
+
+
+# (command, relfix modules it must not load)
+ENGINE_CASES = [
+    (["oracle", "--n", "2"], PLANE_ENGINE),
+    (["verify", "--instance", "{instance}"], PLANE_ENGINE),
+    (["verify", "--example", "1"], {"relfix.finite_oracle"}),
+    (["iterate", "--example", "2"], {"relfix.finite_oracle"}),
+    (["example", "--which", "1", "--svg", "{tmp}/plot.svg"], {"relfix.finite_oracle"}),
+    (["iterate", "--instance", "{instance}"], set()),
+    (["solve-fde", "--grid", "16"], {"relfix.finite_oracle", "relfix.demos"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, absent", ENGINE_CASES, ids=[" ".join(argv) for argv, _ in ENGINE_CASES]
+)
+def test_each_command_loads_only_its_engine(argv, absent, tmp_path, instance_file):
+    argv = [a.format(tmp=tmp_path, instance=instance_file) for a in argv]
+    stages = _stages(argv)
+    assert stages["exit"] == 0
+    assert not stages["dataclasses"]
+    assert not absent & set(stages["modules"]), stages["modules"]
+
+
+def test_cli_engine_names_resolve_to_the_engine_functions():
+    from relfix import cli, svgplot
+
+    engines = {m.__name__.rpartition(".")[2]: m for m in (*MODULES, svgplot)}
+    for name, module in cli._ENGINE_NAMES.items():
+        assert getattr(cli, name) is getattr(engines[module], name), name
+    assert not hasattr(cli, "no_such_name")
 
 
 def test_lazy_exports_in_a_fresh_interpreter():
