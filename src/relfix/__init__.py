@@ -19,8 +19,6 @@ __version__ = "0.1.0"
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "relations": (
         "FiniteRelation",
-        "RelationView",
-        "related",
         "universal_view",
         "symmetric_closure",
         "is_connected",
@@ -30,7 +28,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "gspace": (
         "GFunctional",
-        "SelfMap",
         "PropertyReport",
         "ContractionEstimate",
         "verify_g_properties",

@@ -31,11 +31,12 @@ import importlib
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, NoReturn, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, Optional, Sequence
 
 if TYPE_CHECKING:
+    from .demos import PlanePoint
     from .finite_oracle import FiniteInstance
-    from .gspace import GFunctional, SelfMap
+    from .gspace import GFunctional
     from .picard import IterationTrace
 
 # the engine functions the handlers call as attributes of this module, each
@@ -87,7 +88,7 @@ def _load_instance(path: str) -> FiniteInstance:
     return FiniteInstance.from_json_dict(json.loads(Path(path).read_text()))
 
 
-def _scenario(which: int) -> tuple[GFunctional, SelfMap]:
+def _scenario(which: int) -> tuple[GFunctional, Callable[[PlanePoint], PlanePoint]]:
     from . import demos
 
     if which == 1:
@@ -112,7 +113,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     from . import demos
     from .gspace import related_pairs
-    from .relations import related
 
     which = args.example
     rel = demos.first_coord_relation()
@@ -129,7 +129,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     pairs = related_pairs(rel, samples)
     contraction = _cli.estimate_contraction_factor(g, smap, rel, pairs)
     seed_point = demos.PlanePoint(0.0, 1.0)
-    seed_ok = related(rel, seed_point, smap.apply(seed_point))
+    seed_ok = rel(seed_point, smap(seed_point))
     hypotheses_pass = pattern.passed and contraction.factor < 1.0 and seed_ok
     doc = {
         "scenario": which,
@@ -163,7 +163,7 @@ def _emit_trace(trace: IterationTrace, args: argparse.Namespace, title: str) -> 
 
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
-    from .gspace import GFunctional, SelfMap
+    from .gspace import GFunctional
     from .picard import StoppingPolicy
 
     policy = StoppingPolicy(residual_tol=args.tol, max_iterations=args.max_iter)
@@ -172,8 +172,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         if not 0 <= args.r0 < inst.n:
             raise ValueError(f"--r0 must be a ground index below {inst.n}")
         g = GFunctional(lambda i, j: float(inst.g_matrix[i][j]))
-        smap = SelfMap(lambda i: inst.mapping[i])
-        trace = _cli.iterate(smap, g, inst.rel, args.r0, policy)
+        trace = _cli.iterate(inst.mapping.__getitem__, g, inst.rel, args.r0, policy)
     else:
         from . import demos
 
@@ -350,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the flags that take no value; a config gives them as true or false
+# the flags that take no value; a config gives them, and only them, as true
+# or false
 _SWITCHES = ("--force",)
 
 
@@ -367,13 +367,14 @@ def _argv_from_config(path: str) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if value is None:
             raise ValueError(f"config value for {key!r} is null; leave the key out")
-        if flag in _SWITCHES and not isinstance(value, bool):
-            raise ValueError(f"config value for {key!r} must be true or false, got {value!r}")
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        else:
+        switch = flag in _SWITCHES
+        if switch != isinstance(value, bool):
+            kind = "true or false" if switch else "a value, not true or false"
+            raise ValueError(f"config value for {key!r} must be {kind}, got {value!r}")
+        if not switch:
             argv.extend([flag, str(value)])
+        elif value:
+            argv.append(flag)
     return argv
 
 
@@ -391,6 +392,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
+            if args.subcommand is not None:
+                raise ValueError("give either --config or a subcommand, not both")
             args = parser.parse_args(_argv_from_config(args.config))
         if args.subcommand is None:
             parser.print_usage(sys.stderr)

@@ -7,17 +7,18 @@ Scenario 2: a genuine metric whose map contracts only on related pairs;
 off the relation the ratio grows without bound.
 
 Both maps quarter the second coordinate, so their Picard traces from
-(0, y0) have identical second-coordinate sequences y0 / 4^k.
+(0, y0) have identical second-coordinate sequences y0 / 4^k. The maps are
+plain functions and the relation a plain predicate.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .gspace import ContractionEstimate, GFunctional, SelfMap, estimate_contraction_factor
+from .gspace import ContractionEstimate, GFunctional, estimate_contraction_factor
 from .picard import IterationTrace, StoppingPolicy, iterate
-from .relations import RelationView, universal_view
+from .relations import universal_view
 
 __all__ = [
     "PlanePoint",
@@ -42,19 +43,21 @@ class PlanePoint(NamedTuple):
     second: float
 
 
-def first_coord_relation() -> RelationView:
-    """Points are comparable exactly when their first coordinates agree."""
-    return RelationView(lambda p, q: p[0] == q[0])
+def first_coord_relation() -> Callable[[PlanePoint, PlanePoint], bool]:
+    """Points are related exactly when their first coordinates agree."""
+    return lambda p, q: p[0] == q[0]
 
 
-example1_map = SelfMap(lambda p: PlanePoint(p[0], p[1] / 4.0))
+def example1_map(p: PlanePoint) -> PlanePoint:
+    return PlanePoint(p[0], p[1] / 4.0)
 
 # signed difference of second coordinates; ignores the first entirely
 example1_g = GFunctional(
     lambda p, q: p[1] - q[1], declared_domain_mode="relation_restricted"
 )
 
-example2_map = SelfMap(lambda p: PlanePoint(p[0] * p[0] / 4.0, p[1] / 4.0))
+def example2_map(p: PlanePoint) -> PlanePoint:
+    return PlanePoint(p[0] * p[0] / 4.0, p[1] / 4.0)
 
 # taxicab metric on the plane
 example2_g = GFunctional(lambda p, q: abs(p[0] - q[0]) + abs(p[1] - q[1]))
@@ -66,7 +69,9 @@ def validate_point(p: PlanePoint) -> None:
         raise ValueError("plane point coordinates must be finite")
 
 
-def _run(smap: SelfMap, g: GFunctional, start: PlanePoint, n: int) -> IterationTrace:
+def _run(
+    smap: Callable[[PlanePoint], PlanePoint], g: GFunctional, start: PlanePoint, n: int
+) -> IterationTrace:
     """Exactly n Picard steps from a finite start, certified at alpha = 1/4."""
     validate_point(start)
     policy = StoppingPolicy(residual_tol=_NEVER_STOP, max_iterations=n)

@@ -12,7 +12,9 @@ interpolant and the singular kernel is integrated exactly against each linear
 piece. The weights are one column for node 0 plus a lower-triangular
 Toeplitz band, applied as one zero-padded real-FFT convolution. Fixed points
 of T are approximated by Picard iteration under the sup-norm with the
-pointwise order as audit relation.
+pointwise order as audit relation: the solver hands ``picard.iterate`` the
+map ``fn -> apply_T(fn, prob)`` and the predicate ``pointwise_leq`` as
+plain callables.
 
 The rhs is only ever called on whole arrays: once per Picard step on the
 node array, and once per side of the Lipschitz probe on the values of every
@@ -30,9 +32,8 @@ import numpy as np
 
 from ._records import FrozenRecord
 from .gridfn import GridFunction, _check_intervals, interpolate, pointwise_leq, sup_diff
-from .gspace import GFunctional, SelfMap
+from .gspace import GFunctional
 from .picard import IterationTrace, StoppingPolicy, iterate
-from .relations import RelationView
 
 __all__ = [
     "gamma",
@@ -394,9 +395,9 @@ def solve_fde(prob: FdeProblem) -> tuple[IterationTrace, GridFunction]:
         )
         alpha = None
     trace = iterate(
-        SelfMap(lambda fn: apply_T(fn, prob)),
+        lambda fn: apply_T(fn, prob),
         GFunctional(sup_diff),
-        RelationView(pointwise_leq),
+        pointwise_leq,
         GridFunction.zeros(prob.n_intervals),
         prob.policy,
         alpha=alpha,

@@ -6,6 +6,10 @@ symmetric in sign, and its triangle property may be asserted only on
 relation-constrained triples. The checks here scan finite sample sets and
 report the first violation found, so a degenerate functional is flagged with
 a concrete witness instead of a bare boolean.
+
+A relation is any predicate ``rel(a, b) -> bool`` (a :class:`FiniteRelation`
+included) and a self-map any callable ``smap(x)``; both are called directly.
+Global scans pass :func:`~relfix.relations.universal_view`.
 """
 
 from __future__ import annotations
@@ -14,11 +18,10 @@ import math
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ._records import FrozenRecord, Record
-from .relations import FiniteRelation, RelationView, related
+from .relations import universal_view
 
 __all__ = [
     "GFunctional",
-    "SelfMap",
     "PropertyReport",
     "ContractionEstimate",
     "verify_g_properties",
@@ -46,15 +49,6 @@ class GFunctional(FrozenRecord):
         if declared_domain_mode not in _MODES:
             raise ValueError(f"declared_domain_mode must be one of {_MODES}")
         super().__init__(evaluate, declared_domain_mode)
-
-
-class SelfMap(NamedTuple):
-    """A self-map of the carrier."""
-
-    apply: Callable[[Any], Any]
-
-    def __call__(self, x: Any) -> Any:
-        return self.apply(x)
 
 
 def _json_safe(x: Any) -> Any:
@@ -117,34 +111,17 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be finite and nonnegative")
 
 
-def _pairs(
-    samples: Sequence[Any], rel: FiniteRelation | RelationView | None = None
-) -> Iterator[tuple[Any, Any]]:
-    """Ordered pairs of distinct sample positions, in nested index order.
-
-    With ``rel`` given, only the related pairs are produced.
-    """
-    for i, r in enumerate(samples):
-        for j, u in enumerate(samples):
-            if i != j and (rel is None or related(rel, r, u)):
-                yield r, u
-
-
 def _triples(
-    samples: Sequence[Any], rel: FiniteRelation | RelationView | None = None
+    samples: Sequence[Any], rel: Callable[[Any, Any], bool]
 ) -> Iterator[tuple[Any, Any, Any]]:
-    """Triples ``(r, u, t)`` in nested index order, repeats included.
-
-    With ``rel`` given, only the constrained triples are produced: those
-    with both ``(r, u)`` and ``(t, u)`` related.
-    """
+    """Triples ``(r, u, t)`` with ``(r, u)`` and ``(t, u)`` related, in
+    nested index order, repeats included."""
     for r in samples:
         for u in samples:
-            if rel is not None and not related(rel, r, u):
-                continue
-            for t in samples:
-                if rel is None or related(rel, t, u):
-                    yield r, u, t
+            if rel(r, u):
+                for t in samples:
+                    if rel(t, u):
+                        yield r, u, t
 
 
 def _scan(
@@ -182,7 +159,7 @@ def _scan(
 
 def verify_g_properties(
     g: GFunctional,
-    rel: FiniteRelation | RelationView,
+    rel: Callable[[Any, Any], bool],
     samples: Sequence[Any],
     tol: float = 1e-12,
 ) -> PropertyReport:
@@ -195,15 +172,16 @@ def verify_g_properties(
     nested index order of ``samples``; the first violation is reported. A
     non-finite g value raises :class:`ArithmeticError`.
     """
+    every = universal_view()
     restricted = g.declared_domain_mode == "relation_restricted"
-    triples = _triples(samples, rel if restricted else None)
-    pairs = list(_pairs(samples))
+    triples = _triples(samples, rel if restricted else every)
+    pairs = related_pairs(every, samples)
     return PropertyReport(*_scan(g, pairs, triples, tol), len(samples))
 
 
 def relation_pattern_report(
     g: GFunctional,
-    rel: FiniteRelation | RelationView,
+    rel: Callable[[Any, Any], bool],
     samples: Sequence[Any],
     tol: float = 1e-12,
 ) -> PropertyReport:
@@ -232,24 +210,27 @@ class ContractionEstimate(NamedTuple):
 
 def estimate_contraction_factor(
     g: GFunctional,
-    smap: SelfMap,
-    rel: FiniteRelation | RelationView,
+    smap: Callable[[Any], Any],
+    rel: Callable[[Any, Any], bool],
     pairs: Sequence[tuple[Any, Any]],
 ) -> ContractionEstimate:
     """Supremum of the image-to-source g-ratio over sampled related pairs.
 
     Pairs where the source value vanishes carry no ratio information and are
-    skipped. Supplying a pair outside the relation is a caller error.
+    skipped. Supplying a pair outside the relation is a caller error. A
+    non-finite g value raises :class:`ArithmeticError` naming the pair it
+    was read at, the image pair for the numerator.
     """
     best = -math.inf
     worst_pair = None
     for a, b in pairs:
-        if not related(rel, a, b):
+        if not rel(a, b):
             raise ValueError(f"pair ({a!r}, {b!r}) is not in the relation")
         denom = abs(_check_finite(g.evaluate(a, b), a, b))
         if denom == 0.0:
             continue
-        num = abs(_check_finite(g.evaluate(smap.apply(a), smap.apply(b)), a, b))
+        sa, sb = smap(a), smap(b)
+        num = abs(_check_finite(g.evaluate(sa, sb), sa, sb))
         ratio = num / denom
         if ratio > best:
             best = ratio
@@ -260,7 +241,12 @@ def estimate_contraction_factor(
 
 
 def related_pairs(
-    rel: FiniteRelation | RelationView, points: Sequence[Any]
+    rel: Callable[[Any, Any], bool], points: Sequence[Any]
 ) -> list[tuple[Any, Any]]:
-    """All ordered related pairs of distinct probe points, in scan order."""
-    return list(_pairs(points, rel))
+    """Ordered related pairs of distinct probe positions, in nested index order."""
+    return [
+        (r, u)
+        for i, r in enumerate(points)
+        for j, u in enumerate(points)
+        if i != j and rel(r, u)
+    ]

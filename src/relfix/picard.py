@@ -3,18 +3,19 @@
 The engine repeatedly applies a self-map, records the g-residual of every
 step, audits whether consecutive iterates stay inside the declared relation,
 and (when a contraction factor is supplied) attaches the geometric a-priori
-bound alpha^m / (1 - alpha) * |g(r0, r1)| to every step.
+bound alpha^m / (1 - alpha) * |g(r0, r1)| to every step. The self-map is
+any callable ``smap(x)`` and the relation any predicate ``rel(a, b)``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ._records import FrozenRecord, Record
-from .gspace import GFunctional, SelfMap
-from .relations import FiniteRelation, RelationView, is_preserving_sequence, related
+from .gspace import GFunctional
+from .relations import is_preserving_sequence
 
 __all__ = [
     "StoppingPolicy",
@@ -112,9 +113,9 @@ def a_priori_bound(alpha: float, g01: float, m: int) -> float:
 
 
 def iterate(
-    smap: SelfMap,
+    smap: Callable[[Any], Any],
     g: GFunctional,
-    rel: FiniteRelation | RelationView,
+    rel: Callable[[Any, Any], bool],
     r0: Any,
     policy: StoppingPolicy = StoppingPolicy(),
     *,
@@ -125,7 +126,9 @@ def iterate(
     A start point outside the seed set (its image is not related to it) is
     tolerated: the run proceeds but the trace is marked non-certified. A
     non-finite residual aborts with the offending step index. A contraction
-    factor outside (0, 1) is rejected before the first step.
+    factor outside (0, 1) is rejected before the first step. ``certified``
+    and ``preserved`` are Python bools whatever truthy values ``rel``
+    returns.
     """
     if alpha is not None:
         _check_alpha(alpha)
@@ -134,7 +137,7 @@ def iterate(
     converged = False
     current = r0
     for step in range(policy.max_iterations):
-        nxt = smap.apply(current)
+        nxt = smap(current)
         value = abs(g.evaluate(current, nxt))
         if not math.isfinite(value):
             raise ArithmeticError(f"g diverged at step {step}")
@@ -145,7 +148,7 @@ def iterate(
             break
         current = nxt
 
-    certified = related(rel, iterates[0], iterates[1])
+    certified = bool(rel(iterates[0], iterates[1]))
     preserved = is_preserving_sequence(rel, iterates)
 
     certificates: Optional[list[float]] = None

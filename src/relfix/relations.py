@@ -1,23 +1,23 @@
 """Binary relations over finite index sets and abstract carriers.
 
-Finite relations are explicit pair sets over ``{0, ..., n-1}`` and support
-the structural queries the iteration engine and the model checker need:
-symmetric closure, connectivity of a subset, closedness under a self-map,
-and seed extraction. Relations over non-indexed carriers (points in the
-plane, grid functions) are wrapped as :class:`RelationView` predicates
-instead.
+A relation is any predicate ``rel(a, b) -> bool`` that says whether the
+ordered pair ``(a, b)`` is related; the iteration engine and the g-scans
+call it directly. Relations over non-indexed carriers (points in the
+plane, grid functions) are plain functions. Finite relations are explicit
+pair sets over ``{0, ..., n-1}``, callable as predicates too, and support
+the structural queries the model checker needs: symmetric closure,
+connectivity of a subset, closedness under a self-map, and seed
+extraction.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ._records import FrozenRecord
 
 __all__ = [
     "FiniteRelation",
-    "RelationView",
-    "related",
     "universal_view",
     "symmetric_closure",
     "is_connected",
@@ -30,7 +30,9 @@ __all__ = [
 class FiniteRelation(FrozenRecord):
     """Explicit binary relation on the ground set ``{0, ..., ground_size-1}``.
 
-    Immutable; ``==`` and the hash read ``ground_size`` and ``pairs`` only.
+    Calling it as ``rel(a, b)`` tests ``(a, b) in rel.pairs``, so it serves
+    wherever a relation predicate is taken. Immutable; ``==`` and the hash
+    read ``ground_size`` and ``pairs`` only.
     """
 
     _fields = ("ground_size", "pairs")
@@ -53,26 +55,13 @@ class FiniteRelation(FrozenRecord):
     ) -> "FiniteRelation":
         return cls(ground_size, frozenset((r, s) for r, s in pairs))
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
+    def __call__(self, a: Any, b: Any) -> bool:
+        return (a, b) in self.pairs
 
 
-class RelationView(NamedTuple):
-    """Relation on an abstract carrier, given as a comparability predicate."""
-
-    comparability_test: Callable[[Any, Any], bool]
-
-
-def universal_view() -> RelationView:
-    """The relation under which every ordered pair is comparable."""
-    return RelationView(lambda a, b: True)
-
-
-def related(rel: FiniteRelation | RelationView, a: Any, b: Any) -> bool:
-    """Whether the ordered pair ``(a, b)`` belongs to the relation."""
-    if isinstance(rel, FiniteRelation):
-        return (a, b) in rel.pairs
-    return bool(rel.comparability_test(a, b))
+def universal_view() -> Callable[[Any, Any], bool]:
+    """The relation under which every ordered pair is related."""
+    return lambda a, b: True
 
 
 def symmetric_closure(rel: FiniteRelation) -> FiniteRelation:
@@ -129,10 +118,8 @@ def seed_set(rel: FiniteRelation, image_of: Callable[[int], int]) -> list[int]:
     return [u for u in range(rel.ground_size) if (u, image_of(u)) in rel.pairs]
 
 
-def is_preserving_sequence(
-    rel: FiniteRelation | RelationView, seq: Sequence[Any]
-) -> bool:
+def is_preserving_sequence(rel: Callable[[Any, Any], bool], seq: Sequence[Any]) -> bool:
     """Every consecutive pair of ``seq`` is related; length-1 is vacuously true."""
     if len(seq) == 0:
         raise ValueError("empty sequence")
-    return all(related(rel, a, b) for a, b in zip(seq[:-1], seq[1:]))
+    return all(rel(a, b) for a, b in zip(seq[:-1], seq[1:]))

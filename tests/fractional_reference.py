@@ -29,9 +29,8 @@ from relfix.fractional import (
     quadrature_weights,
 )
 from relfix.gridfn import GridFunction, interpolate, pointwise_leq, sup_diff
-from relfix.gspace import GFunctional, SelfMap
+from relfix.gspace import GFunctional
 from relfix.picard import IterationTrace, iterate
-from relfix.relations import RelationView
 
 
 def masked_power_diff(ms: np.ndarray, p: float) -> np.ndarray:
@@ -166,9 +165,9 @@ def reference_solve_fde(prob: FdeProblem) -> tuple[LipschitzReport, IterationTra
     if alpha is None:
         warnings.warn("rhs failed the sampled Lipschitz condition", stacklevel=2)
     trace = iterate(
-        SelfMap(lambda fn: concat_apply_T(fn, prob)),
+        lambda fn: concat_apply_T(fn, prob),
         GFunctional(sup_diff),
-        RelationView(pointwise_leq),
+        pointwise_leq,
         GridFunction.zeros(prob.n_intervals),
         prob.policy,
         alpha=alpha,

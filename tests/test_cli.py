@@ -402,6 +402,37 @@ class TestConfigMirror:
         assert cli.run(["--config", write_json(tmp_path / "c.json", config)]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("out", False), ("out", True), ("tol", True), ("bogus", False)],
+        ids=["out-false", "out-true", "tol-true", "unknown-false"],
+    )
+    def test_value_flag_rejects_a_bool(self, tmp_path, capsys, monkeypatch, key, value):
+        # a bool is meaningful only for a switch: false would drop the flag
+        # silently and true would reach argparse as a bare flag
+        monkeypatch.chdir(tmp_path)
+        config = {"subcommand": "verify", "example": 1, key: value}
+        code = cli.run(["--config", write_json(tmp_path / "c.json", config)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: config value for {key!r} must be a value, not true or false, "
+            f"got {value!r}"
+        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_config_and_subcommand_together_are_rejected(self, tmp_path, capsys):
+        # one of the two would have to be ignored
+        config = write_json(tmp_path / "c.json", {"subcommand": "verify", "example": 1})
+        code = cli.run(["--config", config, "oracle", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: give either --config or a subcommand, not both"
+        ]
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.run(["--config", str(tmp_path / "nope.json")])
         assert code == 1

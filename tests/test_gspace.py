@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from relfix.demos import (
@@ -12,7 +13,6 @@ from relfix.demos import (
 )
 from relfix.gspace import (
     GFunctional,
-    SelfMap,
     estimate_contraction_factor,
     related_pairs,
     relation_pattern_report,
@@ -178,6 +178,11 @@ class TestContractionEstimate:
         )
         assert est.factor == 5.25
 
+    def test_non_finite_image_value_names_the_image_pair(self):
+        g = GFunctional(lambda a, b: math.inf if (a, b) == (10, 20) else 1.0)
+        with pytest.raises(ArithmeticError, match=r"g not finite at \(10, 20\)"):
+            estimate_contraction_factor(g, lambda x: 10 * x, universal_view(), [(1, 2)])
+
 
 class TestTolerance:
     # NaN fails every comparison, so it would erase scenario 1's g1 witness;
@@ -203,11 +208,27 @@ class TestRelatedPairs:
         assert pairs == [(pts[0], pts[1]), (pts[1], pts[0])]
 
 
+LESS = [(0, 1), (0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "rel",
+    [FiniteRelation.from_pairs(3, LESS), lambda a, b: a < b, np.less],
+    ids=["finite-relation", "lambda", "numpy-ufunc"],
+)
+def test_any_relation_predicate_drives_the_scans(rel):
+    # the squared gap breaks the triangle on (0, 2) through 1, a triple
+    # every scan reaches; the map is a bound method
+    g = GFunctional(lambda a, b: float((a - b) ** 2), "relation_restricted")
+    samples = [0, 1, 2]
+    assert related_pairs(rel, samples) == LESS
+    assert verify_g_properties(g, rel, samples).g3_witness == (0, 2, 1)
+    assert relation_pattern_report(g, rel, samples).g3_witness == (0, 2, 1)
+    est = estimate_contraction_factor(g, (0, 0, 1).__getitem__, rel, LESS)
+    assert est == (1.0, (1, 2))
+
+
 class TestConstruction:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             GFunctional(lambda a, b: 0.0, declared_domain_mode="sometimes")
-
-    def test_selfmap_is_callable(self):
-        double = SelfMap(lambda x: 2 * x)
-        assert double(3) == 6

@@ -1,23 +1,25 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
-from relfix.gspace import GFunctional, SelfMap
+from relfix.gspace import GFunctional
 from relfix.picard import (
     StoppingPolicy,
     a_priori_bound,
     iterate,
     trace_to_csv,
 )
-from relfix.relations import FiniteRelation, RelationView, universal_view
+from relfix.relations import FiniteRelation, universal_view
 
 ABS_DIFF = GFunctional(lambda a, b: abs(a - b))
+PAIRS = {(1, 0), (0, 0)}
 
 
 class TestIterate:
     def test_instant_convergence(self):
-        trace = iterate(SelfMap(lambda x: 0.0), ABS_DIFF, universal_view(), 0.0)
+        trace = iterate(lambda x: 0.0, ABS_DIFF, universal_view(), 0.0)
         assert trace.converged
         assert trace.iterates == [0.0, 0.0]
         assert trace.residuals == [0.0]
@@ -26,7 +28,7 @@ class TestIterate:
 
     def test_geometric_run(self):
         trace = iterate(
-            SelfMap(lambda x: x / 2.0),
+            lambda x: x / 2.0,
             ABS_DIFF,
             universal_view(),
             1.0,
@@ -46,13 +48,13 @@ class TestIterate:
                 assert gap <= cert * (1.0 + 1e-12)
 
     def test_no_alpha_no_certificates(self):
-        trace = iterate(SelfMap(lambda x: 0.0), ABS_DIFF, universal_view(), 1.0)
+        trace = iterate(lambda x: 0.0, ABS_DIFF, universal_view(), 1.0)
         assert trace.alpha_used is None
         assert trace.bound_certificates is None
 
     def test_budget_exhaustion_is_not_convergence(self):
         trace = iterate(
-            SelfMap(lambda x: x / 2.0),
+            lambda x: x / 2.0,
             ABS_DIFF,
             universal_view(),
             1.0,
@@ -61,37 +63,44 @@ class TestIterate:
         assert not trace.converged
         assert trace.steps == 5
 
-    def test_uncertified_start_still_runs(self):
-        never = RelationView(lambda a, b: False)
-        trace = iterate(SelfMap(lambda x: 0.0), ABS_DIFF, never, 1.0)
+    @pytest.mark.parametrize("never", [False, np.False_], ids=["bool", "numpy-bool"])
+    def test_uncertified_start_still_runs(self, never):
+        trace = iterate(lambda x: 0.0, ABS_DIFF, lambda a, b: never, 1.0)
         assert trace.converged
-        assert not trace.certified
-        assert not trace.preserved
+        assert trace.certified is False
+        assert trace.preserved is False
 
-    def test_audits_on_explicit_relation(self):
-        rel = FiniteRelation.from_pairs(2, [(1, 0), (0, 0)])
-        trace = iterate(
-            SelfMap(lambda i: 0),
-            GFunctional(lambda a, b: float(abs(a - b))),
-            rel,
-            1,
-        )
+    @pytest.mark.parametrize(
+        "smap, rel",
+        [
+            (lambda i: 0, FiniteRelation.from_pairs(2, PAIRS)),
+            ((0, 0).__getitem__, lambda a, b: (a, b) in PAIRS),
+            ((0, 0).__getitem__, lambda a, b: np.bool_((a, b) in PAIRS)),
+        ],
+        ids=["finite-relation", "bound-method-map", "numpy-bool"],
+    )
+    def test_audits_on_any_relation_predicate(self, smap, rel):
+        trace = iterate(smap, GFunctional(lambda a, b: float(abs(a - b))), rel, 1)
         assert trace.iterates == [1, 0, 0]
-        assert trace.certified
-        assert trace.preserved
+        assert trace.certified is True
+        assert trace.preserved is True
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.5, float("nan")])
     def test_bad_alpha_is_rejected_before_the_first_step(self, alpha):
         applied = []
-        smap = SelfMap(lambda x: applied.append(x) or x / 2.0)
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
-            iterate(smap, ABS_DIFF, universal_view(), 1.0, alpha=alpha)
+            iterate(
+                lambda x: applied.append(x) or x / 2.0,
+                ABS_DIFF,
+                universal_view(),
+                1.0,
+                alpha=alpha,
+            )
         assert applied == []
 
     def test_overflow_aborts_with_step_index(self):
-        blowup = SelfMap(lambda x: x * 1e200)
         with pytest.raises(ArithmeticError, match="diverged at step 1"):
-            iterate(blowup, ABS_DIFF, universal_view(), 1.0)
+            iterate(lambda x: x * 1e200, ABS_DIFF, universal_view(), 1.0)
 
 
 class TestAPrioriBound:
@@ -126,7 +135,7 @@ class TestAPrioriBound:
 class TestTraceCsv:
     def test_format(self):
         trace = iterate(
-            SelfMap(lambda x: x / 2.0),
+            lambda x: x / 2.0,
             ABS_DIFF,
             universal_view(),
             1.0,

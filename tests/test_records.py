@@ -13,9 +13,9 @@ import pytest
 from relfix.finite_oracle import FiniteInstance, OracleReport, SweepResult, SweepSpec
 from relfix.fractional import FdeProblem, LipschitzReport, QuadratureWeights, demo_rhs
 from relfix.gridfn import GridFunction
-from relfix.gspace import ContractionEstimate, GFunctional, PropertyReport, SelfMap
+from relfix.gspace import ContractionEstimate, GFunctional, PropertyReport
 from relfix.picard import IterationTrace, StoppingPolicy
-from relfix.relations import FiniteRelation, RelationView
+from relfix.relations import FiniteRelation
 
 
 def g0(a, b):
@@ -32,9 +32,7 @@ SPEC = SweepSpec(2, 2, None)
 # (class, positional arguments, their field names, frozen)
 RECORDS = [
     (FiniteRelation, (2, frozenset({(0, 1)})), ("ground_size", "pairs"), True),
-    (RelationView, (ident,), ("comparability_test",), True),
     (GFunctional, (g0, "relation_restricted"), ("evaluate", "declared_domain_mode"), True),
-    (SelfMap, (ident,), ("apply",), True),
     (
         PropertyReport,
         ((0, 1), None, None, 3),

@@ -4,11 +4,9 @@ from hypothesis import strategies as st
 
 from relfix.relations import (
     FiniteRelation,
-    RelationView,
     closed_under,
     is_connected,
     is_preserving_sequence,
-    related,
     seed_set,
     symmetric_closure,
     universal_view,
@@ -19,10 +17,10 @@ def rel_of(n, *pairs):
     return FiniteRelation.from_pairs(n, pairs)
 
 
-def small_relations(max_n=6):
+def ground_and_pairs(max_n=6):
+    """A ground size n and a set of pairs over ``{0, ..., n-1}``."""
     return st.integers(min_value=1, max_value=max_n).flatmap(
-        lambda n: st.builds(
-            FiniteRelation.from_pairs,
+        lambda n: st.tuples(
             st.just(n),
             st.sets(
                 st.tuples(
@@ -32,6 +30,10 @@ def small_relations(max_n=6):
             ),
         )
     )
+
+
+def small_relations(max_n=6):
+    return ground_and_pairs(max_n).map(lambda drawn: FiniteRelation.from_pairs(*drawn))
 
 
 def brute_force_shortest(rel, start, goal):
@@ -59,8 +61,18 @@ class TestFiniteRelation:
 
     def test_membership(self):
         rel = rel_of(3, (0, 1))
-        assert (0, 1) in rel
-        assert (1, 0) not in rel
+        assert rel(0, 1) is True
+        assert rel(1, 0) is False
+
+    @settings(max_examples=100, deadline=None)
+    @given(ground_and_pairs())
+    def test_call_agrees_with_the_pair_set(self, drawn):
+        n, pairs = drawn
+        rel = FiniteRelation(n, pairs)
+        # one step past each end of the ground set as well
+        for a in range(-1, n + 1):
+            for b in range(-1, n + 1):
+                assert rel(a, b) == ((a, b) in pairs)
 
 
 class TestClosures:
@@ -141,10 +153,9 @@ class TestPreservingSequence:
         with pytest.raises(ValueError):
             is_preserving_sequence(rel_of(2, (0, 1)), [])
 
-    def test_view_dispatch(self):
-        view = RelationView(lambda a, b: a <= b)
-        assert is_preserving_sequence(view, [1, 2, 2, 5])
-        assert not is_preserving_sequence(view, [1, 2, 0])
+    def test_predicate(self):
+        assert is_preserving_sequence(int.__le__, [1, 2, 2, 5])
+        assert not is_preserving_sequence(int.__le__, [1, 2, 0])
 
     def test_universal_view(self):
-        assert related(universal_view(), object(), object())
+        assert universal_view()(object(), object())
