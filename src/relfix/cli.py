@@ -13,9 +13,13 @@ Each subcommand imports only the engine it runs, when it runs:
 - ``verify --example``, ``iterate --example`` and ``example``: ``demos``,
   ``gspace``, ``picard`` and ``relations``, and ``svgplot`` for ``--svg``;
 - ``iterate --instance``: ``finite_oracle`` for the instance file, then
-  ``gspace``, ``picard`` and ``relations``, and ``svgplot`` for ``--svg``;
-- ``solve-fde``: ``fractional`` with numpy, ``gridfn``, ``gspace``,
-  ``picard`` and ``relations``, and ``svgplot`` for ``--svg``.
+  ``picard`` and ``relations``, and ``svgplot`` for ``--svg``;
+- ``solve-fde``: ``fractional`` with numpy, ``gridfn``, ``picard`` and
+  ``relations``, and ``svgplot`` for ``--svg``.
+
+The engines call a g-functional as ``g(a, b)``, so ``iterate --instance``
+passes a plain function reading the instance's matrix and only the
+example scenarios load ``gspace``.
 
 So only solve-fde loads numpy. The engine functions the handlers call
 through this module (``_ENGINE_NAMES``) stay attributes of it: each
@@ -163,7 +167,6 @@ def _emit_trace(trace: IterationTrace, args: argparse.Namespace, title: str) -> 
 
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
-    from .gspace import GFunctional
     from .picard import StoppingPolicy
 
     policy = StoppingPolicy(residual_tol=args.tol, max_iterations=args.max_iter)
@@ -171,7 +174,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         inst = _load_instance(args.instance)
         if not 0 <= args.r0 < inst.n:
             raise ValueError(f"--r0 must be a ground index below {inst.n}")
-        g = GFunctional(lambda i, j: float(inst.g_matrix[i][j]))
+        g = lambda i, j: float(inst.g_matrix[i][j])
         trace = _cli.iterate(inst.mapping.__getitem__, g, inst.rel, args.r0, policy)
     else:
         from . import demos

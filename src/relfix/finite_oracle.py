@@ -109,7 +109,9 @@ class FiniteInstance(Record):
         ``n``, ``pairs``, ``map`` and ``g`` are required; ``index`` and
         ``alpha`` are optional. Every entry must be an integer (bools, strings
         and non-integral or non-finite numbers are not), every index must lie
-        in the ground set, and ``g`` must be n by n. Anything else raises
+        in the ground set, and ``g`` must be n by n. ``alpha``, if not null,
+        is a string naming a member of ``ALPHA_GRID`` in any spelling
+        ``Fraction`` reads ("1/4", "0.25"). Anything else raises
         :class:`ValueError`.
         """
         if not isinstance(doc, dict):
@@ -131,7 +133,14 @@ class FiniteInstance(Record):
         if alpha is not None:
             if not isinstance(alpha, str):
                 raise ValueError("alpha must be a fraction string such as '1/4'")
-            alpha = Fraction(alpha)
+            try:
+                value = Fraction(alpha)
+            except (ValueError, ZeroDivisionError):
+                value = None
+            if value not in ALPHA_GRID:
+                grid = ", ".join(map(str, ALPHA_GRID))
+                raise ValueError(f"alpha must be null or one of {grid}, got {alpha!r}")
+            alpha = value
         index = _json_int(doc.get("index", -1), "index")
         return cls(n, g_matrix, rel, mapping, alpha, index)
 

@@ -32,7 +32,6 @@ import numpy as np
 
 from ._records import FrozenRecord
 from .gridfn import GridFunction, _check_intervals, interpolate, pointwise_leq, sup_diff
-from .gspace import GFunctional
 from .picard import IterationTrace, StoppingPolicy, iterate
 
 __all__ = [
@@ -171,13 +170,13 @@ class FdeProblem(FrozenRecord):
 
     ``rhs(t, u)`` is the driving term, evaluated elementwise on whole
     arrays: it receives the node array ``t`` and the value array ``u`` (of
-    one shape) and returns an array that broadcasts to that shape (a scalar
-    does); any other result raises :class:`ValueError`. The Picard step
-    passes the node array, of shape (N+1,); the Lipschitz probe passes its
-    pairs stacked, one row each, so the rhs must act elementwise on arrays
-    of any shape. Write it with numpy ufuncs (``np.sin``, not ``math.sin``)
-    and branch with ``np.where``, not ``if``. ``n_intervals`` is an ``int``
-    of at least 8.
+    one shape) and returns an array of real values that broadcasts to that
+    shape (a scalar does); any other result, a complex one included, raises
+    :class:`ValueError`. The Picard step passes the node array, of shape
+    (N+1,); the Lipschitz probe passes its pairs stacked, one row each, so
+    the rhs must act elementwise on arrays of any shape. Write it with numpy
+    ufuncs (``np.sin``, not ``math.sin``) and branch with ``np.where``, not
+    ``if``. ``n_intervals`` is an ``int`` of at least 8.
     ``lipschitz_alpha`` is the contraction parameter the Lipschitz
     condition is tested against; ``gamma_variant`` selects whose order
     feeds the Gamma factor in the Lipschitz bound ("alpha_plus_one" uses
@@ -256,7 +255,11 @@ class LipschitzReport(NamedTuple):
 
 def _rhs_values(prob: FdeProblem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The rhs on arrays ``t`` and ``u`` of one shape: nodes, or probe rows."""
-    values = np.asarray(prob.rhs(t, u), dtype=float)
+    values = np.asarray(prob.rhs(t, u))
+    if values.dtype.kind == "c":
+        # a float conversion would drop the imaginary part with only a warning
+        raise ValueError(f"rhs(t, u) must return real values, got dtype {values.dtype}")
+    values = values.astype(float, copy=False)
     if values.shape == t.shape:
         return values
     try:
@@ -396,7 +399,7 @@ def solve_fde(prob: FdeProblem) -> tuple[IterationTrace, GridFunction]:
         alpha = None
     trace = iterate(
         lambda fn: apply_T(fn, prob),
-        GFunctional(sup_diff),
+        sup_diff,
         pointwise_leq,
         GridFunction.zeros(prob.n_intervals),
         prob.policy,

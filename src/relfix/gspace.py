@@ -7,8 +7,11 @@ relation-constrained triples. The checks here scan finite sample sets and
 report the first violation found, so a degenerate functional is flagged with
 a concrete witness instead of a bare boolean.
 
-A relation is any predicate ``rel(a, b) -> bool`` (a :class:`FiniteRelation`
-included) and a self-map any callable ``smap(x)``; both are called directly.
+A g-functional is any callable ``g(a, b) -> float``, a relation any
+predicate ``rel(a, b) -> bool`` (a :class:`FiniteRelation` included) and a
+self-map any callable ``smap(x)``; all three are called directly.
+:class:`GFunctional` is the callable that can also declare its axioms only
+on relation-constrained patterns; a plain callable declares them globally.
 Global scans pass :func:`~relfix.relations.universal_view`.
 """
 
@@ -34,11 +37,11 @@ _MODES = ("global", "relation_restricted")
 
 
 class GFunctional(FrozenRecord):
-    """Pairwise functional with a declared domain for its axioms.
+    """Pairwise functional ``g(a, b)`` with a declared domain for its axioms.
 
     ``declared_domain_mode`` records whether the vanishing, absolute-symmetry
-    and triangle properties are claimed for all pairs ("global") or only for
-    relation-constrained ones ("relation_restricted").
+    and triangle properties are claimed for all pairs ("global", as for any
+    plain callable) or only for relation-constrained ones ("relation_restricted").
     """
 
     __slots__ = _fields = ("evaluate", "declared_domain_mode")
@@ -49,6 +52,9 @@ class GFunctional(FrozenRecord):
         if declared_domain_mode not in _MODES:
             raise ValueError(f"declared_domain_mode must be one of {_MODES}")
         super().__init__(evaluate, declared_domain_mode)
+
+    def __call__(self, a: Any, b: Any) -> float:
+        return self.evaluate(a, b)
 
 
 def _json_safe(x: Any) -> Any:
@@ -125,7 +131,7 @@ def _triples(
 
 
 def _scan(
-    g: GFunctional,
+    g: Callable[[Any, Any], float],
     pairs: Sequence[tuple[Any, Any]],
     triples: Iterable[tuple[Any, Any, Any]],
     tol: float,
@@ -139,10 +145,9 @@ def _scan(
     non-finite or negative ``tol`` (:class:`ValueError`).
     """
     _check_tol(tol)
-    ev = g.evaluate
 
     def mag(a: Any, b: Any) -> float:
-        return abs(_check_finite(ev(a, b), a, b))
+        return abs(_check_finite(g(a, b), a, b))
 
     g1 = next(((r, u) for r, u in pairs if r != u and mag(r, u) <= tol), None)
     g2 = next(((r, u) for r, u in pairs if abs(mag(r, u) - mag(u, r)) > tol), None)
@@ -158,7 +163,7 @@ def _scan(
 
 
 def verify_g_properties(
-    g: GFunctional,
+    g: Callable[[Any, Any], float],
     rel: Callable[[Any, Any], bool],
     samples: Sequence[Any],
     tol: float = 1e-12,
@@ -168,19 +173,20 @@ def verify_g_properties(
     Vanishing (g1) and absolute symmetry (g2) are scanned over all sample
     pairs. The triangle property (g3) is scanned over triples ``(r, u, t)``
     with ``(r, u)`` and ``(t, u)`` related when the functional declares the
-    relation-restricted mode, over all triples otherwise. Scan order is the
+    relation-restricted mode, over all triples otherwise (a plain callable
+    declares no mode and is scanned globally). Scan order is the
     nested index order of ``samples``; the first violation is reported. A
     non-finite g value raises :class:`ArithmeticError`.
     """
     every = universal_view()
-    restricted = g.declared_domain_mode == "relation_restricted"
+    restricted = getattr(g, "declared_domain_mode", "global") == "relation_restricted"
     triples = _triples(samples, rel if restricted else every)
     pairs = related_pairs(every, samples)
     return PropertyReport(*_scan(g, pairs, triples, tol), len(samples))
 
 
 def relation_pattern_report(
-    g: GFunctional,
+    g: Callable[[Any, Any], float],
     rel: Callable[[Any, Any], bool],
     samples: Sequence[Any],
     tol: float = 1e-12,
@@ -209,7 +215,7 @@ class ContractionEstimate(NamedTuple):
 
 
 def estimate_contraction_factor(
-    g: GFunctional,
+    g: Callable[[Any, Any], float],
     smap: Callable[[Any], Any],
     rel: Callable[[Any, Any], bool],
     pairs: Sequence[tuple[Any, Any]],
@@ -226,11 +232,11 @@ def estimate_contraction_factor(
     for a, b in pairs:
         if not rel(a, b):
             raise ValueError(f"pair ({a!r}, {b!r}) is not in the relation")
-        denom = abs(_check_finite(g.evaluate(a, b), a, b))
+        denom = abs(_check_finite(g(a, b), a, b))
         if denom == 0.0:
             continue
         sa, sb = smap(a), smap(b)
-        num = abs(_check_finite(g.evaluate(sa, sb), sa, sb))
+        num = abs(_check_finite(g(sa, sb), sa, sb))
         ratio = num / denom
         if ratio > best:
             best = ratio

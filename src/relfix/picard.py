@@ -4,7 +4,9 @@ The engine repeatedly applies a self-map, records the g-residual of every
 step, audits whether consecutive iterates stay inside the declared relation,
 and (when a contraction factor is supplied) attaches the geometric a-priori
 bound alpha^m / (1 - alpha) * |g(r0, r1)| to every step. The self-map is
-any callable ``smap(x)`` and the relation any predicate ``rel(a, b)``.
+any callable ``smap(x)``, the g-functional any callable ``g(a, b)`` (a
+:class:`~relfix.gspace.GFunctional` included) and the relation any
+predicate ``rel(a, b)``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import numbers
 from typing import Any, Callable, Optional
 
 from ._records import FrozenRecord, Record
-from .gspace import GFunctional
 from .relations import is_preserving_sequence
 
 __all__ = [
@@ -114,7 +115,7 @@ def a_priori_bound(alpha: float, g01: float, m: int) -> float:
 
 def iterate(
     smap: Callable[[Any], Any],
-    g: GFunctional,
+    g: Callable[[Any, Any], float],
     rel: Callable[[Any, Any], bool],
     r0: Any,
     policy: StoppingPolicy = StoppingPolicy(),
@@ -138,7 +139,7 @@ def iterate(
     current = r0
     for step in range(policy.max_iterations):
         nxt = smap(current)
-        value = abs(g.evaluate(current, nxt))
+        value = abs(g(current, nxt))
         if not math.isfinite(value):
             raise ArithmeticError(f"g diverged at step {step}")
         iterates.append(nxt)

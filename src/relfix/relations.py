@@ -12,6 +12,7 @@ extraction.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ._records import FrozenRecord
@@ -27,12 +28,21 @@ __all__ = [
 ]
 
 
+def _index(i: Any) -> int:
+    try:
+        return index(i)
+    except TypeError:
+        raise ValueError(f"relation index must be an integer, got {i!r}") from None
+
+
 class FiniteRelation(FrozenRecord):
     """Explicit binary relation on the ground set ``{0, ..., ground_size-1}``.
 
     Calling it as ``rel(a, b)`` tests ``(a, b) in rel.pairs``, so it serves
-    wherever a relation predicate is taken. Immutable; ``==`` and the hash
-    read ``ground_size`` and ``pairs`` only.
+    wherever a relation predicate is taken. Each index is read with
+    ``operator.index`` (numpy integers pass); a non-integral one, or one
+    outside the ground set, raises :class:`ValueError`. Immutable; ``==``
+    and the hash read ``ground_size`` and ``pairs`` only.
     """
 
     _fields = ("ground_size", "pairs")
@@ -42,7 +52,7 @@ class FiniteRelation(FrozenRecord):
     def __init__(self, ground_size: int, pairs: frozenset[tuple[int, int]]) -> None:
         if ground_size < 0:
             raise ValueError("ground_size must be nonnegative")
-        pairs = frozenset((int(r), int(s)) for r, s in pairs)
+        pairs = frozenset((_index(r), _index(s)) for r, s in pairs)
         for r, s in pairs:
             if not (0 <= r < ground_size and 0 <= s < ground_size):
                 raise ValueError(f"pair {(r, s)} outside ground set")

@@ -34,10 +34,12 @@ def render_residual_plot(
     """Render residuals on a semilog-y axis as a standalone SVG document.
 
     One marker per residual (a single point gets no polyline); every point
-    drawn here corresponds to one row of the companion CSV.
+    drawn here corresponds to one row of the companion CSV. ``title`` is
+    plain text: ``&``, ``<`` and ``>`` are escaped.
     """
     if len(residuals) == 0:
         raise ValueError("nothing to plot")
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
     floored = [max(float(r), FLOOR) for r in residuals]
     clamped = any(float(r) < FLOOR for r in residuals)

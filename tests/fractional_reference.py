@@ -157,6 +157,8 @@ def default_probe_pairs(n_intervals: int) -> list[tuple[GridFunction, GridFuncti
 def reference_solve_fde(prob: FdeProblem) -> tuple[LipschitzReport, IterationTrace]:
     """The solver with the interpolating probe and the concatenating step.
 
+    g goes in wrapped as ``GFunctional(sup_diff)`` where the solver passes
+    ``sup_diff`` itself, so the exact comparison covers both call forms.
     Returns the probe's report with the trace; raises like ``solve_fde``.
     """
     nodes = np.arange(prob.n_intervals + 1) / prob.n_intervals

@@ -304,6 +304,12 @@ class TestInstanceJson:
         assert (inst.alpha, inst.index) == (None, -1)
         assert inst.rel.pairs == {(1, 0)}
 
+    @pytest.mark.parametrize("spelling", ["3/4", "0.75", "6/8", " 7.5e-1 "])
+    def test_alpha_in_any_fraction_spelling(self, spelling):
+        doc = {"n": 2, "pairs": [[1, 0]], "map": [0, 0], "g": [[0, 1], [1, 0]]}
+        inst = FiniteInstance.from_json_dict({**doc, "alpha": spelling})
+        assert inst.alpha == Fraction(3, 4)
+
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -316,6 +322,9 @@ class TestInstanceJson:
             ({"g": [[0, 1], [1, "0"]]}, "g row entry must be an integer"),
             ({"g": [[0, 1], [1, math.inf]]}, "g row entry must be an integer"),
             ({"alpha": 0.5}, "alpha must be a fraction string"),
+            ({"alpha": "7/3"}, r"alpha must be null or one of 1/4, 1/2, 3/4, got '7/3'"),
+            ({"alpha": "-1"}, r"alpha must be null or one of 1/4, 1/2, 3/4, got '-1'"),
+            ({"alpha": "1/0"}, r"alpha must be null or one of 1/4, 1/2, 3/4, got '1/0'"),
         ],
     )
     def test_rejections(self, change, message):

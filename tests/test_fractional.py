@@ -337,6 +337,17 @@ class TestOperator:
         with pytest.raises(ValueError, match=message):
             apply_T(GridFunction.zeros(8), prob)
 
+    def test_complex_rhs_is_rejected_by_the_solver(self):
+        prob = FdeProblem(rhs=lambda t, u: u / 16 + np.sin(t) + 1j * t, n_intervals=16)
+        with pytest.raises(ValueError, match="must return real values, got dtype complex128"):
+            solve_fde(prob)
+
+    def test_complex_rhs_is_rejected_by_the_lipschitz_check(self):
+        prob = FdeProblem(rhs=lambda t, u: u / 16 + np.sin(t) + 1j * t, n_intervals=16)
+        pair = (GridFunction.zeros(16), GridFunction(16, np.ones(17)))
+        with pytest.raises(ValueError, match="must return real values, got dtype complex128"):
+            lipschitz_check(prob, [0.25, 0.5], [pair])
+
     def test_scalar_rhs_broadcasts(self):
         scalar = FdeProblem(rhs=lambda t, u: 0.25, n_intervals=8)
         array = FdeProblem(rhs=lambda t, u: np.full_like(t, 0.25), n_intervals=8)

@@ -211,15 +211,26 @@ class TestRelatedPairs:
 LESS = [(0, 1), (0, 2), (1, 2)]
 
 
+def squared_gap(a, b):
+    return float((a - b) ** 2)
+
+
+SQUARED_GAP = GFunctional(squared_gap, "relation_restricted")
+
+
 @pytest.mark.parametrize(
-    "rel",
-    [FiniteRelation.from_pairs(3, LESS), lambda a, b: a < b, np.less],
-    ids=["finite-relation", "lambda", "numpy-ufunc"],
+    "rel, g",
+    [
+        (FiniteRelation.from_pairs(3, LESS), SQUARED_GAP),
+        (lambda a, b: a < b, SQUARED_GAP),
+        (np.less, SQUARED_GAP),
+        (FiniteRelation.from_pairs(3, LESS), squared_gap),
+    ],
+    ids=["finite-relation", "lambda", "numpy-ufunc", "plain-function-g"],
 )
-def test_any_relation_predicate_drives_the_scans(rel):
+def test_any_relation_predicate_drives_the_scans(rel, g):
     # the squared gap breaks the triangle on (0, 2) through 1, a triple
     # every scan reaches; the map is a bound method
-    g = GFunctional(lambda a, b: float((a - b) ** 2), "relation_restricted")
     samples = [0, 1, 2]
     assert related_pairs(rel, samples) == LESS
     assert verify_g_properties(g, rel, samples).g3_witness == (0, 2, 1)
@@ -228,7 +239,19 @@ def test_any_relation_predicate_drives_the_scans(rel):
     assert est == (1.0, (1, 2))
 
 
+def test_a_plain_callable_is_scanned_as_global():
+    # no pair is related, so only the global scan reaches a triple
+    never = lambda a, b: False
+    plain = verify_g_properties(squared_gap, never, [0, 1, 2])
+    assert plain == verify_g_properties(GFunctional(squared_gap), never, [0, 1, 2])
+    assert plain.g3_witness == (0, 2, 1)
+    assert verify_g_properties(SQUARED_GAP, never, [0, 1, 2]).g3_witness is None
+
+
 class TestConstruction:
+    def test_calling_evaluates(self):
+        assert SQUARED_GAP(1, 4) == SQUARED_GAP.evaluate(1, 4) == 9.0
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             GFunctional(lambda a, b: 0.0, declared_domain_mode="sometimes")

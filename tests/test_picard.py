@@ -71,16 +71,17 @@ class TestIterate:
         assert trace.preserved is False
 
     @pytest.mark.parametrize(
-        "smap, rel",
+        "smap, rel, g",
         [
-            (lambda i: 0, FiniteRelation.from_pairs(2, PAIRS)),
-            ((0, 0).__getitem__, lambda a, b: (a, b) in PAIRS),
-            ((0, 0).__getitem__, lambda a, b: np.bool_((a, b) in PAIRS)),
+            (lambda i: 0, FiniteRelation.from_pairs(2, PAIRS), ABS_DIFF),
+            ((0, 0).__getitem__, lambda a, b: (a, b) in PAIRS, ABS_DIFF),
+            ((0, 0).__getitem__, lambda a, b: np.bool_((a, b) in PAIRS), ABS_DIFF),
+            (lambda i: 0, FiniteRelation.from_pairs(2, PAIRS), lambda a, b: abs(a - b)),
         ],
-        ids=["finite-relation", "bound-method-map", "numpy-bool"],
+        ids=["finite-relation", "bound-method-map", "numpy-bool", "plain-function-g"],
     )
-    def test_audits_on_any_relation_predicate(self, smap, rel):
-        trace = iterate(smap, GFunctional(lambda a, b: float(abs(a - b))), rel, 1)
+    def test_audits_on_any_relation_predicate(self, smap, rel, g):
+        trace = iterate(smap, g, rel, 1)
         assert trace.iterates == [1, 0, 0]
         assert trace.certified is True
         assert trace.preserved is True

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +59,15 @@ class TestFiniteRelation:
     def test_rejects_out_of_range_pairs(self):
         with pytest.raises(ValueError):
             rel_of(2, (0, 2))
+
+    def test_non_integral_index_rejected(self):
+        with pytest.raises(ValueError, match="index must be an integer, got 0.5"):
+            FiniteRelation(3, {(0.5, 1.9)})
+
+    def test_numpy_integer_indices_accepted(self):
+        rel = FiniteRelation(3, {(np.int64(0), np.int32(1))})
+        assert rel.pairs == {(0, 1)}
+        assert rel(0, 1) is True
 
     def test_membership(self):
         rel = rel_of(3, (0, 1))

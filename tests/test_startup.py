@@ -107,8 +107,8 @@ ENGINE_CASES = [
     (["verify", "--example", "1"], {"relfix.finite_oracle"}),
     (["iterate", "--example", "2"], {"relfix.finite_oracle"}),
     (["example", "--which", "1", "--svg", "{tmp}/plot.svg"], {"relfix.finite_oracle"}),
-    (["iterate", "--instance", "{instance}"], set()),
-    (["solve-fde", "--grid", "16"], {"relfix.finite_oracle", "relfix.demos"}),
+    (["iterate", "--instance", "{instance}"], {"relfix.gspace"}),
+    (["solve-fde", "--grid", "16"], {"relfix.finite_oracle", "relfix.demos", "relfix.gspace"}),
 ]
 
 

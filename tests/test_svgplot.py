@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from relfix.svgplot import FLOOR, render_residual_plot
@@ -28,6 +30,13 @@ def test_deterministic():
 def test_title_is_embedded():
     svg = render_residual_plot([1.0], title="my residuals")
     assert ">my residuals</text>" in svg
+
+
+def test_title_markup_is_escaped():
+    svg = render_residual_plot([1.0, 0.5], title="a < b & c > d")
+    root = ET.fromstring(svg)
+    titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert titles[0] == "a < b & c > d"
 
 
 def test_nonpositive_values_are_floored_and_annotated():
