@@ -11,17 +11,18 @@ enumeration index.
 
 The sweep is factored: closedness, the seed set, the conclusion and
 uniqueness read only the (relation, map) pair, and the g-hypotheses read
-only the matrix entries on related pairs, their constrained triples and
-their images. One function, ``_patterns``, lists those pairs, triples and
-images and decides closedness and the seed set; :func:`hypotheses_hold`
-reads its table for one instance, and :func:`run_oracle` builds it once
-per pair, classifies the touched entries by magnitude (every hypothesis
-reads g only through |g|, so one magnitude vector stands for 2**(nonzero
-entries) signed assignments), and multiplies each count by the number of
-ways to fill the untouched entries. Its counts are exact multiplicities of
-the instance stream of :func:`enumerate_instances`, not instances visited
-one by one. The module is plain Python with Python integers throughout, so
-no count can overflow and running the oracle loads no array library.
+only the touched entries: related pairs, their swaps, g[r][t] of each
+constrained triple (r, u, t) with t not in {r, u}, and the images. Each
+hypothesis reads g only through |g|, so ``_patterns`` compiles a pair's
+hypotheses into checks on the magnitudes of its touched entries, and one
+decider, ``_first_failure``, runs them. :func:`hypotheses_hold` applies it
+to one instance; :func:`run_oracle` builds the table once per pair,
+decides every magnitude vector (one stands for 2**(nonzero entries) signed
+assignments), and multiplies each count by the number of ways to fill the
+untouched entries. Its counts are exact multiplicities of the instance
+stream of :func:`enumerate_instances`, not instances visited one by one.
+The module is plain Python with Python integers throughout, so no count
+can overflow and running the oracle loads no array library.
 
 Completeness and continuity are automatic on a finite carrier under the
 discrete reading; the success reason records that explicitly rather than
@@ -257,37 +258,85 @@ def contraction_alpha(inst: FiniteInstance) -> Optional[Fraction]:
     return None
 
 
-class _Patterns(NamedTuple):
-    """What the hypotheses read of one (relation, map) pair, g aside."""
+# reason strings indexed like REJECTION_KEYS, formatted with the witness
+_REASONS: tuple[str, ...] = (
+    "(g1) fails: g[{0}][{1}] = 0 on related distinct pair ({0}, {1})",
+    "(g2) fails: |g[{0}][{1}]| != |g[{1}][{0}]| on related pair ({0}, {1})",
+    "(g3) fails on constrained triple ({0}, {1}, {2})",
+    "relation not closed under the map: image of ({0}, {1}) escapes",
+    "seed set empty: no u with (u, map(u)) related",
+    "contraction fails on a related pair for every alpha in {{1/4, 1/2, 3/4}}",
+    "hypotheses hold at alpha = {0}; completeness and continuity are "
+    "automatic on a finite carrier (discrete reading)",
+)
 
-    pairs: tuple[tuple[int, int], ...]  # related pairs, sorted
-    triples: list[tuple[int, int, int]]  # (r, u, t) with (r, u), (t, u) related
-    images: list[tuple[int, int]]  # (m(r), m(s)) of each related pair
-    structural: Optional[tuple[str, str]]  # first failing key and reason
+# contraction holds for some grid factor iff it holds for the largest
+_NUM, _DEN = ALPHA_GRID[-1].as_integer_ratio()
+
+
+class _Patterns(NamedTuple):
+    """A pair's hypotheses as checks on ``mag``, with ``mag[i]`` = |g| at ``cells[i]``."""
+
+    cells: tuple[int, ...]  # the touched cells, ascending
+    g1: list[tuple[int, tuple]]  # mag[a] > 0, witness (r, s)
+    g2: list[tuple[int, int, tuple]]  # mag[a] == mag[b], witness (r, s)
+    g3: list[tuple[int, int, int, tuple]]  # mag[a] <= mag[b] + mag[c], witness (r, u, t)
+    structural: Optional[tuple[int, tuple]]  # first failing key index and witness
+    contraction: list[tuple[int, int]]  # _DEN * mag[a] <= _NUM * mag[b]
 
 
 def _patterns(rel: FiniteRelation, mapping: tuple[int, ...]) -> _Patterns:
-    """The pattern table of one pair; triples are ordered by u, then r, then t.
-
-    ``structural`` is ``("not_closed", reason)`` or ``("seed_empty",
-    reason)`` for the first structural hypothesis that fails, else None.
-    """
+    """Compile the pair's hypotheses, each list in witness order: g1 and g2
+    on the sorted related pairs (g2 once per unordered pair), g3 on triples
+    (r, u, t) with (r, u) and (t, u) related, by u, then r, then t, leaving
+    out t in {r, u}, where the triangle cannot fail."""
+    n = rel.ground_size
     pairs = rel.sorted_pairs
-    in_nbrs: list[list[int]] = [[] for _ in range(rel.ground_size)]
+    in_nbrs: list[list[int]] = [[] for _ in range(n)]
     for r, s in pairs:
         in_nbrs[s].append(r)
-    triples = [(r, u, t) for u, ins in enumerate(in_nbrs) for r in ins for t in ins]
+    triples = [(r, u, t) for u, ins in enumerate(in_nbrs) for r in ins for t in ins if r != t != u]
     images = [(mapping[r], mapping[s]) for r, s in pairs]
+    touched = sorted(
+        {*pairs, *((s, r) for r, s in pairs), *((r, t) for r, _, t in triples), *images}
+    )
+    slot = {cell: pos for pos, cell in enumerate(touched)}  # row-major order
     image_of = mapping.__getitem__
     closed, witness = closed_under(rel, image_of)
     if not closed:
-        reason = "relation not closed under the map: image of ({}, {}) escapes"
-        structural: Optional[tuple[str, str]] = ("not_closed", reason.format(*witness))
+        structural: Optional[tuple[int, tuple]] = (3, witness)
     elif not seed_set(rel, image_of):
-        structural = ("seed_empty", "seed set empty: no u with (u, map(u)) related")
+        structural = (4, ())
     else:
         structural = None
-    return _Patterns(pairs, triples, images, structural)
+    return _Patterns(
+        tuple(r * n + s for r, s in touched),
+        [(slot[r, s], (r, s)) for r, s in pairs if r != s],
+        [(slot[r, s], slot[s, r], (r, s)) for r, s in pairs if r < s or not rel(s, r)],
+        [(slot[r, u], slot[r, t], slot[t, u], (r, u, t)) for r, u, t in triples],
+        structural,
+        [(slot[image], slot[pair]) for image, pair in zip(images, pairs)],
+    )
+
+
+def _first_failure(pat: _Patterns, mag: Sequence[int]) -> tuple[int, tuple]:
+    """The index in REJECTION_KEYS of the first hypothesis ``mag`` fails,
+    with its witness; ``(6, ())`` when every hypothesis holds."""
+    for a, witness in pat.g1:
+        if not mag[a]:
+            return 0, witness
+    for a, b, witness in pat.g2:
+        if mag[a] != mag[b]:
+            return 1, witness
+    for a, b, c, witness in pat.g3:
+        if mag[a] > mag[b] + mag[c]:
+            return 2, witness
+    if pat.structural is not None:
+        return pat.structural
+    for a, b in pat.contraction:
+        if _DEN * mag[a] > _NUM * mag[b]:
+            return 5, ()
+    return 6, ()
 
 
 def hypotheses_hold(inst: FiniteInstance) -> tuple[bool, str]:
@@ -308,30 +357,12 @@ def _check_hypotheses(
 ) -> tuple[bool, str, Optional[Fraction]]:
     """:func:`hypotheses_hold` on the pair's pattern table ``pat``, also
     returning the contraction factor (None unless every hypothesis holds)."""
-    g = inst.g_matrix
-    for r, s in pat.pairs:
-        if r != s and g[r][s] == 0:
-            return False, f"(g1) fails: g[{r}][{s}] = 0 on related distinct pair ({r}, {s})", None
-
-    for r, s in pat.pairs:
-        if abs(g[r][s]) != abs(g[s][r]):
-            return False, f"(g2) fails: |g[{r}][{s}]| != |g[{s}][{r}]| on related pair ({r}, {s})", None
-
-    for r, u, t in pat.triples:
-        if abs(g[r][u]) > abs(g[r][t]) + abs(g[t][u]):
-            return False, f"(g3) fails on constrained triple ({r}, {u}, {t})", None
-
-    if pat.structural is not None:
-        return False, pat.structural[1], None
-
+    g, n = inst.g_matrix, inst.n
+    key, witness = _first_failure(pat, [abs(g[cell // n][cell % n]) for cell in pat.cells])
+    if key != 6:
+        return False, _REASONS[key].format(*witness), None
     alpha = contraction_alpha(inst)
-    if alpha is None:
-        return False, "contraction fails on a related pair for every alpha in {1/4, 1/2, 3/4}", None
-
-    return True, (
-        f"hypotheses hold at alpha = {alpha}; completeness and continuity are "
-        "automatic on a finite carrier (discrete reading)"
-    ), alpha
+    return True, _REASONS[key].format(alpha), alpha
 
 
 def conclusion_holds(inst: FiniteInstance) -> bool:
@@ -474,69 +505,38 @@ def default_sweeps(n: int) -> list[SweepSpec]:
     return [table[n]]
 
 
-def _classify_pair(
-    pat: _Patterns, n: int, g_max: int
-) -> tuple[list[int], list[int], set[tuple[int, ...]]]:
-    """First failing hypothesis for every assignment of the touched entries.
+def _classify_pair(pat: _Patterns, g_max: int) -> tuple[list[int], set[tuple[int, ...]]]:
+    """Assignment counts per first failing hypothesis, in :data:`REJECTION_KEYS`
+    order, and the magnitude vectors that pass every hypothesis.
 
-    The touched cells (row-major ids, ascending) are the entries the pattern
-    table ``pat`` names: ``g[r][s]`` and ``g[s][r]`` on related pairs,
-    ``g[r][t]`` of each constrained triple (r, u, t), and ``g[m(r)][m(s)]``;
-    no hypothesis reads another entry. Every hypothesis reads an entry only
-    through its magnitude (g1's ``g == 0`` is ``|g| == 0``), so each vector
-    of magnitudes in [0, g_max] stands for the 2**(nonzero cells) signed
-    assignments that share it, and only vectors that pass g1 are walked.
-    Returns the cells, the per-key assignment counts in
-    :data:`REJECTION_KEYS` order and the magnitude vectors that pass every
-    hypothesis.
+    The touched entries ``pat.cells`` are the related pairs, their swaps,
+    g[r][t] of each constrained triple (r, u, t) with t not in {r, u}, and
+    the images. Each vector of magnitudes in [0, g_max] stands for the
+    2**(nonzero cells) signed assignments that share it; only vectors that
+    pass g1 are walked.
     """
-    structural = None if pat.structural is None else REJECTION_KEYS.index(pat.structural[0])
-    fwd = [r * n + s for r, s in pat.pairs]
-    bwd = [s * n + r for r, s in pat.pairs]
-    img = [a * n + b for a, b in pat.images]
-    rt = [r * n + t for r, _, t in pat.triples]
-    cells = sorted({*fwd, *bwd, *rt, *img})  # g[r][u] and g[t][u] are related pairs
-    slot = {cell: pos for pos, cell in enumerate(cells)}
-    distinct = {slot[cell] for cell, (r, s) in zip(fwd, pat.pairs) if r != s}
-    swaps = sorted({(slot[min(a, b)], slot[max(a, b)]) for a, b in zip(fwd, bwd) if a != b})
-    # the triangle cannot fail when t is r or u
-    triangles = [
-        (slot[r * n + u], slot[r * n + t], slot[t * n + u])
-        for r, u, t in pat.triples
-        if t != r and t != u
-    ]
-    shrinks = [(slot[a], slot[b]) for a, b in zip(img, fwd)]
-    # contraction holds for some grid factor iff for the largest
-    num, den = ALPHA_GRID[-1].as_integer_ratio()
-
+    width = len(pat.cells)
+    distinct = {a for a, _ in pat.g1}
     counts = [0] * len(REJECTION_KEYS)  # indexed like REJECTION_KEYS
     passing: set[tuple[int, ...]] = set()
     # g1 fails exactly when an entry of a distinct related pair is 0: count
     # those assignments in closed form and walk only the others
-    k, free = 2 * g_max + 1, len(cells) - len(distinct)
-    counts[0] = k ** len(cells) - (k - 1) ** len(distinct) * k**free
-    ranges = [range(1 if pos in distinct else 0, g_max + 1) for pos in range(len(cells))]
+    k = 2 * g_max + 1
+    counts[0] = k**width - (k - 1) ** len(distinct) * k ** (width - len(distinct))
+    ranges = [range(1 if pos in distinct else 0, g_max + 1) for pos in range(width)]
     for mag in product(*ranges):
-        if any(mag[a] != mag[b] for a, b in swaps):
-            key = 1
-        elif any(mag[a] > mag[b] + mag[c] for a, b, c in triangles):
-            key = 2
-        elif structural is not None:
-            key = structural
-        elif any(den * mag[a] > num * mag[b] for a, b in shrinks):
-            key = 5
-        else:
-            key = 6
+        key = _first_failure(pat, mag)[0]
+        if key == 6:
             passing.add(mag)
-        counts[key] += 1 << (len(cells) - mag.count(0))
-    return cells, counts, passing
+        counts[key] += 1 << (width - mag.count(0))
+    return counts, passing
 
 
 def _materialise(
     rel: FiniteRelation,
     mapping: tuple[int, ...],
     g_max: int,
-    cells: list[int],
+    cells: Sequence[int],
     passing: set[tuple[int, ...]],
     first_index: int,
 ) -> Iterator[FiniteInstance]:
@@ -594,8 +594,8 @@ def _sweep_pair(
     fixed = fixed_points(probe)
     unique = not candidate or len(fixed) == 1
     pat = _patterns(rel, mapping)
-    cells, counts, passing = _classify_pair(pat, n, g_max)
-    multiplicity = matrices // (2 * g_max + 1) ** len(cells)
+    counts, passing = _classify_pair(pat, g_max)
+    multiplicity = matrices // (2 * g_max + 1) ** len(pat.cells)
     for key, count in zip(REJECTION_KEYS, counts):
         res.rejections[key] += count * multiplicity
     satisfied = counts[-1] * multiplicity
@@ -606,7 +606,7 @@ def _sweep_pair(
     if satisfied == 0 or (concludes and unique):
         return
     pair_json = _pair_json(rel, mapping)
-    for inst in _materialise(rel, mapping, g_max, cells, passing, first_index):
+    for inst in _materialise(rel, mapping, g_max, pat.cells, passing, first_index):
         # re-check each listed instance on the pair's one table
         ok, reason, inst.alpha = _check_hypotheses(pat, inst)
         if not ok:

@@ -28,20 +28,21 @@ __all__ = [
 ]
 
 
-def _index(i: Any) -> int:
+def _index(i: Any, what: str = "relation index") -> int:
     try:
         return index(i)
     except TypeError:
-        raise ValueError(f"relation index must be an integer, got {i!r}") from None
+        raise ValueError(f"{what} must be an integer, got {i!r}") from None
 
 
 class FiniteRelation(FrozenRecord):
     """Explicit binary relation on the ground set ``{0, ..., ground_size-1}``.
 
     Calling it as ``rel(a, b)`` tests ``(a, b) in rel.pairs``, so it serves
-    wherever a relation predicate is taken. Each index is read with
-    ``operator.index`` (numpy integers pass); a non-integral one, or one
-    outside the ground set, raises :class:`ValueError`. Immutable; ``==``
+    wherever a relation predicate is taken. ``ground_size`` and each index
+    are read with ``operator.index`` (numpy integers pass); a bool or
+    negative ``ground_size``, a non-integral one, or an index outside the
+    ground set raises :class:`ValueError`. Immutable; ``==``
     and the hash read ``ground_size`` and ``pairs`` only.
     """
 
@@ -50,6 +51,9 @@ class FiniteRelation(FrozenRecord):
     __slots__ = (*_fields, "sorted_pairs")
 
     def __init__(self, ground_size: int, pairs: frozenset[tuple[int, int]]) -> None:
+        if isinstance(ground_size, bool):
+            raise ValueError(f"ground_size must be an integer, got {ground_size!r}")
+        ground_size = _index(ground_size, "ground_size")
         if ground_size < 0:
             raise ValueError("ground_size must be nonnegative")
         pairs = frozenset((_index(r), _index(s)) for r, s in pairs)

@@ -35,14 +35,19 @@ def render_residual_plot(
 
     One marker per residual (a single point gets no polyline); every point
     drawn here corresponds to one row of the companion CSV. ``title`` is
-    plain text: ``&``, ``<`` and ``>`` are escaped.
+    plain text: ``&``, ``<`` and ``>`` are escaped. A NaN or infinite
+    residual raises :class:`ValueError` naming its index.
     """
     if len(residuals) == 0:
         raise ValueError("nothing to plot")
+    values = [float(r) for r in residuals]
+    for i, v in enumerate(values):
+        if not math.isfinite(v):
+            raise ValueError(f"residual {i} is not finite: {v!r}")
     title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
-    floored = [max(float(r), FLOOR) for r in residuals]
-    clamped = any(float(r) < FLOOR for r in residuals)
+    floored = [max(v, FLOOR) for v in values]
+    clamped = any(v < FLOOR for v in values)
     logs = [math.log10(v) for v in floored]
 
     lo = math.floor(min(logs))

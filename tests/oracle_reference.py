@@ -12,9 +12,14 @@ and ``run_oracle``.
 ``classify_pair`` and ``materialise`` are the numpy classifier and
 materialiser the oracle used before it classified by magnitude: every
 signed assignment of the touched entries is a base-(2 g_max + 1) code, and
-the materialiser scans every matrix offset of a pair.
+the materialiser scans every matrix offset of a pair. The classifier
+derives its pairs, triples, images and structural verdict from the
+(relation, map) pair itself, and touches every entry of every triple, the
+diagonal g[r][r] of t == r included, so it reads nothing of the oracle's
+pattern table.
 """
 
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -26,7 +31,6 @@ from relfix.finite_oracle import (
     FiniteInstance,
     SweepResult,
     SweepSpec,
-    _Patterns,
     enumerate_instances,
 )
 from relfix.relations import FiniteRelation
@@ -133,23 +137,51 @@ def digits(codes: np.ndarray, width: int, base: int) -> np.ndarray:
     return codes // place_values(width, base)[:, None] % base
 
 
-def classify_pair(pat: _Patterns, n: int, g_max: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+def pair_patterns(rel: FiniteRelation, mapping: tuple[int, ...]):
+    """Related pairs, every triple (r, u, t) with (r, u) and (t, u) related,
+    and the images of the related pairs, derived here from the pair."""
+    pairs = rel.sorted_pairs
+    n = rel.ground_size
+    triples = [(r, u, t) for u, r, t in product(range(n), repeat=3) if rel(r, u) and rel(t, u)]
+    images = [(mapping[r], mapping[s]) for r, s in pairs]
+    return pairs, triples, images
+
+
+def touched_cells(rel: FiniteRelation, mapping: tuple[int, ...]) -> list[int]:
+    """Row-major ids of every entry the hypotheses may read, ascending:
+    related pairs, their swaps, g[r][t] of every triple, the images."""
+    n = rel.ground_size
+    pairs, triples, images = pair_patterns(rel, mapping)
+    ends = [(r, t) for r, _, t in triples]
+    return sorted({r * n + s for r, s in [*pairs, *images, *ends]} | {s * n + r for r, s in pairs})
+
+
+def classify_pair(
+    rel: FiniteRelation, mapping: tuple[int, ...], g_max: int
+) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Cells, per-key counts and passing codes over every signed assignment."""
     k = 2 * g_max + 1
-    structural = None if pat.structural is None else pat.structural[0]
-    fwd = [r * n + s for r, s in pat.pairs]
-    bwd = [s * n + r for r, s in pat.pairs]
-    img = [a * n + b for a, b in pat.images]
-    ru = [r * n + u for r, u, _ in pat.triples]
-    rt = [r * n + t for r, _, t in pat.triples]
-    tu = [t * n + u for _, u, t in pat.triples]
-    cells = sorted({*fwd, *bwd, *rt, *img})  # ru and tu are related pairs
+    n = rel.ground_size
+    pairs, triples, images = pair_patterns(rel, mapping)
+    if not all(rel(a, b) for a, b in images):
+        structural = "not_closed"
+    elif not any(rel(u, mapping[u]) for u in range(n)):
+        structural = "seed_empty"
+    else:
+        structural = None
+    fwd = [r * n + s for r, s in pairs]
+    bwd = [s * n + r for r, s in pairs]
+    img = [a * n + b for a, b in images]
+    ru = [r * n + u for r, u, _ in triples]
+    rt = [r * n + t for r, _, t in triples]
+    tu = [t * n + u for _, u, t in triples]
+    cells = touched_cells(rel, mapping)
     slot = {cell: pos for pos, cell in enumerate(cells)}
 
     def at(ids: Sequence[int]) -> np.ndarray:
         return np.array([slot[cell] for cell in ids], dtype=np.intp)
 
-    distinct = at([cell for cell, (r, s) in zip(fwd, pat.pairs) if r != s])
+    distinct = at([cell for cell, (r, s) in zip(fwd, pairs) if r != s])
     fwd, bwd, img, ru, rt, tu = map(at, (fwd, bwd, img, ru, rt, tu))
     num, den = ALPHA_GRID[-1].as_integer_ratio()
 

@@ -484,19 +484,33 @@ class TestFactoredSweep:
         assert sweep.rejections["pass"] == sweep.hypotheses_satisfied > 0
         assert sweep.counterexamples == sweep.uniqueness_violations == []
 
+    def test_slice_where_g3_fires(self):
+        # the reference slices see g3 only at n=2, g_max=3; this slice shows
+        # it in an n=3 sweep. The counts were frozen from `relfix oracle --n 3
+        # --g-max 2 --rel-cap 64` at commit bf1fd43, whose classifier also
+        # touched g[r][r] of every triple (r, u, t) with t == r
+        sweep = run_oracle([SweepSpec(3, 2, 64)]).sweeps[0]
+        assert sweep.instances_checked == 3_375_000_000
+        assert sweep.counterexamples == sweep.uniqueness_violations == []
+        assert sweep.rejections == {
+            "g1": 1_160_662_500,
+            "g2": 1_493_964_000,
+            "g3": 2_160_000,
+            "not_closed": 506_421_375,
+            "seed_empty": 73_110_750,
+            "contraction": 121_571_600,
+            "pass": 17_109_775,
+        }
+        assert sweep.hypotheses_satisfied == sweep.rejections["pass"]
+
     def test_a_bad_slice_is_rejected(self):
         with pytest.raises(ValueError):
             run_oracle([SweepSpec(5, 1, 1)])
 
 
-def touched_cell_count(pat, n):
-    """Entries a pair's hypotheses read: related pairs, swaps, g[r][t], images."""
-    return len(
-        {r * n + s for r, s in pat.pairs}
-        | {s * n + r for r, s in pat.pairs}
-        | {r * n + t for r, _, t in pat.triples}
-        | {a * n + b for a, b in pat.images}
-    )
+def touched_cell_count(rel, mapping):
+    """Entries the reference classifier reads: related pairs, swaps, g[r][t], images."""
+    return len(oracle_reference.touched_cells(rel, mapping))
 
 
 def drawn_pairs(n, g_max, seed, count=8, budget=100_000):
@@ -515,9 +529,8 @@ def drawn_pairs(n, g_max, seed, count=8, budget=100_000):
         mapping = rng.choice(maps)
         if len(anywhere) < count:
             rel = relation_of(n, rng.randrange(1 << (n * n)))
-            pat = finite_oracle._patterns(rel, mapping)
-            if k ** touched_cell_count(pat, n) <= budget:
-                anywhere.append((rel, mapping, pat))
+            if k ** touched_cell_count(rel, mapping) <= budget:
+                anywhere.append((rel, mapping))
             continue
         u = rng.randrange(n)
         pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(3))}
@@ -525,18 +538,18 @@ def drawn_pairs(n, g_max, seed, count=8, budget=100_000):
         while not {(mapping[r], mapping[s]) for r, s in pairs} <= pairs:
             pairs |= {(mapping[r], mapping[s]) for r, s in pairs}
         rel = FiniteRelation(n, frozenset(pairs))
-        pat = finite_oracle._patterns(rel, mapping)
-        assert pat.structural is None
-        if k ** touched_cell_count(pat, n) <= budget:
-            sound.append((rel, mapping, pat))
+        assert closed_under(rel, mapping.__getitem__)[0] and seed_set(rel, mapping.__getitem__)
+        if k ** touched_cell_count(rel, mapping) <= budget:
+            sound.append((rel, mapping))
     return anywhere, sound
 
 
-def magnitudes(codes, width, g_max):
-    """The magnitude vector of each signed reference code."""
+def magnitudes(codes, ref_cells, cells, g_max):
+    """The magnitude vector of each signed reference code, read on ``cells``."""
     k = 2 * g_max + 1
-    mags = abs(oracle_reference.digits(codes, width, k) - g_max)
-    return [tuple(column) for column in mags.T.tolist()]
+    mags = abs(oracle_reference.digits(codes, len(ref_cells), k) - g_max)
+    rows = [ref_cells.index(cell) for cell in cells]
+    return [tuple(column) for column in mags[rows].T.tolist()]
 
 
 class TestMagnitudeClassifier:
@@ -545,13 +558,19 @@ class TestMagnitudeClassifier:
     @pytest.mark.parametrize("n, g_max", [(3, 2), (3, 3), (4, 1), (4, 2)])
     def test_counts_and_passing_vectors_equal_the_reference(self, n, g_max):
         passing_total, above_one = 0, False
+        k = 2 * g_max + 1
         anywhere, sound = drawn_pairs(n, g_max, seed=1000 * n + g_max)
-        for rel, mapping, pat in anywhere + sound:
-            cells, counts, passing = finite_oracle._classify_pair(pat, n, g_max)
-            ref_cells, ref_counts, ref_codes = oracle_reference.classify_pair(pat, n, g_max)
-            assert cells == ref_cells
-            assert counts == ref_counts.tolist(), (sorted(rel.pairs), mapping)
-            assert passing == set(magnitudes(ref_codes, len(cells), g_max))
+        for rel, mapping in anywhere + sound:
+            pat = finite_oracle._patterns(rel, mapping)
+            cells = pat.cells
+            counts, passing = finite_oracle._classify_pair(pat, g_max)
+            ref_cells, ref_counts, ref_codes = oracle_reference.classify_pair(rel, mapping, g_max)
+            # the two cell sets may differ, so compare counts over whole matrices
+            assert set(cells) <= set(ref_cells)
+            whole = [count * k ** (n * n - len(cells)) for count in counts]
+            ref_whole = [count * k ** (n * n - len(ref_cells)) for count in ref_counts.tolist()]
+            assert whole == ref_whole, (sorted(rel.pairs), mapping)
+            assert passing == set(magnitudes(ref_codes, ref_cells, cells, g_max))
             passing_total += len(passing)
             above_one |= any(max(mag, default=0) >= 2 for mag in passing)
         assert passing_total > 0
@@ -561,11 +580,12 @@ class TestMagnitudeClassifier:
         # the reference scans all 5**9 matrices of a pair, so one pair
         n, g_max = 3, 2
         _, sound = drawn_pairs(n, g_max, seed=78, count=1)
-        for rel, mapping, pat in sound:
-            cells, _, passing = finite_oracle._classify_pair(pat, n, g_max)
-            _, _, codes = oracle_reference.classify_pair(pat, n, g_max)
-            got = finite_oracle._materialise(rel, mapping, g_max, cells, passing, 11)
-            expected = oracle_reference.materialise(rel, mapping, g_max, cells, codes, 11)
+        for rel, mapping in sound:
+            pat = finite_oracle._patterns(rel, mapping)
+            _, passing = finite_oracle._classify_pair(pat, g_max)
+            ref_cells, _, codes = oracle_reference.classify_pair(rel, mapping, g_max)
+            got = finite_oracle._materialise(rel, mapping, g_max, pat.cells, passing, 11)
+            expected = oracle_reference.materialise(rel, mapping, g_max, ref_cells, codes, 11)
             got = [(inst.index, inst.g_matrix) for inst in got]
             assert got == [(inst.index, inst.g_matrix) for inst in expected]
             assert any(-2 in row for _, g in got for row in g)
@@ -582,21 +602,23 @@ def test_forced_violations_at_four_points(monkeypatch):
     # a satisfying n=4 matrix at g_max = 1 has at least two choices for
     # each off-diagonal entry, and a connected relation forces a constant
     # map, which forces only one diagonal entry to 0; so no pair has fewer
-    # than 2**12 * 3**3 = 110,592 satisfying instances, the count of this
-    # one. Listing them takes seconds, so the classifier's passing vectors
-    # are narrowed to those with a zero diagonal: 2**12 = 4,096 instances
+    # than 2**12 * 3**3 = 110,592 satisfying instances, the count of the
+    # full relation under this map. Listing them takes seconds, so the
+    # classifier's passing vectors are narrowed to those with a zero
+    # diagonal: 2**12 = 4,096 instances. Every diagonal pair is related,
+    # so every diagonal entry is a touched cell
     n, g_max = 4, 1
-    rel = FiniteRelation(n, frozenset(product(range(n), repeat=2)) - {(1, 1), (2, 2), (3, 3)})
+    rel = FiniteRelation(n, frozenset(product(range(n), repeat=2)))
     mapping = (0, 0, 0, 0)
     real_classify = finite_oracle._classify_pair
     diagonal = [r * n + r for r in range(n)]
 
-    def narrowed(pat, n, g_max):
-        cells, counts, passing = real_classify(pat, n, g_max)
-        keep = {mag for mag in passing if not any(mag[cells.index(c)] for c in diagonal)}
+    def narrowed(pat, g_max):
+        counts, passing = real_classify(pat, g_max)
+        keep = {mag for mag in passing if not any(mag[pat.cells.index(c)] for c in diagonal)}
         moved = sum(1 << (len(mag) - mag.count(0)) for mag in passing - keep)
         counts = counts[:-2] + [counts[-2] + moved, counts[-1] - moved]
-        return cells, counts, keep
+        return counts, keep
 
     monkeypatch.setattr(finite_oracle, "_classify_pair", narrowed)
     monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda inst: False)
@@ -622,9 +644,9 @@ def test_listed_instances_are_rechecked(monkeypatch):
     rel = FiniteRelation(n, frozenset(product(range(n), repeat=2)))
     real_classify = finite_oracle._classify_pair
 
-    def lenient(pat, n, g_max):
-        cells, counts, passing = real_classify(pat, n, g_max)
-        return cells, counts, passing | {(0,) * len(cells)}
+    def lenient(pat, g_max):
+        counts, passing = real_classify(pat, g_max)
+        return counts, passing | {(0,) * len(pat.cells)}
 
     monkeypatch.setattr(finite_oracle, "_classify_pair", lenient)
     monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda inst: False)

@@ -64,6 +64,16 @@ class TestFiniteRelation:
         with pytest.raises(ValueError, match="index must be an integer, got 0.5"):
             FiniteRelation(3, {(0.5, 1.9)})
 
+    @pytest.mark.parametrize("size", [2.5, True, "3"], ids=repr)
+    def test_ground_size_must_be_an_integer(self, size):
+        with pytest.raises(ValueError, match="ground_size must be an integer"):
+            FiniteRelation(size, {(0, 0)})
+
+    def test_numpy_integer_ground_size_accepted(self):
+        rel = FiniteRelation(np.int64(3), {(0, 2)})
+        assert rel.ground_size == 3 and type(rel.ground_size) is int
+        assert seed_set(rel, lambda u: 2) == [0]
+
     def test_numpy_integer_indices_accepted(self):
         rel = FiniteRelation(3, {(np.int64(0), np.int32(1))})
         assert rel.pairs == {(0, 1)}

@@ -1,3 +1,4 @@
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -8,6 +9,12 @@ from relfix.svgplot import FLOOR, render_residual_plot
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         render_residual_plot([])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+def test_non_finite_residual_rejected(bad):
+    with pytest.raises(ValueError, match="residual 1 is not finite"):
+        render_residual_plot([1.0, bad, 0.5])
 
 
 def test_marker_per_residual():
