@@ -9,20 +9,19 @@ within n steps). Any instance satisfying the hypotheses but violating the
 conclusion would be a counterexample; the sweep reports them all, sorted by
 enumeration index.
 
-The sweep is factored: closedness, the seed set, the conclusion and
-uniqueness read only the (relation, map) pair, and the g-hypotheses read
-only the touched entries: related pairs, their swaps, g[r][t] of each
-constrained triple (r, u, t) with t not in {r, u}, and the images. Each
-hypothesis reads g only through |g|, so ``_patterns`` compiles a pair's
-hypotheses into checks on the magnitudes of its touched entries, and one
-decider, ``_first_failure``, runs them. :func:`hypotheses_hold` applies it
-to one instance; :func:`run_oracle` builds the table once per pair,
-decides every magnitude vector (one stands for 2**(nonzero entries) signed
-assignments), and multiplies each count by the number of ways to fill the
-untouched entries. Its counts are exact multiplicities of the instance
-stream of :func:`enumerate_instances`, not instances visited one by one.
-The module is plain Python with Python integers throughout, so no count
-can overflow and running the oracle loads no array library.
+The sweep is factored. Every hypothesis reads g only through |g|, and g1-g3
+read only the relation's cells: related pairs, their swaps and g[r][t] of
+each constrained triple (r, u, t) with t not in {r, u}. ``_patterns``
+compiles g1-g3 into checks on a magnitude vector over those cells, and
+``_pair_checks`` decides a map's closedness and seed set on the relation's
+bitmask (bit r*n + s). :func:`run_oracle` walks each relation's vectors once
+(one stands for 2**(nonzero entries) signed assignments) for all n**n maps:
+a pair that is not closed or seeded gets the relation's histogram, and a
+closed, seeded pair, whose images are related cells, filters the passing
+vectors by contraction. Counts are multiplied by the ways to fill the other
+entries, so they are exact multiplicities of :func:`enumerate_instances`.
+The module uses Python integers throughout, so no count can overflow and
+running the oracle loads no array library.
 
 Completeness and continuity are automatic on a finite carrier under the
 discrete reading; the success reason records that explicitly rather than
@@ -33,16 +32,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Collection, Iterator, NamedTuple, Optional, Sequence
 
 from ._records import Record
-from .relations import (
-    FiniteRelation,
-    closed_under,
-    is_connected,
-    seed_set,
-    symmetric_closure,
-)
+from .relations import FiniteRelation, is_connected, seed_set, symmetric_closure
 
 __all__ = [
     "ALPHA_GRID",
@@ -198,21 +191,13 @@ def _check_slice(n: int, g_max: int, rel_count_cap: Optional[int]) -> None:
         raise ValueError("rel_count_cap must be at least 1")
 
 
-def _relation_map_pairs(
-    n: int, rel_count_cap: Optional[int]
-) -> Iterator[tuple[FiniteRelation, tuple[int, ...]]]:
-    """The (relation, map) part of the instance stream, in stream order."""
+def _relations(n: int, rel_count_cap: Optional[int]) -> Iterator[FiniteRelation]:
+    """The relations of the instance stream, in stream order."""
     total_masks = 1 << (n * n)
     mask_count = total_masks if rel_count_cap is None else min(rel_count_cap, total_masks)
-    pair_of_bit = [(bit // n, bit % n) for bit in range(n * n)]
-    maps = list(product(range(n), repeat=n))
     for mask in range(mask_count):
-        pairs = frozenset(
-            pair_of_bit[bit] for bit in range(n * n) if mask >> bit & 1
-        )
-        rel = FiniteRelation(n, pairs)
-        for mapping in maps:
-            yield rel, mapping
+        pairs = frozenset(divmod(bit, n) for bit in range(n * n) if mask >> bit & 1)
+        yield FiniteRelation(n, pairs)
 
 
 def enumerate_instances(
@@ -230,13 +215,14 @@ def enumerate_instances(
     its stream index.
     """
     _check_slice(n, g_max, rel_count_cap)
-    entries = range(-g_max, g_max + 1)
-    row_choices = list(product(entries, repeat=n))
+    row_choices = list(product(range(-g_max, g_max + 1), repeat=n))
+    maps = list(product(range(n), repeat=n))
     index = 0
-    for rel, mapping in _relation_map_pairs(n, rel_count_cap):
-        for g_matrix in product(row_choices, repeat=n):
-            yield FiniteInstance(n, g_matrix, rel, mapping, None, index)
-            index += 1
+    for rel in _relations(n, rel_count_cap):
+        for mapping in maps:
+            for g_matrix in product(row_choices, repeat=n):
+                yield FiniteInstance(n, g_matrix, rel, mapping, None, index)
+                index += 1
 
 
 def fixed_points(inst: FiniteInstance) -> list[int]:
@@ -275,53 +261,68 @@ _NUM, _DEN = ALPHA_GRID[-1].as_integer_ratio()
 
 
 class _Patterns(NamedTuple):
-    """A pair's hypotheses as checks on ``mag``, with ``mag[i]`` = |g| at ``cells[i]``."""
+    """A relation's g-hypotheses as checks on ``mag``, with ``mag[i]`` = |g| at ``cells[i]``."""
 
-    cells: tuple[int, ...]  # the touched cells, ascending
+    n: int
+    mask: int  # bit r*n + s set for each related pair (r, s)
+    related: tuple[int, ...]  # the related cells r*n + s, ascending
+    cells: tuple[int, ...]  # related cells, swaps and triple ends, ascending
     g1: list[tuple[int, tuple]]  # mag[a] > 0, witness (r, s)
     g2: list[tuple[int, int, tuple]]  # mag[a] == mag[b], witness (r, s)
     g3: list[tuple[int, int, int, tuple]]  # mag[a] <= mag[b] + mag[c], witness (r, u, t)
-    structural: Optional[tuple[int, tuple]]  # first failing key index and witness
-    contraction: list[tuple[int, int]]  # _DEN * mag[a] <= _NUM * mag[b]
 
 
-def _patterns(rel: FiniteRelation, mapping: tuple[int, ...]) -> _Patterns:
-    """Compile the pair's hypotheses, each list in witness order: g1 and g2
-    on the sorted related pairs (g2 once per unordered pair), g3 on triples
-    (r, u, t) with (r, u) and (t, u) related, by u, then r, then t, leaving
-    out t in {r, u}, where the triangle cannot fail."""
+def _patterns(rel: FiniteRelation) -> _Patterns:
+    """Compile the relation's g-hypotheses, each list in witness order: g1
+    and g2 on the sorted related pairs (g2 once per unordered pair), g3 on
+    triples (r, u, t) with (r, u) and (t, u) related, by u, then r, then t,
+    leaving out t in {r, u}, where the triangle cannot fail."""
     n = rel.ground_size
     pairs = rel.sorted_pairs
     in_nbrs: list[list[int]] = [[] for _ in range(n)]
     for r, s in pairs:
         in_nbrs[s].append(r)
     triples = [(r, u, t) for u, ins in enumerate(in_nbrs) for r in ins for t in ins if r != t != u]
-    images = [(mapping[r], mapping[s]) for r, s in pairs]
-    touched = sorted(
-        {*pairs, *((s, r) for r, s in pairs), *((r, t) for r, _, t in triples), *images}
-    )
-    slot = {cell: pos for pos, cell in enumerate(touched)}  # row-major order
-    image_of = mapping.__getitem__
-    closed, witness = closed_under(rel, image_of)
-    if not closed:
-        structural: Optional[tuple[int, tuple]] = (3, witness)
-    elif not seed_set(rel, image_of):
-        structural = (4, ())
-    else:
-        structural = None
+    related = tuple(r * n + s for r, s in pairs)
+    ends = [r * n + t for r, _, t in triples]
+    cells = tuple(sorted({*related, *(s * n + r for r, s in pairs), *ends}))
+    slot = {cell: pos for pos, cell in enumerate(cells)}
     return _Patterns(
-        tuple(r * n + s for r, s in touched),
-        [(slot[r, s], (r, s)) for r, s in pairs if r != s],
-        [(slot[r, s], slot[s, r], (r, s)) for r, s in pairs if r < s or not rel(s, r)],
-        [(slot[r, u], slot[r, t], slot[t, u], (r, u, t)) for r, u, t in triples],
-        structural,
-        [(slot[image], slot[pair]) for image, pair in zip(images, pairs)],
+        n, sum(1 << cell for cell in related), related, cells,
+        [(slot[r * n + s], (r, s)) for r, s in pairs if r != s],
+        [(slot[r * n + s], slot[s * n + r], (r, s)) for r, s in pairs if r < s or not rel(s, r)],
+        [(slot[r * n + u], slot[r * n + t], slot[t * n + u], (r, u, t)) for r, u, t in triples],
     )
 
 
-def _first_failure(pat: _Patterns, mag: Sequence[int]) -> tuple[int, tuple]:
-    """The index in REJECTION_KEYS of the first hypothesis ``mag`` fails,
-    with its witness; ``(6, ())`` when every hypothesis holds."""
+def _map_cells(n: int, mapping: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The image cell m(r)*n + m(s) of each cell r*n + s, and the seed mask,
+    with bit u*n + m(u) set for each u. A map that is not a self-map of
+    {0, ..., n-1} would alias cells, so it raises :class:`ValueError`."""
+    if len(mapping) != n or not all(0 <= m < n for m in mapping):
+        raise ValueError(f"map must send each of 0..{n - 1} into the ground set, got {mapping!r}")
+    images = tuple(mapping[r] * n + mapping[s] for r in range(n) for s in range(n))
+    return images, sum(1 << (u * n + m) for u, m in enumerate(mapping))
+
+
+def _pair_checks(pat: _Patterns, images: tuple[int, ...], seeds: int) -> tuple:
+    """A (relation, map) pair's first failing structural hypothesis, as a
+    REJECTION_KEYS index and witness (closedness, witnessed by the first
+    related pair whose image escapes, then a seed), or else None and its
+    contraction checks ``_DEN * mag[a] <= _NUM * mag[b]``, ``a`` the slot
+    of the image of the related cell at slot ``b``."""
+    mask, slot = pat.mask, pat.cells.index
+    for cell in pat.related:
+        if not mask >> images[cell] & 1:
+            return (3, divmod(cell, pat.n)), []
+    if not mask & seeds:
+        return (4, ()), []
+    return None, [(slot(images[cell]), slot(cell)) for cell in pat.related]
+
+
+def _g_failure(pat: _Patterns, mag: Sequence[int]) -> tuple[int, tuple]:
+    """The index in REJECTION_KEYS of the first of g1, g2, g3 that ``mag``
+    fails, with its witness; ``(3, ())`` when all three hold."""
     for a, witness in pat.g1:
         if not mag[a]:
             return 0, witness
@@ -331,12 +332,15 @@ def _first_failure(pat: _Patterns, mag: Sequence[int]) -> tuple[int, tuple]:
     for a, b, c, witness in pat.g3:
         if mag[a] > mag[b] + mag[c]:
             return 2, witness
-    if pat.structural is not None:
-        return pat.structural
-    for a, b in pat.contraction:
+    return 3, ()
+
+
+def _contracts(contraction: list[tuple[int, int]], mag: Sequence[int]) -> bool:
+    """Whether ``mag`` passes every contraction check of ``_pair_checks``."""
+    for a, b in contraction:
         if _DEN * mag[a] > _NUM * mag[b]:
-            return 5, ()
-    return 6, ()
+            return False
+    return True
 
 
 def hypotheses_hold(inst: FiniteInstance) -> tuple[bool, str]:
@@ -348,17 +352,22 @@ def hypotheses_hold(inst: FiniteInstance) -> tuple[bool, str]:
     set, and contraction on related pairs for some grid factor. The reason
     names the first failing hypothesis and its first witness.
     """
-    ok, reason, _ = _check_hypotheses(_patterns(inst.rel, inst.mapping), inst)
-    return ok, reason
+    pat = _patterns(inst.rel)
+    return _check_hypotheses(pat, _pair_checks(pat, *_map_cells(pat.n, inst.mapping)), inst)[:2]
 
 
 def _check_hypotheses(
-    pat: _Patterns, inst: FiniteInstance
+    pat: _Patterns, checks: tuple, inst: FiniteInstance
 ) -> tuple[bool, str, Optional[Fraction]]:
-    """:func:`hypotheses_hold` on the pair's pattern table ``pat``, also
-    returning the contraction factor (None unless every hypothesis holds)."""
+    """:func:`hypotheses_hold` on the relation's table ``pat`` and the pair's
+    ``_pair_checks``, also returning the contraction factor (None unless
+    every hypothesis holds)."""
     g, n = inst.g_matrix, inst.n
-    key, witness = _first_failure(pat, [abs(g[cell // n][cell % n]) for cell in pat.cells])
+    mag = [abs(g[cell // n][cell % n]) for cell in pat.cells]
+    structural, contraction = checks
+    key, witness = _g_failure(pat, mag)
+    if key == 3:
+        key, witness = structural or ((6 if _contracts(contraction, mag) else 5), ())
     if key != 6:
         return False, _REASONS[key].format(*witness), None
     alpha = contraction_alpha(inst)
@@ -468,17 +477,11 @@ class OracleReport(Record):
 
     @property
     def counterexamples(self) -> list[dict]:
-        out: list[dict] = []
-        for s in self.sweeps:
-            out.extend(s.counterexamples)
-        return out
+        return [doc for s in self.sweeps for doc in s.counterexamples]
 
     @property
     def uniqueness_violations(self) -> list[dict]:
-        out: list[dict] = []
-        for s in self.sweeps:
-            out.extend(s.uniqueness_violations)
-        return out
+        return [doc for s in self.sweeps for doc in s.uniqueness_violations]
 
     def to_json_dict(self) -> dict:
         return {
@@ -492,8 +495,11 @@ class OracleReport(Record):
 def default_sweeps(n: int) -> list[SweepSpec]:
     """Per-size default slices: all of n=2, capped slices of n=3 and n=4.
 
-    The n=4 slice is 2 x 4^4 x 3^16, about 2.2e10 instances; the factored
-    sweep decides its 512 (relation, map) pairs in well under a second.
+    The n=4 slice is 2 x 4^4 x 3^16, about 2.2e10 instances. The sweep
+    walks each relation's g1-g3 cells once and decides its n^n maps by
+    bitmask, so these slices take milliseconds. Uncapped, in one process
+    (2 vCPU, Python 3.11), n=3 takes about 0.07 s at g_max=1 and 0.4 s at
+    g_max=2, where g3 fires, and n=4 at g_max=1 (7.2e14 instances) 62 s.
     """
     table = {
         2: SweepSpec(2, g_max=2, rel_count_cap=None),
@@ -505,117 +511,112 @@ def default_sweeps(n: int) -> list[SweepSpec]:
     return [table[n]]
 
 
-def _classify_pair(pat: _Patterns, g_max: int) -> tuple[list[int], set[tuple[int, ...]]]:
-    """Assignment counts per first failing hypothesis, in :data:`REJECTION_KEYS`
-    order, and the magnitude vectors that pass every hypothesis.
-
-    The touched entries ``pat.cells`` are the related pairs, their swaps,
-    g[r][t] of each constrained triple (r, u, t) with t not in {r, u}, and
-    the images. Each vector of magnitudes in [0, g_max] stands for the
-    2**(nonzero cells) signed assignments that share it; only vectors that
-    pass g1 are walked.
-    """
+def _classify(pat: _Patterns, g_max: int) -> tuple[list[int], dict[tuple[int, ...], int]]:
+    """Assignment counts of the relation's cells per first failing g1, g2,
+    g3, then holding all three, and the magnitude vectors that hold all
+    three, each with its weight. A vector in [0, g_max]**len(cells) stands
+    for the 2**(nonzero cells) signed assignments that share it, its
+    weight; only vectors that pass g1 are walked."""
     width = len(pat.cells)
     distinct = {a for a, _ in pat.g1}
-    counts = [0] * len(REJECTION_KEYS)  # indexed like REJECTION_KEYS
-    passing: set[tuple[int, ...]] = set()
+    counts = [0] * 4
+    passing: dict[tuple[int, ...], int] = {}
     # g1 fails exactly when an entry of a distinct related pair is 0: count
     # those assignments in closed form and walk only the others
     k = 2 * g_max + 1
     counts[0] = k**width - (k - 1) ** len(distinct) * k ** (width - len(distinct))
     ranges = [range(1 if pos in distinct else 0, g_max + 1) for pos in range(width)]
     for mag in product(*ranges):
-        key = _first_failure(pat, mag)[0]
-        if key == 6:
-            passing.add(mag)
-        counts[key] += 1 << (width - mag.count(0))
+        key = _g_failure(pat, mag)[0]
+        weight = 1 << (width - mag.count(0))
+        counts[key] += weight
+        if key == 3:
+            passing[mag] = weight
     return counts, passing
 
 
 def _materialise(
-    rel: FiniteRelation,
-    mapping: tuple[int, ...],
-    g_max: int,
-    cells: Sequence[int],
-    passing: set[tuple[int, ...]],
-    first_index: int,
+    rel: FiniteRelation, mapping: tuple[int, ...], g_max: int,
+    cells: Sequence[int], passing: Collection[tuple[int, ...]], first_index: int,
 ) -> Iterator[FiniteInstance]:
-    """Every instance of one pair whose touched magnitudes are in ``passing``.
+    """Every instance of one pair whose magnitudes on ``cells`` are in
+    ``passing``, in stream order.
 
-    The matrices are built entry by entry in row-major order, each entry
-    taking its values in ascending order, so they come out in stream order;
-    a touched entry keeps only the values whose magnitudes still start some
-    passing vector, so the work grows with the instances yielded. A
-    matrix's offset within its pair is its digit string (entry + g_max)
-    read in base 2 g_max + 1; ``first_index`` is the stream index of offset 0.
+    Each vector fixes its nonzero entries up to sign and leaves the other
+    entries free, so the work grows with the instances yielded. A matrix's
+    offset within its pair is its digit string (entry + g_max) read in base
+    2 g_max + 1; ``first_index`` is the stream index of offset 0.
     """
     n = rel.ground_size
     k = 2 * g_max + 1
-    values = range(-g_max, g_max + 1)
-    touched = set(cells)
-    prefixes = {mag[:end] for mag in passing for end in range(len(cells) + 1)}
-    # (entries so far, their touched magnitudes, offset so far)
-    partial: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
-    for cell in range(n * n):
-        if cell in touched:
-            partial = [
-                (entries + (v,), mags + (abs(v),), offset * k + v + g_max)
-                for entries, mags, offset in partial
-                for v in values
-                if mags + (abs(v),) in prefixes
-            ]
-        else:
-            partial = [
-                (entries + (v,), mags, offset * k + v + g_max)
-                for entries, mags, offset in partial
-                for v in values
-            ]
-    for entries, _, offset in partial:
+    free = range(-g_max, g_max + 1)
+    found = []
+    for mag in passing:
+        fixed = dict(zip(cells, mag))
+        choices = [sorted({-fixed[c], fixed[c]}) if c in fixed else free for c in range(n * n)]
+        for entries in product(*choices):
+            offset = 0
+            for v in entries:
+                offset = offset * k + v + g_max
+            found.append((offset, entries))
+    for offset, entries in sorted(found):
         g_matrix = tuple(entries[row * n : row * n + n] for row in range(n))
         yield FiniteInstance(n, g_matrix, rel, mapping, None, first_index + offset)
 
 
-def _sweep_pair(
-    res: SweepResult,
-    rel: FiniteRelation,
-    mapping: tuple[int, ...],
-    first_index: int,
+def _sweep_relation(
+    res: SweepResult, rel: FiniteRelation, maps: Sequence[tuple], first_index: int
 ) -> None:
-    """Add every instance of one (relation, map) pair to a sweep's tallies.
+    """Add every instance of the pairs (``rel``, m) to a sweep's tallies.
 
-    ``first_index`` is the stream index of the pair's first matrix.
+    ``maps`` lists each map m in stream order as ``(m, *_map_cells(n, m))``;
+    ``first_index`` is the stream index of the first pair's first matrix.
     """
     n, g_max = rel.ground_size, res.spec.g_max
-    matrices = (2 * g_max + 1) ** (n * n)
-    # the structural verdicts read no g entry
-    probe = FiniteInstance(n, (), rel, mapping)
-    concludes = conclusion_holds(probe)
-    candidate = image_symmetric_connected(probe)
-    fixed = fixed_points(probe)
-    unique = not candidate or len(fixed) == 1
-    pat = _patterns(rel, mapping)
-    counts, passing = _classify_pair(pat, g_max)
-    multiplicity = matrices // (2 * g_max + 1) ** len(pat.cells)
-    for key, count in zip(REJECTION_KEYS, counts):
-        res.rejections[key] += count * multiplicity
-    satisfied = counts[-1] * multiplicity
-    res.instances_checked += matrices
-    res.hypotheses_satisfied += satisfied
-    if candidate:
-        res.uniqueness_candidates += satisfied
-    if satisfied == 0 or (concludes and unique):
-        return
-    pair_json = _pair_json(rel, mapping)
-    for inst in _materialise(rel, mapping, g_max, pat.cells, passing, first_index):
-        # re-check each listed instance on the pair's one table
-        ok, reason, inst.alpha = _check_hypotheses(pat, inst)
-        if not ok:
-            raise RuntimeError(f"instance {inst.index} misclassified: {reason}")
-        doc = _instance_json(inst, pair_json)
-        if not concludes:
-            res.counterexamples.append({**doc, "reason": reason})
-        if not unique:
-            res.uniqueness_violations.append({**doc, "fixed_points": fixed})
+    k = 2 * g_max + 1
+    matrices = k ** (n * n)
+    pat = _patterns(rel)
+    counts, passing = _classify(pat, g_max)
+    multiplicity = matrices // k ** len(pat.cells)
+    rejections = res.rejections
+    for key, count in zip(REJECTION_KEYS, counts[:3]):
+        rejections[key] += count * multiplicity * len(maps)
+    res.instances_checked += matrices * len(maps)
+    holds = counts[3] * multiplicity
+    for pair_no, (mapping, images, seeds) in enumerate(maps if holds else ()):
+        checks = structural, contraction = _pair_checks(pat, images, seeds)
+        if structural is not None:
+            rejections[REJECTION_KEYS[structural[0]]] += holds
+            continue
+        satisfying = {mag: w for mag, w in passing.items() if _contracts(contraction, mag)}
+        satisfied = sum(satisfying.values()) * multiplicity
+        rejections["contraction"] += holds - satisfied
+        rejections["pass"] += satisfied
+        if not satisfied:
+            continue
+        res.hypotheses_satisfied += satisfied
+        # the conclusion and uniqueness read no g entry
+        probe = FiniteInstance(n, (), rel, mapping)
+        concludes = conclusion_holds(probe)
+        candidate = image_symmetric_connected(probe)
+        fixed = fixed_points(probe)
+        unique = not candidate or len(fixed) == 1
+        if candidate:
+            res.uniqueness_candidates += satisfied
+        if concludes and unique:
+            continue
+        pair_json = _pair_json(rel, mapping)
+        first = first_index + pair_no * matrices
+        for inst in _materialise(rel, mapping, g_max, pat.cells, satisfying, first):
+            # re-check each listed instance on the relation's one table
+            ok, reason, inst.alpha = _check_hypotheses(pat, checks, inst)
+            if not ok:
+                raise RuntimeError(f"instance {inst.index} misclassified: {reason}")
+            doc = _instance_json(inst, pair_json)
+            if not concludes:
+                res.counterexamples.append({**doc, "reason": reason})
+            if not unique:
+                res.uniqueness_violations.append({**doc, "fixed_points": fixed})
 
 
 def run_oracle(sweeps: Sequence[SweepSpec]) -> OracleReport:
@@ -626,20 +627,19 @@ def run_oracle(sweeps: Sequence[SweepSpec]) -> OracleReport:
     whose map image is connected in the symmetric closure are additionally
     held to a unique fixed point; violations are reported separately.
 
-    Each (relation, map) pair of the stream is decided once: its structural
-    verdicts directly, its g-hypotheses over all assignments of the entries
-    they read (see :func:`_classify_pair`). Counts are exact multiplicities
-    of :func:`enumerate_instances`. Only a pair that breaks the conclusion
-    or uniqueness has its satisfying instances built one by one, so the
-    reports list them exactly as a one-by-one sweep would.
+    Counts are exact multiplicities of :func:`enumerate_instances` (see the
+    module docstring). Only a pair that breaks the conclusion or uniqueness
+    has its satisfying instances built one by one, so the reports list them
+    exactly as a one-by-one sweep would.
     """
     results: list[SweepResult] = []
     for spec in sweeps:
         res = SweepResult(spec=spec)
-        _check_slice(spec.n, spec.g_max, spec.rel_count_cap)
-        matrices = (2 * spec.g_max + 1) ** (spec.n * spec.n)
-        pairs = _relation_map_pairs(spec.n, spec.rel_count_cap)
-        for pair_no, (rel, mapping) in enumerate(pairs):
-            _sweep_pair(res, rel, mapping, pair_no * matrices)
+        n = spec.n
+        _check_slice(n, spec.g_max, spec.rel_count_cap)
+        maps = [(mapping, *_map_cells(n, mapping)) for mapping in product(range(n), repeat=n)]
+        per_relation = len(maps) * (2 * spec.g_max + 1) ** (n * n)
+        for rel_no, rel in enumerate(_relations(n, spec.rel_count_cap)):
+            _sweep_relation(res, rel, maps, rel_no * per_relation)
         results.append(res)
     return OracleReport(results)

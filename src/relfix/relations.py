@@ -29,10 +29,13 @@ __all__ = [
 
 
 def _index(i: Any, what: str = "relation index") -> int:
-    try:
-        return index(i)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {i!r}") from None
+    """``operator.index(i)``, refusing a bool, which it would read as 0 or 1."""
+    if not isinstance(i, bool):
+        try:
+            return index(i)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {i!r}")
 
 
 class FiniteRelation(FrozenRecord):
@@ -40,8 +43,8 @@ class FiniteRelation(FrozenRecord):
 
     Calling it as ``rel(a, b)`` tests ``(a, b) in rel.pairs``, so it serves
     wherever a relation predicate is taken. ``ground_size`` and each index
-    are read with ``operator.index`` (numpy integers pass); a bool or
-    negative ``ground_size``, a non-integral one, or an index outside the
+    are read with ``operator.index`` (numpy integers pass); a bool, a
+    non-integral value, a negative ``ground_size`` or an index outside the
     ground set raises :class:`ValueError`. Immutable; ``==``
     and the hash read ``ground_size`` and ``pairs`` only.
     """
@@ -51,8 +54,6 @@ class FiniteRelation(FrozenRecord):
     __slots__ = (*_fields, "sorted_pairs")
 
     def __init__(self, ground_size: int, pairs: frozenset[tuple[int, int]]) -> None:
-        if isinstance(ground_size, bool):
-            raise ValueError(f"ground_size must be an integer, got {ground_size!r}")
         ground_size = _index(ground_size, "ground_size")
         if ground_size < 0:
             raise ValueError("ground_size must be nonnegative")

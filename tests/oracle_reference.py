@@ -9,6 +9,15 @@ pattern table. The other verdict functions are looked up on the module at
 call time, so a test that monkeypatches them changes both this reference
 and ``run_oracle``.
 
+``per_pair_sweep`` is the factored sweep as it was before it shared one
+g1-g3 walk across a relation's maps: ``pair_table`` compiles each
+(relation, map) pair's six hypotheses into checks on the magnitudes of the
+pair's touched entries (images included), ``classify_magnitudes`` walks
+every magnitude vector of the pair, and ``sweep_pair`` tallies the pair and
+lists its violating instances through the oracle's ``_materialise``. Its
+closedness and seed verdicts come from ``relations.closed_under`` and
+``relations.seed_set``, not the oracle's bitmasks.
+
 ``classify_pair`` and ``materialise`` are the numpy classifier and
 materialiser the oracle used before it classified by magnitude: every
 signed assignment of the touched entries is a base-(2 g_max + 1) code, and
@@ -20,7 +29,7 @@ pattern table.
 """
 
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +42,7 @@ from relfix.finite_oracle import (
     SweepSpec,
     enumerate_instances,
 )
-from relfix.relations import FiniteRelation
+from relfix.relations import FiniteRelation, closed_under, seed_set
 
 # assignments of the touched matrix entries classified per numpy pass
 CHUNK = 1 << 16
@@ -125,6 +134,138 @@ def reference_sweep(spec: SweepSpec) -> SweepResult:
     """The whole slice, one instance at a time."""
     instances = enumerate_instances(spec.n, spec.g_max, spec.rel_count_cap)
     return sweep_instances(SweepResult(spec=spec), instances)
+
+
+class PairPatterns(NamedTuple):
+    """A pair's hypotheses as checks on ``mag``, with ``mag[i]`` = |g| at ``cells[i]``."""
+
+    cells: tuple  # the touched cells, ascending
+    g1: list  # mag[a] > 0, witness (r, s)
+    g2: list  # mag[a] == mag[b], witness (r, s)
+    g3: list  # mag[a] <= mag[b] + mag[c], witness (r, u, t)
+    structural: Optional[tuple]  # first failing key index and witness
+    contraction: list  # den * mag[a] <= num * mag[b]
+
+
+def pair_table(rel: FiniteRelation, mapping: tuple[int, ...]) -> PairPatterns:
+    """Compile one (relation, map) pair's hypotheses, each list in witness order."""
+    n = rel.ground_size
+    pairs = rel.sorted_pairs
+    in_nbrs = [[] for _ in range(n)]
+    for r, s in pairs:
+        in_nbrs[s].append(r)
+    triples = [(r, u, t) for u, ins in enumerate(in_nbrs) for r in ins for t in ins if r != t != u]
+    images = [(mapping[r], mapping[s]) for r, s in pairs]
+    touched = sorted(
+        {*pairs, *((s, r) for r, s in pairs), *((r, t) for r, _, t in triples), *images}
+    )
+    slot = {cell: pos for pos, cell in enumerate(touched)}
+    image_of = mapping.__getitem__
+    closed, witness = closed_under(rel, image_of)
+    if not closed:
+        structural = (3, witness)
+    elif not seed_set(rel, image_of):
+        structural = (4, ())
+    else:
+        structural = None
+    return PairPatterns(
+        tuple(r * n + s for r, s in touched),
+        [(slot[r, s], (r, s)) for r, s in pairs if r != s],
+        [(slot[r, s], slot[s, r], (r, s)) for r, s in pairs if r < s or not rel(s, r)],
+        [(slot[r, u], slot[r, t], slot[t, u], (r, u, t)) for r, u, t in triples],
+        structural,
+        [(slot[image], slot[pair]) for image, pair in zip(images, pairs)],
+    )
+
+
+def first_failure(pat: PairPatterns, mag: Sequence[int]) -> tuple[int, tuple]:
+    """The index in REJECTION_KEYS of the first hypothesis ``mag`` fails,
+    with its witness; ``(6, ())`` when every hypothesis holds."""
+    num, den = ALPHA_GRID[-1].as_integer_ratio()
+    for a, witness in pat.g1:
+        if not mag[a]:
+            return 0, witness
+    for a, b, witness in pat.g2:
+        if mag[a] != mag[b]:
+            return 1, witness
+    for a, b, c, witness in pat.g3:
+        if mag[a] > mag[b] + mag[c]:
+            return 2, witness
+    if pat.structural is not None:
+        return pat.structural
+    for a, b in pat.contraction:
+        if den * mag[a] > num * mag[b]:
+            return 5, ()
+    return 6, ()
+
+
+def classify_magnitudes(pat: PairPatterns, g_max: int):
+    """Per-key assignment counts over the pair's touched cells, and the
+    magnitude vectors that pass every hypothesis."""
+    width = len(pat.cells)
+    distinct = {a for a, _ in pat.g1}
+    counts = [0] * len(REJECTION_KEYS)
+    passing = set()
+    k = 2 * g_max + 1
+    counts[0] = k**width - (k - 1) ** len(distinct) * k ** (width - len(distinct))
+    ranges = [range(1 if pos in distinct else 0, g_max + 1) for pos in range(width)]
+    for mag in product(*ranges):
+        key = first_failure(pat, mag)[0]
+        if key == 6:
+            passing.add(mag)
+        counts[key] += 1 << (width - mag.count(0))
+    return counts, passing
+
+
+def sweep_pair(res: SweepResult, rel: FiniteRelation, mapping: tuple[int, ...], first_index: int):
+    """Add every instance of one (relation, map) pair to a sweep's tallies."""
+    n, g_max = rel.ground_size, res.spec.g_max
+    matrices = (2 * g_max + 1) ** (n * n)
+    probe = FiniteInstance(n, (), rel, mapping)
+    concludes = finite_oracle.conclusion_holds(probe)
+    candidate = finite_oracle.image_symmetric_connected(probe)
+    fixed = finite_oracle.fixed_points(probe)
+    unique = not candidate or len(fixed) == 1
+    pat = pair_table(rel, mapping)
+    counts, passing = classify_magnitudes(pat, g_max)
+    multiplicity = matrices // (2 * g_max + 1) ** len(pat.cells)
+    for key, count in zip(REJECTION_KEYS, counts):
+        res.rejections[key] += count * multiplicity
+    satisfied = counts[-1] * multiplicity
+    res.instances_checked += matrices
+    res.hypotheses_satisfied += satisfied
+    if candidate:
+        res.uniqueness_candidates += satisfied
+    if satisfied == 0 or (concludes and unique):
+        return
+    pair_json = finite_oracle._pair_json(rel, mapping)
+    for inst in finite_oracle._materialise(rel, mapping, g_max, pat.cells, passing, first_index):
+        g = inst.g_matrix
+        key, witness = first_failure(pat, [abs(g[cell // n][cell % n]) for cell in pat.cells])
+        if key != 6:
+            reason = finite_oracle._REASONS[key].format(*witness)
+            raise RuntimeError(f"instance {inst.index} misclassified: {reason}")
+        inst.alpha = finite_oracle.contraction_alpha(inst)
+        reason = finite_oracle._REASONS[key].format(inst.alpha)
+        doc = finite_oracle._instance_json(inst, pair_json)
+        if not concludes:
+            res.counterexamples.append({**doc, "reason": reason})
+        if not unique:
+            res.uniqueness_violations.append({**doc, "fixed_points": fixed})
+
+
+def per_pair_sweep(spec: SweepSpec) -> SweepResult:
+    """The whole slice, one (relation, map) pair at a time."""
+    n = spec.n
+    res = SweepResult(spec=spec)
+    matrices = (2 * spec.g_max + 1) ** (n * n)
+    maps = list(product(range(n), repeat=n))
+    masks = 1 << (n * n) if spec.rel_count_cap is None else min(spec.rel_count_cap, 1 << (n * n))
+    for mask in range(masks):
+        rel = FiniteRelation(n, frozenset(divmod(b, n) for b in range(n * n) if mask >> b & 1))
+        for map_no, mapping in enumerate(maps):
+            sweep_pair(res, rel, mapping, (mask * len(maps) + map_no) * matrices)
+    return res
 
 
 def place_values(width: int, base: int) -> np.ndarray:

@@ -10,9 +10,11 @@ import pytest
 
 import oracle_reference
 from oracle_reference import (
+    per_pair_sweep,
     reference_hypotheses,
     reference_sweep,
     sweep_instances,
+    sweep_pair,
 )
 from relfix import finite_oracle
 from relfix.finite_oracle import (
@@ -151,6 +153,15 @@ class TestHypothesisReasons:
         assert "automatic on a finite carrier" in reason
         assert contraction_alpha(inst) == Fraction(1, 4)
         assert conclusion_holds(inst)
+
+    @pytest.mark.parametrize("mapping", [(0, 2), (0, -1), (0, 0, 1), (0,)], ids=str)
+    def test_map_outside_the_ground_set(self, mapping):
+        # the closedness test reads image cells m(r)*n + m(s), which such a
+        # map would alias to other cells
+        inst = mk(2, [(0, 0), (0, 1), (1, 0)], (0, 0), [[0, 1], [1, 0]])
+        inst.mapping = mapping
+        with pytest.raises(ValueError, match="map must send each of 0..1"):
+            hypotheses_hold(inst)
 
     def test_contraction_grid_is_fixed(self):
         assert ALPHA_GRID == (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
@@ -394,6 +405,12 @@ def relation_of(n, mask):
     return FiniteRelation(n, frozenset((b // n, b % n) for b in range(n * n) if mask >> b & 1))
 
 
+def sweep_one_pair(res, rel, mapping, first_index):
+    """The factored sweep restricted to the one pair (rel, mapping)."""
+    maps = [(mapping, *finite_oracle._map_cells(rel.ground_size, mapping))]
+    finite_oracle._sweep_relation(res, rel, maps, first_index)
+
+
 def pair_reports(n, g_max, mask, map_no):
     """One (relation, map) pair, factored and one by one; stream indices as in the sweep."""
     spec = SweepSpec(n, g_max, None)
@@ -406,7 +423,7 @@ def pair_reports(n, g_max, mask, map_no):
         (FiniteInstance(n, g, rel, mapping, None, first + k) for k, g in enumerate(matrices)),
     )
     got = SweepResult(spec)
-    finite_oracle._sweep_pair(got, rel, mapping, first)
+    sweep_one_pair(got, rel, mapping, first)
     return got.to_json_dict(), expected.to_json_dict()
 
 
@@ -503,9 +520,70 @@ class TestFactoredSweep:
         }
         assert sweep.hypotheses_satisfied == sweep.rejections["pass"]
 
+    def test_uncapped_slice_where_g3_fires(self):
+        # every n=3 relation at g_max = 2. The counts were frozen from
+        # `relfix oracle --n 3 --g-max 2 --rel-cap 512` at commit a07f133,
+        # whose sweep walked each (relation, map) pair's cells separately
+        report = run_oracle([SweepSpec(3, 2, None)])
+        sweep = report.sweeps[0]
+        assert report.total_checked == sweep.instances_checked == 27_000_000_000
+        assert report.counterexamples == report.uniqueness_violations == []
+        assert sweep.hypotheses_satisfied == sweep.rejections["pass"] == 63_092_941
+        assert sweep.uniqueness_candidates == 41_552_316
+        assert sweep.rejections == {
+            "g1": 12_651_093_000,
+            "g2": 11_172_384_000,
+            "g3": 51_840_000,
+            "not_closed": 2_279_871_375,
+            "seed_empty": 141_456_500,
+            "contraction": 640_262_184,
+            "pass": 63_092_941,
+        }
+
     def test_a_bad_slice_is_rejected(self):
         with pytest.raises(ValueError):
             run_oracle([SweepSpec(5, 1, 1)])
+
+
+# slices whose every (relation, map) pair the factored sweep decides
+# exactly as the per-pair reference does
+PER_PAIR_SLICES = [
+    SweepSpec(2, 2, None),
+    SweepSpec(3, 1, None),
+    SweepSpec(3, 1, 8),
+    SweepSpec(4, 1, 2),
+]
+
+
+class TestAgainstThePerPairSweep:
+    """The shared per-relation walk against one walk per (relation, map) pair."""
+
+    @pytest.mark.parametrize("spec", PER_PAIR_SLICES, ids=str)
+    def test_every_pair_equals_the_per_pair_reference(self, spec):
+        n, g_max = spec.n, spec.g_max
+        maps = list(product(range(n), repeat=n))
+        matrices = (2 * g_max + 1) ** (n * n)
+        masks = 1 << (n * n) if spec.rel_count_cap is None else spec.rel_count_cap
+        for mask in range(masks):
+            rel = relation_of(n, mask)
+            for map_no, mapping in enumerate(maps):
+                first = (mask * len(maps) + map_no) * matrices
+                got, expected = SweepResult(spec), SweepResult(spec)
+                sweep_one_pair(got, rel, mapping, first)
+                sweep_pair(expected, rel, mapping, first)
+                assert got.to_json_dict() == expected.to_json_dict(), (mask, mapping)
+        # the whole slice, where one walk serves all of a relation's maps
+        got = run_oracle([spec]).sweeps[0].to_json_dict()
+        assert got == per_pair_sweep(spec).to_json_dict()
+
+    @pytest.mark.parametrize("spec", [SweepSpec(2, 2, None), SweepSpec(3, 1, 8)], ids=str)
+    def test_forced_violations_list_the_same_documents(self, monkeypatch, spec):
+        real_fixed = finite_oracle.fixed_points
+        monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda inst: False)
+        monkeypatch.setattr(finite_oracle, "fixed_points", lambda inst: real_fixed(inst) * 2)
+        got = run_oracle([spec]).sweeps[0]
+        assert got.counterexamples and got.uniqueness_violations
+        assert json.dumps(got.to_json_dict()) == json.dumps(per_pair_sweep(spec).to_json_dict())
 
 
 def touched_cell_count(rel, mapping):
@@ -544,6 +622,20 @@ def drawn_pairs(n, g_max, seed, count=8, budget=100_000):
     return anywhere, sound
 
 
+def factored_pair(rel, mapping, g_max):
+    """One pair through the factored sweep: the relation's cells, the
+    per-key counts over whole matrices, and the magnitude vectors on those
+    cells that pass every hypothesis."""
+    res = SweepResult(SweepSpec(rel.ground_size, g_max, None))
+    sweep_one_pair(res, rel, mapping, 0)
+    pat = finite_oracle._patterns(rel)
+    _, passing = finite_oracle._classify(pat, g_max)
+    images, seeds = finite_oracle._map_cells(pat.n, mapping)
+    structural, contraction = finite_oracle._pair_checks(pat, images, seeds)
+    kept = {mag for mag in passing if finite_oracle._contracts(contraction, mag)}
+    return pat.cells, list(res.rejections.values()), set() if structural else kept
+
+
 def magnitudes(codes, ref_cells, cells, g_max):
     """The magnitude vector of each signed reference code, read on ``cells``."""
     k = 2 * g_max + 1
@@ -561,13 +653,10 @@ class TestMagnitudeClassifier:
         k = 2 * g_max + 1
         anywhere, sound = drawn_pairs(n, g_max, seed=1000 * n + g_max)
         for rel, mapping in anywhere + sound:
-            pat = finite_oracle._patterns(rel, mapping)
-            cells = pat.cells
-            counts, passing = finite_oracle._classify_pair(pat, g_max)
+            cells, whole, passing = factored_pair(rel, mapping, g_max)
             ref_cells, ref_counts, ref_codes = oracle_reference.classify_pair(rel, mapping, g_max)
             # the two cell sets may differ, so compare counts over whole matrices
             assert set(cells) <= set(ref_cells)
-            whole = [count * k ** (n * n - len(cells)) for count in counts]
             ref_whole = [count * k ** (n * n - len(ref_cells)) for count in ref_counts.tolist()]
             assert whole == ref_whole, (sorted(rel.pairs), mapping)
             assert passing == set(magnitudes(ref_codes, ref_cells, cells, g_max))
@@ -581,10 +670,9 @@ class TestMagnitudeClassifier:
         n, g_max = 3, 2
         _, sound = drawn_pairs(n, g_max, seed=78, count=1)
         for rel, mapping in sound:
-            pat = finite_oracle._patterns(rel, mapping)
-            _, passing = finite_oracle._classify_pair(pat, g_max)
+            cells, _, passing = factored_pair(rel, mapping, g_max)
             ref_cells, _, codes = oracle_reference.classify_pair(rel, mapping, g_max)
-            got = finite_oracle._materialise(rel, mapping, g_max, pat.cells, passing, 11)
+            got = finite_oracle._materialise(rel, mapping, g_max, cells, passing, 11)
             expected = oracle_reference.materialise(rel, mapping, g_max, ref_cells, codes, 11)
             got = [(inst.index, inst.g_matrix) for inst in got]
             assert got == [(inst.index, inst.g_matrix) for inst in expected]
@@ -603,31 +691,29 @@ def test_forced_violations_at_four_points(monkeypatch):
     # each off-diagonal entry, and a connected relation forces a constant
     # map, which forces only one diagonal entry to 0; so no pair has fewer
     # than 2**12 * 3**3 = 110,592 satisfying instances, the count of the
-    # full relation under this map. Listing them takes seconds, so the
-    # classifier's passing vectors are narrowed to those with a zero
-    # diagonal: 2**12 = 4,096 instances. Every diagonal pair is related,
-    # so every diagonal entry is a touched cell
+    # full relation under this map. Listing them all takes seconds, so the
+    # listing is narrowed to the instances with a zero diagonal: 2**12 =
+    # 4,096. The narrowing wraps _materialise, which the sweep and the
+    # per-pair reference both call, so it leaves every count as it is
     n, g_max = 4, 1
     rel = FiniteRelation(n, frozenset(product(range(n), repeat=2)))
     mapping = (0, 0, 0, 0)
-    real_classify = finite_oracle._classify_pair
-    diagonal = [r * n + r for r in range(n)]
+    real_materialise = finite_oracle._materialise
 
-    def narrowed(pat, g_max):
-        counts, passing = real_classify(pat, g_max)
-        keep = {mag for mag in passing if not any(mag[pat.cells.index(c)] for c in diagonal)}
-        moved = sum(1 << (len(mag) - mag.count(0)) for mag in passing - keep)
-        counts = counts[:-2] + [counts[-2] + moved, counts[-1] - moved]
-        return counts, keep
+    def narrowed(*args):
+        return (i for i in real_materialise(*args) if not any(i.g_matrix[r][r] for r in range(n)))
 
-    monkeypatch.setattr(finite_oracle, "_classify_pair", narrowed)
+    monkeypatch.setattr(finite_oracle, "_materialise", narrowed)
     monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda inst: False)
     first = 3 * (2 * g_max + 1) ** (n * n)
-    res = SweepResult(SweepSpec(n, g_max, None))
-    finite_oracle._sweep_pair(res, rel, mapping, first)
+    res, expected = SweepResult(SweepSpec(n, g_max, None)), SweepResult(SweepSpec(n, g_max, None))
+    sweep_one_pair(res, rel, mapping, first)
+    sweep_pair(expected, rel, mapping, first)
+    assert json.dumps(res.to_json_dict()) == json.dumps(expected.to_json_dict())
 
     listed = res.counterexamples
-    assert res.hypotheses_satisfied == len(listed) == 2**12
+    assert res.hypotheses_satisfied == 2**12 * 3**3
+    assert len(listed) == 2**12
     indices = [doc["index"] for doc in listed]
     assert all(a < b for a, b in zip(indices, indices[1:]))
     for doc in listed:
@@ -642,16 +728,16 @@ def test_listed_instances_are_rechecked(monkeypatch):
     # it) must be caught when the pair's instances are listed
     n, g_max = 2, 1
     rel = FiniteRelation(n, frozenset(product(range(n), repeat=2)))
-    real_classify = finite_oracle._classify_pair
+    real_classify = finite_oracle._classify
 
     def lenient(pat, g_max):
         counts, passing = real_classify(pat, g_max)
-        return counts, passing | {(0,) * len(pat.cells)}
+        return counts, {**passing, (0,) * len(pat.cells): 1}
 
-    monkeypatch.setattr(finite_oracle, "_classify_pair", lenient)
+    monkeypatch.setattr(finite_oracle, "_classify", lenient)
     monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda inst: False)
     with pytest.raises(RuntimeError, match=r"misclassified: \(g1\) fails"):
-        finite_oracle._sweep_pair(SweepResult(SweepSpec(n, g_max, None)), rel, (0, 0), 0)
+        sweep_one_pair(SweepResult(SweepSpec(n, g_max, None)), rel, (0, 0), 0)
 
 
 def test_listed_instances_serialise_like_to_json_dict(monkeypatch):
@@ -664,7 +750,7 @@ def test_listed_instances_serialise_like_to_json_dict(monkeypatch):
     monkeypatch.setattr(finite_oracle, "image_symmetric_connected", lambda inst: True)
     monkeypatch.setattr(finite_oracle, "fixed_points", lambda inst: [0, 2])
     res = SweepResult(SweepSpec(n, g_max, None))
-    finite_oracle._sweep_pair(res, rel, mapping, 5 * 3 ** (n * n))
+    sweep_one_pair(res, rel, mapping, 5 * 3 ** (n * n))
     assert res.counterexamples and len(res.counterexamples) == len(res.uniqueness_violations)
     for listed, violation in zip(res.counterexamples, res.uniqueness_violations):
         g = tuple(tuple(row) for row in listed["g"])

@@ -64,6 +64,12 @@ class TestFiniteRelation:
         with pytest.raises(ValueError, match="index must be an integer, got 0.5"):
             FiniteRelation(3, {(0.5, 1.9)})
 
+    @pytest.mark.parametrize("pair", [(True, False), (0, True), (np.bool_(True), 0)], ids=repr)
+    def test_bool_index_rejected(self, pair):
+        # operator.index takes a bool, which would read True as 1
+        with pytest.raises(ValueError, match="relation index must be an integer"):
+            FiniteRelation(2, {pair})
+
     @pytest.mark.parametrize("size", [2.5, True, "3"], ids=repr)
     def test_ground_size_must_be_an_integer(self, size):
         with pytest.raises(ValueError, match="ground_size must be an integer"):
