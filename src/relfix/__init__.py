@@ -68,6 +68,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "finite_oracle": (
         "ALPHA_GRID",
         "REJECTION_KEYS",
+        "Pair",
         "FiniteInstance",
         "SweepSpec",
         "SweepResult",

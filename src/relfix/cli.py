@@ -107,7 +107,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         doc = {
             "hypotheses_hold": ok,
             "reason": reason,
-            "conclusion_holds": _cli.conclusion_holds(inst) if ok else None,
+            "conclusion_holds": _cli.conclusion_holds(inst.pair) if ok else None,
         }
         out = json.dumps(doc, indent=2) + "\n"
         if args.out:

@@ -1,13 +1,15 @@
 """Exhaustive model checking of the relational fixed-point claim.
 
-Instances are tiny carriers {0, ..., n-1} with an integer pair matrix
-standing in for the g-functional, an explicit relation, and a self-map given
-as an index array. The checker enumerates instances deterministically,
-tests every hypothesis of the fixed-point claim mechanically, and verifies
-the conclusion (a fixed point exists and every seeded orbit reaches one
-within n steps). Any instance satisfying the hypotheses but violating the
-conclusion would be a counterexample; the sweep reports them all, sorted by
-enumeration index.
+Instances are tiny carriers {0, ..., n-1}, n the ground size of an explicit
+relation, with an integer pair matrix standing in for the g-functional and
+a self-map given as an index array. The verdicts that read no g entry take
+the :class:`Pair` of relation and self-map; a wrong ``n``, a g that is not n
+by n or a map that is not a self-map raises :class:`ValueError`. The checker
+enumerates instances deterministically, tests every hypothesis of the
+fixed-point claim mechanically, and verifies the conclusion (a fixed point
+exists and every seeded orbit reaches one within n steps). Any instance
+satisfying the hypotheses but violating the conclusion would be a
+counterexample; the sweep reports them all, sorted by enumeration index.
 
 The sweep is factored. Every hypothesis reads g only through |g|, and g1-g3
 read only the relation's cells: related pairs, their swaps and g[r][t] of
@@ -34,12 +36,13 @@ from fractions import Fraction
 from itertools import product
 from typing import Collection, Iterator, NamedTuple, Optional, Sequence
 
-from ._records import Record
+from ._records import FrozenRecord, Record
 from .relations import FiniteRelation, is_connected, seed_set, symmetric_closure
 
 __all__ = [
     "ALPHA_GRID",
     "REJECTION_KEYS",
+    "Pair",
     "FiniteInstance",
     "SweepSpec",
     "SweepResult",
@@ -72,10 +75,29 @@ REJECTION_KEYS: tuple[str, ...] = (
 )
 
 
+class Pair(FrozenRecord):
+    """A relation and a self-map of its ground set, given as an index tuple."""
+
+    __slots__ = _fields = ("rel", "mapping")
+
+    def __init__(self, rel: FiniteRelation, mapping: Sequence[int]) -> None:
+        n = rel.ground_size
+        if len(mapping) != n or not all(0 <= m < n for m in mapping):
+            raise ValueError(f"map must send each of 0..{n - 1} into the ground set, got {mapping!r}")
+        super().__init__(rel, tuple(mapping))
+
+    @property
+    def n(self) -> int:
+        return self.rel.ground_size
+
+    def to_json_dict(self) -> dict:
+        return {"pairs": [list(p) for p in self.rel.sorted_pairs], "map": list(self.mapping)}
+
+
 class FiniteInstance(Record):
     """One model-check instance; treated as immutable once enumerated."""
 
-    __slots__ = _fields = ("n", "g_matrix", "rel", "mapping", "alpha", "index")
+    __slots__ = _fields = ("g_matrix", "rel", "mapping", "alpha", "index")
 
     def __init__(
         self,
@@ -86,15 +108,24 @@ class FiniteInstance(Record):
         alpha: Optional[Fraction] = None,
         index: int = -1,
     ) -> None:
-        self.n = n
+        if n != rel.ground_size:
+            raise ValueError(f"n = {n!r} is not the relation's ground size {rel.ground_size}")
         self.g_matrix = g_matrix
         self.rel = rel
         self.mapping = mapping
         self.alpha = alpha
         self.index = index
 
+    n = Pair.n  # the relation's ground size, read as for a pair
+
+    @property
+    def pair(self) -> Pair:
+        return Pair(self.rel, self.mapping)
+
     def to_json_dict(self) -> dict:
-        return _instance_json(self, _pair_json(self.rel, self.mapping))
+        alpha = None if self.alpha is None else str(self.alpha)
+        doc = {"index": self.index, "n": self.n, **self.pair.to_json_dict()}
+        return {**doc, "g": [list(row) for row in self.g_matrix], "alpha": alpha}
 
     @classmethod
     def from_json_dict(cls, doc: object) -> "FiniteInstance":
@@ -115,10 +146,7 @@ class FiniteInstance(Record):
                 raise ValueError(f"instance JSON lacks the {key!r} key")
         n = _json_int(doc["n"], "n")
         pairs = [_json_ints(p, 2, "pair") for p in _json_list(doc["pairs"], "pairs")]
-        rel = FiniteRelation.from_pairs(n, pairs)
-        mapping = tuple(_json_ints(doc["map"], n, "map"))
-        if not all(0 <= i < n for i in mapping):
-            raise ValueError(f"map entries must be ground indices below {n}")
+        pair = Pair(FiniteRelation.from_pairs(n, pairs), _json_ints(doc["map"], n, "map"))
         rows = _json_list(doc["g"], "g")
         if len(rows) != n:
             raise ValueError(f"g must have {n} rows")
@@ -136,7 +164,7 @@ class FiniteInstance(Record):
                 raise ValueError(f"alpha must be null or one of {grid}, got {alpha!r}")
             alpha = value
         index = _json_int(doc.get("index", -1), "index")
-        return cls(n, g_matrix, rel, mapping, alpha, index)
+        return cls(n, g_matrix, pair.rel, pair.mapping, alpha, index)
 
 
 def _json_int(value: object, what: str) -> int:
@@ -159,24 +187,6 @@ def _json_ints(value: object, length: int, what: str) -> list[int]:
     if len(items) != length:
         raise ValueError(f"{what} must list {length} integers, got {len(items)}")
     return [_json_int(v, f"{what} entry") for v in items]
-
-
-def _pair_json(rel: FiniteRelation, mapping: tuple[int, ...]) -> dict:
-    """The ``pairs`` and ``map`` fields of an instance's JSON: the part every
-    instance of one (relation, map) pair shares, built once per pair by the
-    sweep, so its listed documents share these two lists."""
-    return {"pairs": [list(p) for p in rel.sorted_pairs], "map": list(mapping)}
-
-
-def _instance_json(inst: FiniteInstance, pair_json: dict) -> dict:
-    """:meth:`FiniteInstance.to_json_dict` given its pair's ``_pair_json``."""
-    return {
-        "index": inst.index,
-        "n": inst.n,
-        **pair_json,
-        "g": [list(row) for row in inst.g_matrix],
-        "alpha": None if inst.alpha is None else str(inst.alpha),
-    }
 
 
 def _check_slice(n: int, g_max: int, rel_count_cap: Optional[int]) -> None:
@@ -225,8 +235,8 @@ def enumerate_instances(
                 index += 1
 
 
-def fixed_points(inst: FiniteInstance) -> list[int]:
-    return [i for i in range(inst.n) if inst.mapping[i] == i]
+def fixed_points(pair: Pair) -> list[int]:
+    return [i for i, m in enumerate(pair.mapping) if m == i]
 
 
 def contraction_alpha(inst: FiniteInstance) -> Optional[Fraction]:
@@ -297,10 +307,7 @@ def _patterns(rel: FiniteRelation) -> _Patterns:
 
 def _map_cells(n: int, mapping: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """The image cell m(r)*n + m(s) of each cell r*n + s, and the seed mask,
-    with bit u*n + m(u) set for each u. A map that is not a self-map of
-    {0, ..., n-1} would alias cells, so it raises :class:`ValueError`."""
-    if len(mapping) != n or not all(0 <= m < n for m in mapping):
-        raise ValueError(f"map must send each of 0..{n - 1} into the ground set, got {mapping!r}")
+    with bit u*n + m(u) set for each u, of a self-map checked by :class:`Pair`."""
     images = tuple(mapping[r] * n + mapping[s] for r in range(n) for s in range(n))
     return images, sum(1 << (u * n + m) for u, m in enumerate(mapping))
 
@@ -350,10 +357,14 @@ def hypotheses_hold(inst: FiniteInstance) -> tuple[bool, str]:
     triangle property on triples (r, u, t) with (r, u) and (t, u) both
     related; then closedness of the relation under the map, a nonempty seed
     set, and contraction on related pairs for some grid factor. The reason
-    names the first failing hypothesis and its first witness.
+    names the first failing hypothesis and its first witness. A map that
+    is not a self-map or a g that is not n by n raises :class:`ValueError`.
     """
+    n, g = inst.pair.n, inst.g_matrix  # building the pair checks the map
+    if len(g) != n or any(len(row) != n for row in g):
+        raise ValueError(f"g must be {n} by {n}")
     pat = _patterns(inst.rel)
-    return _check_hypotheses(pat, _pair_checks(pat, *_map_cells(pat.n, inst.mapping)), inst)[:2]
+    return _check_hypotheses(pat, _pair_checks(pat, *_map_cells(n, inst.mapping)), inst)[:2]
 
 
 def _check_hypotheses(
@@ -362,7 +373,7 @@ def _check_hypotheses(
     """:func:`hypotheses_hold` on the relation's table ``pat`` and the pair's
     ``_pair_checks``, also returning the contraction factor (None unless
     every hypothesis holds)."""
-    g, n = inst.g_matrix, inst.n
+    g, n = inst.g_matrix, pat.n
     mag = [abs(g[cell // n][cell % n]) for cell in pat.cells]
     structural, contraction = checks
     key, witness = _g_failure(pat, mag)
@@ -374,17 +385,15 @@ def _check_hypotheses(
     return True, _REASONS[key].format(alpha), alpha
 
 
-def conclusion_holds(inst: FiniteInstance) -> bool:
+def conclusion_holds(pair: Pair) -> bool:
     """A fixed point exists and every seeded orbit reaches one within n steps."""
-    mapping = inst.mapping
-    fixed = set(fixed_points(inst))
+    mapping = pair.mapping
+    fixed = set(fixed_points(pair))
     if not fixed:
         return False
-    for r0 in seed_set(inst.rel, mapping.__getitem__):
-        cur = r0
-        if cur in fixed:
-            continue
-        for _ in range(inst.n):
+    # a fixed seed is still fixed after one step
+    for cur in seed_set(pair.rel, mapping.__getitem__):
+        for _ in range(pair.n):
             cur = mapping[cur]
             if cur in fixed:
                 break
@@ -393,9 +402,9 @@ def conclusion_holds(inst: FiniteInstance) -> bool:
     return True
 
 
-def image_symmetric_connected(inst: FiniteInstance) -> bool:
+def image_symmetric_connected(pair: Pair) -> bool:
     """Whether the map image is path-connected in the symmetric closure."""
-    return is_connected(symmetric_closure(inst.rel), set(inst.mapping))
+    return is_connected(symmetric_closure(pair.rel), set(pair.mapping))
 
 
 class SweepSpec(NamedTuple):
@@ -595,24 +604,24 @@ def _sweep_relation(
         if not satisfied:
             continue
         res.hypotheses_satisfied += satisfied
-        # the conclusion and uniqueness read no g entry
-        probe = FiniteInstance(n, (), rel, mapping)
-        concludes = conclusion_holds(probe)
-        candidate = image_symmetric_connected(probe)
-        fixed = fixed_points(probe)
+        pair = Pair(rel, mapping)
+        concludes = conclusion_holds(pair)
+        candidate = image_symmetric_connected(pair)
+        fixed = fixed_points(pair)
         unique = not candidate or len(fixed) == 1
         if candidate:
             res.uniqueness_candidates += satisfied
         if concludes and unique:
             continue
-        pair_json = _pair_json(rel, mapping)
         first = first_index + pair_no * matrices
+        # one copy for all listed documents, so the collector scans fewer lists
+        shared = pair.to_json_dict()
         for inst in _materialise(rel, mapping, g_max, pat.cells, satisfying, first):
             # re-check each listed instance on the relation's one table
             ok, reason, inst.alpha = _check_hypotheses(pat, checks, inst)
             if not ok:
                 raise RuntimeError(f"instance {inst.index} misclassified: {reason}")
-            doc = _instance_json(inst, pair_json)
+            doc = {**inst.to_json_dict(), **shared}
             if not concludes:
                 res.counterexamples.append({**doc, "reason": reason})
             if not unique:

@@ -38,6 +38,7 @@ from relfix.finite_oracle import (
     ALPHA_GRID,
     REJECTION_KEYS,
     FiniteInstance,
+    Pair,
     SweepResult,
     SweepSpec,
     enumerate_instances,
@@ -117,15 +118,16 @@ def sweep_instances(res, instances):
             continue
         res.hypotheses_satisfied += 1
         inst.alpha = finite_oracle.contraction_alpha(inst)
-        if not finite_oracle.conclusion_holds(inst):
+        pair = inst.pair
+        if not finite_oracle.conclusion_holds(pair):
             doc = inst.to_json_dict()
             doc["reason"] = reason
             res.counterexamples.append(doc)
-        if finite_oracle.image_symmetric_connected(inst):
+        if finite_oracle.image_symmetric_connected(pair):
             res.uniqueness_candidates += 1
-            if len(finite_oracle.fixed_points(inst)) != 1:
+            if len(finite_oracle.fixed_points(pair)) != 1:
                 doc = inst.to_json_dict()
-                doc["fixed_points"] = finite_oracle.fixed_points(inst)
+                doc["fixed_points"] = finite_oracle.fixed_points(pair)
                 res.uniqueness_violations.append(doc)
     return res
 
@@ -221,10 +223,10 @@ def sweep_pair(res: SweepResult, rel: FiniteRelation, mapping: tuple[int, ...], 
     """Add every instance of one (relation, map) pair to a sweep's tallies."""
     n, g_max = rel.ground_size, res.spec.g_max
     matrices = (2 * g_max + 1) ** (n * n)
-    probe = FiniteInstance(n, (), rel, mapping)
-    concludes = finite_oracle.conclusion_holds(probe)
-    candidate = finite_oracle.image_symmetric_connected(probe)
-    fixed = finite_oracle.fixed_points(probe)
+    pair = Pair(rel, mapping)
+    concludes = finite_oracle.conclusion_holds(pair)
+    candidate = finite_oracle.image_symmetric_connected(pair)
+    fixed = finite_oracle.fixed_points(pair)
     unique = not candidate or len(fixed) == 1
     pat = pair_table(rel, mapping)
     counts, passing = classify_magnitudes(pat, g_max)
@@ -238,7 +240,6 @@ def sweep_pair(res: SweepResult, rel: FiniteRelation, mapping: tuple[int, ...], 
         res.uniqueness_candidates += satisfied
     if satisfied == 0 or (concludes and unique):
         return
-    pair_json = finite_oracle._pair_json(rel, mapping)
     for inst in finite_oracle._materialise(rel, mapping, g_max, pat.cells, passing, first_index):
         g = inst.g_matrix
         key, witness = first_failure(pat, [abs(g[cell // n][cell % n]) for cell in pat.cells])
@@ -247,7 +248,7 @@ def sweep_pair(res: SweepResult, rel: FiniteRelation, mapping: tuple[int, ...], 
             raise RuntimeError(f"instance {inst.index} misclassified: {reason}")
         inst.alpha = finite_oracle.contraction_alpha(inst)
         reason = finite_oracle._REASONS[key].format(inst.alpha)
-        doc = finite_oracle._instance_json(inst, pair_json)
+        doc = inst.to_json_dict()
         if not concludes:
             res.counterexamples.append({**doc, "reason": reason})
         if not unique:

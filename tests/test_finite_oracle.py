@@ -21,6 +21,7 @@ from relfix.finite_oracle import (
     ALPHA_GRID,
     REJECTION_KEYS,
     FiniteInstance,
+    Pair,
     SweepResult,
     SweepSpec,
     conclusion_holds,
@@ -152,7 +153,7 @@ class TestHypothesisReasons:
         assert "alpha = 1/4" in reason
         assert "automatic on a finite carrier" in reason
         assert contraction_alpha(inst) == Fraction(1, 4)
-        assert conclusion_holds(inst)
+        assert conclusion_holds(inst.pair)
 
     @pytest.mark.parametrize("mapping", [(0, 2), (0, -1), (0, 0, 1), (0,)], ids=str)
     def test_map_outside_the_ground_set(self, mapping):
@@ -179,37 +180,80 @@ class TestHypothesisReasons:
 class TestConclusion:
     def test_no_fixed_point(self):
         inst = mk(2, [], (1, 0), [[0, 1], [1, 0]])
-        assert not conclusion_holds(inst)
+        assert not conclusion_holds(inst.pair)
 
     def test_seeded_orbit_stuck_in_a_cycle(self):
         inst = mk(3, [(1, 2)], (0, 2, 1), [[0] * 3] * 3)
-        assert not conclusion_holds(inst)
+        assert not conclusion_holds(inst.pair)
 
     def test_unseeded_orbits_are_ignored(self):
         inst = mk(3, [], (0, 2, 1), [[0] * 3] * 3)
-        assert conclusion_holds(inst)
+        assert conclusion_holds(inst.pair)
 
     def test_orbit_reaches_within_n(self):
         inst = mk(3, [(2, 1)], (0, 0, 1), [[0] * 3] * 3)
-        assert conclusion_holds(inst)
+        assert conclusion_holds(inst.pair)
 
     def test_fixed_points_listing(self):
-        assert fixed_points(mk(3, [], (0, 2, 1), [[0] * 3] * 3)) == [0]
-        assert fixed_points(mk(2, [], (1, 0), [[0] * 2] * 2)) == []
+        assert fixed_points(mk(3, [], (0, 2, 1), [[0] * 3] * 3).pair) == [0]
+        assert fixed_points(mk(2, [], (1, 0), [[0] * 2] * 2).pair) == []
 
 
 class TestImageConnectivity:
     def test_loop_on_a_constant_image(self):
         inst = mk(2, [(0, 0)], (0, 0), [[0] * 2] * 2)
-        assert image_symmetric_connected(inst)
+        assert image_symmetric_connected(inst.pair)
 
     def test_two_point_image_joined_by_one_edge(self):
         inst = mk(2, [(0, 1)], (0, 1), [[0] * 2] * 2)
-        assert image_symmetric_connected(inst)
+        assert image_symmetric_connected(inst.pair)
 
     def test_disconnected_image(self):
         inst = mk(2, [(0, 0)], (0, 1), [[0] * 2] * 2)
-        assert not image_symmetric_connected(inst)
+        assert not image_symmetric_connected(inst.pair)
+
+
+class TestShapeChecks:
+    """An instance's n, its g shape and its map are each checked in one place."""
+
+    def test_n_must_be_the_relation_ground_size(self):
+        # hypotheses_hold would read this instance's g on a 3-point grid
+        # while the relation's cells lie on a 2-point one
+        rel = FiniteRelation(2, {(0, 0), (1, 0)})
+        with pytest.raises(ValueError, match="n = 3 is not the relation's ground size 2"):
+            FiniteInstance(3, ((0, 1, 5), (1, 0, 5), (5, 5, 5)), rel, (0, 0))
+
+    def test_n_and_pair_are_derived(self):
+        inst = mk(3, [(0, 1)], (1, 1, 0), [[0] * 3] * 3)
+        assert inst.n == inst.pair.n == 3
+        assert inst.pair == Pair(inst.rel, [1, 1, 0])
+        assert Pair(inst.rel, (1, 1, 0)).to_json_dict() == {"pairs": [[0, 1]], "map": [1, 1, 0]}
+
+    @pytest.mark.parametrize(
+        "g",
+        [((1, 1, 1),) * 3, ((1, 1),), ((1, 1), (1,)), ((1, 1, 1), (1, 1))],
+        ids=["3x3", "1x2", "ragged", "2x3"],
+    )
+    def test_g_must_be_n_by_n(self, g):
+        inst = FiniteInstance(2, g, FiniteRelation(2, {(0, 1), (1, 0)}), (1, 0))
+        with pytest.raises(ValueError, match="g must be 2 by 2"):
+            hypotheses_hold(inst)
+
+    @pytest.mark.parametrize(
+        "n, mapping", [(2, (0, 5)), (2, (0, -1)), (2, (0, 0, 1)), (3, (0, 0))], ids=str
+    )
+    def test_a_pair_needs_a_self_map(self, n, mapping):
+        rel = FiniteRelation(n, {(0, 0)})
+        match = f"map must send each of 0..{n - 1} into the ground set"
+        with pytest.raises(ValueError, match=match):
+            Pair(rel, mapping)
+        # the instance itself is built unchecked; its pair is not
+        inst = FiniteInstance(n, ((0,) * n,) * n, rel, mapping)
+        for verdict in (fixed_points, conclusion_holds, image_symmetric_connected):
+            with pytest.raises(ValueError, match=match):
+                verdict(inst.pair)
+        with pytest.raises(ValueError, match=match):
+            inst.to_json_dict()
 
 
 def naive_hypotheses(inst):
@@ -268,7 +312,7 @@ class TestDoubleEntry:
         for inst in itertools.islice(enumerate_instances(2, 1), 3000):
             assert hypotheses_hold(inst)[0] == naive_hypotheses(inst)
             assert hypotheses_hold(inst) == reference_hypotheses(inst)
-            assert conclusion_holds(inst) == naive_conclusion(inst)
+            assert conclusion_holds(inst.pair) == naive_conclusion(inst)
             oracle, scan = g_verdicts(inst)
             assert oracle == scan
 
@@ -289,7 +333,7 @@ class TestDoubleEntry:
             inst = mk(n, pairs, mapping, g)
             assert hypotheses_hold(inst)[0] == naive_hypotheses(inst)
             assert hypotheses_hold(inst) == reference_hypotheses(inst)
-            assert conclusion_holds(inst) == naive_conclusion(inst)
+            assert conclusion_holds(inst.pair) == naive_conclusion(inst)
             oracle, scan = g_verdicts(inst)
             assert oracle == scan
 
@@ -298,7 +342,7 @@ class TestDoubleEntry:
         for inst in enumerate_instances(2, 1):
             if hypotheses_hold(inst)[0]:
                 seen += 1
-                assert conclusion_holds(inst)
+                assert conclusion_holds(inst.pair)
         assert seen == 315
 
 
@@ -327,7 +371,7 @@ class TestInstanceJson:
             ({"n": True}, "n must be an integer"),
             ({"pairs": [[0, 1, 1]]}, "pair must list 2"),
             ({"pairs": [[0, 2]]}, "outside ground set"),
-            ({"map": [0, 2]}, "ground indices below 2"),
+            ({"map": [0, 2]}, "map must send each of 0..1"),
             ({"map": [0]}, "map must list 2"),
             ({"g": [[0, 1]]}, "g must have 2 rows"),
             ({"g": [[0, 1], [1, "0"]]}, "g row entry must be an integer"),
@@ -476,12 +520,12 @@ class TestFactoredSweep:
         monkeypatch.setattr(
             finite_oracle,
             "conclusion_holds",
-            lambda inst: real_conclusion(inst) and inst.mapping[0] != inst.mapping[-1],
+            lambda pair: real_conclusion(pair) and pair.mapping[0] != pair.mapping[-1],
         )
         monkeypatch.setattr(
             finite_oracle,
             "fixed_points",
-            lambda inst: real_fixed(inst) * (2 if inst.mapping[0] == 0 else 1),
+            lambda pair: real_fixed(pair) * (2 if pair.mapping[0] == 0 else 1),
         )
         spec = SweepSpec(2, 2, None)
         got = run_oracle([spec]).sweeps[0].to_json_dict()
@@ -579,8 +623,8 @@ class TestAgainstThePerPairSweep:
     @pytest.mark.parametrize("spec", [SweepSpec(2, 2, None), SweepSpec(3, 1, 8)], ids=str)
     def test_forced_violations_list_the_same_documents(self, monkeypatch, spec):
         real_fixed = finite_oracle.fixed_points
-        monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda inst: False)
-        monkeypatch.setattr(finite_oracle, "fixed_points", lambda inst: real_fixed(inst) * 2)
+        monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda pair: False)
+        monkeypatch.setattr(finite_oracle, "fixed_points", lambda pair: real_fixed(pair) * 2)
         got = run_oracle([spec]).sweeps[0]
         assert got.counterexamples and got.uniqueness_violations
         assert json.dumps(got.to_json_dict()) == json.dumps(per_pair_sweep(spec).to_json_dict())
@@ -704,7 +748,7 @@ def test_forced_violations_at_four_points(monkeypatch):
         return (i for i in real_materialise(*args) if not any(i.g_matrix[r][r] for r in range(n)))
 
     monkeypatch.setattr(finite_oracle, "_materialise", narrowed)
-    monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda inst: False)
+    monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda pair: False)
     first = 3 * (2 * g_max + 1) ** (n * n)
     res, expected = SweepResult(SweepSpec(n, g_max, None)), SweepResult(SweepSpec(n, g_max, None))
     sweep_one_pair(res, rel, mapping, first)
@@ -735,20 +779,20 @@ def test_listed_instances_are_rechecked(monkeypatch):
         return counts, {**passing, (0,) * len(pat.cells): 1}
 
     monkeypatch.setattr(finite_oracle, "_classify", lenient)
-    monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda inst: False)
+    monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda pair: False)
     with pytest.raises(RuntimeError, match=r"misclassified: \(g1\) fails"):
         sweep_one_pair(SweepResult(SweepSpec(n, g_max, None)), rel, (0, 0), 0)
 
 
 def test_listed_instances_serialise_like_to_json_dict(monkeypatch):
-    # the sweep builds each pair's "pairs" and "map" once; every listed
-    # document must still be byte-identical to the instance's own JSON
+    # every listed document must be byte-identical to the instance's own
+    # JSON plus its reason or fixed points
     n, g_max = 3, 1
     rel = FiniteRelation(n, frozenset({(0, 1), (1, 0), (2, 0), (0, 0)}))
     mapping = (0, 0, 0)
-    monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda inst: False)
-    monkeypatch.setattr(finite_oracle, "image_symmetric_connected", lambda inst: True)
-    monkeypatch.setattr(finite_oracle, "fixed_points", lambda inst: [0, 2])
+    monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda pair: False)
+    monkeypatch.setattr(finite_oracle, "image_symmetric_connected", lambda pair: True)
+    monkeypatch.setattr(finite_oracle, "fixed_points", lambda pair: [0, 2])
     res = SweepResult(SweepSpec(n, g_max, None))
     sweep_one_pair(res, rel, mapping, 5 * 3 ** (n * n))
     assert res.counterexamples and len(res.counterexamples) == len(res.uniqueness_violations)
