@@ -209,7 +209,11 @@ def _cmd_solve_fde(args: argparse.Namespace) -> int:
     prob = fractional.demo_problem(
         n_intervals=args.grid, zeta=args.zeta, policy=policy, gamma_variant=variant
     )
-    trace, solution = fractional.solve_fde(prob)
+    try:
+        trace, solution = fractional.solve_fde(prob)
+    except fractional.ConvergenceFailure as exc:
+        # a RuntimeError, which run() leaves alone; the budget is bad input
+        raise ArithmeticError(str(exc)) from exc
     if args.out:
         _write_text(args.out, grid_to_csv(solution), args.force)
     if args.residuals_out:

@@ -4,12 +4,13 @@ Instances are tiny carriers {0, ..., n-1}, n the ground size of an explicit
 relation, with an integer pair matrix standing in for the g-functional and
 a self-map given as an index array. The verdicts that read no g entry take
 the :class:`Pair` of relation and self-map; a wrong ``n``, a g that is not n
-by n or a map that is not a self-map raises :class:`ValueError`. The checker
-enumerates instances deterministically, tests every hypothesis of the
-fixed-point claim mechanically, and verifies the conclusion (a fixed point
-exists and every seeded orbit reaches one within n steps). Any instance
+by n, a g entry that is not an integer or a map that is not a self-map
+raises :class:`ValueError`. The checker enumerates instances
+deterministically, tests every hypothesis of the fixed-point claim
+mechanically, and verifies the conclusion (a fixed point exists and every
+seeded orbit reaches one within n steps). Any instance
 satisfying the hypotheses but violating the conclusion would be a
-counterexample; the sweep reports them all, sorted by enumeration index.
+counterexample; the sweep lists them all, sorted by enumeration index.
 
 The sweep is factored. Every hypothesis reads g only through |g|, and g1-g3
 read only the relation's cells: related pairs, their swaps and g[r][t] of
@@ -22,6 +23,10 @@ a pair that is not closed or seeded gets the relation's histogram, and a
 closed, seeded pair, whose images are related cells, filters the passing
 vectors by contraction. Counts are multiplied by the ways to fill the other
 entries, so they are exact multiplicities of :func:`enumerate_instances`.
+A listed instance is a JSON document, not a record: only a pair that breaks
+the conclusion or uniqueness has its satisfying g matrices built, each is
+re-checked on the relation's table, and its document shares the pair's
+``pairs`` and ``map`` lists with the pair's other documents.
 The module uses Python integers throughout, so no count can overflow and
 running the oracle loads no array library.
 
@@ -37,7 +42,7 @@ from itertools import product
 from typing import Collection, Iterator, NamedTuple, Optional, Sequence
 
 from ._records import FrozenRecord, Record
-from .relations import FiniteRelation, is_connected, seed_set, symmetric_closure
+from .relations import FiniteRelation, _index, is_connected, seed_set, symmetric_closure
 
 __all__ = [
     "ALPHA_GRID",
@@ -123,9 +128,7 @@ class FiniteInstance(Record):
         return Pair(self.rel, self.mapping)
 
     def to_json_dict(self) -> dict:
-        alpha = None if self.alpha is None else str(self.alpha)
-        doc = {"index": self.index, "n": self.n, **self.pair.to_json_dict()}
-        return {**doc, "g": [list(row) for row in self.g_matrix], "alpha": alpha}
+        return _document(self.index, self.n, self.pair.to_json_dict(), self.g_matrix, self.alpha)
 
     @classmethod
     def from_json_dict(cls, doc: object) -> "FiniteInstance":
@@ -165,6 +168,14 @@ class FiniteInstance(Record):
             alpha = value
         index = _json_int(doc.get("index", -1), "index")
         return cls(n, g_matrix, pair.rel, pair.mapping, alpha, index)
+
+
+def _document(
+    index: int, n: int, pair_doc: dict, g: Sequence[Sequence[int]], alpha: Optional[Fraction]
+) -> dict:
+    """An instance's JSON document; the sweep shares ``pair_doc`` among a pair's."""
+    alpha = None if alpha is None else str(alpha)
+    return {"index": index, "n": n, **pair_doc, "g": [list(row) for row in g], "alpha": alpha}
 
 
 def _json_int(value: object, what: str) -> int:
@@ -239,19 +250,20 @@ def fixed_points(pair: Pair) -> list[int]:
     return [i for i, m in enumerate(pair.mapping) if m == i]
 
 
+def _checked_g(inst: FiniteInstance) -> tuple[tuple[int, ...], ...]:
+    """The instance's g, each entry read like a relation index; a bad map, a g
+    that is not n by n or a non-integer entry (NaN, inf) raises ValueError."""
+    n, g = inst.pair.n, inst.g_matrix  # building the pair checks the map
+    if len(g) != n or any(len(row) != n for row in g):
+        raise ValueError(f"g must be {n} by {n}")
+    return tuple(tuple(_index(v, "g entry") for v in row) for row in g)
+
+
 def contraction_alpha(inst: FiniteInstance) -> Optional[Fraction]:
     """Smallest grid factor under which every related pair contracts."""
-    g = inst.g_matrix
-    mapping = inst.mapping
-    pairs = inst.rel.sorted_pairs
-    for alpha in ALPHA_GRID:
-        num, den = alpha.as_integer_ratio()
-        for r, s in pairs:
-            if den * abs(g[mapping[r]][mapping[s]]) > num * abs(g[r][s]):
-                break
-        else:
-            return alpha
-    return None
+    mag = [abs(v) for row in _checked_g(inst) for v in row]
+    n, m = inst.n, inst.mapping
+    return _smallest_alpha([(m[r] * n + m[s], r * n + s) for r, s in inst.rel.sorted_pairs], mag)
 
 
 # reason strings indexed like REJECTION_KEYS, formatted with the witness
@@ -265,10 +277,6 @@ _REASONS: tuple[str, ...] = (
     "hypotheses hold at alpha = {0}; completeness and continuity are "
     "automatic on a finite carrier (discrete reading)",
 )
-
-# contraction holds for some grid factor iff it holds for the largest
-_NUM, _DEN = ALPHA_GRID[-1].as_integer_ratio()
-
 
 class _Patterns(NamedTuple):
     """A relation's g-hypotheses as checks on ``mag``, with ``mag[i]`` = |g| at ``cells[i]``."""
@@ -316,8 +324,8 @@ def _pair_checks(pat: _Patterns, images: tuple[int, ...], seeds: int) -> tuple:
     """A (relation, map) pair's first failing structural hypothesis, as a
     REJECTION_KEYS index and witness (closedness, witnessed by the first
     related pair whose image escapes, then a seed), or else None and its
-    contraction checks ``_DEN * mag[a] <= _NUM * mag[b]``, ``a`` the slot
-    of the image of the related cell at slot ``b``."""
+    contraction checks ``(a, b)`` for :func:`_contracts`, ``a`` the slot of
+    the image of the related cell at slot ``b``."""
     mask, slot = pat.mask, pat.cells.index
     for cell in pat.related:
         if not mask >> images[cell] & 1:
@@ -342,12 +350,22 @@ def _g_failure(pat: _Patterns, mag: Sequence[int]) -> tuple[int, tuple]:
     return 3, ()
 
 
-def _contracts(contraction: list[tuple[int, int]], mag: Sequence[int]) -> bool:
-    """Whether ``mag`` passes every contraction check of ``_pair_checks``."""
+def _contracts(
+    contraction: list[tuple[int, int]], mag: Sequence[int],
+    num: int = ALPHA_GRID[-1].numerator, den: int = ALPHA_GRID[-1].denominator,
+) -> bool:
+    """Whether ``mag[a] <= num/den * mag[b]`` for every check ``(a, b)``.
+    Contraction holds for some grid factor iff it holds for the largest,
+    the default."""
     for a, b in contraction:
-        if _DEN * mag[a] > _NUM * mag[b]:
+        if den * mag[a] > num * mag[b]:
             return False
     return True
+
+
+def _smallest_alpha(checks: list[tuple[int, int]], mag: Sequence[int]) -> Optional[Fraction]:
+    """The smallest grid factor that :func:`_contracts` accepts, or None."""
+    return next((a for a in ALPHA_GRID if _contracts(checks, mag, *a.as_integer_ratio())), None)
 
 
 def hypotheses_hold(inst: FiniteInstance) -> tuple[bool, str]:
@@ -358,31 +376,30 @@ def hypotheses_hold(inst: FiniteInstance) -> tuple[bool, str]:
     related; then closedness of the relation under the map, a nonempty seed
     set, and contraction on related pairs for some grid factor. The reason
     names the first failing hypothesis and its first witness. A map that
-    is not a self-map or a g that is not n by n raises :class:`ValueError`.
+    is not a self-map, a g that is not n by n or a g entry that is not an
+    integer raises :class:`ValueError`.
     """
-    n, g = inst.pair.n, inst.g_matrix  # building the pair checks the map
-    if len(g) != n or any(len(row) != n for row in g):
-        raise ValueError(f"g must be {n} by {n}")
+    g = _checked_g(inst)
     pat = _patterns(inst.rel)
-    return _check_hypotheses(pat, _pair_checks(pat, *_map_cells(n, inst.mapping)), inst)[:2]
+    return _check_hypotheses(pat, _pair_checks(pat, *_map_cells(pat.n, inst.mapping)), g)[:2]
 
 
 def _check_hypotheses(
-    pat: _Patterns, checks: tuple, inst: FiniteInstance
+    pat: _Patterns, checks: tuple, g: Sequence[Sequence[int]]
 ) -> tuple[bool, str, Optional[Fraction]]:
-    """:func:`hypotheses_hold` on the relation's table ``pat`` and the pair's
-    ``_pair_checks``, also returning the contraction factor (None unless
-    every hypothesis holds)."""
-    g, n = inst.g_matrix, pat.n
+    """:func:`hypotheses_hold` for the matrix ``g`` on the relation's table
+    ``pat`` and the pair's ``_pair_checks``, also returning the smallest
+    contraction factor (None unless every hypothesis holds)."""
+    n = pat.n
     mag = [abs(g[cell // n][cell % n]) for cell in pat.cells]
     structural, contraction = checks
     key, witness = _g_failure(pat, mag)
     if key == 3:
-        key, witness = structural or ((6 if _contracts(contraction, mag) else 5), ())
-    if key != 6:
+        key, witness = structural or (5, ())
+    alpha = _smallest_alpha(contraction, mag) if key == 5 else None
+    if alpha is None:
         return False, _REASONS[key].format(*witness), None
-    alpha = contraction_alpha(inst)
-    return True, _REASONS[key].format(alpha), alpha
+    return True, _REASONS[6].format(alpha), alpha
 
 
 def conclusion_holds(pair: Pair) -> bool:
@@ -415,14 +432,8 @@ class SweepSpec(NamedTuple):
     rel_count_cap: Optional[int] = None
 
 
-_COMPLETENESS_NOTE = (
-    "completeness and continuity treated as automatic on finite carriers "
-    "(discrete reading)"
-)
-
-
 class SweepResult(Record):
-    """Tallies of one slice; ``run_oracle`` fills them pair by pair."""
+    """Tallies of one slice, starting at zero; ``run_oracle`` fills them pair by pair."""
 
     __slots__ = _fields = (
         "spec",
@@ -435,43 +446,20 @@ class SweepResult(Record):
         "completeness_note",
     )
 
-    def __init__(
-        self,
-        spec: SweepSpec,
-        instances_checked: int = 0,
-        hypotheses_satisfied: int = 0,
-        counterexamples: Optional[list[dict]] = None,
-        uniqueness_candidates: int = 0,
-        uniqueness_violations: Optional[list[dict]] = None,
-        rejections: Optional[dict[str, int]] = None,
-        completeness_note: str = _COMPLETENESS_NOTE,
-    ) -> None:
+    def __init__(self, spec: SweepSpec) -> None:
         self.spec = spec
-        self.instances_checked = instances_checked
-        self.hypotheses_satisfied = hypotheses_satisfied
-        self.counterexamples = [] if counterexamples is None else counterexamples
-        self.uniqueness_candidates = uniqueness_candidates
-        self.uniqueness_violations = (
-            [] if uniqueness_violations is None else uniqueness_violations
+        self.instances_checked = self.hypotheses_satisfied = self.uniqueness_candidates = 0
+        self.counterexamples: list[dict] = []
+        self.uniqueness_violations: list[dict] = []
+        self.rejections = dict.fromkeys(REJECTION_KEYS, 0)
+        self.completeness_note = (
+            "completeness and continuity treated as automatic on finite carriers (discrete reading)"
         )
-        self.rejections = (
-            dict.fromkeys(REJECTION_KEYS, 0) if rejections is None else rejections
-        )
-        self.completeness_note = completeness_note
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.spec.n,
-            "g_max": self.spec.g_max,
-            "rel_count_cap": self.spec.rel_count_cap,
-            "instances_checked": self.instances_checked,
-            "hypotheses_satisfied": self.hypotheses_satisfied,
-            "counterexamples": self.counterexamples,
-            "uniqueness_candidates": self.uniqueness_candidates,
-            "uniqueness_violations": self.uniqueness_violations,
-            "rejections": dict(self.rejections),
-            "completeness_note": self.completeness_note,
-        }
+        """The spec's fields, then the tallies in field order."""
+        doc = {**self.spec._asdict(), **{name: getattr(self, name) for name in self._fields[1:]}}
+        return {**doc, "rejections": dict(self.rejections)}
 
 
 class OracleReport(Record):
@@ -545,18 +533,16 @@ def _classify(pat: _Patterns, g_max: int) -> tuple[list[int], dict[tuple[int, ..
 
 
 def _materialise(
-    rel: FiniteRelation, mapping: tuple[int, ...], g_max: int,
-    cells: Sequence[int], passing: Collection[tuple[int, ...]], first_index: int,
-) -> Iterator[FiniteInstance]:
-    """Every instance of one pair whose magnitudes on ``cells`` are in
-    ``passing``, in stream order.
+    n: int, g_max: int, cells: Sequence[int], passing: Collection[tuple[int, ...]], first_index: int
+) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """The stream index and g matrix of every instance of one pair whose
+    magnitudes on ``cells`` are in ``passing``, in stream order.
 
     Each vector fixes its nonzero entries up to sign and leaves the other
     entries free, so the work grows with the instances yielded. A matrix's
     offset within its pair is its digit string (entry + g_max) read in base
     2 g_max + 1; ``first_index`` is the stream index of offset 0.
     """
-    n = rel.ground_size
     k = 2 * g_max + 1
     free = range(-g_max, g_max + 1)
     found = []
@@ -569,8 +555,7 @@ def _materialise(
                 offset = offset * k + v + g_max
             found.append((offset, entries))
     for offset, entries in sorted(found):
-        g_matrix = tuple(entries[row * n : row * n + n] for row in range(n))
-        yield FiniteInstance(n, g_matrix, rel, mapping, None, first_index + offset)
+        yield first_index + offset, tuple(entries[row * n : row * n + n] for row in range(n))
 
 
 def _sweep_relation(
@@ -616,12 +601,12 @@ def _sweep_relation(
         first = first_index + pair_no * matrices
         # one copy for all listed documents, so the collector scans fewer lists
         shared = pair.to_json_dict()
-        for inst in _materialise(rel, mapping, g_max, pat.cells, satisfying, first):
+        for index, g in _materialise(n, g_max, pat.cells, satisfying, first):
             # re-check each listed instance on the relation's one table
-            ok, reason, inst.alpha = _check_hypotheses(pat, checks, inst)
+            ok, reason, alpha = _check_hypotheses(pat, checks, g)
             if not ok:
-                raise RuntimeError(f"instance {inst.index} misclassified: {reason}")
-            doc = {**inst.to_json_dict(), **shared}
+                raise RuntimeError(f"instance {index} misclassified: {reason}")
+            doc = _document(index, n, shared, g, alpha)
             if not concludes:
                 res.counterexamples.append({**doc, "reason": reason})
             if not unique:
@@ -637,9 +622,9 @@ def run_oracle(sweeps: Sequence[SweepSpec]) -> OracleReport:
     held to a unique fixed point; violations are reported separately.
 
     Counts are exact multiplicities of :func:`enumerate_instances` (see the
-    module docstring). Only a pair that breaks the conclusion or uniqueness
-    has its satisfying instances built one by one, so the reports list them
-    exactly as a one-by-one sweep would.
+    module docstring). Each listed violation is the document that
+    :meth:`FiniteInstance.to_json_dict` gives its instance, plus its reason or
+    fixed points, exactly as a one-by-one sweep would list it.
     """
     results: list[SweepResult] = []
     for spec in sweeps:

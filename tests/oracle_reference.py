@@ -5,7 +5,9 @@ with ``reference_hypotheses``, ``conclusion_holds`` and the uniqueness
 check, the brute-force definition the factored ``run_oracle`` must
 reproduce exactly. ``reference_hypotheses`` is the hypothesis check written
 as plain integer loops over one instance, independent of the oracle's
-pattern table. The other verdict functions are looked up on the module at
+pattern table, and ``reference_alpha`` is the contraction factor walked on
+the g matrix once per grid factor, independent of the oracle's
+``_contracts``. The other verdict functions are looked up on the module at
 call time, so a test that monkeypatches them changes both this reference
 and ``run_oracle``.
 
@@ -67,6 +69,19 @@ def rejection_key(reason):
     raise ValueError(f"unclassified reason {reason!r}")
 
 
+def reference_alpha(inst):
+    """Smallest grid factor under which every related pair contracts."""
+    g, mapping = inst.g_matrix, inst.mapping
+    for alpha in ALPHA_GRID:
+        num, den = alpha.as_integer_ratio()
+        for r, s in inst.rel.sorted_pairs:
+            if den * abs(g[mapping[r]][mapping[s]]) > num * abs(g[r][s]):
+                break
+        else:
+            return alpha
+    return None
+
+
 def reference_hypotheses(inst):
     """``hypotheses_hold`` with its own loops: same verdict, same reason."""
     n, g, m = inst.n, inst.g_matrix, inst.mapping
@@ -98,7 +113,7 @@ def reference_hypotheses(inst):
     if not any((u, m[u]) in related for u in range(n)):
         return False, "seed set empty: no u with (u, map(u)) related"
 
-    alpha = finite_oracle.contraction_alpha(inst)
+    alpha = reference_alpha(inst)
     if alpha is None:
         return False, "contraction fails on a related pair for every alpha in {1/4, 1/2, 3/4}"
 
@@ -117,7 +132,7 @@ def sweep_instances(res, instances):
         if not ok:
             continue
         res.hypotheses_satisfied += 1
-        inst.alpha = finite_oracle.contraction_alpha(inst)
+        inst.alpha = reference_alpha(inst)
         pair = inst.pair
         if not finite_oracle.conclusion_holds(pair):
             doc = inst.to_json_dict()
@@ -240,13 +255,13 @@ def sweep_pair(res: SweepResult, rel: FiniteRelation, mapping: tuple[int, ...], 
         res.uniqueness_candidates += satisfied
     if satisfied == 0 or (concludes and unique):
         return
-    for inst in finite_oracle._materialise(rel, mapping, g_max, pat.cells, passing, first_index):
-        g = inst.g_matrix
+    for index, g in finite_oracle._materialise(n, g_max, pat.cells, passing, first_index):
         key, witness = first_failure(pat, [abs(g[cell // n][cell % n]) for cell in pat.cells])
         if key != 6:
             reason = finite_oracle._REASONS[key].format(*witness)
-            raise RuntimeError(f"instance {inst.index} misclassified: {reason}")
-        inst.alpha = finite_oracle.contraction_alpha(inst)
+            raise RuntimeError(f"instance {index} misclassified: {reason}")
+        inst = FiniteInstance(n, g, rel, mapping, None, index)
+        inst.alpha = reference_alpha(inst)
         reason = finite_oracle._REASONS[key].format(inst.alpha)
         doc = inst.to_json_dict()
         if not concludes:

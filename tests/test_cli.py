@@ -272,6 +272,13 @@ class TestSolveFdeCommand:
         assert code == 1
         capsys.readouterr()
 
+    def test_no_convergence_is_one_error_line(self, capsys):
+        code = cli.run(["solve-fde", "--grid", "64", "--max-iter", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no convergence within 1 iterations (last residual ")
+        assert err.count("\n") == 1
+
 
 class TestOracleCommand:
     def test_small_slice(self, tmp_path, capsys):

@@ -176,6 +176,14 @@ class TestHypothesisReasons:
         # |g(map 0, map 1)| = |g[1][2]| = 1 against |g[0][1]| = 2: needs 1/2
         assert contraction_alpha(shift) == Fraction(1, 2)
 
+    def test_contraction_alpha_equals_the_matrix_walk(self):
+        # every instance of n=2 at g_max=2: 40,000
+        count = 0
+        for inst in enumerate_instances(2, 2):
+            assert contraction_alpha(inst) == oracle_reference.reference_alpha(inst), inst
+            count += 1
+        assert count == 40_000
+
 
 class TestConclusion:
     def test_no_fixed_point(self):
@@ -238,6 +246,17 @@ class TestShapeChecks:
         inst = FiniteInstance(2, g, FiniteRelation(2, {(0, 1), (1, 0)}), (1, 0))
         with pytest.raises(ValueError, match="g must be 2 by 2"):
             hypotheses_hold(inst)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, True, 1.0, "1"], ids=repr)
+    def test_g_entries_must_be_integers(self, entry):
+        # a NaN or inf entry compares false both ways, so unchecked it would
+        # pass g1 and contraction vacuously; 5 in its place fails contraction
+        inst = FiniteInstance(2, ((entry, 1), (1, 1)), FiniteRelation(2, {(0, 0)}), (0, 0))
+        for verdict in (hypotheses_hold, contraction_alpha):
+            with pytest.raises(ValueError, match="g entry must be an integer"):
+                verdict(inst)
+        inst.g_matrix = ((5, 1), (1, 1))
+        assert contraction_alpha(inst) is None and not hypotheses_hold(inst)[0]
 
     @pytest.mark.parametrize(
         "n, mapping", [(2, (0, 5)), (2, (0, -1)), (2, (0, 0, 1)), (3, (0, 0))], ids=str
@@ -716,9 +735,8 @@ class TestMagnitudeClassifier:
         for rel, mapping in sound:
             cells, _, passing = factored_pair(rel, mapping, g_max)
             ref_cells, _, codes = oracle_reference.classify_pair(rel, mapping, g_max)
-            got = finite_oracle._materialise(rel, mapping, g_max, cells, passing, 11)
+            got = list(finite_oracle._materialise(n, g_max, cells, passing, 11))
             expected = oracle_reference.materialise(rel, mapping, g_max, ref_cells, codes, 11)
-            got = [(inst.index, inst.g_matrix) for inst in got]
             assert got == [(inst.index, inst.g_matrix) for inst in expected]
             assert any(-2 in row for _, g in got for row in g)
 
@@ -745,7 +763,7 @@ def test_forced_violations_at_four_points(monkeypatch):
     real_materialise = finite_oracle._materialise
 
     def narrowed(*args):
-        return (i for i in real_materialise(*args) if not any(i.g_matrix[r][r] for r in range(n)))
+        return ((i, g) for i, g in real_materialise(*args) if not any(g[r][r] for r in range(n)))
 
     monkeypatch.setattr(finite_oracle, "_materialise", narrowed)
     monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda pair: False)
