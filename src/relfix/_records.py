@@ -1,4 +1,4 @@
-"""Base classes for the package's record types.
+"""Base classes for the package's record types, and the numeric rules.
 
 A record lists its fields in ``_fields`` and gets a field-wise ``==`` and a
 ``Name(field=value, ...)`` repr. Plain classes cost next to nothing to
@@ -7,11 +7,49 @@ define. The standard library's generated record classes would import
 2-vCPU machine) and build each class's methods with ``exec`` (about 0.5 ms
 a class), which every short CLI command would pay. Subclasses write their
 own ``__init__`` and usually declare ``__slots__``.
+
+Every integer parameter goes through :func:`integer` and every real one
+through :func:`real`, with its bounds: bools are refused, numpy numbers
+pass, and anything else raises :class:`ValueError` with the caller's
+message, formatted only on failure (some callers check every g entry).
 """
 
 from __future__ import annotations
 
-from typing import Any
+from math import inf
+from numbers import Real
+from operator import index
+from typing import Any, Optional
+
+
+def integer(
+    value: Any, message: str, *args: Any, at_least: Optional[int] = None,
+    below: Optional[int] = None,
+) -> int:
+    """``value`` as a Python ``int``: ``operator.index`` must take it, it must
+    not be a bool, and it must be ``>= at_least`` and ``< below`` where given."""
+    if not isinstance(value, bool):
+        try:
+            number = index(value)
+        except TypeError:
+            pass
+        else:
+            # an open end is None: an int-float comparison costs more than the rest
+            if (at_least is None or number >= at_least) and (below is None or number < below):
+                return number
+    raise ValueError(message.format(*args, value=value))
+
+
+def real(
+    value: Any, message: str, *args: Any, above: float = -inf, at_least: float = -inf,
+    below: float = inf,
+) -> Any:
+    """``value`` unchanged: it must be a ``numbers.Real`` other than a bool
+    with ``above < value < below`` and ``value >= at_least``, so finite."""
+    if not isinstance(value, bool) and isinstance(value, Real):
+        if above < value < below and value >= at_least:
+            return value
+    raise ValueError(message.format(*args, value=value))
 
 
 class Record:

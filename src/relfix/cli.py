@@ -7,25 +7,12 @@ data). Exit codes: 0 success, 1 bad input (a malformed flag included), 2
 hypothesis-check failure, 3 oracle found a counterexample. Output files are
 never silently overwritten; pass --force.
 
-Each subcommand imports only the engine it runs, when it runs:
-
-- ``oracle`` and ``verify --instance``: ``finite_oracle`` and ``relations``;
-- ``verify --example``, ``iterate --example`` and ``example``: ``demos``,
-  ``gspace``, ``picard`` and ``relations``, and ``svgplot`` for ``--svg``;
-- ``iterate --instance``: ``finite_oracle`` for the instance file, then
-  ``picard`` and ``relations``, and ``svgplot`` for ``--svg``;
-- ``solve-fde``: ``fractional`` with numpy, ``gridfn``, ``picard`` and
-  ``relations``, and ``svgplot`` for ``--svg``.
-
-The engines call a g-functional as ``g(a, b)``, so ``iterate --instance``
-passes a plain function reading the instance's matrix and only the
-example scenarios load ``gspace``.
-
-So only solve-fde loads numpy. The engine functions the handlers call
-through this module (``_ENGINE_NAMES``) stay attributes of it: each
-resolves on first access (PEP 562), and the handlers read it here on every
-call, so a rebinding, such as a test's monkeypatch or the traced benchmark
-pass, takes effect.
+Each subcommand imports only the engine it runs, when it runs (the README
+lists which), so only solve-fde loads numpy. The engine functions the
+handlers call through this module (``_ENGINE_NAMES``) stay attributes of
+it: each resolves on first access (PEP 562), and the handlers read it here
+on every call, so a rebinding, such as a test's monkeypatch or the traced
+benchmark pass, takes effect.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
+from ._records import real
 from .gspace import ContractionEstimate, GFunctional, estimate_contraction_factor
 from .picard import IterationTrace, StoppingPolicy, iterate
 from .relations import universal_view
@@ -70,10 +71,10 @@ def validate_point(p: PlanePoint) -> None:
 
 
 def _run(
-    smap: Callable[[PlanePoint], PlanePoint], g: GFunctional, start: PlanePoint, n: int
+    smap: Callable[[PlanePoint], PlanePoint], g: GFunctional, start: tuple[float, float], n: int
 ) -> IterationTrace:
     """Exactly n Picard steps from a finite start, certified at alpha = 1/4."""
-    validate_point(start)
+    start = PlanePoint(*[float(real(c, "plane point coordinates must be finite")) for c in start])
     policy = StoppingPolicy(residual_tol=_NEVER_STOP, max_iterations=n)
     return iterate(smap, g, first_coord_relation(), start, policy, alpha=0.25)
 
@@ -84,7 +85,7 @@ def example1_run(y0: float = 1.0, n: int = 30) -> IterationTrace:
     Second coordinates follow y0 / 4^k; residuals contract by exactly 1/4
     per step, which the trace certificates reflect (alpha = 0.25).
     """
-    return _run(example1_map, example1_g, PlanePoint(0.0, float(y0)), n)
+    return _run(example1_map, example1_g, (0.0, y0), n)
 
 
 def example2_run(u0: float = 0.0, y0: float = 1.0, n: int = 30) -> IterationTrace:
@@ -93,9 +94,8 @@ def example2_run(u0: float = 0.0, y0: float = 1.0, n: int = 30) -> IterationTrac
     The first-coordinate recursion u -> u^2/4 converges only for |u0| < 4;
     anything outside that basin is rejected.
     """
-    if not abs(u0) < 4.0:
-        raise ValueError("first coordinate must satisfy |u0| < 4 (basin of u^2/4)")
-    return _run(example2_map, example2_g, PlanePoint(float(u0), float(y0)), n)
+    real(u0, "first coordinate must satisfy |u0| < 4 (basin of u^2/4)", above=-4.0, below=4.0)
+    return _run(example2_map, example2_g, (u0, y0), n)
 
 
 class NoncontractionWitness(NamedTuple):
@@ -111,8 +111,7 @@ def example2_noncontraction_witness(scale: float = 10.0) -> NoncontractionWitnes
     (2 scale + 1) / 4 exceeds 1 from scale 2 on, which is why no global
     contraction argument can apply to this map.
     """
-    if scale < 2.0:
-        raise ValueError("need scale >= 2 for an expanding pair")
+    real(scale, "need scale >= 2 for an expanding pair", at_least=2.0)
     a = PlanePoint(float(scale), 0.0)
     b = PlanePoint(float(scale) + 1.0, 0.0)
     est: ContractionEstimate = estimate_contraction_factor(

@@ -41,8 +41,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Collection, Iterator, NamedTuple, Optional, Sequence
 
-from ._records import FrozenRecord, Record
-from .relations import FiniteRelation, _index, is_connected, seed_set, symmetric_closure
+from ._records import FrozenRecord, Record, integer
+from .relations import FiniteRelation, is_connected, seed_set, symmetric_closure
 
 __all__ = [
     "ALPHA_GRID",
@@ -81,15 +81,16 @@ REJECTION_KEYS: tuple[str, ...] = (
 
 
 class Pair(FrozenRecord):
-    """A relation and a self-map of its ground set, given as an index tuple."""
+    """A relation and a self-map of its ground set, stored as a tuple of ``int``."""
 
     __slots__ = _fields = ("rel", "mapping")
 
     def __init__(self, rel: FiniteRelation, mapping: Sequence[int]) -> None:
-        n = rel.ground_size
-        if len(mapping) != n or not all(0 <= m < n for m in mapping):
-            raise ValueError(f"map must send each of 0..{n - 1} into the ground set, got {mapping!r}")
-        super().__init__(rel, tuple(mapping))
+        n, message = rel.ground_size, "map must send each of 0..{0} into the ground set, got {1!r}"
+        if len(mapping) != n:
+            raise ValueError(message.format(n - 1, mapping))
+        images = tuple([integer(m, message, n - 1, mapping, at_least=0, below=n) for m in mapping])
+        super().__init__(rel, images)
 
     @property
     def n(self) -> int:
@@ -179,11 +180,10 @@ def _document(
 
 
 def _json_int(value: object, what: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    # JSON writers may spell an integer as 2.0
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    return integer(value, "{0} must be an integer, got {value!r}", what)
 
 
 def _json_list(value: object, what: str) -> list:
@@ -200,7 +200,12 @@ def _json_ints(value: object, length: int, what: str) -> list[int]:
     return [_json_int(v, f"{what} entry") for v in items]
 
 
-def _check_slice(n: int, g_max: int, rel_count_cap: Optional[int]) -> None:
+def _check_slice(n: int, g_max: int, rel_count_cap: Optional[int]) -> "SweepSpec":
+    """The slice as a :class:`SweepSpec` of Python integers, or ValueError."""
+    n = integer(n, "ground size must be an integer, got {value!r}")
+    g_max = integer(g_max, "g_max must be an integer, got {value!r}")
+    if rel_count_cap is not None:
+        rel_count_cap = integer(rel_count_cap, "rel_count_cap must be an integer, got {value!r}")
     if n < 2:
         raise ValueError("ground size must be at least 2")
     if n > MAX_GROUND_SIZE:
@@ -210,6 +215,7 @@ def _check_slice(n: int, g_max: int, rel_count_cap: Optional[int]) -> None:
     # a cap below 1 would sweep no relation at all and pass vacuously
     if rel_count_cap is not None and rel_count_cap < 1:
         raise ValueError("rel_count_cap must be at least 1")
+    return SweepSpec(n, g_max, rel_count_cap)
 
 
 def _relations(n: int, rel_count_cap: Optional[int]) -> Iterator[FiniteRelation]:
@@ -235,7 +241,7 @@ def enumerate_instances(
     Stream nesting is relation -> map -> matrix, and every instance carries
     its stream index.
     """
-    _check_slice(n, g_max, rel_count_cap)
+    n, g_max, rel_count_cap = _check_slice(n, g_max, rel_count_cap)
     row_choices = list(product(range(-g_max, g_max + 1), repeat=n))
     maps = list(product(range(n), repeat=n))
     index = 0
@@ -250,19 +256,22 @@ def fixed_points(pair: Pair) -> list[int]:
     return [i for i, m in enumerate(pair.mapping) if m == i]
 
 
-def _checked_g(inst: FiniteInstance) -> tuple[tuple[int, ...], ...]:
-    """The instance's g, each entry read like a relation index; a bad map, a g
-    that is not n by n or a non-integer entry (NaN, inf) raises ValueError."""
-    n, g = inst.pair.n, inst.g_matrix  # building the pair checks the map
+def _checked_g(inst: FiniteInstance) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The instance's map and g, each entry an ``int``; a bad map, a g that is
+    not n by n or a non-integer entry (NaN, inf, a bool) raises ValueError."""
+    pair, g = inst.pair, inst.g_matrix  # building the pair checks the map
+    n = pair.n
     if len(g) != n or any(len(row) != n for row in g):
         raise ValueError(f"g must be {n} by {n}")
-    return tuple(tuple(_index(v, "g entry") for v in row) for row in g)
+    entry = "g entry must be an integer, got {value!r}"
+    return pair.mapping, tuple([tuple([integer(v, entry) for v in row]) for row in g])
 
 
 def contraction_alpha(inst: FiniteInstance) -> Optional[Fraction]:
     """Smallest grid factor under which every related pair contracts."""
-    mag = [abs(v) for row in _checked_g(inst) for v in row]
-    n, m = inst.n, inst.mapping
+    m, g = _checked_g(inst)
+    mag = [abs(v) for row in g for v in row]
+    n = inst.n
     return _smallest_alpha([(m[r] * n + m[s], r * n + s) for r, s in inst.rel.sorted_pairs], mag)
 
 
@@ -379,9 +388,9 @@ def hypotheses_hold(inst: FiniteInstance) -> tuple[bool, str]:
     is not a self-map, a g that is not n by n or a g entry that is not an
     integer raises :class:`ValueError`.
     """
-    g = _checked_g(inst)
+    mapping, g = _checked_g(inst)
     pat = _patterns(inst.rel)
-    return _check_hypotheses(pat, _pair_checks(pat, *_map_cells(pat.n, inst.mapping)), g)[:2]
+    return _check_hypotheses(pat, _pair_checks(pat, *_map_cells(pat.n, mapping)), g)[:2]
 
 
 def _check_hypotheses(
@@ -628,9 +637,9 @@ def run_oracle(sweeps: Sequence[SweepSpec]) -> OracleReport:
     """
     results: list[SweepResult] = []
     for spec in sweeps:
+        spec = _check_slice(*spec)
         res = SweepResult(spec=spec)
         n = spec.n
-        _check_slice(n, spec.g_max, spec.rel_count_cap)
         maps = [(mapping, *_map_cells(n, mapping)) for mapping in product(range(n), repeat=n)]
         per_relation = len(maps) * (2 * spec.g_max + 1) ** (n * n)
         for rel_no, rel in enumerate(_relations(n, spec.rel_count_cap)):

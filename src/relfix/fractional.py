@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._records import FrozenRecord
+from ._records import FrozenRecord, real
 from .gridfn import GridFunction, _check_intervals, interpolate, pointwise_leq, sup_diff
 from .picard import IterationTrace, StoppingPolicy, iterate
 
@@ -57,14 +57,16 @@ def gamma(x: float) -> float:
     """Gamma function for positive real argument: ``math.gamma`` with the
     domain checked.
 
-    Accuracy contract: relative error <= 1e-10 on [0.05, 20]. A non-finite
-    or non-positive argument raises :class:`ValueError`.
+    Accuracy contract: relative error <= 1e-10 on [0.05, 20]. An argument
+    that is not a positive finite real, or whose Gamma overflows a float
+    (above about 171.62 or below about 5.6e-309), raises :class:`ValueError`.
     """
-    if not math.isfinite(x):
-        raise ValueError("gamma argument must be finite")
-    if x <= 0.0:
+    if real(x, "gamma argument must be finite") <= 0.0:
         raise ValueError("gamma argument must be positive")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise ValueError(f"Gamma({x!r}) is too large for a float") from None
 
 
 def _stable_power_diff(ms: np.ndarray, p: float) -> np.ndarray:
@@ -111,11 +113,6 @@ class QuadratureWeights(FrozenRecord):
         return 1.0 / self.n_intervals
 
 
-def _check_zeta(zeta: float) -> None:
-    if not (math.isfinite(zeta) and zeta > 0.0):
-        raise ValueError("zeta must be positive and finite")
-
-
 def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
     """Build the node-0 column, the Toeplitz band and its spectrum.
 
@@ -126,9 +123,8 @@ def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
     B(m) = m P_m - Q_m (in units of h^z). Node 0 at distance i gets A(i),
     an interior node at distance d gets A(d) + B(d + 1) and the target B(1).
     """
-    _check_zeta(zeta)
-    _check_intervals(n_intervals, 1)
-    n = n_intervals
+    real(zeta, "zeta must be positive and finite", above=0.0)
+    n = _check_intervals(n_intervals, 1)
     h = 1.0 / n
     ms = np.arange(1, n + 1)
     p = _stable_power_diff(ms, zeta) / zeta
@@ -176,9 +172,10 @@ class FdeProblem(FrozenRecord):
     (N+1,); the Lipschitz probe passes its pairs stacked, one row each, so
     the rhs must act elementwise on arrays of any shape. Write it with numpy
     ufuncs (``np.sin``, not ``math.sin``) and branch with ``np.where``, not
-    ``if``. ``n_intervals`` is an ``int`` of at least 8.
-    ``lipschitz_alpha`` is the contraction parameter the Lipschitz
-    condition is tested against; ``gamma_variant`` selects whose order
+    ``if``. ``zeta`` is a positive finite real and ``n_intervals`` an
+    integer of at least 8, stored as ``int``. ``lipschitz_alpha``, in
+    (0, 1), is the contraction parameter the Lipschitz condition is tested
+    against; ``gamma_variant`` selects whose order
     feeds the Gamma factor in the Lipschitz bound ("alpha_plus_one" uses
     the contraction parameter, "zeta_plus_one" the integral order — both
     appear in circulation, so both are supported).
@@ -198,10 +195,9 @@ class FdeProblem(FrozenRecord):
         lipschitz_alpha: float = 0.5,
         gamma_variant: str = "zeta_plus_one",
     ) -> None:
-        _check_zeta(zeta)
-        _check_intervals(n_intervals, 8)
-        if not (0.0 < lipschitz_alpha < 1.0):
-            raise ValueError("lipschitz_alpha must lie in (0, 1)")
+        real(zeta, "zeta must be positive and finite", above=0.0)
+        n_intervals = _check_intervals(n_intervals, 8)
+        real(lipschitz_alpha, "lipschitz_alpha must lie in (0, 1)", above=0.0, below=1.0)
         if gamma_variant not in GAMMA_VARIANTS:
             raise ValueError(f"gamma_variant must be one of {GAMMA_VARIANTS}")
         super().__init__(rhs, zeta, n_intervals, policy, lipschitz_alpha, gamma_variant)

@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._records import Record
+from ._records import Record, integer
 
 __all__ = [
     "GridFunction",
@@ -19,19 +19,20 @@ __all__ = [
 DEFAULT_INTERVALS = 512
 
 
-def _check_intervals(n_intervals: int, minimum: int) -> None:
-    """The one rule for interval counts: an ``int`` (not a bool) >= minimum."""
+def _check_intervals(n_intervals: int, minimum: int) -> int:
+    """An interval count as an ``int``: an integer (not a bool) >= minimum."""
     # a float or bool would pass the bound and fail later inside numpy
-    if not isinstance(n_intervals, int) or isinstance(n_intervals, bool):
-        raise ValueError(f"n_intervals must be an integer, got {n_intervals!r}")
-    if n_intervals < minimum:
+    n = integer(n_intervals, "n_intervals must be an integer, got {value!r}")
+    if n < minimum:
         raise ValueError(f"n_intervals must be >= {minimum}")
+    return n
 
 
 class GridFunction(Record):
     """Values on the uniform nodes t_j = j / n_intervals, j = 0..n_intervals.
 
-    ``n_intervals`` is an ``int`` of at least 1 and the values are finite.
+    ``n_intervals``, an integer of at least 1, is stored as ``int``, and the
+    values are finite.
     Treated as immutable once built; comparisons and arithmetic go through
     the module functions rather than operator overloads.
     """
@@ -39,7 +40,7 @@ class GridFunction(Record):
     __slots__ = _fields = ("n_intervals", "values")
 
     def __init__(self, n_intervals: int, values: np.ndarray) -> None:
-        _check_intervals(n_intervals, 1)
+        n_intervals = _check_intervals(n_intervals, 1)
         vals = np.asarray(values, dtype=float)
         if vals.shape != (n_intervals + 1,):
             raise ValueError(f"need {n_intervals + 1} node values, got shape {vals.shape}")
@@ -60,13 +61,13 @@ class GridFunction(Record):
     def from_callable(
         cls, fn: Callable[[float], float], n_intervals: int = DEFAULT_INTERVALS
     ) -> "GridFunction":
-        nodes = np.arange(n_intervals + 1) / n_intervals
-        return cls(n_intervals, np.array([float(fn(t)) for t in nodes]))
+        n = _check_intervals(n_intervals, 1)
+        return cls(n, np.array([float(fn(t)) for t in np.arange(n + 1) / n]))
 
     @classmethod
     def zeros(cls, n_intervals: int = DEFAULT_INTERVALS) -> "GridFunction":
-        _check_intervals(n_intervals, 1)
-        return cls(n_intervals, np.zeros(n_intervals + 1))
+        n = _check_intervals(n_intervals, 1)
+        return cls(n, np.zeros(n + 1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridFunction):

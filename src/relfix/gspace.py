@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from ._records import FrozenRecord, Record
+from ._records import FrozenRecord, Record, real
 from .relations import universal_view
 
 __all__ = [
@@ -110,13 +110,6 @@ def _check_finite(value: float, a: Any, b: Any) -> float:
     return value
 
 
-def _check_tol(tol: float) -> None:
-    # every comparison with NaN is false, so a NaN tolerance would hide each
-    # witness; a negative one would manufacture them
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError("tol must be finite and nonnegative")
-
-
 def _triples(
     samples: Sequence[Any], rel: Callable[[Any, Any], bool]
 ) -> Iterator[tuple[Any, Any, Any]]:
@@ -144,7 +137,9 @@ def _scan(
     raises instead of failing each comparison silently, and so does a
     non-finite or negative ``tol`` (:class:`ValueError`).
     """
-    _check_tol(tol)
+    # every comparison with NaN is false, so a NaN tolerance would hide each
+    # witness; a negative one would manufacture them
+    real(tol, "tol must be finite and nonnegative", at_least=0.0)
 
     def mag(a: Any, b: Any) -> float:
         return abs(_check_finite(g(a, b), a, b))

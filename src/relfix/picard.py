@@ -12,10 +12,9 @@ predicate ``rel(a, b)``.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Any, Callable, Optional
 
-from ._records import FrozenRecord, Record
+from ._records import FrozenRecord, Record, integer, real
 from .relations import is_preserving_sequence
 
 __all__ = [
@@ -28,23 +27,15 @@ __all__ = [
 
 
 class StoppingPolicy(FrozenRecord):
-    """When to stop iterating: residual threshold or step budget."""
+    """When to stop iterating: residual threshold (a positive finite real)
+    or step budget (a positive integer, stored as ``int``)."""
 
     __slots__ = _fields = ("residual_tol", "max_iterations")
 
     def __init__(self, residual_tol: float = 1e-12, max_iterations: int = 1000) -> None:
-        tol = residual_tol
-        # a bool would compare as 0 or 1; a string would fail the comparison
-        if (
-            not isinstance(tol, numbers.Real)
-            or isinstance(tol, bool)
-            or not (tol > 0.0 and math.isfinite(tol))
-        ):
-            raise ValueError("residual_tol must be positive and finite")
-        steps = max_iterations
-        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-            raise ValueError("max_iterations must be a positive integer")
-        super().__init__(residual_tol, max_iterations)
+        real(residual_tol, "residual_tol must be positive and finite", above=0.0)
+        steps = integer(max_iterations, "max_iterations must be a positive integer", at_least=1)
+        super().__init__(residual_tol, steps)
 
 
 class IterationTrace(Record):
@@ -94,22 +85,15 @@ class IterationTrace(Record):
         return len(self.residuals)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-
-
 def a_priori_bound(alpha: float, g01: float, m: int) -> float:
     """Geometric tail bound alpha^m / (1 - alpha) * g01.
 
     Dominates |g(r_m, r_n)| for every n > m once the per-step residual
     contracts by alpha.
     """
-    _check_alpha(alpha)
-    if not (g01 >= 0.0 and math.isfinite(g01)):
-        raise ValueError("g01 is an absolute residual, must be finite and >= 0")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValueError("m must be a nonnegative integer")
+    real(alpha, "alpha must lie in (0, 1)", above=0.0, below=1.0)
+    real(g01, "g01 is an absolute residual, must be finite and >= 0", at_least=0.0)
+    m = integer(m, "m must be a nonnegative integer", at_least=0)
     return (alpha**m) / (1.0 - alpha) * g01
 
 
@@ -132,7 +116,7 @@ def iterate(
     returns.
     """
     if alpha is not None:
-        _check_alpha(alpha)
+        real(alpha, "alpha must lie in (0, 1)", above=0.0, below=1.0)
     iterates: list[Any] = [r0]
     residuals: list[float] = []
     converged = False

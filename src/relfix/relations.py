@@ -12,10 +12,9 @@ extraction.
 
 from __future__ import annotations
 
-from operator import index
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from ._records import FrozenRecord
+from ._records import FrozenRecord, integer
 
 __all__ = [
     "FiniteRelation",
@@ -28,22 +27,12 @@ __all__ = [
 ]
 
 
-def _index(i: Any, what: str = "relation index") -> int:
-    """``operator.index(i)``, refusing a bool, which it would read as 0 or 1."""
-    if not isinstance(i, bool):
-        try:
-            return index(i)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {i!r}")
-
-
 class FiniteRelation(FrozenRecord):
     """Explicit binary relation on the ground set ``{0, ..., ground_size-1}``.
 
     Calling it as ``rel(a, b)`` tests ``(a, b) in rel.pairs``, so it serves
     wherever a relation predicate is taken. ``ground_size`` and each index
-    are read with ``operator.index`` (numpy integers pass); a bool, a
+    are integers, stored as ``int`` (numpy integers pass); a bool, a
     non-integral value, a negative ``ground_size`` or an index outside the
     ground set raises :class:`ValueError`. Immutable; ``==``
     and the hash read ``ground_size`` and ``pairs`` only.
@@ -54,10 +43,11 @@ class FiniteRelation(FrozenRecord):
     __slots__ = (*_fields, "sorted_pairs")
 
     def __init__(self, ground_size: int, pairs: frozenset[tuple[int, int]]) -> None:
-        ground_size = _index(ground_size, "ground_size")
+        ground_size = integer(ground_size, "ground_size must be an integer, got {value!r}")
         if ground_size < 0:
             raise ValueError("ground_size must be nonnegative")
-        pairs = frozenset((_index(r), _index(s)) for r, s in pairs)
+        index = "relation index must be an integer, got {value!r}"
+        pairs = frozenset((integer(r, index), integer(s, index)) for r, s in pairs)
         for r, s in pairs:
             if not (0 <= r < ground_size and 0 <= s < ground_size):
                 raise ValueError(f"pair {(r, s)} outside ground set")
