@@ -169,8 +169,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         start = [float(v) for v in args.r0_point.split(",")]
         if len(start) != 2:
             raise ValueError("--r0-point needs two comma-separated coordinates")
-        point = demos.PlanePoint(*start)
-        demos.validate_point(point)
+        point = demos.validate_point(start)
         g, smap = _scenario(args.example)
         rel = demos.first_coord_relation()
         trace = _cli.iterate(smap, g, rel, point, policy)

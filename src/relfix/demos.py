@@ -13,7 +13,6 @@ plain functions and the relation a plain predicate.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 from ._records import real
@@ -64,17 +63,16 @@ def example2_map(p: PlanePoint) -> PlanePoint:
 example2_g = GFunctional(lambda p, q: abs(p[0] - q[0]) + abs(p[1] - q[1]))
 
 
-def validate_point(p: PlanePoint) -> None:
-    """Reject a start point with a NaN or infinite coordinate."""
-    if not (math.isfinite(p[0]) and math.isfinite(p[1])):
-        raise ValueError("plane point coordinates must be finite")
+def validate_point(p: tuple[float, float]) -> PlanePoint:
+    """The start point as floats; each coordinate must pass the real rule."""
+    return PlanePoint(*[float(real(c, "plane point coordinates must be finite")) for c in p])
 
 
 def _run(
     smap: Callable[[PlanePoint], PlanePoint], g: GFunctional, start: tuple[float, float], n: int
 ) -> IterationTrace:
     """Exactly n Picard steps from a finite start, certified at alpha = 1/4."""
-    start = PlanePoint(*[float(real(c, "plane point coordinates must be finite")) for c in start])
+    start = validate_point(start)
     policy = StoppingPolicy(residual_tol=_NEVER_STOP, max_iterations=n)
     return iterate(smap, g, first_coord_relation(), start, policy, alpha=0.25)
 

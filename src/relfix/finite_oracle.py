@@ -116,6 +116,8 @@ class FiniteInstance(Record):
     ) -> None:
         if n != rel.ground_size:
             raise ValueError(f"n = {n!r} is not the relation's ground size {rel.ground_size}")
+        if type(n) is not int:  # the enumeration passes ints and skips the rule
+            integer(n, "n must be an integer, got {value!r}")
         self.g_matrix = g_matrix
         self.rel = rel
         self.mapping = mapping
@@ -201,20 +203,24 @@ def _json_ints(value: object, length: int, what: str) -> list[int]:
 
 
 def _check_slice(n: int, g_max: int, rel_count_cap: Optional[int]) -> "SweepSpec":
-    """The slice as a :class:`SweepSpec` of Python integers, or ValueError."""
+    """The slice as a :class:`SweepSpec` of Python integers, or ValueError; a
+    number out of range gets the range's message, even ``n=True`` or 1.5."""
+    try:
+        if n < 2:
+            raise ValueError("ground size must be at least 2")
+        if n > MAX_GROUND_SIZE:
+            raise ValueError("instance space too large")
+        if g_max < 0:
+            raise ValueError("g_max must be nonnegative")
+        # a cap below 1 would sweep no relation at all and pass vacuously
+        if rel_count_cap is not None and rel_count_cap < 1:
+            raise ValueError("rel_count_cap must be at least 1")
+    except TypeError:  # a value that does not compare with an int: no integer
+        pass
     n = integer(n, "ground size must be an integer, got {value!r}")
     g_max = integer(g_max, "g_max must be an integer, got {value!r}")
     if rel_count_cap is not None:
         rel_count_cap = integer(rel_count_cap, "rel_count_cap must be an integer, got {value!r}")
-    if n < 2:
-        raise ValueError("ground size must be at least 2")
-    if n > MAX_GROUND_SIZE:
-        raise ValueError("instance space too large")
-    if g_max < 0:
-        raise ValueError("g_max must be nonnegative")
-    # a cap below 1 would sweep no relation at all and pass vacuously
-    if rel_count_cap is not None and rel_count_cap < 1:
-        raise ValueError("rel_count_cap must be at least 1")
     return SweepSpec(n, g_max, rel_count_cap)
 
 
@@ -259,8 +265,7 @@ def fixed_points(pair: Pair) -> list[int]:
 def _checked_g(inst: FiniteInstance) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The instance's map and g, each entry an ``int``; a bad map, a g that is
     not n by n or a non-integer entry (NaN, inf, a bool) raises ValueError."""
-    pair, g = inst.pair, inst.g_matrix  # building the pair checks the map
-    n = pair.n
+    pair, g, n = inst.pair, inst.g_matrix, inst.n  # building the pair checks the map
     if len(g) != n or any(len(row) != n for row in g):
         raise ValueError(f"g must be {n} by {n}")
     entry = "g entry must be an integer, got {value!r}"
@@ -269,9 +274,8 @@ def _checked_g(inst: FiniteInstance) -> tuple[tuple[int, ...], tuple[tuple[int, 
 
 def contraction_alpha(inst: FiniteInstance) -> Optional[Fraction]:
     """Smallest grid factor under which every related pair contracts."""
-    m, g = _checked_g(inst)
+    (m, g), n = _checked_g(inst), inst.n
     mag = [abs(v) for row in g for v in row]
-    n = inst.n
     return _smallest_alpha([(m[r] * n + m[s], r * n + s) for r, s in inst.rel.sorted_pairs], mag)
 
 

@@ -126,12 +126,12 @@ def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
     real(zeta, "zeta must be positive and finite", above=0.0)
     n = _check_intervals(n_intervals, 1)
     h = 1.0 / n
+    scale = h**zeta / gamma(zeta)  # before the moments: they divide by zeta
     ms = np.arange(1, n + 1)
     p = _stable_power_diff(ms, zeta) / zeta
     q = _stable_power_diff(ms, zeta + 1.0) / (zeta + 1.0)
     a = q - (ms - 1) * p
     b = ms * p - q
-    scale = h**zeta / gamma(zeta)
     band = np.concatenate((b[:1], a[:-1] + b[1:])) * scale
     # np.fft runs single-threaded, so results do not depend on BLAS threads
     # (np.convolve does). np.fft is loaded on first use, not at import.
@@ -175,10 +175,10 @@ class FdeProblem(FrozenRecord):
     ``if``. ``zeta`` is a positive finite real and ``n_intervals`` an
     integer of at least 8, stored as ``int``. ``lipschitz_alpha``, in
     (0, 1), is the contraction parameter the Lipschitz condition is tested
-    against; ``gamma_variant`` selects whose order
-    feeds the Gamma factor in the Lipschitz bound ("alpha_plus_one" uses
-    the contraction parameter, "zeta_plus_one" the integral order — both
-    appear in circulation, so both are supported).
+    against; ``gamma_variant`` selects whose order feeds the Gamma factor
+    in the Lipschitz bound ("alpha_plus_one" uses the contraction
+    parameter, "zeta_plus_one" the integral order — both appear in
+    circulation, so both are supported).
     The quadrature weights and the read-only node array are built on first
     use and kept as ``weights`` and ``nodes``.
     """

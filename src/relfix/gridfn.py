@@ -32,9 +32,8 @@ class GridFunction(Record):
     """Values on the uniform nodes t_j = j / n_intervals, j = 0..n_intervals.
 
     ``n_intervals``, an integer of at least 1, is stored as ``int``, and the
-    values are finite.
-    Treated as immutable once built; comparisons and arithmetic go through
-    the module functions rather than operator overloads.
+    values are finite. Treated as immutable once built; comparisons and
+    arithmetic go through the module functions rather than operator overloads.
     """
 
     __slots__ = _fields = ("n_intervals", "values")

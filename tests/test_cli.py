@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -269,15 +270,24 @@ class TestSolveFdeCommand:
 
     @pytest.mark.parametrize(
         "zeta, variant, argument",
-        [("171", "zeta", "172.0"), ("200", "zeta", "201.0"), ("200", "alpha", "200.0")],
+        [
+            ("171", "zeta", "172.0"),
+            ("200", "zeta", "201.0"),
+            ("200", "alpha", "200.0"),
+            # the weights divided by this zeta, with numpy warnings, before Gamma refused it
+            ("1e-320", "zeta", "1e-320"),
+        ],
     )
     def test_overflowing_gamma_is_one_error_line(self, zeta, variant, argument, capsys):
         # Gamma(zeta + 1) in the Lipschitz bound, or Gamma(zeta) in the
         # weights, exceeds the largest float; math.gamma's own message
         # ("math range error") named neither the function nor its argument
         argv = ["solve-fde", "--grid", "16", "--zeta", zeta, "--gamma-variant", variant]
-        assert cli.run(argv) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.run(argv) == 1
         assert capsys.readouterr().err == f"error: Gamma({argument}) is too large for a float\n"
+        assert [str(w.message) for w in caught] == []
 
     def test_budget_too_small_is_an_error(self, capsys):
         code = cli.run(["solve-fde", "--grid", "64", "--max-iter", "0"])

@@ -78,7 +78,7 @@ SITES = [
      "map must send each of 0..1 into the ground set, got ",
      ("True", "'1'", "None", "1.5", "numpy")),
     ("SweepSpec-n", INT, 2, lambda v: report(SweepSpec(v, 1)),
-     "ground size must be an integer, got ", ALL_INT),
+     "ground size must be an integer, got ", ("'1'", "None", "nan", "numpy")),
     ("SweepSpec-g_max", INT, 1, lambda v: report(SweepSpec(2, v)),
      "g_max must be an integer, got ", ALL_INT),
     ("SweepSpec-rel_count_cap", INT, 3, lambda v: report(SweepSpec(2, 1, v)),
@@ -134,9 +134,17 @@ SITES = [
 # None is a valid value here: no relation cap, no contraction certificate
 NONE_ALLOWED = {"SweepSpec-rel_count_cap", "iterate-alpha"}
 
+# a slice's ranges are checked before the rule, so a number out of range
+# keeps the range's message
+RANGE_MESSAGES = {
+    ("SweepSpec-n", "True"): "ground size must be at least 2",
+    ("SweepSpec-n", "1.5"): "ground size must be at least 2",
+    ("SweepSpec-n", "inf"): "instance space too large",
+}
+
 BAD_ROWS = [
     pytest.param(
-        call, value, message,
+        call, value, RANGE_MESSAGES.get((site, repr(value)), message),
         id=f"{site}-{value!r}" + ("-new" if repr(value) in new else ""),
     )
     for site, kind, _, call, message, new in SITES
@@ -165,6 +173,37 @@ def test_numpy_number_gives_the_python_result(call, kind, valid):
     if kind == INT:
         # a numpy integer is stored as int, so even the reprs agree
         assert repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (SweepSpec(False, 1), "ground size must be at least 2"),
+        (SweepSpec(4.5, 1), "instance space too large"),
+        (SweepSpec(2, -0.5), "g_max must be nonnegative"),
+        (SweepSpec(2, 1, False), "rel_count_cap must be at least 1"),
+        (SweepSpec(2, 1, 0.5), "rel_count_cap must be at least 1"),
+        (SweepSpec(2.5, -1), "g_max must be nonnegative"),
+    ],
+)
+def test_slice_out_of_range_keeps_the_ranges_message(spec, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        report(spec)
+
+
+# these fail without the rule: True and 2.0 equal the ground size
+@pytest.mark.parametrize(
+    "n, rel", [(True, FiniteRelation(1, {(0, 0)})), (2.0, REL)], ids=["True-new", "2.0-new"]
+)
+def test_finite_instance_n_must_be_an_integer(n, rel):
+    g = tuple((0,) * rel.ground_size for _ in range(rel.ground_size))
+    with pytest.raises(ValueError, match="^n must be an integer, got "):
+        FiniteInstance(n, g, rel, (0,) * rel.ground_size)
+
+
+def test_finite_instance_n_may_be_a_numpy_integer():
+    inst = FiniteInstance(np.int64(2), ((0, 1), (1, 0)), REL, (0, 0))
+    assert hypotheses_hold(inst) == hypotheses_hold(FiniteInstance(2, ((0, 1), (1, 0)), REL, (0, 0)))
 
 
 @pytest.mark.parametrize("rule", [integer, real])
