@@ -15,14 +15,15 @@ import importlib
 
 __version__ = "0.1.0"
 
-# the public names of each engine module, equal to that module's __all__
+# the public names of each engine module, declared here and nowhere else:
+# each engine sets ``__all__ = list(_EXPORTS[<module>])``, and this table lets
+# ``import relfix`` resolve a name without importing any engine
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "relations": (
         "FiniteRelation",
         "universal_view",
         "symmetric_closure",
         "is_connected",
-        "closed_under",
         "seed_set",
         "is_preserving_sequence",
     ),

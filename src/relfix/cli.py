@@ -73,10 +73,18 @@ def _write_text(path: str, text: str, force: bool) -> None:
     p.write_text(text)
 
 
+def _read_json(path: str) -> Any:
+    # json raises RecursionError on deep nesting; that is bad input, not a fault
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_instance(path: str) -> FiniteInstance:
     from .finite_oracle import FiniteInstance
 
-    return FiniteInstance.from_json_dict(json.loads(Path(path).read_text()))
+    return FiniteInstance.from_json_dict(_read_json(path))
 
 
 def _scenario(which: int) -> tuple[GFunctional, Callable[[PlanePoint], PlanePoint]]:
@@ -348,7 +356,7 @@ _SWITCHES = ("--force",)
 
 
 def _argv_from_config(path: str) -> list[str]:
-    doc = json.loads(Path(path).read_text())
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     if "subcommand" not in doc:
@@ -365,7 +373,8 @@ def _argv_from_config(path: str) -> list[str]:
             kind = "true or false" if switch else "a value, not true or false"
             raise ValueError(f"config value for {key!r} must be {kind}, got {value!r}")
         if not switch:
-            argv.extend([flag, str(value)])
+            # one token, so a value starting with "-" is not read as a flag
+            argv.append(f"{flag}={value}")
         elif value:
             argv.append(flag)
     return argv

@@ -41,26 +41,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Collection, Iterator, NamedTuple, Optional, Sequence
 
+from . import _EXPORTS
 from ._records import FrozenRecord, Record, integer
 from .relations import FiniteRelation, is_connected, seed_set, symmetric_closure
 
-__all__ = [
-    "ALPHA_GRID",
-    "REJECTION_KEYS",
-    "Pair",
-    "FiniteInstance",
-    "SweepSpec",
-    "SweepResult",
-    "OracleReport",
-    "enumerate_instances",
-    "fixed_points",
-    "contraction_alpha",
-    "hypotheses_hold",
-    "conclusion_holds",
-    "image_symmetric_connected",
-    "run_oracle",
-    "default_sweeps",
-]
+__all__ = list(_EXPORTS["finite_oracle"])
 
 # contraction is existential over this grid; the grid is part of the
 # instance-space definition, not a tunable

@@ -30,26 +30,12 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from ._records import FrozenRecord, real
 from .gridfn import GridFunction, _check_intervals, interpolate, pointwise_leq, sup_diff
 from .picard import IterationTrace, StoppingPolicy, iterate
 
-__all__ = [
-    "gamma",
-    "QuadratureWeights",
-    "quadrature_weights",
-    "frac_integral",
-    "FdeProblem",
-    "LipschitzReport",
-    "ConvergenceFailure",
-    "apply_T",
-    "lipschitz_check",
-    "lipschitz_bound",
-    "solve_fde",
-    "boundary_residuals",
-    "demo_rhs",
-    "demo_problem",
-]
+__all__ = list(_EXPORTS["fractional"])
 
 GAMMA_VARIANTS = ("alpha_plus_one", "zeta_plus_one")
 

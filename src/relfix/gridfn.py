@@ -6,15 +6,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import _EXPORTS
 from ._records import Record, integer
 
-__all__ = [
-    "GridFunction",
-    "sup_diff",
-    "pointwise_leq",
-    "interpolate",
-    "grid_to_csv",
-]
+__all__ = list(_EXPORTS["gridfn"])
 
 DEFAULT_INTERVALS = 512
 

@@ -20,18 +20,11 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from . import _EXPORTS
 from ._records import FrozenRecord, Record, real
 from .relations import universal_view
 
-__all__ = [
-    "GFunctional",
-    "PropertyReport",
-    "ContractionEstimate",
-    "verify_g_properties",
-    "relation_pattern_report",
-    "estimate_contraction_factor",
-    "related_pairs",
-]
+__all__ = list(_EXPORTS["gspace"])
 
 _MODES = ("global", "relation_restricted")
 

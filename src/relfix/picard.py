@@ -14,16 +14,11 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Optional
 
+from . import _EXPORTS
 from ._records import FrozenRecord, Record, integer, real
 from .relations import is_preserving_sequence
 
-__all__ = [
-    "StoppingPolicy",
-    "IterationTrace",
-    "iterate",
-    "a_priori_bound",
-    "trace_to_csv",
-]
+__all__ = list(_EXPORTS["picard"])
 
 
 class StoppingPolicy(FrozenRecord):

@@ -6,25 +6,18 @@ call it directly. Relations over non-indexed carriers (points in the
 plane, grid functions) are plain functions. Finite relations are explicit
 pair sets over ``{0, ..., n-1}``, callable as predicates too, and support
 the structural queries the model checker needs: symmetric closure,
-connectivity of a subset, closedness under a self-map, and seed
-extraction.
+connectivity of a subset and seed extraction. Closedness under a self-map
+is decided by the model checker itself (``finite_oracle``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
+from . import _EXPORTS
 from ._records import FrozenRecord, integer
 
-__all__ = [
-    "FiniteRelation",
-    "universal_view",
-    "symmetric_closure",
-    "is_connected",
-    "closed_under",
-    "seed_set",
-    "is_preserving_sequence",
-]
+__all__ = list(_EXPORTS["relations"])
 
 
 class FiniteRelation(FrozenRecord):
@@ -101,21 +94,6 @@ def is_connected(rel: FiniteRelation, subset: Iterable[int]) -> bool:
         if not members <= reached:
             return False
     return True
-
-
-def closed_under(
-    rel: FiniteRelation, image_of: Callable[[int], int]
-) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Check that the image of every related pair is again related.
-
-    Returns ``(True, None)`` on success, else ``(False, witness)`` where
-    ``witness`` is the first related pair (in sorted order) whose image
-    escapes the relation.
-    """
-    for r, s in rel.sorted_pairs:
-        if (image_of(r), image_of(s)) not in rel.pairs:
-            return False, (r, s)
-    return True, None
 
 
 def seed_set(rel: FiniteRelation, image_of: Callable[[int], int]) -> list[int]:

@@ -17,7 +17,7 @@ g1-g3 walk across a relation's maps: ``pair_table`` compiles each
 pair's touched entries (images included), ``classify_magnitudes`` walks
 every magnitude vector of the pair, and ``sweep_pair`` tallies the pair and
 lists its violating instances through the oracle's ``_materialise``. Its
-closedness and seed verdicts come from ``relations.closed_under`` and
+closedness and seed verdicts come from ``closedness_witness`` below and
 ``relations.seed_set``, not the oracle's bitmasks.
 
 ``classify_pair`` and ``materialise`` are the numpy classifier and
@@ -45,7 +45,7 @@ from relfix.finite_oracle import (
     SweepSpec,
     enumerate_instances,
 )
-from relfix.relations import FiniteRelation, closed_under, seed_set
+from relfix.relations import FiniteRelation, seed_set
 
 # assignments of the touched matrix entries classified per numpy pass
 CHUNK = 1 << 16
@@ -164,6 +164,15 @@ class PairPatterns(NamedTuple):
     contraction: list  # den * mag[a] <= num * mag[b]
 
 
+def closedness_witness(rel: FiniteRelation, image_of) -> Optional[tuple[int, int]]:
+    """The first related pair, in sorted order, whose image escapes the
+    relation; None when the relation is closed under ``image_of``."""
+    for r, s in rel.sorted_pairs:
+        if (image_of(r), image_of(s)) not in rel.pairs:
+            return r, s
+    return None
+
+
 def pair_table(rel: FiniteRelation, mapping: tuple[int, ...]) -> PairPatterns:
     """Compile one (relation, map) pair's hypotheses, each list in witness order."""
     n = rel.ground_size
@@ -178,8 +187,8 @@ def pair_table(rel: FiniteRelation, mapping: tuple[int, ...]) -> PairPatterns:
     )
     slot = {cell: pos for pos, cell in enumerate(touched)}
     image_of = mapping.__getitem__
-    closed, witness = closed_under(rel, image_of)
-    if not closed:
+    witness = closedness_witness(rel, image_of)
+    if witness is not None:
         structural = (3, witness)
     elif not seed_set(rel, image_of):
         structural = (4, ())

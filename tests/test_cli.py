@@ -152,8 +152,12 @@ class TestVerifyCommand:
             '{"n": 2, "pairs": [[0, 1]], "map": [0, 0], "g": [[0, 0.5], [1, 0]]}',
             '{"n": 2, "pairs": [[0, 0]], "map": [true, 0], "g": [[0, 1], [1, 0]]}',
             '{"n": 2, "pairs": [[0, 0]], "map": [0, 0], "g": [[0, Infinity], [1, 0]]}',
+            "[" * 100_000,
         ],
-        ids=["missing-g", "string-n", "top-level-list", "fractional-g", "bool-map", "infinity"],
+        ids=[
+            "missing-g", "string-n", "top-level-list", "fractional-g", "bool-map", "infinity",
+            "deeply-nested",
+        ],
     )
     @pytest.mark.parametrize("command", ["verify", "iterate"])
     def test_malformed_instance_is_one_error_line(self, tmp_path, capsys, command, text):
@@ -461,6 +465,23 @@ class TestConfigMirror:
         assert captured.err.splitlines() == [
             "error: give either --config or a subcommand, not both"
         ]
+
+    def test_config_passes_a_value_that_starts_with_a_dash(self, tmp_path, capsys):
+        argv = ["iterate", "--example", "2", "--r0-point=-1,2"]
+        assert cli.run(argv) == 0
+        direct = capsys.readouterr().out
+        config = {"subcommand": "iterate", "example": 2, "r0_point": "-1,2"}
+        assert cli.run(["--config", write_json(tmp_path / "c.json", config)]) == 0
+        assert capsys.readouterr().out == direct
+
+    def test_deeply_nested_config_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text("[" * 100_000)
+        code = cli.run(["--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: JSON nested too deeply\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.run(["--config", str(tmp_path / "nope.json")])

@@ -10,6 +10,7 @@ import pytest
 
 import oracle_reference
 from oracle_reference import (
+    closedness_witness,
     per_pair_sweep,
     reference_hypotheses,
     reference_sweep,
@@ -34,7 +35,7 @@ from relfix.finite_oracle import (
     run_oracle,
 )
 from relfix.gspace import GFunctional, relation_pattern_report
-from relfix.relations import FiniteRelation, closed_under, seed_set
+from relfix.relations import FiniteRelation, seed_set
 
 
 def mk(n, pairs, mapping, g):
@@ -492,7 +493,8 @@ def pair_reports(n, g_max, mask, map_no):
 
 def structurally_sound(n, mask, mapping):
     rel = relation_of(n, mask)
-    return closed_under(rel, mapping.__getitem__)[0] and bool(seed_set(rel, mapping.__getitem__))
+    image_of = mapping.__getitem__
+    return closedness_witness(rel, image_of) is None and bool(seed_set(rel, image_of))
 
 
 class TestFactoredSweep:
@@ -679,7 +681,8 @@ def drawn_pairs(n, g_max, seed, count=8, budget=100_000):
         while not {(mapping[r], mapping[s]) for r, s in pairs} <= pairs:
             pairs |= {(mapping[r], mapping[s]) for r, s in pairs}
         rel = FiniteRelation(n, frozenset(pairs))
-        assert closed_under(rel, mapping.__getitem__)[0] and seed_set(rel, mapping.__getitem__)
+        assert closedness_witness(rel, mapping.__getitem__) is None
+        assert seed_set(rel, mapping.__getitem__)
         if k ** touched_cell_count(rel, mapping) <= budget:
             sound.append((rel, mapping))
     return anywhere, sound

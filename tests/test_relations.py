@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from relfix.relations import (
     FiniteRelation,
-    closed_under,
     is_connected,
     is_preserving_sequence,
     seed_set,
@@ -144,18 +143,6 @@ class TestConnectivity:
         one_way = rel_of(2, (0, 1), (0, 0), (1, 1))
         assert not is_connected(one_way, {0, 1})
         assert is_connected(symmetric_closure(one_way), {0, 1})
-
-
-class TestClosedUnder:
-    def test_witness_comes_back(self):
-        rel = rel_of(3, (0, 1))
-        ok, witness = closed_under(rel, lambda i: (i + 1) % 3)
-        assert not ok and witness == (0, 1)
-
-    def test_closed_map(self):
-        rel = rel_of(3, (0, 1), (1, 2), (2, 0))
-        ok, witness = closed_under(rel, lambda i: (i + 1) % 3)
-        assert ok and witness is None
 
 
 class TestSeedSet:

@@ -7,6 +7,7 @@ finite and plane engines do not load each other. What is loaded is a
 property of a fresh interpreter, so the checks run in subprocesses.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import relfix
-from relfix import finite_oracle, fractional, gridfn, gspace, picard, relations
+from relfix import demos, finite_oracle, fractional, gridfn, gspace, picard, relations, svgplot
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = (relations, gspace, picard, gridfn, fractional, finite_oracle)
@@ -160,6 +161,16 @@ class TestExports:
     def test_submodules_resolve(self):
         for module in MODULES:
             assert getattr(relfix, module.__name__.rpartition(".")[2]) is module
+
+    @pytest.mark.parametrize("module", [*MODULES, demos, svgplot], ids=lambda m: m.__name__)
+    def test_every_public_def_and_class_is_exported(self, module):
+        tree = ast.parse(Path(module.__file__).read_text())
+        public = [
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+        assert [name for name in public if name not in module.__all__] == []
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
