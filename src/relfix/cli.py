@@ -4,15 +4,19 @@ Subcommands: verify (hypothesis checks), iterate (Picard on a finite
 instance or a plane scenario), solve-fde (fractional boundary-value
 solver), oracle (finite model check), example (plane scenario figure
 data). Exit codes: 0 success, 1 bad input (a malformed flag included), 2
-hypothesis-check failure, 3 oracle found a counterexample. Output files are
-never silently overwritten; pass --force.
+hypothesis-check failure, 3 oracle found a counterexample.
 
-Each subcommand imports only the engine it runs, when it runs (the README
-lists which), so only solve-fde loads numpy. The engine functions the
-handlers call through this module (``_ENGINE_NAMES``) stay attributes of
-it: each resolves on first access (PEP 562), and the handlers read it here
-on every call, so a rebinding, such as a test's monkeypatch or the traced
-benchmark pass, takes effect.
+Output files are never overwritten without --force, and never partly
+written: ``run`` refuses an existing output, or one file named by two
+flags, before any work, and renders every file before writing the first
+(only an OS error while writing, such as a missing directory, leaves the
+files written before it).
+
+Each subcommand imports only the engine it runs, when it runs, so only
+solve-fde loads numpy. The engine functions the handlers call through this
+module (``_ENGINE_NAMES``) stay attributes of it: each resolves on first
+access (PEP 562), and the handlers read it here on every call, so a
+rebinding, such as a test's monkeypatch or the traced pass, takes effect.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NoReturn, Optional, Sequence
@@ -28,20 +33,18 @@ if TYPE_CHECKING:
     from .demos import PlanePoint
     from .finite_oracle import FiniteInstance
     from .gspace import GFunctional
-    from .picard import IterationTrace
+
+from . import _MODULE_OF
 
 # the engine functions the handlers call as attributes of this module, each
-# with the module that defines it
+# with the module that defines it; svgplot's is the one the package does not export
 _ENGINE_NAMES = {
-    "hypotheses_hold": "finite_oracle",
-    "conclusion_holds": "finite_oracle",
-    "run_oracle": "finite_oracle",
-    "verify_g_properties": "gspace",
-    "relation_pattern_report": "gspace",
-    "estimate_contraction_factor": "gspace",
-    "iterate": "picard",
-    "render_residual_plot": "svgplot",
-}
+    name: _MODULE_OF[name]
+    for name in (
+        "hypotheses_hold", "conclusion_holds", "run_oracle", "verify_g_properties",
+        "relation_pattern_report", "estimate_contraction_factor", "iterate",
+    )
+} | {"render_residual_plot": "svgplot"}
 
 
 def __getattr__(name: str) -> Any:
@@ -66,11 +69,31 @@ EXIT_HYPOTHESIS_FAILURE = 2
 EXIT_COUNTEREXAMPLE = 3
 
 
-def _write_text(path: str, text: str, force: bool) -> None:
-    p = Path(path)
-    if p.exists() and not force:
-        raise FileExistsError(f"{path} exists; pass --force to overwrite")
-    p.write_text(text)
+# a handler's exit code, JSON document and the render of each output file by
+# path; a flag left out gives the path None, which is not written
+_Outcome = tuple[int, Any, dict[Optional[str], Callable[[], str]]]
+
+
+def _vet_outputs(args: argparse.Namespace) -> None:
+    """Refuse one file named by two output flags, or an existing one without --force."""
+    paths = [path for flag in ("out", "residuals_out", "svg") if (path := vars(args).get(flag))]
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ValueError(f"one file is named by two output flags: {', '.join(paths)}")
+    for path in paths:
+        if not args.force and os.path.exists(path):
+            raise FileExistsError(f"{path} exists; pass --force to overwrite")
+
+
+def _dumps(doc: Any) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _write(doc: Any, files: dict[Optional[str], Callable[[], str]]) -> None:
+    """Render every file before writing the first, then print the document."""
+    texts = {path: render() for path, render in files.items() if path}
+    for path, text in texts.items():
+        Path(path).write_text(text)
+    sys.stdout.write(_dumps(doc))
 
 
 def _read_json(path: str) -> Any:
@@ -95,7 +118,7 @@ def _scenario(which: int) -> tuple[GFunctional, Callable[[PlanePoint], PlanePoin
     return demos.example2_g, demos.example2_map
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Outcome:
     if args.instance is not None:
         inst = _load_instance(args.instance)
         ok, reason = _cli.hypotheses_hold(inst)
@@ -104,65 +127,47 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "reason": reason,
             "conclusion_holds": _cli.conclusion_holds(inst.pair) if ok else None,
         }
-        out = json.dumps(doc, indent=2) + "\n"
-        if args.out:
-            _write_text(args.out, out, args.force)
-        sys.stdout.write(out)
-        return EXIT_OK if ok else EXIT_HYPOTHESIS_FAILURE
+    else:
+        from . import demos
+        from .gspace import related_pairs
 
-    from . import demos
-    from .gspace import related_pairs
-
-    which = args.example
-    rel = demos.first_coord_relation()
-    g, smap = _scenario(which)
-    # deterministic probe set: a few columns of the plane, mixed heights;
-    # includes the degenerate pair (1,5)/(2,5)
-    samples = [
-        demos.PlanePoint(float(a), float(v))
-        for a in (0.0, 1.0, 2.0)
-        for v in (0.0, 0.25, 1.0, 5.0)
-    ]
-    report = _cli.verify_g_properties(g, rel, samples, tol=args.tol)
-    pattern = _cli.relation_pattern_report(g, rel, samples, tol=args.tol)
-    pairs = related_pairs(rel, samples)
-    contraction = _cli.estimate_contraction_factor(g, smap, rel, pairs)
-    seed_point = demos.PlanePoint(0.0, 1.0)
-    seed_ok = rel(seed_point, smap(seed_point))
-    hypotheses_pass = pattern.passed and contraction.factor < 1.0 and seed_ok
-    doc = {
-        "scenario": which,
-        "g_properties": report.to_json_dict(),
-        "relation_patterns": pattern.to_json_dict(),
-        "contraction_on_relation": contraction.to_json_dict(),
-        "seed_ok": seed_ok,
-        "hypotheses_pass": hypotheses_pass,
-    }
-    if which == 2:
-        witness = demos.example2_noncontraction_witness(10.0)
-        doc["unrestricted_expansion"] = {
-            "pair": [list(witness.pair[0]), list(witness.pair[1])],
-            "ratio": witness.ratio,
+        which = args.example
+        rel = demos.first_coord_relation()
+        g, smap = _scenario(which)
+        # deterministic probe set: a few columns of the plane, mixed heights;
+        # includes the degenerate pair (1,5)/(2,5)
+        samples = [
+            demos.PlanePoint(float(a), float(v))
+            for a in (0.0, 1.0, 2.0)
+            for v in (0.0, 0.25, 1.0, 5.0)
+        ]
+        report = _cli.verify_g_properties(g, rel, samples, tol=args.tol)
+        pattern = _cli.relation_pattern_report(g, rel, samples, tol=args.tol)
+        pairs = related_pairs(rel, samples)
+        contraction = _cli.estimate_contraction_factor(g, smap, rel, pairs)
+        seed_point = demos.PlanePoint(0.0, 1.0)
+        seed_ok = rel(seed_point, smap(seed_point))
+        ok = pattern.passed and contraction.factor < 1.0 and seed_ok
+        doc = {
+            "scenario": which,
+            "g_properties": report.to_json_dict(),
+            "relation_patterns": pattern.to_json_dict(),
+            "contraction_on_relation": contraction.to_json_dict(),
+            "seed_ok": seed_ok,
+            "hypotheses_pass": ok,
         }
-    out = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        _write_text(args.out, out, args.force)
-    sys.stdout.write(out)
-    return EXIT_OK if hypotheses_pass else EXIT_HYPOTHESIS_FAILURE
+        if which == 2:
+            witness = demos.example2_noncontraction_witness(10.0)
+            doc["unrestricted_expansion"] = {
+                "pair": [list(witness.pair[0]), list(witness.pair[1])],
+                "ratio": witness.ratio,
+            }
+    code = EXIT_OK if ok else EXIT_HYPOTHESIS_FAILURE
+    return code, doc, {args.out: lambda: _dumps(doc)}
 
 
-def _emit_trace(trace: IterationTrace, args: argparse.Namespace, title: str) -> None:
-    from .picard import trace_to_csv
-
-    if args.out:
-        _write_text(args.out, trace_to_csv(trace), args.force)
-    if args.svg:
-        plot = _cli.render_residual_plot(trace.residuals, title)
-        _write_text(args.svg, plot, args.force)
-
-
-def _cmd_iterate(args: argparse.Namespace) -> int:
-    from .picard import StoppingPolicy
+def _cmd_iterate(args: argparse.Namespace) -> _Outcome:
+    from .picard import StoppingPolicy, trace_to_csv
 
     policy = StoppingPolicy(residual_tol=args.tol, max_iterations=args.max_iter)
     if args.instance is not None:
@@ -181,7 +186,6 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         g, smap = _scenario(args.example)
         rel = demos.first_coord_relation()
         trace = _cli.iterate(smap, g, rel, point, policy)
-    _emit_trace(trace, args, "picard residuals")
     summary = {
         "steps": trace.steps,
         "converged": trace.converged,
@@ -189,11 +193,13 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         "preserved": trace.preserved,
         "final_residual": trace.residuals[-1],
     }
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-    return EXIT_OK
+    return EXIT_OK, summary, {
+        args.out: lambda: trace_to_csv(trace),
+        args.svg: lambda: _cli.render_residual_plot(trace.residuals, "picard residuals"),
+    }
 
 
-def _cmd_solve_fde(args: argparse.Namespace) -> int:
+def _cmd_solve_fde(args: argparse.Namespace) -> _Outcome:
     from . import fractional
     from .gridfn import grid_to_csv
     from .picard import StoppingPolicy, trace_to_csv
@@ -208,16 +214,6 @@ def _cmd_solve_fde(args: argparse.Namespace) -> int:
     except fractional.ConvergenceFailure as exc:
         # a RuntimeError, which run() leaves alone; the budget is bad input
         raise ArithmeticError(str(exc)) from exc
-    if args.out:
-        _write_text(args.out, grid_to_csv(solution), args.force)
-    if args.residuals_out:
-        _write_text(args.residuals_out, trace_to_csv(trace), args.force)
-    if args.svg:
-        _write_text(
-            args.svg,
-            _cli.render_residual_plot(trace.residuals, "solver residuals (sup norm)"),
-            args.force,
-        )
     r1, r2 = fractional.boundary_residuals(solution)
     summary = {
         "zeta": prob.zeta,
@@ -229,11 +225,14 @@ def _cmd_solve_fde(args: argparse.Namespace) -> int:
         "final_residual": trace.residuals[-1],
         "boundary_residuals": [r1, r2],
     }
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-    return EXIT_OK
+    return EXIT_OK, summary, {
+        args.out: lambda: grid_to_csv(solution),
+        args.residuals_out: lambda: trace_to_csv(trace),
+        args.svg: lambda: _cli.render_residual_plot(trace.residuals, "solver residuals (sup norm)"),
+    }
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> _Outcome:
     from .finite_oracle import default_sweeps
 
     spec = default_sweeps(args.n)[0]
@@ -242,17 +241,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.rel_cap is not None:
         spec = spec._replace(rel_count_cap=args.rel_cap)
     report = _cli.run_oracle([spec])
-    out = json.dumps(report.to_json_dict(), indent=2) + "\n"
-    if args.out:
-        _write_text(args.out, out, args.force)
-    sys.stdout.write(out)
-    if report.counterexamples or report.uniqueness_violations:
-        return EXIT_COUNTEREXAMPLE
-    return EXIT_OK
+    doc = report.to_json_dict()
+    found = report.counterexamples or report.uniqueness_violations
+    code = EXIT_COUNTEREXAMPLE if found else EXIT_OK
+    return code, doc, {args.out: lambda: _dumps(doc)}
 
 
-def _cmd_example(args: argparse.Namespace) -> int:
+def _cmd_example(args: argparse.Namespace) -> _Outcome:
     from . import demos
+    from .picard import trace_to_csv
 
     if args.which == 1:
         trace = demos.example1_run(y0=args.y0, n=args.n)
@@ -260,7 +257,6 @@ def _cmd_example(args: argparse.Namespace) -> int:
     else:
         trace = demos.example2_run(u0=args.u0, y0=args.y0, n=args.n)
         title = "scenario 2 residuals"
-    _emit_trace(trace, args, title)
     summary = {
         "which": args.which,
         "steps": trace.steps,
@@ -269,8 +265,10 @@ def _cmd_example(args: argparse.Namespace) -> int:
         "certified": trace.certified,
         "preserved": trace.preserved,
     }
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-    return EXIT_OK
+    return EXIT_OK, summary, {
+        args.out: lambda: trace_to_csv(trace),
+        args.svg: lambda: _cli.render_residual_plot(trace.residuals, title),
+    }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -281,13 +279,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="relfix",
-        description="relation-constrained fixed-point iteration toolkit",
-    )
+    description = "relation-constrained fixed-point iteration toolkit"
+    parser = _Parser(prog="relfix", description=description)
     parser.add_argument(
-        "--config",
-        help="JSON file holding {'subcommand': ..., <flag values>}; mirrors the flags",
+        "--config", help="JSON file holding {'subcommand': ..., <flag values>}; mirrors the flags"
     )
     sub = parser.add_subparsers(dest="subcommand")
 
@@ -297,21 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--instance", help="finite instance JSON (n, pairs, map, g)")
     p_verify.add_argument("--tol", type=float, default=1e-12)
     p_verify.add_argument("--out", help="write the JSON report here")
-    p_verify.add_argument("--force", action="store_true")
 
     p_iter = sub.add_parser("iterate", help="run a Picard orbit")
     group = p_iter.add_mutually_exclusive_group(required=True)
     group.add_argument("--instance", help="finite instance JSON (n, pairs, map, g)")
     group.add_argument("--example", type=int, choices=(1, 2))
     p_iter.add_argument("--r0", type=int, default=0, help="start index (finite instance)")
-    p_iter.add_argument(
-        "--r0-point", default="0,1", help="start point 'a,b' (plane scenarios)"
-    )
+    p_iter.add_argument("--r0-point", default="0,1", help="start point 'a,b' (plane scenarios)")
     p_iter.add_argument("--tol", type=float, default=1e-12)
     p_iter.add_argument("--max-iter", type=int, default=1000)
     p_iter.add_argument("--out", help="residual CSV path")
     p_iter.add_argument("--svg", help="residual plot path")
-    p_iter.add_argument("--force", action="store_true")
 
     p_fde = sub.add_parser("solve-fde", help="solve the fractional boundary problem")
     p_fde.add_argument("--zeta", type=float, default=0.9)
@@ -322,21 +313,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_fde.add_argument("--out", help="solution CSV path")
     p_fde.add_argument("--residuals-out", help="residual CSV path")
     p_fde.add_argument("--svg", help="residual plot path")
-    p_fde.add_argument("--force", action="store_true")
 
     p_oracle = sub.add_parser("oracle", help="finite model check")
     p_oracle.add_argument(
-        "--n",
-        type=int,
-        choices=(2, 3, 4),
-        required=True,
+        "--n", type=int, choices=(2, 3, 4), required=True,
         help="carrier size; the n=4 default slice is about 2.2e10 instances, "
         "counted per (relation, map) pair in well under a second",
     )
     p_oracle.add_argument("--g-max", type=int, default=None)
     p_oracle.add_argument("--rel-cap", type=int, default=None)
     p_oracle.add_argument("--out", help="JSON report path")
-    p_oracle.add_argument("--force", action="store_true")
 
     p_ex = sub.add_parser("example", help="plane scenario figure data")
     p_ex.add_argument("--which", type=int, choices=(1, 2), required=True)
@@ -345,14 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--u0", type=float, default=0.0)
     p_ex.add_argument("--out", help="residual CSV path")
     p_ex.add_argument("--svg", help="residual plot path")
-    p_ex.add_argument("--force", action="store_true")
 
+    for p in sub.choices.values():
+        p.add_argument("--force", action="store_true")
     return parser
-
-
-# the flags that take no value; a config gives them, and only them, as true
-# or false
-_SWITCHES = ("--force",)
 
 
 def _argv_from_config(path: str) -> list[str]:
@@ -368,7 +350,8 @@ def _argv_from_config(path: str) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if value is None:
             raise ValueError(f"config value for {key!r} is null; leave the key out")
-        switch = flag in _SWITCHES
+        # --force takes no value; a config gives it, and only it, as true or false
+        switch = flag == "--force"
         if switch != isinstance(value, bool):
             kind = "true or false" if switch else "a value, not true or false"
             raise ValueError(f"config value for {key!r} must be {kind}, got {value!r}")
@@ -400,7 +383,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.subcommand is None:
             parser.print_usage(sys.stderr)
             return 2
-        return _HANDLERS[args.subcommand](args)
+        _vet_outputs(args)
+        code, doc, files = _HANDLERS[args.subcommand](args)
+        _write(doc, files)
+        return code
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

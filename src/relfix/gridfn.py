@@ -107,8 +107,7 @@ def interpolate(u: GridFunction, t: float | np.ndarray) -> float | np.ndarray:
 
 def grid_to_csv(u: GridFunction) -> str:
     """Node values as CSV with header t,value."""
-    lines = ["t,value"]
-    # Python floats format faster than numpy scalars, to the same text
-    for t, v in zip(u.nodes.tolist(), u.values.tolist()):
-        lines.append(f"{t:.16e},{v:.16e}")
-    return "\n".join(lines) + "\n"
+    # one % over the interleaved Python floats, which format faster than
+    # numpy scalars, to the same text
+    cells = np.column_stack((u.nodes, u.values)).ravel().tolist()
+    return "t,value\n" + "%.16e,%.16e\n" * (u.n_intervals + 1) % tuple(cells)

@@ -371,6 +371,109 @@ class TestOracleCommand:
         assert doc["counterexample_count"] == 1
 
 
+# commands with an output that already exists: each must be refused before it
+# writes anything; the refused outputs are listed after the command
+REFUSED = [
+    (["example", "--which", "1", "--out", "new.csv", "--svg", "existing.svg"], ["existing.svg"]),
+    (
+        [
+            "solve-fde", "--grid", "16",
+            "--out", "s.csv", "--residuals-out", "r.csv", "--svg", "existing.svg",
+        ],
+        ["existing.svg"],
+    ),
+    (["oracle", "--n", "2", "--out", "existing.json"], ["existing.json"]),
+]
+
+
+def engine_called(*args, **kwargs):
+    pytest.fail("an engine ran before the outputs were vetted")
+
+
+class TestOutputRule:
+    """Outputs are vetted before any work; a refused command writes nothing."""
+
+    def _run_in(self, path, monkeypatch, argv):
+        monkeypatch.chdir(path)
+        return cli.run(argv)
+
+    @pytest.mark.parametrize("argv, existing", REFUSED, ids=["example", "solve-fde", "oracle"])
+    def test_existing_output_refuses_the_whole_command(
+        self, tmp_path, capsys, monkeypatch, argv, existing
+    ):
+        for name in existing:
+            (tmp_path / name).write_text("precious\n")
+        monkeypatch.setattr(cli, "run_oracle", engine_called)
+        monkeypatch.setattr(cli, "iterate", engine_called)
+        code = self._run_in(tmp_path, monkeypatch, argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {existing[0]} exists; pass --force to overwrite\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(existing)
+        for name in existing:
+            assert (tmp_path / name).read_text() == "precious\n"
+
+    @pytest.mark.parametrize("argv, existing", REFUSED, ids=["example", "solve-fde", "oracle"])
+    def test_force_writes_what_a_fresh_run_writes(
+        self, tmp_path, capsys, monkeypatch, argv, existing
+    ):
+        fresh, forced = tmp_path / "fresh", tmp_path / "forced"
+        fresh.mkdir()
+        forced.mkdir()
+        assert self._run_in(fresh, monkeypatch, argv) == cli.EXIT_OK
+        expected_out = capsys.readouterr().out
+        for name in existing:
+            (forced / name).write_text("precious\n")
+        assert self._run_in(forced, monkeypatch, argv + ["--force"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == expected_out
+        written = {p.name: p.read_bytes() for p in fresh.iterdir()}
+        assert {p.name: p.read_bytes() for p in forced.iterdir()} == written
+        flags = ("--out", "--residuals-out", "--svg")
+        assert sorted(written) == sorted(argv[i + 1] for i, a in enumerate(argv) if a in flags)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["iterate", "--example", "1", "--out", "x", "--svg", "x"],
+            ["iterate", "--example", "1", "--out", "x", "--svg", "./x"],
+            ["iterate", "--example", "1", "--out", "x", "--svg", "x", "--force"],
+            ["solve-fde", "--grid", "16", "--out", "s.csv", "--residuals-out", "sub/../s.csv"],
+        ],
+        ids=["same", "same-resolved", "same-forced", "solve-fde"],
+    )
+    def test_one_path_named_twice_is_refused(self, tmp_path, capsys, monkeypatch, argv):
+        (tmp_path / "sub").mkdir()
+        monkeypatch.setattr(cli, "iterate", engine_called)
+        code = self._run_in(tmp_path, monkeypatch, argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: one file is named by two output flags: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+    def test_distinct_paths_of_one_name_are_written(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "sub").mkdir()
+        argv = ["iterate", "--example", "1", "--out", "x", "--svg", "sub/x"]
+        assert self._run_in(tmp_path, monkeypatch, argv) == cli.EXIT_OK
+        capsys.readouterr()
+        assert (tmp_path / "x").read_text().startswith("iteration,residual\n")
+        assert (tmp_path / "sub" / "x").read_text().startswith("<svg")
+
+    def test_failed_render_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        # the plot is rendered after the CSV but before either is written
+        def refuse(*args, **kwargs):
+            raise ValueError("no plot")
+
+        monkeypatch.setattr(cli, "render_residual_plot", refuse)
+        argv = ["example", "--which", "1", "--out", "e.csv", "--svg", "e.svg"]
+        assert self._run_in(tmp_path, monkeypatch, argv) == 1
+        assert capsys.readouterr().err == "error: no plot\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigMirror:
     def test_config_reproduces_direct_flags(self, tmp_path, capsys):
         direct_out = tmp_path / "direct.csv"

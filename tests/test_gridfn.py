@@ -154,6 +154,22 @@ class TestInterpolate:
             interpolate(GridFunction.zeros(4), np.array([0.5, bad, 2.0]))
 
 
+def row_by_row_csv(u):
+    """The CSV as one f-string per row over Python floats, joined."""
+    lines = ["t,value"]
+    for t, v in zip(u.nodes.tolist(), u.values.tolist()):
+        lines.append(f"{t:.16e},{v:.16e}")
+    return "\n".join(lines) + "\n"
+
+
+CSV_VALUES = {
+    "normal": lambda rng, size: rng.standard_normal(size),
+    "subnormal": lambda rng, size: rng.standard_normal(size) * 1e-310,
+    "huge": lambda rng, size: rng.choice((-1e300, 1e300), size) * rng.random(size),
+    "signed-zero": lambda rng, size: rng.choice((-0.0, 0.0), size),
+}
+
+
 class TestCsv:
     def test_shape_and_format(self):
         u = GridFunction.from_callable(math.sin, 8)
@@ -176,3 +192,14 @@ class TestCsv:
         u = GridFunction(n, values)
         rows = [f"{t:.16e},{v:.16e}" for t, v in zip(u.nodes, u.values)]
         assert grid_to_csv(u) == "\n".join(["t,value", *rows]) + "\n"
+
+    @pytest.mark.parametrize("kind", CSV_VALUES)
+    @pytest.mark.parametrize("n", (1, 2, 7, 8, 512, 4096, 65536))
+    def test_equals_the_row_by_row_formatter(self, n, kind):
+        rng = np.random.default_rng(n)
+        u = GridFunction(n, CSV_VALUES[kind](rng, n + 1))
+        got = grid_to_csv(u).encode().splitlines(keepends=True)
+        want = row_by_row_csv(u).encode().splitlines(keepends=True)
+        # the first differing line only: a full diff of 65,537 lines takes minutes
+        first = next(((g, w) for g, w in zip(got, want) if g != w), None)
+        assert (len(got), first) == (len(want), None)
