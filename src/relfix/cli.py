@@ -7,10 +7,10 @@ data). Exit codes: 0 success, 1 bad input (a malformed flag included), 2
 hypothesis-check failure, 3 oracle found a counterexample.
 
 Output files are never overwritten without --force, and never partly
-written: ``run`` refuses an existing output, or one file named by two
-flags, before any work, and renders every file before writing the first
-(only an OS error while writing, such as a missing directory, leaves the
-files written before it).
+written: before any work, ``run`` refuses an existing output, one file
+named by two flags, a directory, or a path whose directory is missing; it
+renders every file before writing the first. Only an OS error met while
+writing, such as a full disk, leaves the files written before it.
 
 Each subcommand imports only the engine it runs, when it runs, so only
 solve-fde loads numpy. The engine functions the handlers call through this
@@ -36,15 +36,21 @@ if TYPE_CHECKING:
 
 from . import _MODULE_OF
 
-# the engine functions the handlers call as attributes of this module, each
-# with the module that defines it; svgplot's is the one the package does not export
+# the engine functions the handlers call as attributes of this module, each with
+# its module from the package's table; svgplot's is the one the package lacks
 _ENGINE_NAMES = {
-    name: _MODULE_OF[name]
+    name: _MODULE_OF.get(name, "svgplot")
     for name in (
-        "hypotheses_hold", "conclusion_holds", "run_oracle", "verify_g_properties",
-        "relation_pattern_report", "estimate_contraction_factor", "iterate",
+        "hypotheses_hold",
+        "conclusion_holds",
+        "run_oracle",
+        "verify_g_properties",
+        "relation_pattern_report",
+        "estimate_contraction_factor",
+        "iterate",
+        "render_residual_plot",
     )
-} | {"render_residual_plot": "svgplot"}
+}
 
 
 def __getattr__(name: str) -> Any:
@@ -75,13 +81,15 @@ _Outcome = tuple[int, Any, dict[Optional[str], Callable[[], str]]]
 
 
 def _vet_outputs(args: argparse.Namespace) -> None:
-    """Refuse one file named by two output flags, or an existing one without --force."""
+    """Refuse, before any work, an output that could not be written whole."""
     paths = [path for flag in ("out", "residuals_out", "svg") if (path := vars(args).get(flag))]
     if len({os.path.realpath(path) for path in paths}) < len(paths):
         raise ValueError(f"one file is named by two output flags: {', '.join(paths)}")
     for path in paths:
         if not args.force and os.path.exists(path):
             raise FileExistsError(f"{path} exists; pass --force to overwrite")
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{path} is a directory, or its directory does not exist")
 
 
 def _dumps(doc: Any) -> str:
@@ -251,12 +259,11 @@ def _cmd_example(args: argparse.Namespace) -> _Outcome:
     from . import demos
     from .picard import trace_to_csv
 
+    title = f"scenario {args.which} residuals"
     if args.which == 1:
         trace = demos.example1_run(y0=args.y0, n=args.n)
-        title = "scenario 1 residuals"
     else:
         trace = demos.example2_run(u0=args.u0, y0=args.y0, n=args.n)
-        title = "scenario 2 residuals"
     summary = {
         "which": args.which,
         "steps": trace.steps,
@@ -279,10 +286,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    description = "relation-constrained fixed-point iteration toolkit"
-    parser = _Parser(prog="relfix", description=description)
+    parser = _Parser(
+        prog="relfix",
+        description="relation-constrained fixed-point iteration toolkit",
+    )
     parser.add_argument(
-        "--config", help="JSON file holding {'subcommand': ..., <flag values>}; mirrors the flags"
+        "--config",
+        help="JSON file holding {'subcommand': ..., <flag values>}; mirrors the flags",
     )
     sub = parser.add_subparsers(dest="subcommand")
 
@@ -298,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--instance", help="finite instance JSON (n, pairs, map, g)")
     group.add_argument("--example", type=int, choices=(1, 2))
     p_iter.add_argument("--r0", type=int, default=0, help="start index (finite instance)")
-    p_iter.add_argument("--r0-point", default="0,1", help="start point 'a,b' (plane scenarios)")
+    p_iter.add_argument(
+        "--r0-point", default="0,1", help="start point 'a,b' (plane scenarios)"
+    )
     p_iter.add_argument("--tol", type=float, default=1e-12)
     p_iter.add_argument("--max-iter", type=int, default=1000)
     p_iter.add_argument("--out", help="residual CSV path")
@@ -316,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="finite model check")
     p_oracle.add_argument(
-        "--n", type=int, choices=(2, 3, 4), required=True,
+        "--n",
+        type=int,
+        choices=(2, 3, 4),
+        required=True,
         help="carrier size; the n=4 default slice is about 2.2e10 instances, "
         "counted per (relation, map) pair in well under a second",
     )
@@ -343,10 +358,8 @@ def _argv_from_config(path: str) -> list[str]:
         raise ValueError("config must be a JSON object")
     if "subcommand" not in doc:
         raise ValueError("config must name a 'subcommand'")
-    argv = [str(doc["subcommand"])]
+    argv = [str(doc.pop("subcommand"))]
     for key, value in doc.items():
-        if key == "subcommand":
-            continue
         flag = "--" + key.replace("_", "-")
         if value is None:
             raise ValueError(f"config value for {key!r} is null; leave the key out")

@@ -301,17 +301,14 @@ def _stacked_check(
     t = np.broadcast_to(t, lower.shape)
     high = _rhs_values(prob, t, upper)
     low = _rhs_values(prob, t, lower)
-    # subtract and divide at informative cells only, so an inf - inf elsewhere
-    # warns of nothing; row-major flat order is pair-then-sample order
-    diff = np.subtract(high, low, out=np.zeros(lower.shape), where=keep)
+    # row-major boolean indexing keeps pair-then-sample order
+    t, lower, upper = t[keep], lower[keep], upper[keep]
+    diff = high[keep] - low[keep]
     bad = _first_non_finite(diff)
     if bad is not None:
-        at = np.unravel_index(bad, diff.shape)
-        raise ArithmeticError(f"rhs difference not finite at t = {float(t[at])!r}")
-    # an uninformative cell ranks below every ratio, which is >= 0
-    ratio = np.full(lower.shape, -1.0)
-    np.divide(np.abs(diff, out=diff), upper - lower, out=ratio, where=keep)
-    k = np.unravel_index(np.argmax(ratio), ratio.shape)
+        raise ArithmeticError(f"rhs difference not finite at t = {float(t[bad])!r}")
+    ratio = np.abs(diff) / (upper - lower)
+    k = int(np.argmax(ratio))
     worst_ratio = float(ratio[k])
     return LipschitzReport(
         bound=bound,

@@ -10,9 +10,7 @@ probe was stacked and its step preallocated: the masked power difference,
 the concatenating weight apply, the operator that rebuilds the node array
 and always broadcasts the rhs, and the probe that interpolates every pair
 at the nodes and calls the rhs once per pair and side. The lean solver must
-reproduce it bit for bit. The stacked probe that copies the informative
-cells out with five boolean masks: the probe that subtracts and divides in
-place, at informative cells only, must give the same report and error.
+reproduce it bit for bit.
 """
 
 import math
@@ -25,7 +23,6 @@ from relfix.fractional import (
     ConvergenceFailure,
     FdeProblem,
     LipschitzReport,
-    _rhs_values,
     _trapezoid,
     gamma,
     lipschitz_bound,
@@ -244,33 +241,4 @@ def scalar_lipschitz_check(prob, t_samples, pairs) -> LipschitzReport:
         margin=bound - worst_ratio,
         passed=worst_at is not None and worst_ratio <= bound,
         worst_at=worst_at,
-    )
-
-
-def masked_stacked_check(
-    prob: FdeProblem, t: np.ndarray, lower: np.ndarray, upper: np.ndarray
-) -> LipschitzReport:
-    """The stacked probe that copies the informative cells out by mask."""
-    bound = lipschitz_bound(prob)
-    keep = upper != lower
-    if not keep.any():
-        return LipschitzReport(bound, 0.0, bound, False, None)
-    t = np.broadcast_to(t, lower.shape)
-    high = _rhs_values(prob, t, upper)
-    low = _rhs_values(prob, t, lower)
-    # row-major boolean indexing keeps pair-then-sample order
-    t, lower, upper = t[keep], lower[keep], upper[keep]
-    diff = high[keep] - low[keep]
-    bad = first_non_finite(diff)
-    if bad is not None:
-        raise ArithmeticError(f"rhs difference not finite at t = {float(t[bad])!r}")
-    ratio = np.abs(diff) / (upper - lower)
-    k = int(np.argmax(ratio))
-    worst_ratio = float(ratio[k])
-    return LipschitzReport(
-        bound=bound,
-        worst_ratio=worst_ratio,
-        margin=bound - worst_ratio,
-        passed=worst_ratio <= bound,
-        worst_at=(float(t[k]), float(lower[k]), float(upper[k])),
     )

@@ -390,6 +390,17 @@ def engine_called(*args, **kwargs):
     pytest.fail("an engine ran before the outputs were vetted")
 
 
+@pytest.fixture
+def no_engine(monkeypatch):
+    """Each engine a vetted command reaches fails the test if it runs."""
+    from relfix import demos, fractional
+
+    monkeypatch.setattr(cli, "run_oracle", engine_called)
+    monkeypatch.setattr(cli, "iterate", engine_called)
+    monkeypatch.setattr(demos, "example1_run", engine_called)
+    monkeypatch.setattr(fractional, "solve_fde", engine_called)
+
+
 class TestOutputRule:
     """Outputs are vetted before any work; a refused command writes nothing."""
 
@@ -399,12 +410,10 @@ class TestOutputRule:
 
     @pytest.mark.parametrize("argv, existing", REFUSED, ids=["example", "solve-fde", "oracle"])
     def test_existing_output_refuses_the_whole_command(
-        self, tmp_path, capsys, monkeypatch, argv, existing
+        self, tmp_path, capsys, monkeypatch, no_engine, argv, existing
     ):
         for name in existing:
             (tmp_path / name).write_text("precious\n")
-        monkeypatch.setattr(cli, "run_oracle", engine_called)
-        monkeypatch.setattr(cli, "iterate", engine_called)
         code = self._run_in(tmp_path, monkeypatch, argv)
         captured = capsys.readouterr()
         assert code == 1
@@ -442,9 +451,8 @@ class TestOutputRule:
         ],
         ids=["same", "same-resolved", "same-forced", "solve-fde"],
     )
-    def test_one_path_named_twice_is_refused(self, tmp_path, capsys, monkeypatch, argv):
+    def test_one_path_named_twice_is_refused(self, tmp_path, capsys, monkeypatch, no_engine, argv):
         (tmp_path / "sub").mkdir()
-        monkeypatch.setattr(cli, "iterate", engine_called)
         code = self._run_in(tmp_path, monkeypatch, argv)
         captured = capsys.readouterr()
         assert code == 1
@@ -452,6 +460,40 @@ class TestOutputRule:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: one file is named by two output flags: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (["example", "--which", "1", "--out", "e.csv", "--svg", "nodir/e.svg"], "nodir/e.svg"),
+            (["example", "--which", "1", "--out", "nodir/../e.csv"], "nodir/../e.csv"),
+            (["solve-fde", "--grid", "16", "--out", "s.csv", "--svg", "sub", "--force"], "sub"),
+            (["oracle", "--n", "2", "--out", "file/r.json"], "file/r.json"),
+        ],
+        ids=["missing-directory", "through-missing-directory", "directory-forced", "under-a-file"],
+    )
+    def test_output_without_a_directory_to_go_in_is_refused(
+        self, tmp_path, capsys, monkeypatch, no_engine, argv, refused
+    ):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "file").write_text("precious\n")
+        code = self._run_in(tmp_path, monkeypatch, argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        message = "is a directory, or its directory does not exist"
+        assert captured.err == f"error: {refused} {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
+        assert (tmp_path / "file").read_text() == "precious\n"
+
+    def test_existing_directory_without_force_is_an_existing_output(
+        self, tmp_path, capsys, monkeypatch, no_engine
+    ):
+        (tmp_path / "sub").mkdir()
+        argv = ["example", "--which", "1", "--out", "e.csv", "--svg", "sub"]
+        assert self._run_in(tmp_path, monkeypatch, argv) == 1
+        assert capsys.readouterr().err == "error: sub exists; pass --force to overwrite\n"
         assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
     def test_distinct_paths_of_one_name_are_written(self, tmp_path, capsys, monkeypatch):

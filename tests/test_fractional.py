@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from relfix.fractional import (
     quadrature_weights,
     solve_fde,
 )
-from relfix.gridfn import GridFunction, interpolate, pointwise_leq, sup_diff
+from relfix.gridfn import GridFunction, pointwise_leq, sup_diff
 from relfix.picard import StoppingPolicy
 
 from fractional_reference import (
@@ -37,7 +36,6 @@ from fractional_reference import (
     dense_apply,
     dense_weights,
     interpolating_lipschitz_check,
-    masked_stacked_check,
     per_node_apply_T,
     reference_solve_fde,
     scalar_lipschitz_check,
@@ -628,103 +626,6 @@ class TestLeanSolverEqualsTheReference:
         assert np.array_equal(prob.nodes, GridFunction.zeros(64).nodes)
         with pytest.raises(ValueError, match="read-only"):
             prob.nodes[1] = 0.5
-
-
-def _interpolated_rows(n):
-    """Stacked values of the arbitrary probe pairs at arbitrary samples."""
-    ts, pairs = TestWholeArrayEvaluation._probes(n)
-    ts = np.array(ts)
-    lower = np.array([interpolate(u, ts) for u, _ in pairs])
-    upper = np.array([interpolate(v, ts) for _, v in pairs])
-    return ts, lower, upper
-
-
-class TestMaskFreeProbe:
-    """The probe without mask copies equals the masked reference exactly."""
-
-    @staticmethod
-    def _outcome(check, prob, t, lower, upper):
-        try:
-            return repr(check(prob, t, lower, upper))
-        except ArithmeticError as exc:
-            return f"ArithmeticError: {exc}"
-
-    def _assert_same(self, prob, t, lower, upper):
-        """The outcome of both probes, which must be equal, and the set of
-        warnings the mask-free one raised, which the reference raised too."""
-        results = []
-        for check in (_stacked_check, masked_stacked_check):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                outcome = self._outcome(check, prob, t, lower, upper)
-            results.append((outcome, {str(w.message) for w in caught}))
-        (got, raised), (want, raised_by_reference) = results
-        assert got == want
-        assert raised <= raised_by_reference
-        return got, raised
-
-    @pytest.mark.parametrize("variant", GAMMA_VARIANTS)
-    @pytest.mark.parametrize("n", (8, 64, 512))
-    def test_demo_rhs(self, n, variant):
-        prob = demo_problem(n, 0.9, gamma_variant=variant)
-        got, _ = self._assert_same(prob, prob.nodes, *_probe_rows(prob.nodes))
-        assert "passed=True" in got
-        self._assert_same(prob, *_interpolated_rows(n))
-
-    @pytest.mark.parametrize(
-        "rhs, t_error",
-        [
-            (lambda t, u: np.where(t > 0.5, np.nan, u), "0.5078125"),
-            (lambda t, u: np.where(u > 0.5, np.inf, u), "0.0"),
-        ],
-        ids=["nan-after-half", "inf-informative"],
-    )
-    def test_non_finite_difference_names_the_same_t(self, rhs, t_error):
-        prob = FdeProblem(rhs=rhs, n_intervals=128)
-        got, _ = self._assert_same(prob, prob.nodes, *_probe_rows(prob.nodes))
-        assert got == f"ArithmeticError: rhs difference not finite at t = {t_error}"
-        self._assert_same(prob, *_interpolated_rows(128))
-
-    def test_inf_at_uninformative_cells_only(self):
-        # both rows agree at t = 0, where the rhs is infinite on both sides
-        prob = FdeProblem(rhs=lambda t, u: np.where(t == 0.0, np.inf, u), n_intervals=32)
-        nodes = prob.nodes
-        lower = np.zeros((2, 33))
-        upper = np.array((nodes, 0.5 * nodes))
-        got, raised = self._assert_same(prob, nodes, lower, upper)
-        assert "passed=False" in got
-        assert raised == set()
-
-    def test_all_uninformative_stack(self):
-        prob = demo_problem(16)
-        rows = np.tile(prob.nodes, (3, 1))
-        got, _ = self._assert_same(prob, prob.nodes, rows, rows.copy())
-        assert "worst_at=None" in got
-
-    def test_tied_worst_ratios_keep_the_first(self):
-        prob = FdeProblem(rhs=lambda t, u: 2.0 * u, n_intervals=16)
-        got, _ = self._assert_same(prob, prob.nodes, *_probe_rows(prob.nodes))
-        assert "worst_ratio=2.0" in got and "worst_at=(0.0, 0.0, 1.0)" in got
-
-    @pytest.mark.parametrize(
-        "prob",
-        [demo_problem(n, 0.9, gamma_variant=v) for n in (8, 64, 512) for v in GAMMA_VARIANTS]
-        + [FdeProblem(rhs=lambda t, u: u, n_intervals=64)],
-        ids=[f"demo-{n}-{v}" for n in (8, 64, 512) for v in GAMMA_VARIANTS] + ["failed-probe"],
-    )
-    def test_solver_traces_are_bit_identical(self, prob, monkeypatch):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            trace, solution = solve_fde(prob)
-            monkeypatch.setattr(fractional, "_stacked_check", masked_stacked_check)
-            ref, ref_solution = solve_fde(prob)
-        assert np.array_equal(solution.values, ref_solution.values)
-        assert [u.values.tobytes() for u in trace.iterates] == [
-            u.values.tobytes() for u in ref.iterates
-        ]
-        assert (trace.residuals, trace.bound_certificates, trace.alpha_used) == (
-            ref.residuals, ref.bound_certificates, ref.alpha_used
-        )
 
 
 class TestBoundary:
