@@ -3,8 +3,9 @@
 Subcommands: verify (hypothesis checks), iterate (Picard on a finite
 instance or a plane scenario), solve-fde (fractional boundary-value
 solver), oracle (finite model check), example (plane scenario figure
-data). Exit codes: 0 success, 1 bad input (a malformed flag included), 2
-hypothesis-check failure, 3 oracle found a counterexample.
+data). Exit codes: 0 success, 1 bad input (a malformed flag included) or
+a failed allocation, 2 hypothesis-check failure, 3 oracle found a
+counterexample.
 
 Output files are never overwritten without --force, and never partly
 written: before any work, ``run`` refuses an existing output, one file
@@ -289,10 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="relfix",
         description="relation-constrained fixed-point iteration toolkit",
-    )
-    parser.add_argument(
-        "--config",
-        help="JSON file holding {'subcommand': ..., <flag values>}; mirrors the flags",
+        epilog="relfix @FILE reads arguments from FILE, one per line.",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="subcommand")
 
@@ -352,30 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _argv_from_config(path: str) -> list[str]:
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    if "subcommand" not in doc:
-        raise ValueError("config must name a 'subcommand'")
-    argv = [str(doc.pop("subcommand"))]
-    for key, value in doc.items():
-        flag = "--" + key.replace("_", "-")
-        if value is None:
-            raise ValueError(f"config value for {key!r} is null; leave the key out")
-        # --force takes no value; a config gives it, and only it, as true or false
-        switch = flag == "--force"
-        if switch != isinstance(value, bool):
-            kind = "true or false" if switch else "a value, not true or false"
-            raise ValueError(f"config value for {key!r} must be {kind}, got {value!r}")
-        if not switch:
-            # one token, so a value starting with "-" is not read as a flag
-            argv.append(f"{flag}={value}")
-        elif value:
-            argv.append(flag)
-    return argv
-
-
 _HANDLERS = {
     "verify": _cmd_verify,
     "iterate": _cmd_iterate,
@@ -389,10 +364,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.config is not None:
-            if args.subcommand is not None:
-                raise ValueError("give either --config or a subcommand, not both")
-            args = parser.parse_args(_argv_from_config(args.config))
         if args.subcommand is None:
             parser.print_usage(sys.stderr)
             return 2
@@ -400,8 +371,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         code, doc, files = _HANDLERS[args.subcommand](args)
         _write(doc, files)
         return code
-    except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
+        # a MemoryError may carry no message; its name is then the message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

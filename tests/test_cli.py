@@ -305,6 +305,29 @@ class TestSolveFdeCommand:
         assert err.startswith("error: no convergence within 1 iterations (last residual ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 745. GiB"), "error: Unable to allocate 745. GiB"),
+            (MemoryError(), "error: MemoryError"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    def test_failed_allocation_is_one_error_line(self, capsys, monkeypatch, exc, line):
+        # a grid of 1e11 nodes fails in numpy with a MemoryError; raised here
+        # so that nothing is allocated for real
+        from relfix import fractional
+
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(fractional, "solve_fde", refuse)
+        code = cli.run(["solve-fde", "--grid", "64"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
+
 
 class TestOracleCommand:
     def test_small_slice(self, tmp_path, capsys):
@@ -516,122 +539,45 @@ class TestOutputRule:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestConfigMirror:
-    def test_config_reproduces_direct_flags(self, tmp_path, capsys):
-        direct_out = tmp_path / "direct.csv"
-        config_out = tmp_path / "config.csv"
-        assert (
-            cli.run(
-                ["example", "--which", "1", "--n", "10", "--out", str(direct_out)]
-            )
-            == 0
+def write_args(path, *lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return "@" + str(path)
+
+
+class TestArgsFile:
+    def test_reproduces_typed_flags(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert cli.run(["example", "--which", "1", "--out", str(out), "--force"]) == 0
+        typed_stdout, typed_csv = capsys.readouterr().out, out.read_bytes()
+        out.write_text("stale\n")
+        argfile = write_args(
+            tmp_path / "run.args", "example", "--which=1", f"--out={out}", "--force"
         )
-        config = {
-            "subcommand": "example",
-            "which": 1,
-            "n": 10,
-            "out": str(config_out),
-            "force": True,
-        }
-        path = write_json(tmp_path / "config.json", config)
-        assert cli.run(["--config", path]) == 0
-        assert config_out.read_bytes() == direct_out.read_bytes()
-        capsys.readouterr()
+        assert cli.run([argfile]) == 0
+        assert capsys.readouterr().out == typed_stdout
+        assert out.read_bytes() == typed_csv
 
-    def test_config_without_subcommand(self, tmp_path, capsys):
-        path = write_json(tmp_path / "config.json", {"which": 1})
-        code = cli.run(["--config", path])
-        assert code == 1
-        assert "subcommand" in capsys.readouterr().err
+    def test_passes_a_value_that_starts_with_a_dash(self, tmp_path, capsys):
+        assert cli.run(["iterate", "--example", "2", "--r0-point=-1,2"]) == 0
+        typed = capsys.readouterr().out
+        argfile = write_args(tmp_path / "run.args", "iterate", "--example=2", "--r0-point=-1,2")
+        assert cli.run([argfile]) == 0
+        assert capsys.readouterr().out == typed
 
-    def test_config_that_is_not_an_object(self, tmp_path, capsys):
-        path = write_json(tmp_path / "config.json", ["subcommand"])
-        code = cli.run(["--config", path])
-        assert code == 1
-        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+    def test_typed_flags_may_follow(self, tmp_path, capsys):
+        assert cli.run(["oracle", "--n", "2"]) == 0
+        typed = capsys.readouterr().out
+        assert cli.run([write_args(tmp_path / "run.args", "oracle"), "--n", "2"]) == 0
+        assert capsys.readouterr().out == typed
 
-    def test_null_value_is_rejected(self, tmp_path, capsys, monkeypatch):
-        # a null used to reach argparse as the string "None": exit 0 and a
-        # report written to a file named None
-        monkeypatch.chdir(tmp_path)
-        config = {"subcommand": "oracle", "n": 2, "out": None}
-        code = cli.run(["--config", write_json(tmp_path / "c.json", config)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: config value for 'out' is null; leave the key out\n"
-        assert not (tmp_path / "None").exists()
-
-    @pytest.mark.parametrize("value", ["false", "true", 0, 1, [True]])
-    def test_switch_needs_a_bool(self, tmp_path, capsys, value):
-        config = {"subcommand": "verify", "example": 1, "force": value}
-        code = cli.run(["--config", write_json(tmp_path / "c.json", config)])
+    def test_missing_file_is_one_error_line(self, tmp_path, capsys):
+        code = cli.run(["@" + str(tmp_path / "nope.args")])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert lines == [
-            f"error: config value for 'force' must be true or false, got {value!r}"
-        ]
-
-    @pytest.mark.parametrize("value", [True, False])
-    def test_switch_as_bool_still_works(self, tmp_path, capsys, value):
-        config = {"subcommand": "verify", "example": 1, "force": value}
-        assert cli.run(["--config", write_json(tmp_path / "c.json", config)]) == 0
-        capsys.readouterr()
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [("out", False), ("out", True), ("tol", True), ("bogus", False)],
-        ids=["out-false", "out-true", "tol-true", "unknown-false"],
-    )
-    def test_value_flag_rejects_a_bool(self, tmp_path, capsys, monkeypatch, key, value):
-        # a bool is meaningful only for a switch: false would drop the flag
-        # silently and true would reach argparse as a bare flag
-        monkeypatch.chdir(tmp_path)
-        config = {"subcommand": "verify", "example": 1, key: value}
-        code = cli.run(["--config", write_json(tmp_path / "c.json", config)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"error: config value for {key!r} must be a value, not true or false, "
-            f"got {value!r}"
-        ]
-        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
-
-    def test_config_and_subcommand_together_are_rejected(self, tmp_path, capsys):
-        # one of the two would have to be ignored
-        config = write_json(tmp_path / "c.json", {"subcommand": "verify", "example": 1})
-        code = cli.run(["--config", config, "oracle", "--n", "2"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "error: give either --config or a subcommand, not both"
-        ]
-
-    def test_config_passes_a_value_that_starts_with_a_dash(self, tmp_path, capsys):
-        argv = ["iterate", "--example", "2", "--r0-point=-1,2"]
-        assert cli.run(argv) == 0
-        direct = capsys.readouterr().out
-        config = {"subcommand": "iterate", "example": 2, "r0_point": "-1,2"}
-        assert cli.run(["--config", write_json(tmp_path / "c.json", config)]) == 0
-        assert capsys.readouterr().out == direct
-
-    def test_deeply_nested_config_is_one_error_line(self, tmp_path, capsys):
-        path = tmp_path / "c.json"
-        path.write_text("[" * 100_000)
-        code = cli.run(["--config", str(path)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: {path}: JSON nested too deeply\n"
-
-    def test_missing_config_file(self, tmp_path, capsys):
-        code = cli.run(["--config", str(tmp_path / "nope.json")])
-        assert code == 1
-        capsys.readouterr()
+        assert len(lines) == 1 and lines[0].startswith("error: relfix")
+        assert "No such file or directory" in lines[0]
 
 
 @pytest.mark.parametrize(
@@ -675,15 +621,15 @@ class TestTopLevel:
             (["verify", "--example", "1", "--bogus"], "unrecognized arguments: --bogus"),
             (["--bogus"], "unrecognized arguments: --bogus"),
             (["oracle"], "required: --n"),
-            (["--config", "{config}"], "invalid choice: 3"),
+            (["{argfile}"], "invalid choice: 3"),
         ],
         ids=["bad-choice", "bad-int", "unknown-flag", "unknown-top-flag", "missing-flag", "config"],
     )
     def test_malformed_flags_are_one_error_line(self, tmp_path, capsys, argv, message):
         # exit 2 means a failed hypothesis check, so a rejected command line
         # must not return it
-        config = write_json(tmp_path / "c.json", {"subcommand": "verify", "example": 3})
-        code = cli.run([arg.format(config=config) for arg in argv])
+        argfile = write_args(tmp_path / "run.args", "verify", "--example=3")
+        code = cli.run([arg.format(argfile=argfile) for arg in argv])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""

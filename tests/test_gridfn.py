@@ -162,6 +162,15 @@ def row_by_row_csv(u):
     return "\n".join(lines) + "\n"
 
 
+def assert_same_lines(got, want):
+    """Compare two CSV texts, reporting only the first differing line: a full
+    diff of thousands of lines takes pytest minutes."""
+    got = got.encode().splitlines(keepends=True)
+    want = want.encode().splitlines(keepends=True)
+    first = next(((g, w) for g, w in zip(got, want) if g != w), None)
+    assert (len(got), first) == (len(want), None)
+
+
 CSV_VALUES = {
     "normal": lambda rng, size: rng.standard_normal(size),
     "subnormal": lambda rng, size: rng.standard_normal(size) * 1e-310,
@@ -191,15 +200,11 @@ class TestCsv:
         values[:4] = (0.0, -0.0, 5e-324, -1.7976931348623157e308)
         u = GridFunction(n, values)
         rows = [f"{t:.16e},{v:.16e}" for t, v in zip(u.nodes, u.values)]
-        assert grid_to_csv(u) == "\n".join(["t,value", *rows]) + "\n"
+        assert_same_lines(grid_to_csv(u), "\n".join(["t,value", *rows]) + "\n")
 
     @pytest.mark.parametrize("kind", CSV_VALUES)
     @pytest.mark.parametrize("n", (1, 2, 7, 8, 512, 4096, 65536))
     def test_equals_the_row_by_row_formatter(self, n, kind):
         rng = np.random.default_rng(n)
         u = GridFunction(n, CSV_VALUES[kind](rng, n + 1))
-        got = grid_to_csv(u).encode().splitlines(keepends=True)
-        want = row_by_row_csv(u).encode().splitlines(keepends=True)
-        # the first differing line only: a full diff of 65,537 lines takes minutes
-        first = next(((g, w) for g, w in zip(got, want) if g != w), None)
-        assert (len(got), first) == (len(want), None)
+        assert_same_lines(grid_to_csv(u), row_by_row_csv(u))
