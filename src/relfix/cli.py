@@ -371,7 +371,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         code, doc, files = _HANDLERS[args.subcommand](args)
         _write(doc, files)
         return code
-    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError, RecursionError) as exc:
         # a MemoryError may carry no message; its name is then the message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

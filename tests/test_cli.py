@@ -579,6 +579,89 @@ class TestArgsFile:
         assert len(lines) == 1 and lines[0].startswith("error: relfix")
         assert "No such file or directory" in lines[0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--n", "2"],
+            ["verify", "--example", "1"],
+            ["verify", "--example", "2"],
+            ["iterate", "--example", "1"],
+            ["solve-fde", "--grid", "16"],
+            ["example", "--which", "2"],
+        ],
+        ids=["oracle", "verify-1", "verify-2", "iterate-1", "solve-fde", "example-2"],
+    )
+    def test_matches_the_typed_command(self, tmp_path, capsys, argv):
+        # a flag and its value may also sit on two lines, one argument each
+        code = cli.run(argv)
+        typed = capsys.readouterr()
+        assert cli.run([write_args(tmp_path / "run.args", *argv)]) == code
+        assert capsys.readouterr() == typed
+
+    def test_files_may_nest(self, tmp_path, capsys):
+        assert cli.run(["oracle", "--n", "2"]) == 0
+        typed = capsys.readouterr().out
+        inner = write_args(tmp_path / "inner.args", "--n=2")
+        assert cli.run([write_args(tmp_path / "outer.args", "oracle", inner)]) == 0
+        assert capsys.readouterr().out == typed
+
+    def test_empty_file_is_a_bare_command(self, tmp_path, capsys):
+        code = cli.run([])
+        bare = capsys.readouterr()
+        assert cli.run([write_args(tmp_path / "run.args")]) == code
+        assert capsys.readouterr() == bare
+
+    @pytest.mark.parametrize(
+        "lines, typed, message",
+        [
+            (["verify", "--example=1", "--force=1"], [], "ignored explicit argument '1'"),
+            (["verify", "--example=1", "--out"], [], "--out: expected one argument"),
+            (["oracle", "--n 2"], [], "required: --n"),
+            (["oracle", "--n=2", ""], [], "unrecognized arguments: "),
+            (["verify", "--example=1"], ["oracle", "--n", "2"], "unrecognized arguments: oracle"),
+            (["@{self}"], [], "recursion"),
+        ],
+        ids=[
+            "switch-with-value",
+            "flag-without-value",
+            "flag-and-value-on-one-line",
+            "blank-line",
+            "second-subcommand",
+            "names-itself",
+        ],
+    )
+    def test_malformed_file_is_one_error_line(self, tmp_path, capsys, lines, typed, message):
+        path = tmp_path / "run.args"
+        argfile = write_args(path, *(line.format(self=path) for line in lines))
+        code = cli.run([argfile, *typed])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert message in err[0]
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            # before 3.13 the decoder fails; 3.13 reads the bytes as an
+            # invalid subcommand, so only the one-line rule is common
+            (lambda path: path.write_bytes(b"\xff\xfe\n"), ""),
+            (lambda path: path.mkdir(), "Is a directory"),
+        ],
+        ids=["not-text", "directory"],
+    )
+    def test_unreadable_file_is_one_error_line(self, tmp_path, capsys, make, message):
+        path = tmp_path / "run.args"
+        make(path)
+        code = cli.run(["@" + str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert message in err[0]
+
 
 @pytest.mark.parametrize(
     "name, argv",
