@@ -28,7 +28,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "is_preserving_sequence",
     ),
     "gspace": (
-        "GFunctional",
         "PropertyReport",
         "ContractionEstimate",
         "verify_g_properties",
@@ -73,7 +72,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "FiniteInstance",
         "SweepSpec",
         "SweepResult",
-        "OracleReport",
         "enumerate_instances",
         "fixed_points",
         "contraction_alpha",
@@ -81,7 +79,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "conclusion_holds",
         "image_symmetric_connected",
         "run_oracle",
-        "default_sweeps",
+        "default_sweep",
     ),
 }
 

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Any, Callable, NoReturn, Optional, Sequence
 if TYPE_CHECKING:
     from .demos import PlanePoint
     from .finite_oracle import FiniteInstance
-    from .gspace import GFunctional
 
 from . import _MODULE_OF
 
@@ -83,7 +82,10 @@ _Outcome = tuple[int, Any, dict[Optional[str], Callable[[], str]]]
 
 def _vet_outputs(args: argparse.Namespace) -> None:
     """Refuse, before any work, an output that could not be written whole."""
-    paths = [path for flag in ("out", "residuals_out", "svg") if (path := vars(args).get(flag))]
+    paths = [vars(args).get(flag) for flag in ("out", "residuals_out", "svg")]
+    if "" in paths:
+        raise ValueError("an output path is empty")
+    paths = [path for path in paths if path is not None]
     if len({os.path.realpath(path) for path in paths}) < len(paths):
         raise ValueError(f"one file is named by two output flags: {', '.join(paths)}")
     for path in paths:
@@ -99,7 +101,7 @@ def _dumps(doc: Any) -> str:
 
 def _write(doc: Any, files: dict[Optional[str], Callable[[], str]]) -> None:
     """Render every file before writing the first, then print the document."""
-    texts = {path: render() for path, render in files.items() if path}
+    texts = {path: render() for path, render in files.items() if path is not None}
     for path, text in texts.items():
         Path(path).write_text(text)
     sys.stdout.write(_dumps(doc))
@@ -119,7 +121,7 @@ def _load_instance(path: str) -> FiniteInstance:
     return FiniteInstance.from_json_dict(_read_json(path))
 
 
-def _scenario(which: int) -> tuple[GFunctional, Callable[[PlanePoint], PlanePoint]]:
+def _scenario(which: int) -> tuple[Callable[..., float], Callable[[PlanePoint], PlanePoint]]:
     from . import demos
 
     if which == 1:
@@ -150,7 +152,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Outcome:
             for a in (0.0, 1.0, 2.0)
             for v in (0.0, 0.25, 1.0, 5.0)
         ]
-        report = _cli.verify_g_properties(g, rel, samples, tol=args.tol)
+        report = _cli.verify_g_properties(g, samples, tol=args.tol)
         pattern = _cli.relation_pattern_report(g, rel, samples, tol=args.tol)
         pairs = related_pairs(rel, samples)
         contraction = _cli.estimate_contraction_factor(g, smap, rel, pairs)
@@ -242,16 +244,21 @@ def _cmd_solve_fde(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> _Outcome:
-    from .finite_oracle import default_sweeps
+    from .finite_oracle import default_sweep
 
-    spec = default_sweeps(args.n)[0]
+    spec = default_sweep(args.n)
     if args.g_max is not None:
         spec = spec._replace(g_max=args.g_max)
     if args.rel_cap is not None:
         spec = spec._replace(rel_count_cap=args.rel_cap)
-    report = _cli.run_oracle([spec])
-    doc = report.to_json_dict()
-    found = report.counterexamples or report.uniqueness_violations
+    sweep = _cli.run_oracle(spec)
+    doc = {
+        "total_checked": sweep.instances_checked,
+        "counterexample_count": len(sweep.counterexamples),
+        "uniqueness_violation_count": len(sweep.uniqueness_violations),
+        "sweeps": [sweep.to_json_dict()],
+    }
+    found = sweep.counterexamples or sweep.uniqueness_violations
     code = EXIT_COUNTEREXAMPLE if found else EXIT_OK
     return code, doc, {args.out: lambda: _dumps(doc)}
 
@@ -284,6 +291,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> NoReturn:
         raise ValueError(f"{self.prog}: {message}")
+
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        # argparse would pass a blank line on as an empty argument and
+        # "--n 2" as one unknown argument, naming neither the line nor the fix
+        if not arg_line.strip() or arg_line.startswith("-") and " " in arg_line.split("=")[0]:
+            self.error(f"argument file line {arg_line!r}: write one argument per line, "
+                       "a flag with its value as --flag=value")
+        return [arg_line]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,8 +7,8 @@ Scenario 2: a genuine metric whose map contracts only on related pairs;
 off the relation the ratio grows without bound.
 
 Both maps quarter the second coordinate, so their Picard traces from
-(0, y0) have identical second-coordinate sequences y0 / 4^k. The maps are
-plain functions and the relation a plain predicate.
+(0, y0) have identical second-coordinate sequences y0 / 4^k. The maps and
+g-functionals are plain functions and the relation a plain predicate.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from ._records import real
-from .gspace import ContractionEstimate, GFunctional, estimate_contraction_factor
+from .gspace import ContractionEstimate, estimate_contraction_factor
 from .picard import IterationTrace, StoppingPolicy, iterate
 from .relations import universal_view
 
@@ -51,16 +51,19 @@ def first_coord_relation() -> Callable[[PlanePoint, PlanePoint], bool]:
 def example1_map(p: PlanePoint) -> PlanePoint:
     return PlanePoint(p[0], p[1] / 4.0)
 
-# signed difference of second coordinates; ignores the first entirely
-example1_g = GFunctional(
-    lambda p, q: p[1] - q[1], declared_domain_mode="relation_restricted"
-)
+
+def example1_g(p: PlanePoint, q: PlanePoint) -> float:
+    """Signed difference of second coordinates; ignores the first entirely."""
+    return p[1] - q[1]
+
 
 def example2_map(p: PlanePoint) -> PlanePoint:
     return PlanePoint(p[0] * p[0] / 4.0, p[1] / 4.0)
 
-# taxicab metric on the plane
-example2_g = GFunctional(lambda p, q: abs(p[0] - q[0]) + abs(p[1] - q[1]))
+
+def example2_g(p: PlanePoint, q: PlanePoint) -> float:
+    """Taxicab metric on the plane."""
+    return abs(p[0] - q[0]) + abs(p[1] - q[1])
 
 
 def validate_point(p: tuple[float, float]) -> PlanePoint:
@@ -69,7 +72,8 @@ def validate_point(p: tuple[float, float]) -> PlanePoint:
 
 
 def _run(
-    smap: Callable[[PlanePoint], PlanePoint], g: GFunctional, start: tuple[float, float], n: int
+    smap: Callable[[PlanePoint], PlanePoint], g: Callable[..., float],
+    start: tuple[float, float], n: int,
 ) -> IterationTrace:
     """Exactly n Picard steps from a finite start, certified at alpha = 1/4."""
     start = validate_point(start)

@@ -9,45 +9,22 @@ a concrete witness instead of a bare boolean.
 
 A g-functional is any callable ``g(a, b) -> float``, a relation any
 predicate ``rel(a, b) -> bool`` (a :class:`FiniteRelation` included) and a
-self-map any callable ``smap(x)``; all three are called directly.
-:class:`GFunctional` is the callable that can also declare its axioms only
-on relation-constrained patterns; a plain callable declares them globally.
-Global scans pass :func:`~relfix.relations.universal_view`.
+self-map any callable ``smap(x)``; all three are called directly. There is
+one scan, :func:`relation_pattern_report`, over the patterns a relation
+constrains; the global scan :func:`verify_g_properties` is that scan under
+:func:`~relfix.relations.universal_view`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import _EXPORTS
-from ._records import FrozenRecord, Record, real
+from ._records import Record, real
 from .relations import universal_view
 
 __all__ = list(_EXPORTS["gspace"])
-
-_MODES = ("global", "relation_restricted")
-
-
-class GFunctional(FrozenRecord):
-    """Pairwise functional ``g(a, b)`` with a declared domain for its axioms.
-
-    ``declared_domain_mode`` records whether the vanishing, absolute-symmetry
-    and triangle properties are claimed for all pairs ("global", as for any
-    plain callable) or only for relation-constrained ones ("relation_restricted").
-    """
-
-    __slots__ = _fields = ("evaluate", "declared_domain_mode")
-
-    def __init__(
-        self, evaluate: Callable[[Any, Any], float], declared_domain_mode: str = "global"
-    ) -> None:
-        if declared_domain_mode not in _MODES:
-            raise ValueError(f"declared_domain_mode must be one of {_MODES}")
-        super().__init__(evaluate, declared_domain_mode)
-
-    def __call__(self, a: Any, b: Any) -> float:
-        return self.evaluate(a, b)
 
 
 def _json_safe(x: Any) -> Any:
@@ -103,74 +80,14 @@ def _check_finite(value: float, a: Any, b: Any) -> float:
     return value
 
 
-def _triples(
-    samples: Sequence[Any], rel: Callable[[Any, Any], bool]
-) -> Iterator[tuple[Any, Any, Any]]:
-    """Triples ``(r, u, t)`` with ``(r, u)`` and ``(t, u)`` related, in
-    nested index order, repeats included."""
-    for r in samples:
-        for u in samples:
-            if rel(r, u):
-                for t in samples:
-                    if rel(t, u):
-                        yield r, u, t
-
-
-def _scan(
-    g: Callable[[Any, Any], float],
-    pairs: Sequence[tuple[Any, Any]],
-    triples: Iterable[tuple[Any, Any, Any]],
-    tol: float,
-) -> tuple[Optional[tuple], Optional[tuple], Optional[tuple]]:
-    """First g1, g2 and g3 witness on the given patterns, None where none.
-
-    Vanishing (g1) is tested on the pairs of distinct points, absolute
-    symmetry (g2) on every pair, the triangle property (g3) on every triple.
-    Every g value read is checked for finiteness, so a non-finite value
-    raises instead of failing each comparison silently, and so does a
-    non-finite or negative ``tol`` (:class:`ValueError`).
-    """
-    # every comparison with NaN is false, so a NaN tolerance would hide each
-    # witness; a negative one would manufacture them
-    real(tol, "tol must be finite and nonnegative", at_least=0.0)
-
-    def mag(a: Any, b: Any) -> float:
-        return abs(_check_finite(g(a, b), a, b))
-
-    g1 = next(((r, u) for r, u in pairs if r != u and mag(r, u) <= tol), None)
-    g2 = next(((r, u) for r, u in pairs if abs(mag(r, u) - mag(u, r)) > tol), None)
-    g3 = next(
-        (
-            (r, u, t)
-            for r, u, t in triples
-            if mag(r, u) > mag(r, t) + mag(t, u) + tol
-        ),
-        None,
-    )
-    return g1, g2, g3
-
-
 def verify_g_properties(
-    g: Callable[[Any, Any], float],
-    rel: Callable[[Any, Any], bool],
-    samples: Sequence[Any],
-    tol: float = 1e-12,
+    g: Callable[[Any, Any], float], samples: Sequence[Any], tol: float = 1e-12
 ) -> PropertyReport:
-    """Scan a sample set for violations of the three g-functional properties.
-
-    Vanishing (g1) and absolute symmetry (g2) are scanned over all sample
-    pairs. The triangle property (g3) is scanned over triples ``(r, u, t)``
-    with ``(r, u)`` and ``(t, u)`` related when the functional declares the
-    relation-restricted mode, over all triples otherwise (a plain callable
-    declares no mode and is scanned globally). Scan order is the
-    nested index order of ``samples``; the first violation is reported. A
-    non-finite g value raises :class:`ArithmeticError`.
-    """
-    every = universal_view()
-    restricted = getattr(g, "declared_domain_mode", "global") == "relation_restricted"
-    triples = _triples(samples, rel if restricted else every)
-    pairs = related_pairs(every, samples)
-    return PropertyReport(*_scan(g, pairs, triples, tol), len(samples))
+    """Scan a sample set for violations of the three g-functional properties
+    on every pattern: :func:`relation_pattern_report` under the universal
+    relation, so g1 on all pairs of distinct points, g2 on all pairs and g3
+    on all triples."""
+    return relation_pattern_report(g, universal_view(), samples, tol)
 
 
 def relation_pattern_report(
@@ -181,15 +98,39 @@ def relation_pattern_report(
 ) -> PropertyReport:
     """Scan only the patterns the relational fixed-point hypotheses demand.
 
-    Vanishing and absolute symmetry are required on related sample pairs,
-    the triangle property on triples ``(r, u, t)`` with both ``(r, u)`` and
-    ``(t, u)`` related. A functional can fail the global scan of
-    :func:`verify_g_properties` and still pass here; that gap is exactly
-    what lets a degenerate functional support a fixed-point argument. A
-    non-finite g value raises :class:`ArithmeticError`.
+    Vanishing (g1) is required on related pairs of distinct points,
+    absolute symmetry (g2) on related pairs, the triangle property (g3) on
+    triples ``(r, u, t)`` with both ``(r, u)`` and ``(t, u)`` related,
+    repeats included. Scan order is the nested index order of ``samples``;
+    the first violation of each is reported. A functional can fail the
+    global scan of :func:`verify_g_properties` and still pass here; that gap
+    is exactly what lets a degenerate functional support a fixed-point
+    argument. Every g value read is checked, so a non-finite one raises
+    :class:`ArithmeticError` instead of failing each comparison silently,
+    and a non-finite or negative ``tol`` raises :class:`ValueError`.
     """
+    # every comparison with NaN is false, so a NaN tolerance would hide each
+    # witness; a negative one would manufacture them
+    real(tol, "tol must be finite and nonnegative", at_least=0.0)
+
+    def mag(a: Any, b: Any) -> float:
+        return abs(_check_finite(g(a, b), a, b))
+
     pairs = related_pairs(rel, samples)
-    return PropertyReport(*_scan(g, pairs, _triples(samples, rel), tol), len(samples))
+    triples = (
+        (r, u, t) for r in samples for u in samples if rel(r, u) for t in samples if rel(t, u)
+    )
+    g1 = next(((r, u) for r, u in pairs if r != u and mag(r, u) <= tol), None)
+    g2 = next(((r, u) for r, u in pairs if abs(mag(r, u) - mag(u, r)) > tol), None)
+    g3 = next(
+        (
+            (r, u, t)
+            for r, u, t in triples
+            if mag(r, u) > mag(r, t) + mag(t, u) + tol
+        ),
+        None,
+    )
+    return PropertyReport(g1, g2, g3, len(samples))
 
 
 class ContractionEstimate(NamedTuple):

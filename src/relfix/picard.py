@@ -4,9 +4,8 @@ The engine repeatedly applies a self-map, records the g-residual of every
 step, audits whether consecutive iterates stay inside the declared relation,
 and (when a contraction factor is supplied) attaches the geometric a-priori
 bound alpha^m / (1 - alpha) * |g(r0, r1)| to every step. The self-map is
-any callable ``smap(x)``, the g-functional any callable ``g(a, b)`` (a
-:class:`~relfix.gspace.GFunctional` included) and the relation any
-predicate ``rel(a, b)``.
+any callable ``smap(x)``, the g-functional any callable ``g(a, b)`` and
+the relation any predicate ``rel(a, b)``.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from relfix.fractional import (
     quadrature_weights,
 )
 from relfix.gridfn import GridFunction, interpolate, pointwise_leq, sup_diff
-from relfix.gspace import GFunctional
 from relfix.picard import IterationTrace, iterate
 
 
@@ -157,8 +156,6 @@ def default_probe_pairs(n_intervals: int) -> list[tuple[GridFunction, GridFuncti
 def reference_solve_fde(prob: FdeProblem) -> tuple[LipschitzReport, IterationTrace]:
     """The solver with the interpolating probe and the concatenating step.
 
-    g goes in wrapped as ``GFunctional(sup_diff)`` where the solver passes
-    ``sup_diff`` itself, so the exact comparison covers both call forms.
     Returns the probe's report with the trace; raises like ``solve_fde``.
     """
     nodes = np.arange(prob.n_intervals + 1) / prob.n_intervals
@@ -168,7 +165,7 @@ def reference_solve_fde(prob: FdeProblem) -> tuple[LipschitzReport, IterationTra
         warnings.warn("rhs failed the sampled Lipschitz condition", stacklevel=2)
     trace = iterate(
         lambda fn: concat_apply_T(fn, prob),
-        GFunctional(sup_diff),
+        sup_diff,
         pointwise_leq,
         GridFunction.zeros(prob.n_intervals),
         prob.policy,

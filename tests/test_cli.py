@@ -376,19 +376,15 @@ class TestOracleCommand:
         assert doc["uniqueness_violation_count"] == 0
 
     def test_counterexample_exit_code(self, capsys, monkeypatch):
-        class FakeReport:
+        class FakeSweep:
+            instances_checked = 1
             counterexamples = [{"index": 0}]
             uniqueness_violations = []
 
             def to_json_dict(self):
-                return {
-                    "total_checked": 1,
-                    "counterexample_count": 1,
-                    "uniqueness_violation_count": 0,
-                    "sweeps": [],
-                }
+                return {}
 
-        monkeypatch.setattr(cli, "run_oracle", lambda sweeps: FakeReport())
+        monkeypatch.setattr(cli, "run_oracle", lambda spec: FakeSweep())
         code, doc = run_and_parse(capsys, ["oracle", "--n", "2"])
         assert code == cli.EXIT_COUNTEREXAMPLE
         assert doc["counterexample_count"] == 1
@@ -407,6 +403,9 @@ REFUSED = [
     ),
     (["oracle", "--n", "2", "--out", "existing.json"], ["existing.json"]),
 ]
+
+
+EMPTY = "an output path is empty"
 
 
 def engine_called(*args, **kwargs):
@@ -486,17 +485,29 @@ class TestOutputRule:
         assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
     @pytest.mark.parametrize(
-        "argv, refused",
+        "argv, error",
         [
             (["example", "--which", "1", "--out", "e.csv", "--svg", "nodir/e.svg"], "nodir/e.svg"),
             (["example", "--which", "1", "--out", "nodir/../e.csv"], "nodir/../e.csv"),
             (["solve-fde", "--grid", "16", "--out", "s.csv", "--svg", "sub", "--force"], "sub"),
             (["oracle", "--n", "2", "--out", "file/r.json"], "file/r.json"),
+            # an empty path names no file, with or without --force
+            (["example", "--which", "1", "--out", "", "--force"], EMPTY),
+            (["iterate", "--example", "1", "--out", "i.csv", "--svg", ""], EMPTY),
+            (["solve-fde", "--grid", "16", "--residuals-out", ""], EMPTY),
         ],
-        ids=["missing-directory", "through-missing-directory", "directory-forced", "under-a-file"],
+        ids=[
+            "missing-directory",
+            "through-missing-directory",
+            "directory-forced",
+            "under-a-file",
+            "empty-out",
+            "empty-svg",
+            "empty-residuals-out",
+        ],
     )
     def test_output_without_a_directory_to_go_in_is_refused(
-        self, tmp_path, capsys, monkeypatch, no_engine, argv, refused
+        self, tmp_path, capsys, monkeypatch, no_engine, argv, error
     ):
         (tmp_path / "sub").mkdir()
         (tmp_path / "file").write_text("precious\n")
@@ -504,8 +515,9 @@ class TestOutputRule:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        message = "is a directory, or its directory does not exist"
-        assert captured.err == f"error: {refused} {message}\n"
+        if error != EMPTY:
+            error += " is a directory, or its directory does not exist"
+        assert captured.err == f"error: {error}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "sub"]
         assert list((tmp_path / "sub").iterdir()) == []
         assert (tmp_path / "file").read_text() == "precious\n"
@@ -545,8 +557,10 @@ def write_args(path, *lines):
 
 
 class TestArgsFile:
-    def test_reproduces_typed_flags(self, tmp_path, capsys):
-        out = tmp_path / "t.csv"
+    # only a space before the first "=" splits a flag from its value
+    @pytest.mark.parametrize("name", ["t.csv", "my file.csv"], ids=["plain", "spaced"])
+    def test_reproduces_typed_flags(self, tmp_path, capsys, name):
+        out = tmp_path / name
         assert cli.run(["example", "--which", "1", "--out", str(out), "--force"]) == 0
         typed_stdout, typed_csv = capsys.readouterr().out, out.read_bytes()
         out.write_text("stale\n")
@@ -616,8 +630,9 @@ class TestArgsFile:
         [
             (["verify", "--example=1", "--force=1"], [], "ignored explicit argument '1'"),
             (["verify", "--example=1", "--out"], [], "--out: expected one argument"),
-            (["oracle", "--n 2"], [], "required: --n"),
-            (["oracle", "--n=2", ""], [], "unrecognized arguments: "),
+            (["oracle", "--n 2"], [], "line '--n 2': write one argument per line"),
+            (["oracle", "--n=2", ""], [], "line '': write one argument per line"),
+            (["example", "--which=1", "  "], [], "line '  ': write one argument per line"),
             (["verify", "--example=1"], ["oracle", "--n", "2"], "unrecognized arguments: oracle"),
             (["@{self}"], [], "recursion"),
         ],
@@ -626,6 +641,7 @@ class TestArgsFile:
             "flag-without-value",
             "flag-and-value-on-one-line",
             "blank-line",
+            "whitespace-line",
             "second-subcommand",
             "names-itself",
         ],

@@ -38,7 +38,7 @@ class TestScenario1:
 
     def test_certificates_dominate_pairwise_gaps(self):
         trace = example1_run(1.0, 20)
-        g = example1_g.evaluate
+        g = example1_g
         for m in range(trace.steps):
             cert = a_priori_bound(0.25, trace.residuals[0], m)
             for n in range(m + 1, len(trace.iterates)):
@@ -88,8 +88,8 @@ class TestScenario2:
         # unrelated witness pair expands instead
         a = PlanePoint(3.0, 1.0)
         b = PlanePoint(3.0, 5.0)
-        before = example2_g.evaluate(a, b)
-        after = example2_g.evaluate(example2_map(a), example2_map(b))
+        before = example2_g(a, b)
+        after = example2_g(example2_map(a), example2_map(b))
         assert after / before == 0.25
 
         witness = example2_noncontraction_witness(10.0)
@@ -117,8 +117,7 @@ class TestMapsAndFunctionals:
         assert example2_map(p) == PlanePoint(2.25, 2.0)
 
     def test_scenario2_functional_is_taxicab(self):
-        assert example2_g.evaluate(PlanePoint(0.0, 0.0), PlanePoint(3.0, 4.0)) == 7.0
+        assert example2_g(PlanePoint(0.0, 0.0), PlanePoint(3.0, 4.0)) == 7.0
 
     def test_scenario1_functional_is_signed(self):
-        assert example1_g.evaluate(PlanePoint(0.0, 1.0), PlanePoint(9.0, 3.0)) == -2.0
-        assert example1_g.declared_domain_mode == "relation_restricted"
+        assert example1_g(PlanePoint(0.0, 1.0), PlanePoint(9.0, 3.0)) == -2.0

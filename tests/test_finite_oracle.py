@@ -27,14 +27,14 @@ from relfix.finite_oracle import (
     SweepSpec,
     conclusion_holds,
     contraction_alpha,
-    default_sweeps,
+    default_sweep,
     enumerate_instances,
     fixed_points,
     hypotheses_hold,
     image_symmetric_connected,
     run_oracle,
 )
-from relfix.gspace import GFunctional, relation_pattern_report
+from relfix.gspace import relation_pattern_report
 from relfix.relations import FiniteRelation, seed_set
 
 
@@ -92,7 +92,7 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="rel_count_cap"):
             next(enumerate_instances(2, rel_count_cap=cap))
         with pytest.raises(ValueError, match="rel_count_cap"):
-            run_oracle([SweepSpec(2, 1, cap)])
+            run_oracle(SweepSpec(2, 1, cap))
 
 
 class TestHypothesisReasons:
@@ -323,7 +323,7 @@ def naive_conclusion(inst):
 def g_verdicts(inst):
     """The g1-g3 part of the oracle verdict, and the shared gspace scan's."""
     oracle = not hypotheses_hold(inst)[1].startswith(("(g1)", "(g2)", "(g3)"))
-    g = GFunctional(lambda r, s: float(inst.g_matrix[r][s]))
+    g = lambda r, s: float(inst.g_matrix[r][s])
     return oracle, relation_pattern_report(g, inst.rel, range(inst.n)).passed
 
 
@@ -410,37 +410,31 @@ class TestInstanceJson:
 
 class TestSweeps:
     def test_full_small_sweep(self):
-        report = run_oracle([SweepSpec(2, 1, None)])
-        sweep = report.sweeps[0]
+        sweep = run_oracle(SweepSpec(2, 1, None))
         assert sweep.instances_checked == 5184
         assert sweep.hypotheses_satisfied == 315
         assert sweep.uniqueness_candidates == 252
         assert sweep.counterexamples == []
         assert sweep.uniqueness_violations == []
-        assert report.total_checked == 5184
-        assert report.counterexamples == []
-        assert report.uniqueness_violations == []
 
     def test_report_serializes(self):
-        report = run_oracle([SweepSpec(2, 1, 2)])
-        doc = report.to_json_dict()
+        doc = run_oracle(SweepSpec(2, 1, 2)).to_json_dict()
         text = json.dumps(doc)
         again = json.loads(text)
-        assert again["total_checked"] == 648
-        assert again["counterexample_count"] == 0
-        assert again["sweeps"][0]["g_max"] == 1
-        assert "completeness" in again["sweeps"][0]["completeness_note"]
+        assert again["instances_checked"] == 648
+        assert again["counterexamples"] == []
+        assert again["g_max"] == 1
+        assert "completeness" in again["completeness_note"]
 
-    def test_default_sweeps_table(self):
-        assert default_sweeps(2) == [SweepSpec(2, g_max=2, rel_count_cap=None)]
-        assert default_sweeps(3) == [SweepSpec(3, g_max=1, rel_count_cap=8)]
-        assert default_sweeps(4) == [SweepSpec(4, g_max=1, rel_count_cap=2)]
+    def test_default_sweep_table(self):
+        assert default_sweep(2) == SweepSpec(2, g_max=2, rel_count_cap=None)
+        assert default_sweep(3) == SweepSpec(3, g_max=1, rel_count_cap=8)
+        assert default_sweep(4) == SweepSpec(4, g_max=1, rel_count_cap=2)
         with pytest.raises(ValueError):
-            default_sweeps(7)
+            default_sweep(7)
 
     def test_satisfying_instances_carry_their_alpha(self):
-        report = run_oracle([SweepSpec(2, 1, None)])
-        assert report.sweeps[0].hypotheses_satisfied > 0
+        assert run_oracle(SweepSpec(2, 1, None)).hypotheses_satisfied > 0
         # alphas are recorded on the instances as they satisfy; spot-check
         # through a fresh scan
         for inst in itertools.islice(enumerate_instances(2, 1), 5184):
@@ -500,12 +494,12 @@ def structurally_sound(n, mask, mapping):
 class TestFactoredSweep:
     @pytest.mark.parametrize("spec", REFERENCE_SLICES, ids=str)
     def test_report_equals_the_one_by_one_sweep(self, spec):
-        got = run_oracle([spec]).sweeps[0].to_json_dict()
+        got = run_oracle(spec).to_json_dict()
         assert got == reference_report(spec)
 
     @pytest.mark.parametrize("spec", REFERENCE_SLICES, ids=str)
     def test_rejection_histogram_matches_the_reference(self, spec):
-        sweep = run_oracle([spec]).sweeps[0]
+        sweep = run_oracle(spec)
         assert tuple(sweep.rejections) == REJECTION_KEYS
         assert sum(sweep.rejections.values()) == sweep.instances_checked
         assert sweep.rejections["pass"] == sweep.hypotheses_satisfied
@@ -549,7 +543,7 @@ class TestFactoredSweep:
             lambda pair: real_fixed(pair) * (2 if pair.mapping[0] == 0 else 1),
         )
         spec = SweepSpec(2, 2, None)
-        got = run_oracle([spec]).sweeps[0].to_json_dict()
+        got = run_oracle(spec).to_json_dict()
         expected = reference_sweep(spec).to_json_dict()
         assert got["counterexamples"] and got["uniqueness_violations"]
         assert got == expected
@@ -560,7 +554,7 @@ class TestFactoredSweep:
             assert got == expected
 
     def test_four_point_default_slice(self):
-        sweep = run_oracle(default_sweeps(4)).sweeps[0]
+        sweep = run_oracle(default_sweep(4))
         assert sweep.instances_checked == 2 * 4**4 * 3**16
         assert sum(sweep.rejections.values()) == sweep.instances_checked
         assert sweep.rejections["pass"] == sweep.hypotheses_satisfied > 0
@@ -571,7 +565,7 @@ class TestFactoredSweep:
         # it in an n=3 sweep. The counts were frozen from `relfix oracle --n 3
         # --g-max 2 --rel-cap 64` at commit bf1fd43, whose classifier also
         # touched g[r][r] of every triple (r, u, t) with t == r
-        sweep = run_oracle([SweepSpec(3, 2, 64)]).sweeps[0]
+        sweep = run_oracle(SweepSpec(3, 2, 64))
         assert sweep.instances_checked == 3_375_000_000
         assert sweep.counterexamples == sweep.uniqueness_violations == []
         assert sweep.rejections == {
@@ -589,10 +583,9 @@ class TestFactoredSweep:
         # every n=3 relation at g_max = 2. The counts were frozen from
         # `relfix oracle --n 3 --g-max 2 --rel-cap 512` at commit a07f133,
         # whose sweep walked each (relation, map) pair's cells separately
-        report = run_oracle([SweepSpec(3, 2, None)])
-        sweep = report.sweeps[0]
-        assert report.total_checked == sweep.instances_checked == 27_000_000_000
-        assert report.counterexamples == report.uniqueness_violations == []
+        sweep = run_oracle(SweepSpec(3, 2, None))
+        assert sweep.instances_checked == 27_000_000_000
+        assert sweep.counterexamples == sweep.uniqueness_violations == []
         assert sweep.hypotheses_satisfied == sweep.rejections["pass"] == 63_092_941
         assert sweep.uniqueness_candidates == 41_552_316
         assert sweep.rejections == {
@@ -607,7 +600,7 @@ class TestFactoredSweep:
 
     def test_a_bad_slice_is_rejected(self):
         with pytest.raises(ValueError):
-            run_oracle([SweepSpec(5, 1, 1)])
+            run_oracle(SweepSpec(5, 1, 1))
 
 
 # slices whose every (relation, map) pair the factored sweep decides
@@ -638,7 +631,7 @@ class TestAgainstThePerPairSweep:
                 sweep_pair(expected, rel, mapping, first)
                 assert got.to_json_dict() == expected.to_json_dict(), (mask, mapping)
         # the whole slice, where one walk serves all of a relation's maps
-        got = run_oracle([spec]).sweeps[0].to_json_dict()
+        got = run_oracle(spec).to_json_dict()
         assert got == per_pair_sweep(spec).to_json_dict()
 
     @pytest.mark.parametrize("spec", [SweepSpec(2, 2, None), SweepSpec(3, 1, 8)], ids=str)
@@ -646,7 +639,7 @@ class TestAgainstThePerPairSweep:
         real_fixed = finite_oracle.fixed_points
         monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda pair: False)
         monkeypatch.setattr(finite_oracle, "fixed_points", lambda pair: real_fixed(pair) * 2)
-        got = run_oracle([spec]).sweeps[0]
+        got = run_oracle(spec)
         assert got.counterexamples and got.uniqueness_violations
         assert json.dumps(got.to_json_dict()) == json.dumps(per_pair_sweep(spec).to_json_dict())
 

@@ -12,7 +12,6 @@ from relfix.demos import (
     first_coord_relation,
 )
 from relfix.gspace import (
-    GFunctional,
     estimate_contraction_factor,
     related_pairs,
     relation_pattern_report,
@@ -30,20 +29,18 @@ PLANE_SAMPLES = [
 
 class TestGlobalScan:
     def test_degenerate_functional_is_flagged(self):
-        report = verify_g_properties(
-            example1_g, first_coord_relation(), PLANE_SAMPLES
-        )
+        report = verify_g_properties(example1_g, PLANE_SAMPLES)
         assert not report.passed
         assert report.g1_witness == (PlanePoint(1.0, 5.0), PlanePoint(2.0, 5.0))
         assert report.g2_witness is None
         assert report.samples_checked == 4
 
     def test_metric_functional_passes(self):
-        report = verify_g_properties(example2_g, universal_view(), PLANE_SAMPLES)
+        report = verify_g_properties(example2_g, PLANE_SAMPLES)
         assert report.passed
         assert report.g1_witness is None
 
-    def test_triangle_mode_switch(self):
+    def test_global_triangle_objects_where_the_patterns_do_not(self):
         # asymmetric-looking table: one long edge that two short edges
         # cannot cover, but the long edge never appears in a constrained
         # triple, so only the global scan objects
@@ -55,30 +52,22 @@ class TestGlobalScan:
             (1, 2): 1.0,
             (2, 1): 1.0,
         }
-        rel = FiniteRelation.from_pairs(3, [(0, 1)])
+        g = lambda a, b: table.get((a, b), 0.0)
         samples = [0, 1, 2]
 
-        loose = GFunctional(lambda a, b: table.get((a, b), 0.0))
-        report = verify_g_properties(loose, rel, samples)
+        report = verify_g_properties(g, samples)
         assert report.g3_witness == (0, 2, 1)
 
-        tight = GFunctional(
-            lambda a, b: table.get((a, b), 0.0),
-            declared_domain_mode="relation_restricted",
-        )
-        report = verify_g_properties(tight, rel, samples)
+        report = relation_pattern_report(g, FiniteRelation.from_pairs(3, [(0, 1)]), samples)
         assert report.g3_witness is None
         assert report.passed
 
     def test_non_finite_value_raises(self):
-        bad = GFunctional(lambda a, b: math.inf)
         with pytest.raises(ArithmeticError):
-            verify_g_properties(bad, universal_view(), [0, 1])
+            verify_g_properties(lambda a, b: math.inf, [0, 1])
 
     def test_report_serializes_witnesses(self):
-        report = verify_g_properties(
-            example1_g, first_coord_relation(), PLANE_SAMPLES
-        )
+        report = verify_g_properties(example1_g, PLANE_SAMPLES)
         doc = report.to_json_dict()
         assert doc["passed"] is False
         assert doc["g1_witness"] == [[1.0, 5.0], [2.0, 5.0]]
@@ -103,8 +92,7 @@ class TestPatternScan:
         assert report.g1_witness is None
 
     def test_flags_vanishing_related_pair(self):
-        g = GFunctional(lambda a, b: 0.0)
-        report = relation_pattern_report(g, universal_view(), [0, 1])
+        report = relation_pattern_report(lambda a, b: 0.0, universal_view(), [0, 1])
         assert report.g1_witness == (0, 1)
 
 
@@ -115,7 +103,12 @@ NAN = math.nan
     "scan, table, rel, samples",
     [
         # the diagonal is read only by the global triangle scan
-        (verify_g_properties, {(0, 1): 1.0, (1, 0): 1.0}, universal_view(), [0, 1]),
+        (
+            lambda g, _, samples: verify_g_properties(g, samples),
+            {(0, 1): 1.0, (1, 0): 1.0},
+            None,
+            [0, 1],
+        ),
         # NaN on every off-diagonal pair of the related patterns
         (relation_pattern_report, {(0, 0): 0.0, (1, 1): 0.0}, universal_view(), [0, 1]),
         # only the symmetry scan reads g(1, 0): (1, 0) is not related
@@ -129,7 +122,7 @@ NAN = math.nan
     ids=["diagonal", "off-diagonal", "g2-only"],
 )
 def test_nan_where_a_scan_reads_raises(scan, table, rel, samples):
-    g = GFunctional(lambda a, b: table.get((a, b), NAN))
+    g = lambda a, b: table.get((a, b), NAN)
     with pytest.raises(ArithmeticError, match="not finite"):
         scan(g, rel, samples)
 
@@ -179,7 +172,7 @@ class TestContractionEstimate:
         assert est.factor == 5.25
 
     def test_non_finite_image_value_names_the_image_pair(self):
-        g = GFunctional(lambda a, b: math.inf if (a, b) == (10, 20) else 1.0)
+        g = lambda a, b: math.inf if (a, b) == (10, 20) else 1.0
         with pytest.raises(ArithmeticError, match=r"g not finite at \(10, 20\)"):
             estimate_contraction_factor(g, lambda x: 10 * x, universal_view(), [(1, 2)])
 
@@ -189,15 +182,13 @@ class TestTolerance:
     # a negative tolerance would make g2 fail on every pair
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
     def test_bad_tolerance_is_rejected(self, tol):
-        rel = first_coord_relation()
-        for scan in (verify_g_properties, relation_pattern_report):
-            with pytest.raises(ValueError, match="tol"):
-                scan(example1_g, rel, PLANE_SAMPLES, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            verify_g_properties(example1_g, PLANE_SAMPLES, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            relation_pattern_report(example1_g, first_coord_relation(), PLANE_SAMPLES, tol=tol)
 
     def test_zero_tolerance_is_legal(self):
-        report = verify_g_properties(
-            example1_g, first_coord_relation(), PLANE_SAMPLES, tol=0.0
-        )
+        report = verify_g_properties(example1_g, PLANE_SAMPLES, tol=0.0)
         assert report.g1_witness == (PlanePoint(1.0, 5.0), PlanePoint(2.0, 5.0))
 
 
@@ -215,43 +206,17 @@ def squared_gap(a, b):
     return float((a - b) ** 2)
 
 
-SQUARED_GAP = GFunctional(squared_gap, "relation_restricted")
-
-
 @pytest.mark.parametrize(
-    "rel, g",
-    [
-        (FiniteRelation.from_pairs(3, LESS), SQUARED_GAP),
-        (lambda a, b: a < b, SQUARED_GAP),
-        (np.less, SQUARED_GAP),
-        (FiniteRelation.from_pairs(3, LESS), squared_gap),
-    ],
-    ids=["finite-relation", "lambda", "numpy-ufunc", "plain-function-g"],
+    "rel",
+    [FiniteRelation.from_pairs(3, LESS), lambda a, b: a < b, np.less],
+    ids=["finite-relation", "lambda", "numpy-ufunc"],
 )
-def test_any_relation_predicate_drives_the_scans(rel, g):
+def test_any_relation_predicate_drives_the_scans(rel):
     # the squared gap breaks the triangle on (0, 2) through 1, a triple
     # every scan reaches; the map is a bound method
     samples = [0, 1, 2]
     assert related_pairs(rel, samples) == LESS
-    assert verify_g_properties(g, rel, samples).g3_witness == (0, 2, 1)
-    assert relation_pattern_report(g, rel, samples).g3_witness == (0, 2, 1)
-    est = estimate_contraction_factor(g, (0, 0, 1).__getitem__, rel, LESS)
+    assert verify_g_properties(squared_gap, samples).g3_witness == (0, 2, 1)
+    assert relation_pattern_report(squared_gap, rel, samples).g3_witness == (0, 2, 1)
+    est = estimate_contraction_factor(squared_gap, (0, 0, 1).__getitem__, rel, LESS)
     assert est == (1.0, (1, 2))
-
-
-def test_a_plain_callable_is_scanned_as_global():
-    # no pair is related, so only the global scan reaches a triple
-    never = lambda a, b: False
-    plain = verify_g_properties(squared_gap, never, [0, 1, 2])
-    assert plain == verify_g_properties(GFunctional(squared_gap), never, [0, 1, 2])
-    assert plain.g3_witness == (0, 2, 1)
-    assert verify_g_properties(SQUARED_GAP, never, [0, 1, 2]).g3_witness is None
-
-
-class TestConstruction:
-    def test_calling_evaluates(self):
-        assert SQUARED_GAP(1, 4) == SQUARED_GAP.evaluate(1, 4) == 9.0
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            GFunctional(lambda a, b: 0.0, declared_domain_mode="sometimes")

@@ -45,7 +45,7 @@ def dist(a, b):
 
 
 def report(spec):
-    return run_oracle([spec]).to_json_dict()
+    return run_oracle(spec).to_json_dict()
 
 
 def weights(zeta, n):
@@ -117,7 +117,7 @@ SITES = [
      lambda v: FdeProblem(demo_rhs, lipschitz_alpha=v),
      "lipschitz_alpha must lie in (0, 1)", ("'1'", "None")),
     ("verify_g_properties-tol", REAL, 1e-12,
-     lambda v: verify_g_properties(dist, universal_view(), [0.0, 1.0, 3.0], tol=v).to_json_dict(),
+     lambda v: verify_g_properties(dist, [0.0, 1.0, 3.0], tol=v).to_json_dict(),
      "tol must be finite and nonnegative", ("True", "'1'", "None")),
     ("relation_pattern_report-tol", REAL, 1e-12,
      lambda v: relation_pattern_report(dist, universal_view(), [0.0, 1.0], tol=v).to_json_dict(),

@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-from relfix.gspace import GFunctional
 from relfix.picard import (
     StoppingPolicy,
     a_priori_bound,
@@ -13,7 +12,7 @@ from relfix.picard import (
 )
 from relfix.relations import FiniteRelation, universal_view
 
-ABS_DIFF = GFunctional(lambda a, b: abs(a - b))
+ABS_DIFF = lambda a, b: abs(a - b)
 PAIRS = {(1, 0), (0, 0)}
 
 

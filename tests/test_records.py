@@ -10,21 +10,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relfix.finite_oracle import FiniteInstance, OracleReport, Pair, SweepResult, SweepSpec
+from relfix.finite_oracle import FiniteInstance, Pair, SweepResult, SweepSpec
 from relfix.fractional import FdeProblem, LipschitzReport, QuadratureWeights, demo_rhs
 from relfix.gridfn import GridFunction
-from relfix.gspace import ContractionEstimate, GFunctional, PropertyReport
+from relfix.gspace import ContractionEstimate, PropertyReport
 from relfix.picard import IterationTrace, StoppingPolicy
 from relfix.relations import FiniteRelation
-
-
-def g0(a, b):
-    return 0.0
-
-
-def ident(x):
-    return x
-
 
 REL = FiniteRelation(2, frozenset({(0, 1)}))
 SPEC = SweepSpec(2, 2, None)
@@ -32,7 +23,6 @@ SPEC = SweepSpec(2, 2, None)
 # (class, positional arguments, their field names, frozen)
 RECORDS = [
     (FiniteRelation, (2, frozenset({(0, 1)})), ("ground_size", "pairs"), True),
-    (GFunctional, (g0, "relation_restricted"), ("evaluate", "declared_domain_mode"), True),
     (
         PropertyReport,
         ((0, 1), None, None, 3),
@@ -76,7 +66,6 @@ RECORDS = [
     ),
     (SweepSpec, (3, 1, 8), ("n", "g_max", "rel_count_cap"), True),
     (SweepResult, (SPEC,), ("spec",), False),
-    (OracleReport, ([SweepResult(SPEC)],), ("sweeps",), False),
 ]
 IDS = [cls.__name__ for cls, *_ in RECORDS]
 
@@ -87,8 +76,6 @@ CHANGED = {
     (IterationTrace, "alpha_used"): 0.5,
     (FiniteRelation, "ground_size"): 3,
     (FiniteRelation, "pairs"): frozenset(),
-    (GFunctional, "evaluate"): ident,
-    (GFunctional, "declared_domain_mode"): "global",
     (StoppingPolicy, "residual_tol"): 1e-3,
     (StoppingPolicy, "max_iterations"): 11,
     (FdeProblem, "zeta"): 0.75,
@@ -144,7 +131,6 @@ def test_assignment_raises_exactly_on_frozen_records(cls, args, fields, frozen):
     "make, expected",
     [
         (lambda: StoppingPolicy(), {"residual_tol": 1e-12, "max_iterations": 1000}),
-        (lambda: GFunctional(g0), {"declared_domain_mode": "global"}),
         (
             lambda: IterationTrace([0], [], None, True, False, True),
             {"bound_certificates": None},
@@ -182,7 +168,6 @@ def test_assignment_raises_exactly_on_frozen_records(cls, args, fields, frozen):
     ],
     ids=[
         "StoppingPolicy",
-        "GFunctional",
         "IterationTrace",
         "FdeProblem",
         "FiniteInstance",
@@ -210,7 +195,6 @@ def test_sweep_results_do_not_share_their_lists():
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: GFunctional(g0, "sometimes"), "declared_domain_mode must be one of"),
         (lambda: StoppingPolicy(residual_tol=0.0), "residual_tol must be positive"),
         (lambda: StoppingPolicy(max_iterations=0), "max_iterations must be a positive"),
         (lambda: FiniteRelation(-1, frozenset()), "ground_size must be nonnegative"),

@@ -138,8 +138,8 @@ def test_lazy_exports_in_a_fresh_interpreter():
         "import sys, relfix\n"
         "listed = set(relfix.__all__) | {'relations', 'fractional'} <= set(dir(relfix))\n"
         "relfix.FiniteInstance, relfix.hypotheses_hold, relfix.iterate\n"
-        "relfix.GFunctional, relfix.FiniteRelation, relfix.picard\n"
-        "relfix.run_oracle(relfix.default_sweeps(2))\n"
+        "relfix.verify_g_properties, relfix.FiniteRelation, relfix.picard\n"
+        "relfix.run_oracle(relfix.default_sweep(2))\n"
         "before = 'numpy' in sys.modules\n"
         "relfix.solve_fde\n"
         "print(listed, before, 'numpy' in sys.modules)\n"
