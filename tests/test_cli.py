@@ -389,6 +389,34 @@ class TestOracleCommand:
         assert code == cli.EXIT_COUNTEREXAMPLE
         assert doc["counterexample_count"] == 1
 
+    def test_uniqueness_violation_exit_code(self, capsys, monkeypatch):
+        class FakeSweep:
+            instances_checked = 1
+            counterexamples = []
+            uniqueness_violations = [{"index": 0}]
+
+            def to_json_dict(self):
+                return {}
+
+        monkeypatch.setattr(cli, "run_oracle", lambda spec: FakeSweep())
+        code, doc = run_and_parse(capsys, ["oracle", "--n", "2"])
+        assert code == cli.EXIT_COUNTEREXAMPLE
+        assert doc["counterexample_count"] == 0
+        assert doc["uniqueness_violation_count"] == 1
+
+    def test_report_wraps_the_slice_in_its_totals(self, capsys):
+        from relfix.finite_oracle import SweepSpec, run_oracle
+
+        code, doc = run_and_parse(capsys, ["oracle", "--n", "3", "--g-max", "2", "--rel-cap", "2"])
+        sweep = run_oracle(SweepSpec(3, 2, 2))
+        assert code == cli.EXIT_OK
+        assert list(doc) == [
+            "total_checked", "counterexample_count", "uniqueness_violation_count", "sweeps",
+        ]
+        assert doc["total_checked"] == sweep.instances_checked == 2 * 3**3 * 5**9
+        assert doc["counterexample_count"] == doc["uniqueness_violation_count"] == 0
+        assert doc["sweeps"] == [sweep.to_json_dict()]
+
 
 # commands with an output that already exists: each must be refused before it
 # writes anything; the refused outputs are listed after the command
@@ -633,6 +661,11 @@ class TestArgsFile:
             (["oracle", "--n 2"], [], "line '--n 2': write one argument per line"),
             (["oracle", "--n=2", ""], [], "line '': write one argument per line"),
             (["example", "--which=1", "  "], [], "line '  ': write one argument per line"),
+            (
+                ["oracle", "--n=2", "--out my=r.json"],
+                [],
+                "line '--out my=r.json': write one argument per line",
+            ),
             (["verify", "--example=1"], ["oracle", "--n", "2"], "unrecognized arguments: oracle"),
             (["@{self}"], [], "recursion"),
         ],
@@ -642,6 +675,7 @@ class TestArgsFile:
             "flag-and-value-on-one-line",
             "blank-line",
             "whitespace-line",
+            "space-before-equals",
             "second-subcommand",
             "names-itself",
         ],

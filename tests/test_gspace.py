@@ -12,6 +12,7 @@ from relfix.demos import (
     first_coord_relation,
 )
 from relfix.gspace import (
+    PropertyReport,
     estimate_contraction_factor,
     related_pairs,
     relation_pattern_report,
@@ -220,3 +221,49 @@ def test_any_relation_predicate_drives_the_scans(rel):
     assert relation_pattern_report(squared_gap, rel, samples).g3_witness == (0, 2, 1)
     est = estimate_contraction_factor(squared_gap, (0, 0, 1).__getitem__, rel, LESS)
     assert est == (1.0, (1, 2))
+
+
+def test_a_plain_callable_is_scanned_as_global():
+    # no pair is related, so only the global scan reaches a triple
+    never = lambda a, b: False
+    plain = verify_g_properties(squared_gap, [0, 1, 2])
+    assert plain.g3_witness == (0, 2, 1)
+    assert plain == relation_pattern_report(squared_gap, universal_view(), [0, 1, 2])
+    assert relation_pattern_report(squared_gap, never, [0, 1, 2]).g3_witness is None
+
+
+def brute_force_scan(g, samples, tol=1e-12):
+    """The global g1-g3 scan written out over every pair and triple."""
+    m = lambda a, b: abs(g(a, b))
+    g1 = g2 = g3 = None
+    for a in samples:
+        for b in samples:
+            if g1 is None and a != b and m(a, b) <= tol:
+                g1 = (a, b)
+            if g2 is None and abs(m(a, b) - m(b, a)) > tol:
+                g2 = (a, b)
+            for t in samples:
+                if g3 is None and m(a, b) > m(a, t) + m(t, b) + tol:
+                    g3 = (a, b, t)
+    return PropertyReport(g1, g2, g3, len(samples))
+
+
+ASYMMETRIC = {(0, 1): 1.0, (1, 0): 2.0}
+LONG_EDGE = {(0, 1): 1.0, (1, 0): 1.0, (0, 2): 5.0, (2, 0): 5.0, (1, 2): 1.0, (2, 1): 1.0}
+
+
+@pytest.mark.parametrize(
+    "g, samples",
+    [
+        (example1_g, PLANE_SAMPLES),
+        (example2_g, PLANE_SAMPLES),
+        (squared_gap, [0, 1, 2]),
+        (lambda a, b: ASYMMETRIC.get((a, b), 0.0), [0, 1]),
+        (lambda a, b: LONG_EDGE.get((a, b), 0.0), [0, 1, 2]),
+        (lambda a, b: float(a - b), [3, 0, 2, 1]),
+    ],
+    ids=["scenario-1", "scenario-2", "squared-gap", "asymmetric", "long-edge", "signed-gap"],
+)
+def test_global_scan_matches_a_brute_force_scan(g, samples):
+    # the same first witness of each property, in the same scan order
+    assert verify_g_properties(g, samples) == brute_force_scan(g, samples)

@@ -206,6 +206,9 @@ def test_sweep_results_do_not_share_their_lists():
         (lambda: FdeProblem(demo_rhs, gamma_variant="beta"), "gamma_variant must be one"),
         (lambda: GridFunction(2, [0.0, 1.0]), "need 3 node values"),
         (lambda: GridFunction(2, [0.0, np.nan, 1.0]), "node values must be finite"),
+        (lambda: FiniteInstance(3, (), REL, (0, 0)), "n = 3 is not the relation's ground size 2"),
+        (lambda: Pair(REL, (0,)), r"map must send each of 0\.\.1 into the ground set, got \(0,\)"),
+        (lambda: Pair(REL, (0, 2)), r"map must send each of 0\.\.1 into the ground set, got \(0, 2\)"),
     ],
 )
 def test_validation_errors(make, message):
