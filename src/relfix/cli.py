@@ -4,8 +4,8 @@ Subcommands: verify (hypothesis checks), iterate (Picard on a finite
 instance or a plane scenario), solve-fde (fractional boundary-value
 solver), oracle (finite model check), example (plane scenario figure
 data). Exit codes: 0 success, 1 bad input (a malformed flag included) or
-a failed allocation, 2 hypothesis-check failure, 3 oracle found a
-counterexample.
+a failed allocation, 2 hypothesis-check failure or no subcommand given, 3
+oracle found a counterexample or a uniqueness violation.
 
 Output files are never overwritten without --force, and never partly
 written: before any work, ``run`` refuses an existing output, one file
@@ -254,8 +254,9 @@ def _cmd_oracle(args: argparse.Namespace) -> _Outcome:
     sweep = _cli.run_oracle(spec)
     doc = {
         "total_checked": sweep.instances_checked,
-        "counterexample_count": len(sweep.counterexamples),
-        "uniqueness_violation_count": len(sweep.uniqueness_violations),
+        # each listed document stands for its pair's satisfying instances
+        "counterexample_count": sum(doc["instances"] for doc in sweep.counterexamples),
+        "uniqueness_violation_count": sum(doc["instances"] for doc in sweep.uniqueness_violations),
         "sweeps": [sweep.to_json_dict()],
     }
     found = sweep.counterexamples or sweep.uniqueness_violations

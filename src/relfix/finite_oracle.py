@@ -10,7 +10,9 @@ deterministically, tests every hypothesis of the fixed-point claim
 mechanically, and verifies the conclusion (a fixed point exists and every
 seeded orbit reaches one within n steps). Any instance
 satisfying the hypotheses but violating the conclusion would be a
-counterexample; the sweep lists them all, sorted by enumeration index.
+counterexample. Neither verdict reads g, so the sweep lists one document
+per violating (relation, map) pair, in enumeration order: the pair's first
+satisfying instance, with the number of its satisfying instances.
 
 The sweep is factored. Every hypothesis reads g only through |g|, and g1-g3
 read only the relation's cells: related pairs, their swaps and g[r][t] of
@@ -23,10 +25,9 @@ a pair that is not closed or seeded gets the relation's histogram, and a
 closed, seeded pair, whose images are related cells, filters the passing
 vectors by contraction. Counts are multiplied by the ways to fill the other
 entries, so they are exact multiplicities of :func:`enumerate_instances`.
-A listed instance is a JSON document, not a record: only a pair that breaks
-the conclusion or uniqueness has its satisfying g matrices built, each is
-re-checked on the relation's table, and its document shares the pair's
-``pairs`` and ``map`` lists with the pair's other documents.
+Only a pair that breaks the conclusion or uniqueness builds matrices: the
+first matrix of each of its satisfying magnitude vectors, each re-checked
+on the relation's table, and the first of them in stream order is listed.
 The module uses Python integers throughout, so no count can overflow and
 running the oracle loads no array library.
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Collection, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import _EXPORTS
 from ._records import FrozenRecord, Record, integer
@@ -116,19 +117,22 @@ class FiniteInstance(Record):
         return Pair(self.rel, self.mapping)
 
     def to_json_dict(self) -> dict:
-        return _document(self.index, self.n, self.pair.to_json_dict(), self.g_matrix, self.alpha)
+        doc = {"index": self.index, "n": self.n, **self.pair.to_json_dict()}
+        alpha = None if self.alpha is None else str(self.alpha)
+        return {**doc, "g": [list(row) for row in self.g_matrix], "alpha": alpha}
 
     @classmethod
     def from_json_dict(cls, doc: object) -> "FiniteInstance":
         """Inverse of :meth:`to_json_dict`, validating a parsed JSON document.
 
         ``n``, ``pairs``, ``map`` and ``g`` are required; ``index`` and
-        ``alpha`` are optional. Every entry must be an integer (bools, strings
-        and non-integral or non-finite numbers are not), every index must lie
-        in the ground set, and ``g`` must be n by n. ``alpha``, if not null,
-        is a string naming a member of ``ALPHA_GRID`` in any spelling
-        ``Fraction`` reads ("1/4", "0.25"). Anything else raises
-        :class:`ValueError`.
+        ``alpha`` are optional, and other keys, such as the ``instances``
+        and ``reason`` of a document the oracle lists, are ignored. Every
+        entry must be an integer (bools, strings and non-integral or
+        non-finite numbers are not), every index must lie in the ground
+        set, and ``g`` must be n by n. ``alpha``, if not null, is a string
+        naming a member of ``ALPHA_GRID`` in any spelling ``Fraction`` reads
+        ("1/4", "0.25"). Anything else raises :class:`ValueError`.
         """
         if not isinstance(doc, dict):
             raise ValueError("instance JSON must be an object")
@@ -156,14 +160,6 @@ class FiniteInstance(Record):
             alpha = value
         index = _json_int(doc.get("index", -1), "index")
         return cls(n, g_matrix, pair.rel, pair.mapping, alpha, index)
-
-
-def _document(
-    index: int, n: int, pair_doc: dict, g: Sequence[Sequence[int]], alpha: Optional[Fraction]
-) -> dict:
-    """An instance's JSON document; the sweep shares ``pair_doc`` among a pair's."""
-    alpha = None if alpha is None else str(alpha)
-    return {"index": index, "n": n, **pair_doc, "g": [list(row) for row in g], "alpha": alpha}
 
 
 def _json_int(value: object, what: str) -> int:
@@ -504,30 +500,19 @@ def _classify(pat: _Patterns, g_max: int) -> tuple[list[int], dict[tuple[int, ..
     return counts, passing
 
 
-def _materialise(
-    n: int, g_max: int, cells: Sequence[int], passing: Collection[tuple[int, ...]], first_index: int
-) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
-    """The stream index and g matrix of every instance of one pair whose
-    magnitudes on ``cells`` are in ``passing``, in stream order.
-
-    Each vector fixes its nonzero entries up to sign and leaves the other
-    entries free, so the work grows with the instances yielded. A matrix's
-    offset within its pair is its digit string (entry + g_max) read in base
-    2 g_max + 1; ``first_index`` is the stream index of offset 0.
-    """
+def _first_matrix(n: int, g_max: int, cells: Sequence[int], mag: Sequence[int]) -> tuple:
+    """The offset within its pair and the entries of the first matrix in
+    stream order whose magnitudes on ``cells`` are ``mag``: -|g| on those
+    cells, -g_max on every other entry. A matrix's offset is its digit
+    string (entry + g_max) read in base 2 g_max + 1."""
     k = 2 * g_max + 1
-    free = range(-g_max, g_max + 1)
-    found = []
-    for mag in passing:
-        fixed = dict(zip(cells, mag))
-        choices = [sorted({-fixed[c], fixed[c]}) if c in fixed else free for c in range(n * n)]
-        for entries in product(*choices):
-            offset = 0
-            for v in entries:
-                offset = offset * k + v + g_max
-            found.append((offset, entries))
-    for offset, entries in sorted(found):
-        yield first_index + offset, tuple(entries[row * n : row * n + n] for row in range(n))
+    entries = [-g_max] * (n * n)
+    for cell, m in zip(cells, mag):
+        entries[cell] = -m
+    offset = 0
+    for v in entries:
+        offset = offset * k + v + g_max
+    return offset, tuple(tuple(entries[row * n : row * n + n]) for row in range(n))
 
 
 def _sweep_relation(
@@ -570,33 +555,39 @@ def _sweep_relation(
             res.uniqueness_candidates += satisfied
         if concludes and unique:
             continue
-        first = first_index + pair_no * matrices
-        # one copy for all listed documents, so the collector scans fewer lists
-        shared = pair.to_json_dict()
-        for index, g in _materialise(n, g_max, pat.cells, satisfying, first):
-            # re-check each listed instance on the relation's one table
+        # re-check each vector once, on its first matrix: its other matrices
+        # differ only in signs and in entries no hypothesis reads. The
+        # listed witness is the pair's first satisfying instance
+        first, found = first_index + pair_no * matrices, []
+        for mag in satisfying:
+            offset, g = _first_matrix(n, g_max, pat.cells, mag)
             ok, reason, alpha = _check_hypotheses(pat, checks, g)
             if not ok:
-                raise RuntimeError(f"instance {index} misclassified: {reason}")
-            doc = _document(index, n, shared, g, alpha)
-            if not concludes:
-                res.counterexamples.append({**doc, "reason": reason})
-            if not unique:
-                res.uniqueness_violations.append({**doc, "fixed_points": fixed})
+                raise RuntimeError(f"instance {first + offset} misclassified: {reason}")
+            found.append((offset, g, reason, alpha))
+        offset, g, reason, alpha = min(found)
+        inst = FiniteInstance(n, g, rel, mapping, alpha, first + offset)
+        doc = {**inst.to_json_dict(), "instances": satisfied}
+        if not concludes:
+            res.counterexamples.append({**doc, "reason": reason})
+        if not unique:
+            res.uniqueness_violations.append({**doc, "fixed_points": fixed})
 
 
 def run_oracle(spec: SweepSpec) -> SweepResult:
     """Run the model check over one slice.
 
-    Counterexamples (hypotheses hold, conclusion fails) come back sorted by
-    enumeration index. Hypothesis-satisfying instances whose map image is
-    connected in the symmetric closure are additionally held to a unique
-    fixed point; violations are reported separately.
+    Counterexamples (hypotheses hold, conclusion fails) come back one per
+    (relation, map) pair, sorted by enumeration index. Hypothesis-satisfying
+    instances whose map image is connected in the symmetric closure are
+    additionally held to a unique fixed point; violations are reported
+    separately, also one per pair.
 
     Counts are exact multiplicities of :func:`enumerate_instances` (see the
-    module docstring). Each listed violation is the document that
-    :meth:`FiniteInstance.to_json_dict` gives its instance, plus its reason or
-    fixed points, exactly as a one-by-one sweep would list it.
+    module docstring). Each listed document is the one that
+    :meth:`FiniteInstance.to_json_dict` gives the pair's first satisfying
+    instance, then ``instances``, the number of the pair's satisfying
+    instances, then its reason or fixed points.
     """
     spec = _check_slice(*spec)
     res = SweepResult(spec=spec)

@@ -238,8 +238,10 @@ class LipschitzReport(NamedTuple):
 def _rhs_values(prob: FdeProblem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The rhs on arrays ``t`` and ``u`` of one shape: nodes, or probe rows."""
     values = np.asarray(prob.rhs(t, u))
-    if values.dtype.kind == "c":
-        # a float conversion would drop the imaginary part with only a warning
+    if values.dtype.kind not in "fiu":
+        # only integer and float kinds are real values: a float conversion
+        # would drop an imaginary part with only a warning and read a bool
+        # as 0 or 1, None as NaN and a datetime as its tick count
         raise ValueError(f"rhs(t, u) must return real values, got dtype {values.dtype}")
     values = values.astype(float, copy=False)
     if values.shape == t.shape:

@@ -3,22 +3,25 @@
 ``sweep_instances`` walks the instance stream and decides every instance
 with ``reference_hypotheses``, ``conclusion_holds`` and the uniqueness
 check, the brute-force definition the factored ``run_oracle`` must
-reproduce exactly. ``reference_hypotheses`` is the hypothesis check written
-as plain integer loops over one instance, independent of the oracle's
-pattern table, and ``reference_alpha`` is the contraction factor walked on
-the g matrix once per grid factor, independent of the oracle's
-``_contracts``. The other verdict functions are looked up on the module at
-call time, so a test that monkeypatches them changes both this reference
-and ``run_oracle``.
+reproduce exactly. It lists a violating pair once, as its first violating
+instance's document plus ``instances``, the number of the pair's
+instances it decided to violate. ``reference_hypotheses`` is the
+hypothesis check written as plain integer loops over one instance,
+independent of the oracle's pattern table, and ``reference_alpha`` is the
+contraction factor walked on the g matrix once per grid factor,
+independent of the oracle's ``_contracts``. The other verdict functions
+are looked up on the module at call time, so a test that monkeypatches
+them changes both this reference and ``run_oracle``.
 
 ``per_pair_sweep`` is the factored sweep as it was before it shared one
 g1-g3 walk across a relation's maps: ``pair_table`` compiles each
 (relation, map) pair's six hypotheses into checks on the magnitudes of the
 pair's touched entries (images included), ``classify_magnitudes`` walks
 every magnitude vector of the pair, and ``sweep_pair`` tallies the pair and
-lists its violating instances through the oracle's ``_materialise``. Its
-closedness and seed verdicts come from ``closedness_witness`` below and
-``relations.seed_set``, not the oracle's bitmasks.
+lists a violating pair's first satisfying instance, found entry by entry
+by ``first_instance``, with the pair's count. Its closedness and seed
+verdicts come from ``closedness_witness`` below and ``relations.seed_set``,
+not the oracle's bitmasks.
 
 ``classify_pair`` and ``materialise`` are the numpy classifier and
 materialiser the oracle used before it classified by magnitude: every
@@ -123,6 +126,19 @@ def reference_hypotheses(inst):
     )
 
 
+def list_grouped(listed, doc, key, value):
+    """Count the instance ``doc`` under its pair's document in ``listed``.
+
+    Instances come in stream order, so a pair's instances are consecutive:
+    the first one opens the pair's document, the others add to its count.
+    """
+    last = listed[-1] if listed else None
+    if last is not None and (last["pairs"], last["map"]) == (doc["pairs"], doc["map"]):
+        last["instances"] += 1
+    else:
+        listed.append({**doc, "instances": 1, key: value})
+
+
 def sweep_instances(res, instances):
     """Decide each instance one by one and add it to ``res``."""
     for inst in instances:
@@ -135,15 +151,12 @@ def sweep_instances(res, instances):
         inst.alpha = reference_alpha(inst)
         pair = inst.pair
         if not finite_oracle.conclusion_holds(pair):
-            doc = inst.to_json_dict()
-            doc["reason"] = reason
-            res.counterexamples.append(doc)
+            list_grouped(res.counterexamples, inst.to_json_dict(), "reason", reason)
         if finite_oracle.image_symmetric_connected(pair):
             res.uniqueness_candidates += 1
-            if len(finite_oracle.fixed_points(pair)) != 1:
-                doc = inst.to_json_dict()
-                doc["fixed_points"] = finite_oracle.fixed_points(pair)
-                res.uniqueness_violations.append(doc)
+            fixed = finite_oracle.fixed_points(pair)
+            if len(fixed) != 1:
+                list_grouped(res.uniqueness_violations, inst.to_json_dict(), "fixed_points", fixed)
     return res
 
 
@@ -264,19 +277,40 @@ def sweep_pair(res: SweepResult, rel: FiniteRelation, mapping: tuple[int, ...], 
         res.uniqueness_candidates += satisfied
     if satisfied == 0 or (concludes and unique):
         return
-    for index, g in finite_oracle._materialise(n, g_max, pat.cells, passing, first_index):
-        key, witness = first_failure(pat, [abs(g[cell // n][cell % n]) for cell in pat.cells])
-        if key != 6:
-            reason = finite_oracle._REASONS[key].format(*witness)
-            raise RuntimeError(f"instance {index} misclassified: {reason}")
-        inst = FiniteInstance(n, g, rel, mapping, None, index)
-        inst.alpha = reference_alpha(inst)
-        reason = finite_oracle._REASONS[key].format(inst.alpha)
-        doc = inst.to_json_dict()
-        if not concludes:
-            res.counterexamples.append({**doc, "reason": reason})
-        if not unique:
-            res.uniqueness_violations.append({**doc, "fixed_points": fixed})
+    g = first_instance(n, g_max, pat.cells, passing)
+    entries = [v for row in g for v in row]
+    places = reversed(range(n * n))
+    index = first_index + sum((v + g_max) * (2 * g_max + 1) ** p for p, v in zip(places, entries))
+    key, witness = first_failure(pat, [abs(g[cell // n][cell % n]) for cell in pat.cells])
+    if key != 6:
+        reason = finite_oracle._REASONS[key].format(*witness)
+        raise RuntimeError(f"instance {index} misclassified: {reason}")
+    inst = FiniteInstance(n, g, rel, mapping, None, index)
+    inst.alpha = reference_alpha(inst)
+    doc = {**inst.to_json_dict(), "instances": satisfied}
+    reason = finite_oracle._REASONS[key].format(inst.alpha)
+    if not concludes:
+        res.counterexamples.append({**doc, "reason": reason})
+    if not unique:
+        res.uniqueness_violations.append({**doc, "fixed_points": fixed})
+
+
+def first_instance(n: int, g_max: int, cells: Sequence[int], passing) -> tuple:
+    """The pair's first matrix in stream order whose magnitudes on ``cells``
+    are one of ``passing``, chosen entry by entry in row-major order: each
+    entry takes the smallest value that a vector still in play allows, and
+    the vectors that disallow it drop out."""
+    left = set(passing)
+    entries = []
+    for cell in range(n * n):
+        if cell in cells:
+            pos = cells.index(cell)
+            value = min(-mag[pos] for mag in left)
+            left = {mag for mag in left if -mag[pos] == value}
+        else:
+            value = -g_max
+        entries.append(value)
+    return tuple(tuple(entries[row * n : row * n + n]) for row in range(n))
 
 
 def per_pair_sweep(spec: SweepSpec) -> SweepResult:

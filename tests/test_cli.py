@@ -378,7 +378,7 @@ class TestOracleCommand:
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         class FakeSweep:
             instances_checked = 1
-            counterexamples = [{"index": 0}]
+            counterexamples = [{"index": 0, "instances": 2}, {"index": 9, "instances": 3}]
             uniqueness_violations = []
 
             def to_json_dict(self):
@@ -387,13 +387,13 @@ class TestOracleCommand:
         monkeypatch.setattr(cli, "run_oracle", lambda spec: FakeSweep())
         code, doc = run_and_parse(capsys, ["oracle", "--n", "2"])
         assert code == cli.EXIT_COUNTEREXAMPLE
-        assert doc["counterexample_count"] == 1
+        assert doc["counterexample_count"] == 5
 
     def test_uniqueness_violation_exit_code(self, capsys, monkeypatch):
         class FakeSweep:
             instances_checked = 1
             counterexamples = []
-            uniqueness_violations = [{"index": 0}]
+            uniqueness_violations = [{"index": 0, "instances": 1}]
 
             def to_json_dict(self):
                 return {}
@@ -403,6 +403,24 @@ class TestOracleCommand:
         assert code == cli.EXIT_COUNTEREXAMPLE
         assert doc["counterexample_count"] == 0
         assert doc["uniqueness_violation_count"] == 1
+
+    def test_a_listed_counterexample_loads_as_an_instance(self, tmp_path, capsys, monkeypatch):
+        from relfix import finite_oracle
+
+        monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda pair: False)
+        code, doc = run_and_parse(capsys, ["oracle", "--n", "2"])
+        assert code == cli.EXIT_COUNTEREXAMPLE
+        (sweep,) = doc["sweeps"]
+        listed = sweep["counterexamples"]
+        assert doc["counterexample_count"] == sum(d["instances"] for d in listed)
+        assert doc["counterexample_count"] == sweep["hypotheses_satisfied"] > len(listed)
+        path = tmp_path / "counterexample.json"
+        path.write_text(json.dumps(listed[0]))
+        monkeypatch.undo()
+        code, verdict = run_and_parse(capsys, ["verify", "--instance", str(path)])
+        assert code == cli.EXIT_OK
+        assert verdict["hypotheses_hold"] is True
+        assert verdict["conclusion_holds"] is True
 
     def test_report_wraps_the_slice_in_its_totals(self, capsys):
         from relfix.finite_oracle import SweepSpec, run_oracle

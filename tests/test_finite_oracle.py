@@ -642,6 +642,12 @@ class TestAgainstThePerPairSweep:
         got = run_oracle(spec)
         assert got.counterexamples and got.uniqueness_violations
         assert json.dumps(got.to_json_dict()) == json.dumps(per_pair_sweep(spec).to_json_dict())
+        # every satisfying instance breaks the conclusion, every candidate
+        # uniqueness, and each is counted under its pair's one document
+        assert sum(doc["instances"] for doc in got.counterexamples) == got.hypotheses_satisfied
+        assert sum(doc["instances"] for doc in got.uniqueness_violations) == (
+            got.uniqueness_candidates
+        )
 
 
 def touched_cell_count(rel, mapping):
@@ -724,17 +730,20 @@ class TestMagnitudeClassifier:
         assert passing_total > 0
         assert above_one or g_max == 1
 
-    def test_materialised_instances_equal_the_reference(self):
+    def test_listed_witness_and_count_equal_the_materialised_reference(self, monkeypatch):
         # the reference scans all 5**9 matrices of a pair, so one pair
         n, g_max = 3, 2
+        monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda pair: False)
         _, sound = drawn_pairs(n, g_max, seed=78, count=1)
         for rel, mapping in sound:
-            cells, _, passing = factored_pair(rel, mapping, g_max)
+            res = SweepResult(SweepSpec(n, g_max, None))
+            sweep_one_pair(res, rel, mapping, 11)
+            (listed,) = res.counterexamples
             ref_cells, _, codes = oracle_reference.classify_pair(rel, mapping, g_max)
-            got = list(finite_oracle._materialise(n, g_max, cells, passing, 11))
             expected = oracle_reference.materialise(rel, mapping, g_max, ref_cells, codes, 11)
-            assert got == [(inst.index, inst.g_matrix) for inst in expected]
-            assert any(-2 in row for _, g in got for row in g)
+            first = next(expected)
+            assert (listed["index"], listed["g"]) == (first.index, list(map(list, first.g_matrix)))
+            assert listed["instances"] == 1 + sum(1 for _ in expected) > 1
 
 
 def decoded_matrix(offset, n, g_max):
@@ -744,41 +753,29 @@ def decoded_matrix(offset, n, g_max):
     return [entries[row * n : row * n + n] for row in range(n)]
 
 
-def test_forced_violations_at_four_points(monkeypatch):
+@pytest.mark.parametrize("g_max, count", [(1, 2**12 * 3**3), (2, 32_768_000)])
+def test_forced_violations_at_four_points(monkeypatch, g_max, count):
     # a satisfying n=4 matrix at g_max = 1 has at least two choices for
     # each off-diagonal entry, and a connected relation forces a constant
     # map, which forces only one diagonal entry to 0; so no pair has fewer
     # than 2**12 * 3**3 = 110,592 satisfying instances, the count of the
-    # full relation under this map. Listing them all takes seconds, so the
-    # listing is narrowed to the instances with a zero diagonal: 2**12 =
-    # 4,096. The narrowing wraps _materialise, which the sweep and the
-    # per-pair reference both call, so it leaves every count as it is
-    n, g_max = 4, 1
+    # full relation under this map. Its one document stands for them all
+    n = 4
     rel = FiniteRelation(n, frozenset(product(range(n), repeat=2)))
     mapping = (0, 0, 0, 0)
-    real_materialise = finite_oracle._materialise
-
-    def narrowed(*args):
-        return ((i, g) for i, g in real_materialise(*args) if not any(g[r][r] for r in range(n)))
-
-    monkeypatch.setattr(finite_oracle, "_materialise", narrowed)
     monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda pair: False)
     first = 3 * (2 * g_max + 1) ** (n * n)
-    res, expected = SweepResult(SweepSpec(n, g_max, None)), SweepResult(SweepSpec(n, g_max, None))
+    res = SweepResult(SweepSpec(n, g_max, None))
     sweep_one_pair(res, rel, mapping, first)
-    sweep_pair(expected, rel, mapping, first)
-    assert json.dumps(res.to_json_dict()) == json.dumps(expected.to_json_dict())
+    if g_max == 1:
+        expected = SweepResult(SweepSpec(n, g_max, None))
+        sweep_pair(expected, rel, mapping, first)
+        assert json.dumps(res.to_json_dict()) == json.dumps(expected.to_json_dict())
 
-    listed = res.counterexamples
-    assert res.hypotheses_satisfied == 2**12 * 3**3
-    assert len(listed) == 2**12
-    indices = [doc["index"] for doc in listed]
-    assert all(a < b for a, b in zip(indices, indices[1:]))
-    for doc in listed:
-        assert doc["g"] == decoded_matrix(doc["index"] - first, n, g_max)
-        assert [doc["g"][r][r] for r in range(n)] == [0] * n
-        inst = FiniteInstance.from_json_dict(doc)
-        assert reference_hypotheses(inst)[0]
+    (doc,) = res.counterexamples
+    assert res.hypotheses_satisfied == doc["instances"] == count
+    assert doc["g"] == decoded_matrix(doc["index"] - first, n, g_max)
+    assert reference_hypotheses(FiniteInstance.from_json_dict(doc))[0]
 
 
 def test_listed_instances_are_rechecked(monkeypatch):
@@ -809,7 +806,7 @@ def test_listed_instances_serialise_like_to_json_dict(monkeypatch):
     monkeypatch.setattr(finite_oracle, "fixed_points", lambda pair: [0, 2])
     res = SweepResult(SweepSpec(n, g_max, None))
     sweep_one_pair(res, rel, mapping, 5 * 3 ** (n * n))
-    assert res.counterexamples and len(res.counterexamples) == len(res.uniqueness_violations)
+    assert len(res.counterexamples) == len(res.uniqueness_violations) == 1
     for listed, violation in zip(res.counterexamples, res.uniqueness_violations):
         g = tuple(tuple(row) for row in listed["g"])
         inst = FiniteInstance(n, g, rel, mapping, Fraction(listed["alpha"]), listed["index"])
@@ -824,5 +821,6 @@ def test_listed_instances_serialise_like_to_json_dict(monkeypatch):
             "alpha": str(inst.alpha),
         }
         assert json.dumps(inst.to_json_dict()) == json.dumps(own)
+        own["instances"] = res.hypotheses_satisfied
         assert json.dumps(listed) == json.dumps({**own, "reason": reason})
         assert json.dumps(violation) == json.dumps({**own, "fixed_points": [0, 2]})

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -337,10 +338,22 @@ class TestOperator:
         with pytest.raises(ValueError, match=message):
             apply_T(GridFunction.zeros(8), prob)
 
-    def test_complex_rhs_is_rejected_by_the_solver(self):
-        prob = FdeProblem(rhs=lambda t, u: u / 16 + np.sin(t) + 1j * t, n_intervals=16)
-        with pytest.raises(ValueError, match="must return real values, got dtype complex128"):
-            solve_fde(prob)
+    @pytest.mark.parametrize(
+        "rhs, dtype",
+        [
+            (lambda t, u: u / 16 + np.sin(t) + 1j * t, "complex128"),
+            (lambda t, u: None, "object"),
+            (lambda t, u: np.full(t.shape, None), "object"),
+            (lambda t, u: {"t": t}, "object"),
+            (lambda t, u: t > 0.5, "bool"),
+            (lambda t, u: np.datetime64("2020-01-01"), "datetime64[D]"),
+        ],
+        ids=["complex", "none", "object-array", "dict", "bool-array", "datetime64"],
+    )
+    def test_complex_rhs_is_rejected_by_the_solver(self, rhs, dtype):
+        message = re.escape(f"must return real values, got dtype {dtype}")
+        with pytest.raises(ValueError, match=message):
+            solve_fde(FdeProblem(rhs=rhs, n_intervals=16))
 
     def test_complex_rhs_is_rejected_by_the_lipschitz_check(self):
         prob = FdeProblem(rhs=lambda t, u: u / 16 + np.sin(t) + 1j * t, n_intervals=16)
