@@ -1,12 +1,21 @@
-"""Base classes for the package's record types, and the numeric rules.
+"""Base classes for the package's records, and the numeric rules.
+
+A record that validates its input is a :class:`FrozenRecord`; a plain
+result, built from values an engine computed, is a ``typing.NamedTuple``.
+The mutable :class:`Record` is kept only for the two records filled in
+after construction: ``SweepResult``, the tallies ``run_oracle`` fills in,
+and ``FiniteInstance``, whose ``alpha`` the test-only reference
+enumeration sets on millions of instances, where a frozen constructor
+costs about 1 µs more each. ``GridFunction``, built once per Picard step,
+is a ``Record`` for speed alone and treated as immutable; the computed
+``QuadratureWeights`` is a ``FrozenRecord`` so that ``vars()`` lists it.
 
 A record lists its fields in ``_fields`` and gets a field-wise ``==`` and a
 ``Name(field=value, ...)`` repr. Plain classes cost next to nothing to
-define. The standard library's generated record classes would import
-``inspect``, ``ast`` and ``dis`` (about 11 ms in a fresh interpreter on a
-2-vCPU machine) and build each class's methods with ``exec`` (about 0.5 ms
-a class), which every short CLI command would pay. Subclasses write their
-own ``__init__`` and usually declare ``__slots__``.
+define. ``dataclasses`` would import ``inspect``, ``ast`` and ``dis``
+(about 11 ms in a fresh interpreter on a 2-vCPU machine) and build each
+class's methods with ``exec`` (about 0.5 ms a class), which every short
+CLI command would pay.
 
 Every integer parameter goes through :func:`integer` and every real one
 through :func:`real`, with its bounds: bools are refused, numpy numbers

@@ -34,10 +34,6 @@ __all__ = [
     "NoncontractionWitness",
 ]
 
-# residual tolerance small enough that figure runs never stop early
-_NEVER_STOP = 1e-300
-
-
 class PlanePoint(NamedTuple):
     first: float
     second: float
@@ -77,7 +73,7 @@ def _run(
 ) -> IterationTrace:
     """Exactly n Picard steps from a finite start, certified at alpha = 1/4."""
     start = validate_point(start)
-    policy = StoppingPolicy(residual_tol=_NEVER_STOP, max_iterations=n)
+    policy = StoppingPolicy(residual_tol=0.0, max_iterations=n)
     return iterate(smap, g, first_coord_relation(), start, policy, alpha=0.25)
 
 

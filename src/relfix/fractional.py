@@ -165,12 +165,13 @@ class FdeProblem(FrozenRecord):
     in the Lipschitz bound ("alpha_plus_one" uses the contraction
     parameter, "zeta_plus_one" the integral order — both appear in
     circulation, so both are supported).
-    The quadrature weights and the read-only node array are built on first
-    use and kept as ``weights`` and ``nodes``.
+    The quadrature weights and the read-only node array are built with the
+    problem, so a ``zeta`` whose Gamma overflows raises :class:`ValueError`
+    here, and kept as ``weights`` and ``nodes``, outside ``==`` and the hash.
     """
 
     _fields = ("rhs", "zeta", "n_intervals", "policy", "lipschitz_alpha", "gamma_variant")
-    __slots__ = (*_fields, "_weights", "_nodes")
+    __slots__ = (*_fields, "weights", "nodes")
 
     def __init__(
         self,
@@ -187,23 +188,10 @@ class FdeProblem(FrozenRecord):
         if gamma_variant not in GAMMA_VARIANTS:
             raise ValueError(f"gamma_variant must be one of {GAMMA_VARIANTS}")
         super().__init__(rhs, zeta, n_intervals, policy, lipschitz_alpha, gamma_variant)
-        object.__setattr__(self, "_weights", None)
-        object.__setattr__(self, "_nodes", None)
-
-    @property
-    def weights(self) -> QuadratureWeights:
-        if self._weights is None:
-            w = quadrature_weights(self.zeta, self.n_intervals)
-            object.__setattr__(self, "_weights", w)
-        return self._weights
-
-    @property
-    def nodes(self) -> np.ndarray:
-        if self._nodes is None:
-            nodes = np.arange(self.n_intervals + 1) / self.n_intervals
-            nodes.flags.writeable = False  # every step shares it with the rhs
-            object.__setattr__(self, "_nodes", nodes)
-        return self._nodes
+        nodes = np.arange(n_intervals + 1) / n_intervals
+        nodes.flags.writeable = False  # every step shares it with the rhs
+        object.__setattr__(self, "weights", quadrature_weights(zeta, n_intervals))
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def regime_note(self) -> str:

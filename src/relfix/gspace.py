@@ -21,7 +21,7 @@ import math
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import _EXPORTS
-from ._records import Record, real
+from ._records import real
 from .relations import universal_view
 
 __all__ = list(_EXPORTS["gspace"])
@@ -35,26 +35,17 @@ def _json_safe(x: Any) -> Any:
     return str(x)
 
 
-class PropertyReport(Record):
+class PropertyReport(NamedTuple):
     """Outcome of a g-functional property scan.
 
     Each witness field is None when the property held on every pattern
     scanned, otherwise it is the first violating pair/triple in scan order.
     """
 
-    __slots__ = _fields = ("g1_witness", "g2_witness", "g3_witness", "samples_checked")
-
-    def __init__(
-        self,
-        g1_witness: Optional[tuple[Any, Any]],
-        g2_witness: Optional[tuple[Any, Any]],
-        g3_witness: Optional[tuple[Any, Any, Any]],
-        samples_checked: int,
-    ) -> None:
-        self.g1_witness = g1_witness
-        self.g2_witness = g2_witness
-        self.g3_witness = g3_witness
-        self.samples_checked = samples_checked
+    g1_witness: Optional[tuple[Any, Any]]
+    g2_witness: Optional[tuple[Any, Any]]
+    g3_witness: Optional[tuple[Any, Any, Any]]
+    samples_checked: int
 
     @property
     def passed(self) -> bool:

@@ -11,28 +11,29 @@ the relation any predicate ``rel(a, b)``.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import _EXPORTS
-from ._records import FrozenRecord, Record, integer, real
+from ._records import FrozenRecord, integer, real
 from .relations import is_preserving_sequence
 
 __all__ = list(_EXPORTS["picard"])
 
 
 class StoppingPolicy(FrozenRecord):
-    """When to stop iterating: residual threshold (a positive finite real)
-    or step budget (a positive integer, stored as ``int``)."""
+    """When to stop iterating: residual threshold (a nonnegative finite
+    real; 0 runs the whole budget) or step budget (a positive integer,
+    stored as ``int``)."""
 
     __slots__ = _fields = ("residual_tol", "max_iterations")
 
     def __init__(self, residual_tol: float = 1e-12, max_iterations: int = 1000) -> None:
-        real(residual_tol, "residual_tol must be positive and finite", above=0.0)
+        real(residual_tol, "residual_tol must be finite and nonnegative", at_least=0.0)
         steps = integer(max_iterations, "max_iterations must be a positive integer", at_least=1)
         super().__init__(residual_tol, steps)
 
 
-class IterationTrace(Record):
+class IterationTrace(NamedTuple):
     """Record of one Picard run.
 
     ``residuals[k]`` is |g(iterates[k], iterates[k+1])|, so there is one
@@ -42,33 +43,13 @@ class IterationTrace(Record):
     a-priori bound on |g(r_m, r_n)| for every n > m.
     """
 
-    __slots__ = _fields = (
-        "iterates",
-        "residuals",
-        "alpha_used",
-        "preserved",
-        "converged",
-        "certified",
-        "bound_certificates",
-    )
-
-    def __init__(
-        self,
-        iterates: list[Any],
-        residuals: list[float],
-        alpha_used: Optional[float],
-        preserved: bool,
-        converged: bool,
-        certified: bool,
-        bound_certificates: Optional[list[float]] = None,
-    ) -> None:
-        self.iterates = iterates
-        self.residuals = residuals
-        self.alpha_used = alpha_used
-        self.preserved = preserved
-        self.converged = converged
-        self.certified = certified
-        self.bound_certificates = bound_certificates
+    iterates: list[Any]
+    residuals: list[float]
+    alpha_used: Optional[float]
+    preserved: bool
+    converged: bool
+    certified: bool
+    bound_certificates: Optional[list[float]] = None
 
     @property
     def fixed_point(self) -> Any:

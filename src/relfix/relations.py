@@ -75,12 +75,12 @@ def is_connected(rel: FiniteRelation, subset: Iterable[int]) -> bool:
     A path has at least one edge, so diagonal pairs count: a singleton
     subset is connected only when its element lies on a cycle. Each member
     is checked by a search for the nodes reachable from it in one or more
-    steps.
+    steps. A member that is not an index of the ground set (a bool, a
+    float, an integer out of range) raises :class:`ValueError`.
     """
-    members = set(subset)
-    if not all(0 <= a < rel.ground_size for a in members):
-        raise ValueError("subset element outside ground set")
-    succ: list[list[int]] = [[] for _ in range(rel.ground_size)]
+    n, message = rel.ground_size, "subset element outside ground set 0..{0}, got {value!r}"
+    members = {integer(a, message, n - 1, at_least=0, below=n) for a in subset}
+    succ: list[list[int]] = [[] for _ in range(n)]
     for r, s in rel.pairs:
         succ[r].append(s)
     for start in members:
@@ -97,8 +97,15 @@ def is_connected(rel: FiniteRelation, subset: Iterable[int]) -> bool:
 
 
 def seed_set(rel: FiniteRelation, image_of: Callable[[int], int]) -> list[int]:
-    """Ground elements u with ``(u, image_of(u))`` in the relation, ascending."""
-    return [u for u in range(rel.ground_size) if (u, image_of(u)) in rel.pairs]
+    """Ground elements u with ``(u, image_of(u))`` in the relation, ascending.
+
+    An image that is not an index of the ground set raises :class:`ValueError`.
+    """
+    n, message = rel.ground_size, "image of {0} must be an integer in 0..{1}, got {value!r}"
+    return [
+        u for u in range(n)
+        if (u, integer(image_of(u), message, u, n - 1, at_least=0, below=n)) in rel.pairs
+    ]
 
 
 def is_preserving_sequence(rel: Callable[[Any, Any], bool], seq: Sequence[Any]) -> bool:

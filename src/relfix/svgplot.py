@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from ._records import real
+
 __all__ = ["render_residual_plot", "FLOOR"]
 
 FLOOR = 1e-18
@@ -35,15 +37,14 @@ def render_residual_plot(
 
     One marker per residual (a single point gets no polyline); every point
     drawn here corresponds to one row of the companion CSV. ``title`` is
-    plain text: ``&``, ``<`` and ``>`` are escaped. A NaN or infinite
-    residual raises :class:`ValueError` naming its index.
+    plain text: ``&``, ``<`` and ``>`` are escaped. A residual that is not
+    a finite real (NaN, inf, a bool, a string, None, a complex number)
+    raises :class:`ValueError` naming its index.
     """
     if len(residuals) == 0:
         raise ValueError("nothing to plot")
-    values = [float(r) for r in residuals]
-    for i, v in enumerate(values):
-        if not math.isfinite(v):
-            raise ValueError(f"residual {i} is not finite: {v!r}")
+    message = "residual {0} is not finite: {value!r}"
+    values = [float(real(r, message, i)) for i, r in enumerate(residuals)]
     title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
     floored = [max(v, FLOOR) for v in values]

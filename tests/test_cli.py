@@ -276,15 +276,16 @@ class TestSolveFdeCommand:
         "zeta, variant, argument",
         [
             ("171", "zeta", "172.0"),
-            ("200", "zeta", "201.0"),
+            # the weights, built with the problem, overflow before the bound
+            ("200", "zeta", "200.0"),
             ("200", "alpha", "200.0"),
             # the weights divided by this zeta, with numpy warnings, before Gamma refused it
             ("1e-320", "zeta", "1e-320"),
         ],
     )
     def test_overflowing_gamma_is_one_error_line(self, zeta, variant, argument, capsys):
-        # Gamma(zeta + 1) in the Lipschitz bound, or Gamma(zeta) in the
-        # weights, exceeds the largest float; math.gamma's own message
+        # Gamma(zeta) in the weights, or Gamma(zeta + 1) in the Lipschitz
+        # bound, exceeds the largest float; math.gamma's own message
         # ("math range error") named neither the function nor its argument
         argv = ["solve-fde", "--grid", "16", "--zeta", zeta, "--gamma-variant", variant]
         with warnings.catch_warnings(record=True) as caught:

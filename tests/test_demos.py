@@ -121,3 +121,19 @@ class TestMapsAndFunctionals:
 
     def test_scenario1_functional_is_signed(self):
         assert example1_g(PlanePoint(0.0, 1.0), PlanePoint(9.0, 3.0)) == -2.0
+
+
+
+# each run's residuals reach 0: the orbit of (0, 0) at once, y0 / 4^k by
+# underflow well before step 600, 1e-299 / 4^k within a few steps
+@pytest.mark.parametrize(
+    "run, n",
+    [
+        (lambda: example1_run(y0=0.0, n=30), 30),
+        (lambda: example1_run(n=600), 600),
+        (lambda: example2_run(y0=1e-299, n=30), 30),
+    ],
+    ids=["zero-start", "long-run", "tiny-start"],
+)
+def test_a_run_takes_exactly_n_steps(run, n):
+    assert run().steps == n

@@ -555,6 +555,15 @@ class TestWholeArrayEvaluation:
         assert built == [(0.9, 64)]
         assert prob.weights is prob.weights
 
+    def test_problem_builds_its_operator_at_construction(self):
+        prob = FdeProblem(demo_rhs, n_intervals=64)
+        # no solve has run: both were built with the problem
+        assert (prob.weights.zeta, prob.weights.n_intervals) == (0.9, 64)
+        assert np.array_equal(prob.weights.band, quadrature_weights(0.9, 64).band)
+        assert not prob.nodes.flags.writeable
+        with pytest.raises(ValueError, match=r"Gamma\(200\.0\) is too large"):
+            FdeProblem(demo_rhs, zeta=200.0)
+
     def test_large_grid_converges_in_ten_steps(self):
         trace, solution = solve_fde(demo_problem(65536, 0.9))
         assert trace.converged

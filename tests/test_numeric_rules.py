@@ -33,7 +33,7 @@ from relfix.fractional import FdeProblem, demo_rhs, gamma, quadrature_weights
 from relfix.gridfn import GridFunction
 from relfix.gspace import relation_pattern_report, verify_g_properties
 from relfix.picard import StoppingPolicy, a_priori_bound, iterate
-from relfix.relations import FiniteRelation, universal_view
+from relfix.relations import FiniteRelation, is_connected, seed_set, universal_view
 
 REL = FiniteRelation(2, {(0, 0), (1, 0)})
 DOC = {"n": 2, "pairs": [[0, 0], [1, 0]], "map": [0, 0], "g": [[0, 1], [1, 0]]}
@@ -85,6 +85,10 @@ SITES = [
      "rel_count_cap must be an integer, got ", ALL_INT),
     ("enumerate_instances-g_max", INT, 1, lambda v: next(enumerate_instances(2, v, 1)),
      "g_max must be an integer, got ", ALL_INT[:-1]),
+    ("is_connected-subset", INT, 1, lambda v: is_connected(REL, [v]),
+     "subset element outside ground set 0..1, got ", ALL_INT[:-1]),
+    ("seed_set-image", INT, 0, lambda v: seed_set(REL, lambda u: v),
+     "image of 0 must be an integer in 0..1, got ", ALL_INT[:-1]),
     ("GridFunction-n_intervals", INT, 2, lambda v: GridFunction(v, np.zeros(3)),
      "n_intervals must be an integer, got ", ("numpy",)),
     ("GridFunction.zeros", INT, 4, GridFunction.zeros,
@@ -100,7 +104,7 @@ SITES = [
     ("a_priori_bound-m", INT, 2, lambda v: a_priori_bound(0.5, 1.0, v),
      "m must be a nonnegative integer", ("numpy",)),
     ("StoppingPolicy-residual_tol", REAL, 1e-6, lambda v: StoppingPolicy(residual_tol=v),
-     "residual_tol must be positive and finite", ()),
+     "residual_tol must be finite and nonnegative", ()),
     ("iterate-alpha", REAL, 0.5,
      lambda v: iterate(lambda x: x / 2.0, dist, universal_view(), 1.0, POLICY, alpha=v),
      "alpha must lie in (0, 1)", ("'1'",)),

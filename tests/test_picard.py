@@ -155,7 +155,7 @@ class TestStoppingPolicy:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"residual_tol": 0.0},
+            {"residual_tol": -1e-300},
             {"residual_tol": -1.0},
             {"residual_tol": float("inf")},
             {"max_iterations": 0},
@@ -166,9 +166,17 @@ class TestStoppingPolicy:
             StoppingPolicy(**kwargs)
 
     @pytest.mark.parametrize("tol", [True, False, "1e-3", None, math.nan, math.inf])
-    def test_tolerance_must_be_a_positive_finite_real(self, tol):
-        with pytest.raises(ValueError, match="residual_tol must be positive and finite"):
+    def test_tolerance_must_be_a_nonnegative_finite_real(self, tol):
+        with pytest.raises(ValueError, match="residual_tol must be finite and nonnegative"):
             StoppingPolicy(residual_tol=tol)
+
+    def test_zero_tolerance_runs_the_whole_budget(self):
+        # the orbit sits at its fixed point from step 1 on: residual 0 is
+        # not below a zero tolerance
+        policy = StoppingPolicy(residual_tol=0.0, max_iterations=5)
+        trace = iterate(lambda x: 0.0, ABS_DIFF, universal_view(), 1.0, policy)
+        assert trace.residuals == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert not trace.converged
 
     @pytest.mark.parametrize("steps", [2.5, 3.0, True, False, "10", None])
     def test_step_budget_must_be_an_int(self, steps):

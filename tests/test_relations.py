@@ -157,6 +157,10 @@ class TestSeedSet:
         assert got == [u for u in range(n) if (u, mapping[u]) in rel.pairs]
         assert got == sorted(got)
 
+    def test_image_outside_ground_set(self):
+        with pytest.raises(ValueError, match=r"^image of 0 must be an integer in 0\.\.1, got 5$"):
+            seed_set(rel_of(2, (0, 0)), lambda u: 5)
+
 
 class TestPreservingSequence:
     def test_single_element_vacuous(self):

@@ -11,7 +11,9 @@ def test_empty_input_rejected():
         render_residual_plot([])
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, "1", True, None, 1 + 0j], ids=repr
+)
 def test_non_finite_residual_rejected(bad):
     with pytest.raises(ValueError, match="residual 1 is not finite"):
         render_residual_plot([1.0, bad, 0.5])
