@@ -32,7 +32,9 @@ import numpy as np
 
 from . import _EXPORTS
 from ._records import FrozenRecord, real
-from .gridfn import GridFunction, _check_intervals, interpolate, pointwise_leq, sup_diff
+from .gridfn import (
+    GridFunction, _check_intervals, _real_array, interpolate, pointwise_leq, sup_diff
+)
 from .picard import IterationTrace, StoppingPolicy, iterate
 
 __all__ = list(_EXPORTS["fractional"])
@@ -52,7 +54,7 @@ def gamma(x: float) -> float:
     try:
         return math.gamma(x)
     except OverflowError:
-        raise ValueError(f"Gamma({x!r}) is too large for a float") from None
+        raise ValueError(f"Gamma({float(x)!r}) is too large for a float") from None
 
 
 def _stable_power_diff(ms: np.ndarray, p: float) -> np.ndarray:
@@ -108,22 +110,31 @@ def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
     left/right endpoint contributions A(m) = Q_m - (m-1) P_m and
     B(m) = m P_m - Q_m (in units of h^z). Node 0 at distance i gets A(i),
     an interior node at distance d gets A(d) + B(d + 1) and the target B(1).
+    A ``zeta`` above about 709.78 / ln N - 1 overflows m^zeta and raises
+    :class:`ValueError` naming ``zeta`` and N.
     """
     real(zeta, "zeta must be positive and finite", above=0.0)
     n = _check_intervals(n_intervals, 1)
     h = 1.0 / n
     scale = h**zeta / gamma(zeta)  # before the moments: they divide by zeta
     ms = np.arange(1, n + 1)
-    p = _stable_power_diff(ms, zeta) / zeta
-    q = _stable_power_diff(ms, zeta + 1.0) / (zeta + 1.0)
-    a = q - (ms - 1) * p
-    b = ms * p - q
-    band = np.concatenate((b[:1], a[:-1] + b[1:])) * scale
-    # np.fft runs single-threaded, so results do not depend on BLAS threads
-    # (np.convolve does). np.fft is loaded on first use, not at import.
-    spectrum = np.fft.rfft(band, 2 * n)
+    # an overflowing m^zeta is refused below, not left to numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = _stable_power_diff(ms, zeta) / zeta
+        q = _stable_power_diff(ms, zeta + 1.0) / (zeta + 1.0)
+        a = q - (ms - 1) * p
+        b = ms * p - q
+        start = a * scale
+        band = np.concatenate((b[:1], a[:-1] + b[1:])) * scale
+        # np.fft runs single-threaded, so results do not depend on BLAS threads
+        # (np.convolve does). np.fft is loaded on first use, not at import.
+        spectrum = np.fft.rfft(band, 2 * n)
+    if not all(np.isfinite(x).all() for x in (start, band, spectrum)):
+        raise ValueError(
+            f"quadrature weights for zeta={float(zeta)!r} on {n} intervals overflow a float"
+        )
     return QuadratureWeights(
-        zeta=zeta, n_intervals=n, start=a * scale, band=band, band_spectrum=spectrum
+        zeta=zeta, n_intervals=n, start=start, band=band, band_spectrum=spectrum
     )
 
 
@@ -166,8 +177,10 @@ class FdeProblem(FrozenRecord):
     parameter, "zeta_plus_one" the integral order — both appear in
     circulation, so both are supported).
     The quadrature weights and the read-only node array are built with the
-    problem, so a ``zeta`` whose Gamma overflows raises :class:`ValueError`
-    here, and kept as ``weights`` and ``nodes``, outside ``==`` and the hash.
+    problem, which checks ``zeta`` there, after the other parameters: a
+    ``zeta`` that is not a positive finite real, whose Gamma overflows, or
+    whose weights overflow on this grid raises :class:`ValueError` here.
+    They are kept as ``weights`` and ``nodes``, outside ``==`` and the hash.
     """
 
     _fields = ("rhs", "zeta", "n_intervals", "policy", "lipschitz_alpha", "gamma_variant")
@@ -182,7 +195,6 @@ class FdeProblem(FrozenRecord):
         lipschitz_alpha: float = 0.5,
         gamma_variant: str = "zeta_plus_one",
     ) -> None:
-        real(zeta, "zeta must be positive and finite", above=0.0)
         n_intervals = _check_intervals(n_intervals, 8)
         real(lipschitz_alpha, "lipschitz_alpha must lie in (0, 1)", above=0.0, below=1.0)
         if gamma_variant not in GAMMA_VARIANTS:
@@ -208,30 +220,30 @@ def lipschitz_bound(prob: FdeProblem) -> float:
 
 
 class LipschitzReport(NamedTuple):
-    """Outcome of sampling the rhs Lipschitz condition.
+    """Outcome of sampling the rhs Lipschitz condition, as measured.
 
-    ``margin = bound - worst_ratio``; nonnegative margin means every sampled
-    increment fits under the bound. ``worst_at`` is (t, u_value, v_value) at
-    the worst ratio, or None when no sample was informative; such a probe
-    has not tested anything and does not pass.
+    ``worst_at`` is (t, u_value, v_value) at the largest sampled ratio,
+    ``worst_ratio``, or None (ratio 0.0) when no sample was informative.
+    ``margin = bound - worst_ratio`` and ``passed`` are read off these; a
+    probe with no informative sample has tested nothing and does not pass.
     """
 
     bound: float
     worst_ratio: float
-    margin: float
-    passed: bool
     worst_at: Optional[tuple[float, float, float]]
+
+    @property
+    def margin(self) -> float:
+        return self.bound - self.worst_ratio
+
+    @property
+    def passed(self) -> bool:
+        return self.worst_at is not None and self.worst_ratio <= self.bound
 
 
 def _rhs_values(prob: FdeProblem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The rhs on arrays ``t`` and ``u`` of one shape: nodes, or probe rows."""
-    values = np.asarray(prob.rhs(t, u))
-    if values.dtype.kind not in "fiu":
-        # only integer and float kinds are real values: a float conversion
-        # would drop an imaginary part with only a warning and read a bool
-        # as 0 or 1, None as NaN and a datetime as its tick count
-        raise ValueError(f"rhs(t, u) must return real values, got dtype {values.dtype}")
-    values = values.astype(float, copy=False)
+    values = _real_array(prob.rhs(t, u), "rhs(t, u) must return real values, got dtype {dtype}")
     if values.shape == t.shape:
         return values
     try:
@@ -268,7 +280,7 @@ def lipschitz_check(
     for u, v in pairs:
         if not pointwise_leq(u, v):
             raise ValueError("pair is not ordered: need u <= v pointwise")
-    ts = np.asarray(t_samples, dtype=float)
+    ts = _real_array(t_samples, "t_samples must be real, got dtype {dtype}")
     lower = np.array([interpolate(u, ts) for u, _ in pairs])
     upper = np.array([interpolate(v, ts) for _, v in pairs])
     return _stacked_check(prob, ts, lower, upper)
@@ -287,7 +299,7 @@ def _stacked_check(
     bound = lipschitz_bound(prob)
     keep = upper != lower
     if not keep.any():
-        return LipschitzReport(bound, 0.0, bound, False, None)
+        return LipschitzReport(bound, 0.0, None)
     t = np.broadcast_to(t, lower.shape)
     high = _rhs_values(prob, t, upper)
     low = _rhs_values(prob, t, lower)
@@ -299,14 +311,7 @@ def _stacked_check(
         raise ArithmeticError(f"rhs difference not finite at t = {float(t[bad])!r}")
     ratio = np.abs(diff) / (upper - lower)
     k = int(np.argmax(ratio))
-    worst_ratio = float(ratio[k])
-    return LipschitzReport(
-        bound=bound,
-        worst_ratio=worst_ratio,
-        margin=bound - worst_ratio,
-        passed=worst_ratio <= bound,
-        worst_at=(float(t[k]), float(lower[k]), float(upper[k])),
-    )
+    return LipschitzReport(bound, float(ratio[k]), (float(t[k]), float(lower[k]), float(upper[k])))
 
 
 def apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:

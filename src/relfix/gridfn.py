@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -23,19 +23,34 @@ def _check_intervals(n_intervals: int, minimum: int) -> int:
     return n
 
 
+def _real_array(values: Any, message: str) -> np.ndarray:
+    """``values`` as a float array: numpy must read it with an integer or
+    float dtype, else :class:`ValueError` with ``message``, formatted with
+    the ``dtype`` read."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "fiu":
+        # only integer and float kinds are real values: a float conversion
+        # would drop an imaginary part with only a warning and read a bool
+        # as 0 or 1, a string as its number, None as NaN and a datetime as
+        # its tick count
+        raise ValueError(message.format(dtype=array.dtype))
+    return array.astype(float, copy=False)
+
+
 class GridFunction(Record):
     """Values on the uniform nodes t_j = j / n_intervals, j = 0..n_intervals.
 
     ``n_intervals``, an integer of at least 1, is stored as ``int``, and the
-    values are finite. Treated as immutable once built; comparisons and
-    arithmetic go through the module functions rather than operator overloads.
+    values are finite reals, read as floats. Treated as immutable once
+    built; comparisons and arithmetic go through the module functions
+    rather than operator overloads.
     """
 
     __slots__ = _fields = ("n_intervals", "values")
 
     def __init__(self, n_intervals: int, values: np.ndarray) -> None:
         n_intervals = _check_intervals(n_intervals, 1)
-        vals = np.asarray(values, dtype=float)
+        vals = _real_array(values, "node values must be real numbers, got dtype {dtype}")
         if vals.shape != (n_intervals + 1,):
             raise ValueError(f"need {n_intervals + 1} node values, got shape {vals.shape}")
         if not np.isfinite(vals).all():
@@ -56,7 +71,7 @@ class GridFunction(Record):
         cls, fn: Callable[[float], float], n_intervals: int = DEFAULT_INTERVALS
     ) -> "GridFunction":
         n = _check_intervals(n_intervals, 1)
-        return cls(n, np.array([float(fn(t)) for t in np.arange(n + 1) / n]))
+        return cls(n, [fn(t) for t in np.arange(n + 1) / n])
 
     @classmethod
     def zeros(cls, n_intervals: int = DEFAULT_INTERVALS) -> "GridFunction":
@@ -93,7 +108,7 @@ def interpolate(u: GridFunction, t: float | np.ndarray) -> float | np.ndarray:
 
     A scalar t gives a float, an array of t an array of the same shape.
     """
-    x = np.asarray(t, dtype=float)
+    x = _real_array(t, "t must be real, got dtype {dtype}")
     outside = ~((0.0 <= x) & (x <= 1.0))
     if outside.any():
         bad = x.flat[int(np.argmax(outside))]

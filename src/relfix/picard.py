@@ -34,22 +34,29 @@ class StoppingPolicy(FrozenRecord):
 
 
 class IterationTrace(NamedTuple):
-    """Record of one Picard run.
+    """Record of one Picard run, in tuples: what the run measured.
 
     ``residuals[k]`` is |g(iterates[k], iterates[k+1])|, so there is one
     residual per map application. ``certified`` is False when the start
-    point was not in the seed set (the run still proceeds). When a
-    contraction factor was supplied, ``bound_certificates[m]`` is the
-    a-priori bound on |g(r_m, r_n)| for every n > m.
+    point was not in the seed set (the run still proceeds). With a
+    contraction factor, ``bound_certificates[m]``, read off ``alpha_used``
+    and ``residuals[0]``, bounds |g(r_m, r_n)| for every n > m; else None.
     """
 
-    iterates: list[Any]
-    residuals: list[float]
+    iterates: tuple[Any, ...]
+    residuals: tuple[float, ...]
     alpha_used: Optional[float]
     preserved: bool
     converged: bool
     certified: bool
-    bound_certificates: Optional[list[float]] = None
+
+    @property
+    def bound_certificates(self) -> Optional[tuple[float, ...]]:
+        if self.alpha_used is None:
+            return None
+        return tuple(
+            a_priori_bound(self.alpha_used, self.residuals[0], m) for m in range(self.steps)
+        )
 
     @property
     def fixed_point(self) -> Any:
@@ -109,22 +116,13 @@ def iterate(
         current = nxt
 
     certified = bool(rel(iterates[0], iterates[1]))
-    preserved = is_preserving_sequence(rel, iterates)
-
-    certificates: Optional[list[float]] = None
-    if alpha is not None:
-        certificates = [
-            a_priori_bound(alpha, residuals[0], m) for m in range(len(residuals))
-        ]
-
     return IterationTrace(
-        iterates=iterates,
-        residuals=residuals,
+        iterates=tuple(iterates),
+        residuals=tuple(residuals),
         alpha_used=alpha,
-        preserved=preserved,
+        preserved=is_preserving_sequence(rel, iterates),
         converged=converged,
         certified=certified,
-        bound_certificates=certificates,
     )
 
 

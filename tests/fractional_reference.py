@@ -133,13 +133,7 @@ def interpolating_lipschitz_check(prob, t_samples, pairs) -> LipschitzReport:
         if ratio[k] > worst_ratio or worst_at is None:
             worst_ratio = float(ratio[k])
             worst_at = (float(t[k]), float(uv[k]), float(vv[k]))
-    return LipschitzReport(
-        bound=bound,
-        worst_ratio=worst_ratio,
-        margin=bound - worst_ratio,
-        passed=worst_at is not None and worst_ratio <= bound,
-        worst_at=worst_at,
-    )
+    return LipschitzReport(bound=bound, worst_ratio=worst_ratio, worst_at=worst_at)
 
 
 def default_probe_pairs(n_intervals: int) -> list[tuple[GridFunction, GridFunction]]:
@@ -232,10 +226,4 @@ def scalar_lipschitz_check(prob, t_samples, pairs) -> LipschitzReport:
             if ratio > worst_ratio or worst_at is None:
                 worst_ratio = float(ratio)
                 worst_at = (t, uv, vv)
-    return LipschitzReport(
-        bound=bound,
-        worst_ratio=worst_ratio,
-        margin=bound - worst_ratio,
-        passed=worst_at is not None and worst_ratio <= bound,
-        worst_at=worst_at,
-    )
+    return LipschitzReport(bound=bound, worst_ratio=worst_ratio, worst_at=worst_at)

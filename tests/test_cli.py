@@ -294,6 +294,19 @@ class TestSolveFdeCommand:
         assert capsys.readouterr().err == f"error: Gamma({argument}) is too large for a float\n"
         assert [str(w.message) for w in caught] == []
 
+    def test_overflowing_weights_are_one_error_line(self, capsys):
+        # m^zeta overflows in the weights from zeta = 112.8 on at N = 512:
+        # one named error line, and no numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.run(["solve-fde", "--zeta", "112"]) == 0
+            capsys.readouterr()
+            assert cli.run(["solve-fde", "--zeta", "120"]) == 1
+        assert capsys.readouterr().err == (
+            "error: quadrature weights for zeta=120.0 on 512 intervals overflow a float\n"
+        )
+        assert [str(w.message) for w in caught] == []
+
     def test_budget_too_small_is_an_error(self, capsys):
         code = cli.run(["solve-fde", "--grid", "64", "--max-iter", "0"])
         assert code == 1

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from relfix.fractional import (
     _stacked_check,
     ConvergenceFailure,
     FdeProblem,
+    LipschitzReport,
     apply_T,
     boundary_residuals,
     demo_problem,
@@ -66,6 +68,13 @@ def demo_solutions():
 
 
 class TestGamma:
+    @pytest.mark.parametrize("zeta", [200, 200.0], ids=["int", "float"])
+    def test_overflow_names_the_argument_as_a_float(self, zeta):
+        with pytest.raises(ValueError, match=r"^Gamma\(200\.0\) is too large for a float$"):
+            gamma(zeta)
+        with pytest.raises(ValueError, match=r"^Gamma\(200\.0\) is too large for a float$"):
+            FdeProblem(demo_rhs, zeta=zeta)
+
     @pytest.mark.parametrize("x_str,expected_str", sorted(GAMMA_TABLE.items()))
     def test_against_frozen_table(self, x_str, expected_str):
         x = float(x_str)
@@ -154,6 +163,19 @@ class TestQuadratureWeights:
     def test_parameter_domains(self, zeta, n):
         with pytest.raises(ValueError):
             quadrature_weights(zeta, n)
+
+    # m^zeta overflows above zeta = 709.78 / ln N - 1: each pair straddles it
+    @pytest.mark.parametrize(
+        "n, largest, refused", [(64, 169.6, 169.7), (512, 112.7, 112.8), (4096, 84.3, 84.4)]
+    )
+    def test_overflowing_weights_are_one_value_error(self, n, largest, refused):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = quadrature_weights(largest, n)
+            assert all(np.isfinite(x).all() for x in (w.start, w.band, w.band_spectrum))
+            message = f"^quadrature weights for zeta={refused} on {n} intervals overflow a float$"
+            with pytest.raises(ValueError, match=message):
+                quadrature_weights(refused, n)
 
 
 class TestPowerRule:
@@ -296,6 +318,16 @@ class TestLipschitz:
         assert report.worst_ratio == 0.0
         assert report.margin == report.bound
         assert not report.passed
+
+    def test_margin_and_verdict_are_read_off_the_measurement(self):
+        assert LipschitzReport._fields == ("bound", "worst_ratio", "worst_at")
+        fits = LipschitzReport(1.0, 0.25, (0.5, 0.0, 1.0))
+        assert (fits.margin, fits.passed) == (0.75, True)
+        over = fits._replace(worst_ratio=1.5)
+        assert (over.margin, over.passed) == (-0.5, False)
+        # nothing sampled: the full margin, and no pass
+        empty = LipschitzReport(1.0, 0.0, None)
+        assert (empty.margin, empty.passed) == (1.0, False)
 
     def test_no_samples_does_not_pass(self):
         prob = demo_problem(64)

@@ -7,6 +7,10 @@ number, or a fractional number where an integer is needed raises
 number gives the same result as the Python number, and a numpy integer is
 stored as ``int``.
 
+An array parameter (grid values, sample points, rhs results) follows
+the same rule through ``gridfn._real_array``: numpy must read it with an
+integer or float dtype.
+
 Row ids ending in ``-new`` fail without the rule: a bad value was accepted
 (a bool read as 0 or 1, an unchecked float) or raised ``TypeError`` from
 deep inside, or a numpy integer was refused or stored as a numpy scalar.
@@ -29,8 +33,10 @@ from relfix.finite_oracle import (
     hypotheses_hold,
     run_oracle,
 )
-from relfix.fractional import FdeProblem, demo_rhs, gamma, quadrature_weights
-from relfix.gridfn import GridFunction
+from relfix.fractional import (
+    FdeProblem, apply_T, demo_problem, demo_rhs, gamma, lipschitz_check, quadrature_weights,
+)
+from relfix.gridfn import GridFunction, interpolate
 from relfix.gspace import relation_pattern_report, verify_g_properties
 from relfix.picard import StoppingPolicy, a_priori_bound, iterate
 from relfix.relations import FiniteRelation, is_connected, seed_set, universal_view
@@ -225,6 +231,52 @@ def test_rules_keep_or_convert_the_value():
     assert real(0.0, "", at_least=0.0) == 0.0
     with pytest.raises(ValueError, match="^not above$"):
         real(0.0, "not above", above=0.0)
+
+
+# the array half of the rule: (site, the call on one element value, the
+# site's message, the labels of the rows that fail without the rule)
+ARRAY_BAD = [True, "0.5", None, 1 + 0j, np.datetime64("2020-01-01")]
+LABELS = ["True", "'0.5'", "None", "complex", "datetime"]
+LINE = GridFunction(1, [0.0, 2.0])
+PROBE = demo_problem(8)
+PAIRS = [(GridFunction.zeros(8), GridFunction(8, np.ones(9)))]
+
+
+def rhs_step(value):
+    return apply_T(GridFunction.zeros(8), FdeProblem(lambda t, u: value, n_intervals=8))
+
+
+ARRAY_SITES = [
+    ("GridFunction-values", lambda v: GridFunction(1, [v, v]),
+     "node values must be real numbers, got dtype ", LABELS),
+    ("GridFunction.from_callable", lambda v: GridFunction.from_callable(lambda t: v, 2),
+     "node values must be real numbers, got dtype ", LABELS),
+    ("interpolate-t", lambda v: interpolate(LINE, v), "t must be real, got dtype ", LABELS),
+    ("lipschitz_check-t_samples", lambda v: lipschitz_check(PROBE, [v, v], PAIRS),
+     "t_samples must be real, got dtype ", LABELS),
+    ("rhs-values", rhs_step, "rhs(t, u) must return real values, got dtype ", ()),
+]
+
+ARRAY_ROWS = [
+    pytest.param(call, value, message, id=f"{site}-{label}" + ("-new" if label in new else ""))
+    for site, call, message, new in ARRAY_SITES
+    for value, label in zip(ARRAY_BAD, LABELS)
+]
+
+
+@pytest.mark.parametrize("call, value, message", ARRAY_ROWS)
+def test_array_of_non_reals_raises_the_sites_value_error(call, value, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "call", [call for _, call, *_ in ARRAY_SITES], ids=[site for site, *_ in ARRAY_SITES]
+)
+def test_array_of_numpy_numbers_gives_the_python_result(call):
+    for numpy_type in (np.int64, np.uint8, np.float32, np.float64):
+        assert call(numpy_type(1)) == call(1), numpy_type
+    assert call(np.float64(0.5)) == call(0.5)
 
 
 def test_from_callable_with_no_intervals_warns_nothing():

@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
+from relfix.demos import example1_run
 from relfix.picard import (
+    IterationTrace,
     StoppingPolicy,
     a_priori_bound,
     iterate,
@@ -20,8 +22,8 @@ class TestIterate:
     def test_instant_convergence(self):
         trace = iterate(lambda x: 0.0, ABS_DIFF, universal_view(), 0.0)
         assert trace.converged
-        assert trace.iterates == [0.0, 0.0]
-        assert trace.residuals == [0.0]
+        assert trace.iterates == (0.0, 0.0)
+        assert trace.residuals == (0.0,)
         assert trace.steps == 1
         assert trace.fixed_point == 0.0
 
@@ -81,7 +83,7 @@ class TestIterate:
     )
     def test_audits_on_any_relation_predicate(self, smap, rel, g):
         trace = iterate(smap, g, rel, 1)
-        assert trace.iterates == [1, 0, 0]
+        assert trace.iterates == (1, 0, 0)
         assert trace.certified is True
         assert trace.preserved is True
 
@@ -101,6 +103,36 @@ class TestIterate:
     def test_overflow_aborts_with_step_index(self):
         with pytest.raises(ArithmeticError, match="diverged at step 1"):
             iterate(lambda x: x * 1e200, ABS_DIFF, universal_view(), 1.0)
+
+
+class TestTraceRecord:
+    def test_a_trace_cannot_be_edited_after_its_run(self):
+        trace = example1_run(n=3)
+        with pytest.raises(AttributeError):
+            trace.residuals.append(9.0)
+        with pytest.raises(AttributeError):
+            trace.iterates.append(trace.fixed_point)
+        assert trace.steps == len(trace.bound_certificates) == 3
+
+    def test_certificates_are_read_off_the_first_residual(self):
+        trace = example1_run(n=4)
+        assert trace.bound_certificates == tuple(
+            a_priori_bound(0.25, trace.residuals[0], m) for m in range(4)
+        )
+        assert trace._replace(alpha_used=None).bound_certificates is None
+        # a replaced run re-derives its certificates
+        edited = trace._replace(residuals=(2.0, 0.5))
+        assert edited.bound_certificates == tuple(a_priori_bound(0.25, 2.0, m) for m in (0, 1))
+
+    def test_certificates_are_not_a_field(self):
+        trace = example1_run(n=2)
+        assert IterationTrace._fields == (
+            "iterates", "residuals", "alpha_used", "preserved", "converged", "certified"
+        )
+        with pytest.raises(TypeError):
+            IterationTrace(*trace, trace.bound_certificates)
+        with pytest.raises(ValueError):
+            trace._replace(bound_certificates=(1.0, 1.0))
 
 
 class TestAPrioriBound:
@@ -175,7 +207,7 @@ class TestStoppingPolicy:
         # not below a zero tolerance
         policy = StoppingPolicy(residual_tol=0.0, max_iterations=5)
         trace = iterate(lambda x: 0.0, ABS_DIFF, universal_view(), 1.0, policy)
-        assert trace.residuals == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert trace.residuals == (1.0, 0.0, 0.0, 0.0, 0.0)
         assert not trace.converged
 
     @pytest.mark.parametrize("steps", [2.5, 3.0, True, False, "10", None])
