@@ -4,11 +4,11 @@ A record that validates its input is a :class:`FrozenRecord`; a plain
 result, built from values an engine computed, is a ``typing.NamedTuple``.
 The mutable :class:`Record` is kept only for the two records filled in
 after construction: ``SweepResult``, the tallies ``run_oracle`` fills in,
-and ``FiniteInstance``, whose ``alpha`` the test-only reference
-enumeration sets on millions of instances, where a frozen constructor
-costs about 1 µs more each. ``GridFunction``, built once per Picard step,
-is a ``Record`` for speed alone and treated as immutable; the computed
-``QuadratureWeights`` is a ``FrozenRecord`` so that ``vars()`` lists it.
+and ``FiniteInstance``, whose ``alpha`` the test-only reference sets once
+it has decided the instance (its ``Pair`` is frozen). ``GridFunction``,
+built once per Picard step, is a ``Record`` for speed alone and treated
+as immutable; the computed ``QuadratureWeights`` is a ``FrozenRecord`` so
+that ``vars()`` lists it.
 
 A record lists its fields in ``_fields`` and gets a field-wise ``==`` and a
 ``Name(field=value, ...)`` repr. Plain classes cost next to nothing to

@@ -2,10 +2,10 @@
 
 Instances are tiny carriers {0, ..., n-1}, n the ground size of an explicit
 relation, with an integer pair matrix standing in for the g-functional and
-a self-map given as an index array. The verdicts that read no g entry take
-the :class:`Pair` of relation and self-map; a wrong ``n``, a g that is not n
-by n, a g entry that is not an integer or a map that is not a self-map
-raises :class:`ValueError`. The checker enumerates instances
+a self-map given as an index array. An instance holds the :class:`Pair` of
+relation and self-map, which the verdicts that read no g entry take; a map
+that is not a self-map, a g that is not n by n or a g entry that is not an
+integer raises :class:`ValueError`. The checker enumerates instances
 deterministically, tests every hypothesis of the fixed-point claim
 mechanically, and verifies the conclusion (a fixed point exists and every
 seeded orbit reaches one within n steps). Any instance
@@ -87,34 +87,26 @@ class Pair(FrozenRecord):
 
 
 class FiniteInstance(Record):
-    """One model-check instance; treated as immutable once enumerated."""
+    """One model-check instance: a checked :class:`Pair` and a g matrix."""
 
-    __slots__ = _fields = ("g_matrix", "rel", "mapping", "alpha", "index")
+    __slots__ = _fields = ("pair", "g_matrix", "alpha", "index")
 
     def __init__(
         self,
-        n: int,
+        pair: Pair,
         g_matrix: tuple[tuple[int, ...], ...],
-        rel: FiniteRelation,
-        mapping: tuple[int, ...],
         alpha: Optional[Fraction] = None,
         index: int = -1,
     ) -> None:
-        if n != rel.ground_size:
-            raise ValueError(f"n = {n!r} is not the relation's ground size {rel.ground_size}")
-        if type(n) is not int:  # the enumeration passes ints and skips the rule
-            integer(n, "n must be an integer, got {value!r}")
+        self.pair = pair
         self.g_matrix = g_matrix
-        self.rel = rel
-        self.mapping = mapping
         self.alpha = alpha
         self.index = index
 
-    n = Pair.n  # the relation's ground size, read as for a pair
-
-    @property
-    def pair(self) -> Pair:
-        return Pair(self.rel, self.mapping)
+    # read through the pair
+    rel = property(lambda self: self.pair.rel)
+    mapping = property(lambda self: self.pair.mapping)
+    n = property(lambda self: self.pair.n)
 
     def to_json_dict(self) -> dict:
         doc = {"index": self.index, "n": self.n, **self.pair.to_json_dict()}
@@ -141,7 +133,7 @@ class FiniteInstance(Record):
                 raise ValueError(f"instance JSON lacks the {key!r} key")
         n = _json_int(doc["n"], "n")
         pairs = [_json_ints(p, 2, "pair") for p in _json_list(doc["pairs"], "pairs")]
-        pair = Pair(FiniteRelation.from_pairs(n, pairs), _json_ints(doc["map"], n, "map"))
+        pair = Pair(FiniteRelation(n, pairs), _json_ints(doc["map"], n, "map"))
         rows = _json_list(doc["g"], "g")
         if len(rows) != n:
             raise ValueError(f"g must have {n} rows")
@@ -159,7 +151,7 @@ class FiniteInstance(Record):
                 raise ValueError(f"alpha must be null or one of {grid}, got {alpha!r}")
             alpha = value
         index = _json_int(doc.get("index", -1), "index")
-        return cls(n, g_matrix, pair.rel, pair.mapping, alpha, index)
+        return cls(pair, g_matrix, alpha, index)
 
 
 def _json_int(value: object, what: str) -> int:
@@ -234,8 +226,9 @@ def enumerate_instances(
     index = 0
     for rel in _relations(n, rel_count_cap):
         for mapping in maps:
+            pair = Pair(rel, mapping)
             for g_matrix in product(row_choices, repeat=n):
-                yield FiniteInstance(n, g_matrix, rel, mapping, None, index)
+                yield FiniteInstance(pair, g_matrix, None, index)
                 index += 1
 
 
@@ -243,19 +236,19 @@ def fixed_points(pair: Pair) -> list[int]:
     return [i for i, m in enumerate(pair.mapping) if m == i]
 
 
-def _checked_g(inst: FiniteInstance) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The instance's map and g, each entry an ``int``; a bad map, a g that is
-    not n by n or a non-integer entry (NaN, inf, a bool) raises ValueError."""
-    pair, g, n = inst.pair, inst.g_matrix, inst.n  # building the pair checks the map
+def _checked_g(inst: FiniteInstance) -> tuple[tuple[int, ...], ...]:
+    """The instance's g, each entry an ``int``; a g that is not n by n or a
+    non-integer entry (NaN, inf, a bool) raises ValueError."""
+    g, n = inst.g_matrix, inst.n
     if len(g) != n or any(len(row) != n for row in g):
         raise ValueError(f"g must be {n} by {n}")
     entry = "g entry must be an integer, got {value!r}"
-    return pair.mapping, tuple([tuple([integer(v, entry) for v in row]) for row in g])
+    return tuple([tuple([integer(v, entry) for v in row]) for row in g])
 
 
 def contraction_alpha(inst: FiniteInstance) -> Optional[Fraction]:
     """Smallest grid factor under which every related pair contracts."""
-    (m, g), n = _checked_g(inst), inst.n
+    g, n, m = _checked_g(inst), inst.n, inst.mapping
     mag = [abs(v) for row in g for v in row]
     return _smallest_alpha([(m[r] * n + m[s], r * n + s) for r, s in inst.rel.sorted_pairs], mag)
 
@@ -369,13 +362,13 @@ def hypotheses_hold(inst: FiniteInstance) -> tuple[bool, str]:
     triangle property on triples (r, u, t) with (r, u) and (t, u) both
     related; then closedness of the relation under the map, a nonempty seed
     set, and contraction on related pairs for some grid factor. The reason
-    names the first failing hypothesis and its first witness. A map that
-    is not a self-map, a g that is not n by n or a g entry that is not an
-    integer raises :class:`ValueError`.
+    names the first failing hypothesis and its first witness. A g that is
+    not n by n or has an entry that is not an integer raises
+    :class:`ValueError`.
     """
-    mapping, g = _checked_g(inst)
+    g = _checked_g(inst)
     pat = _patterns(inst.rel)
-    return _check_hypotheses(pat, _pair_checks(pat, *_map_cells(pat.n, mapping)), g)[:2]
+    return _check_hypotheses(pat, _pair_checks(pat, *_map_cells(pat.n, inst.mapping)), g)[:2]
 
 
 def _check_hypotheses(
@@ -566,7 +559,7 @@ def _sweep_relation(
                 raise RuntimeError(f"instance {first + offset} misclassified: {reason}")
             found.append((offset, g, reason, alpha))
         offset, g, reason, alpha = min(found)
-        inst = FiniteInstance(n, g, rel, mapping, alpha, first + offset)
+        inst = FiniteInstance(pair, g, alpha, first + offset)
         doc = {**inst.to_json_dict(), "instances": satisfied}
         if not concludes:
             res.counterexamples.append({**doc, "reason": reason})

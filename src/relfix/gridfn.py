@@ -24,9 +24,9 @@ def _check_intervals(n_intervals: int, minimum: int) -> int:
 
 
 def _real_array(values: Any, message: str) -> np.ndarray:
-    """``values`` as a float array: numpy must read it with an integer or
-    float dtype, else :class:`ValueError` with ``message``, formatted with
-    the ``dtype`` read."""
+    """``values`` as a float array: numpy must read it, and each element of
+    a list or tuple, with an integer or float dtype, else
+    :class:`ValueError` with ``message``, formatted with the ``dtype`` read."""
     array = np.asarray(values)
     if array.dtype.kind not in "fiu":
         # only integer and float kinds are real values: a float conversion
@@ -34,6 +34,12 @@ def _real_array(values: Any, message: str) -> np.ndarray:
         # as 0 or 1, a string as its number, None as NaN and a datetime as
         # its tick count
         raise ValueError(message.format(dtype=array.dtype))
+    if isinstance(values, (list, tuple)):
+        # numpy reads a list that mixes bools with floats as floats
+        for value in np.asarray(values, dtype=object).flat:
+            dtype = np.asarray(value).dtype
+            if dtype.kind not in "fiu":
+                raise ValueError(message.format(dtype=dtype))
     return array.astype(float, copy=False)
 
 

@@ -3,9 +3,9 @@
 The engine repeatedly applies a self-map, records the g-residual of every
 step, audits whether consecutive iterates stay inside the declared relation,
 and (when a contraction factor is supplied) attaches the geometric a-priori
-bound alpha^m / (1 - alpha) * |g(r0, r1)| to every step. The self-map is
-any callable ``smap(x)``, the g-functional any callable ``g(a, b)`` and
-the relation any predicate ``rel(a, b)``.
+bound alpha^m / (1 - alpha) * |g(r0, r1)| on the residual tail to every
+step. The self-map is any callable ``smap(x)``, the g-functional any
+callable ``g(a, b)`` and the relation any predicate ``rel(a, b)``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,13 @@ class IterationTrace(NamedTuple):
     ``residuals[k]`` is |g(iterates[k], iterates[k+1])|, so there is one
     residual per map application. ``certified`` is False when the start
     point was not in the seed set (the run still proceeds). With a
-    contraction factor, ``bound_certificates[m]``, read off ``alpha_used``
-    and ``residuals[0]``, bounds |g(r_m, r_n)| for every n > m; else None.
+    contraction factor, ``bound_certificates[m]`` is read off ``alpha_used``
+    and ``residuals[0]``; else None. Once each residual is at most
+    ``alpha_used`` times the one before, it bounds the residual tail
+    residuals[m] + residuals[m+1] + ..., and so |g(r_m, r_n)| for n > m
+    only where |g| obeys the triangle inequality along the orbit: every
+    metric does, as do the plane scenarios and the solver's sup norm, but
+    a finite g-space need not (see the README).
     """
 
     iterates: tuple[Any, ...]
@@ -70,8 +75,9 @@ class IterationTrace(NamedTuple):
 def a_priori_bound(alpha: float, g01: float, m: int) -> float:
     """Geometric tail bound alpha^m / (1 - alpha) * g01.
 
-    Dominates |g(r_m, r_n)| for every n > m once the per-step residual
-    contracts by alpha.
+    Dominates the residual tail r_m + r_(m+1) + ... once the per-step
+    residual contracts by alpha, and so |g(r_m, r_n)| for every n > m where
+    |g| obeys the triangle inequality along the orbit.
     """
     real(alpha, "alpha must lie in (0, 1)", above=0.0, below=1.0)
     real(g01, "g01 is an absolute residual, must be finite and >= 0", at_least=0.0)

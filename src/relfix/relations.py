@@ -24,18 +24,19 @@ class FiniteRelation(FrozenRecord):
     """Explicit binary relation on the ground set ``{0, ..., ground_size-1}``.
 
     Calling it as ``rel(a, b)`` tests ``(a, b) in rel.pairs``, so it serves
-    wherever a relation predicate is taken. ``ground_size`` and each index
-    are integers, stored as ``int`` (numpy integers pass); a bool, a
-    non-integral value, a negative ``ground_size`` or an index outside the
-    ground set raises :class:`ValueError`. Immutable; ``==``
-    and the hash read ``ground_size`` and ``pairs`` only.
+    wherever a relation predicate is taken. ``pairs`` is any iterable of
+    index pairs. ``ground_size`` and each index are integers, stored as
+    ``int`` (numpy integers pass); a bool, a non-integral value, a negative
+    ``ground_size`` or an index outside the ground set raises
+    :class:`ValueError`. Immutable; ``==`` and the hash read
+    ``ground_size`` and ``pairs`` only.
     """
 
     _fields = ("ground_size", "pairs")
     # sorted copy, shared by every scan so violation reports are deterministic
     __slots__ = (*_fields, "sorted_pairs")
 
-    def __init__(self, ground_size: int, pairs: frozenset[tuple[int, int]]) -> None:
+    def __init__(self, ground_size: int, pairs: Iterable[tuple[int, int]]) -> None:
         ground_size = integer(ground_size, "ground_size must be an integer, got {value!r}")
         if ground_size < 0:
             raise ValueError("ground_size must be nonnegative")
@@ -46,12 +47,6 @@ class FiniteRelation(FrozenRecord):
                 raise ValueError(f"pair {(r, s)} outside ground set")
         super().__init__(ground_size, pairs)
         object.__setattr__(self, "sorted_pairs", tuple(sorted(pairs)))
-
-    @classmethod
-    def from_pairs(
-        cls, ground_size: int, pairs: Iterable[tuple[int, int]]
-    ) -> "FiniteRelation":
-        return cls(ground_size, frozenset((r, s) for r, s in pairs))
 
     def __call__(self, a: Any, b: Any) -> bool:
         return (a, b) in self.pairs

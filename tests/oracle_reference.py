@@ -285,7 +285,7 @@ def sweep_pair(res: SweepResult, rel: FiniteRelation, mapping: tuple[int, ...], 
     if key != 6:
         reason = finite_oracle._REASONS[key].format(*witness)
         raise RuntimeError(f"instance {index} misclassified: {reason}")
-    inst = FiniteInstance(n, g, rel, mapping, None, index)
+    inst = FiniteInstance(pair, g, None, index)
     inst.alpha = reference_alpha(inst)
     doc = {**inst.to_json_dict(), "instances": satisfied}
     reason = finite_oracle._REASONS[key].format(inst.alpha)
@@ -418,7 +418,7 @@ def materialise(
     first_index: int,
 ) -> Iterator[FiniteInstance]:
     """Every instance of one pair whose touched entries take one of ``codes``."""
-    n = rel.ground_size
+    n, pair = rel.ground_size, Pair(rel, mapping)
     k = 2 * g_max + 1
     code_weights = place_values(len(cells), k)
     total = k ** (n * n)
@@ -429,4 +429,4 @@ def materialise(
         matrices = (entries[:, hit] - g_max).T.reshape(-1, n, n)
         for offset, g in zip(offsets[hit].tolist(), matrices.tolist()):
             g_matrix = tuple(tuple(row) for row in g)
-            yield FiniteInstance(n, g_matrix, rel, mapping, None, first_index + offset)
+            yield FiniteInstance(pair, g_matrix, None, first_index + offset)

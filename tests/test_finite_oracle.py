@@ -39,12 +39,7 @@ from relfix.relations import FiniteRelation, seed_set
 
 
 def mk(n, pairs, mapping, g):
-    return FiniteInstance(
-        n=n,
-        g_matrix=tuple(tuple(row) for row in g),
-        rel=FiniteRelation.from_pairs(n, pairs),
-        mapping=tuple(mapping),
-    )
+    return FiniteInstance(Pair(FiniteRelation(n, pairs), mapping), tuple(tuple(row) for row in g))
 
 
 class TestEnumeration:
@@ -159,11 +154,9 @@ class TestHypothesisReasons:
     @pytest.mark.parametrize("mapping", [(0, 2), (0, -1), (0, 0, 1), (0,)], ids=str)
     def test_map_outside_the_ground_set(self, mapping):
         # the closedness test reads image cells m(r)*n + m(s), which such a
-        # map would alias to other cells
-        inst = mk(2, [(0, 0), (0, 1), (1, 0)], (0, 0), [[0, 1], [1, 0]])
-        inst.mapping = mapping
+        # map would alias to other cells; no instance can hold one
         with pytest.raises(ValueError, match="map must send each of 0..1"):
-            hypotheses_hold(inst)
+            mk(2, [(0, 0), (0, 1), (1, 0)], mapping, [[0, 1], [1, 0]])
 
     def test_contraction_grid_is_fixed(self):
         assert ALPHA_GRID == (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
@@ -223,19 +216,13 @@ class TestImageConnectivity:
 
 
 class TestShapeChecks:
-    """An instance's n, its g shape and its map are each checked in one place."""
+    """An instance's g shape and its map are each checked in one place."""
 
-    def test_n_must_be_the_relation_ground_size(self):
-        # hypotheses_hold would read this instance's g on a 3-point grid
-        # while the relation's cells lie on a 2-point one
-        rel = FiniteRelation(2, {(0, 0), (1, 0)})
-        with pytest.raises(ValueError, match="n = 3 is not the relation's ground size 2"):
-            FiniteInstance(3, ((0, 1, 5), (1, 0, 5), (5, 5, 5)), rel, (0, 0))
-
-    def test_n_and_pair_are_derived(self):
+    def test_rel_mapping_and_n_are_read_through_the_pair(self):
         inst = mk(3, [(0, 1)], (1, 1, 0), [[0] * 3] * 3)
         assert inst.n == inst.pair.n == 3
-        assert inst.pair == Pair(inst.rel, [1, 1, 0])
+        assert (inst.rel, inst.mapping) == (inst.pair.rel, inst.pair.mapping)
+        assert inst.pair == Pair(FiniteRelation(3, {(0, 1)}), [1, 1, 0])
         assert Pair(inst.rel, (1, 1, 0)).to_json_dict() == {"pairs": [[0, 1]], "map": [1, 1, 0]}
 
     @pytest.mark.parametrize(
@@ -244,7 +231,7 @@ class TestShapeChecks:
         ids=["3x3", "1x2", "ragged", "2x3"],
     )
     def test_g_must_be_n_by_n(self, g):
-        inst = FiniteInstance(2, g, FiniteRelation(2, {(0, 1), (1, 0)}), (1, 0))
+        inst = FiniteInstance(Pair(FiniteRelation(2, {(0, 1), (1, 0)}), (1, 0)), g)
         with pytest.raises(ValueError, match="g must be 2 by 2"):
             hypotheses_hold(inst)
 
@@ -252,7 +239,7 @@ class TestShapeChecks:
     def test_g_entries_must_be_integers(self, entry):
         # a NaN or inf entry compares false both ways, so unchecked it would
         # pass g1 and contraction vacuously; 5 in its place fails contraction
-        inst = FiniteInstance(2, ((entry, 1), (1, 1)), FiniteRelation(2, {(0, 0)}), (0, 0))
+        inst = FiniteInstance(Pair(FiniteRelation(2, {(0, 0)}), (0, 0)), ((entry, 1), (1, 1)))
         for verdict in (hypotheses_hold, contraction_alpha):
             with pytest.raises(ValueError, match="g entry must be an integer"):
                 verdict(inst)
@@ -267,13 +254,6 @@ class TestShapeChecks:
         match = f"map must send each of 0..{n - 1} into the ground set"
         with pytest.raises(ValueError, match=match):
             Pair(rel, mapping)
-        # the instance itself is built unchecked; its pair is not
-        inst = FiniteInstance(n, ((0,) * n,) * n, rel, mapping)
-        for verdict in (fixed_points, conclusion_holds, image_symmetric_connected):
-            with pytest.raises(ValueError, match=match):
-                verdict(inst.pair)
-        with pytest.raises(ValueError, match=match):
-            inst.to_json_dict()
 
 
 def naive_hypotheses(inst):
@@ -474,11 +454,12 @@ def pair_reports(n, g_max, mask, map_no):
     spec = SweepSpec(n, g_max, None)
     maps = list(product(range(n), repeat=n))
     rel, mapping = relation_of(n, mask), maps[map_no]
+    pair = Pair(rel, mapping)
     matrices = product(product(range(-g_max, g_max + 1), repeat=n), repeat=n)
     first = (mask * len(maps) + map_no) * (2 * g_max + 1) ** (n * n)
     expected = sweep_instances(
         SweepResult(spec),
-        (FiniteInstance(n, g, rel, mapping, None, first + k) for k, g in enumerate(matrices)),
+        (FiniteInstance(pair, g, None, first + k) for k, g in enumerate(matrices)),
     )
     got = SweepResult(spec)
     sweep_one_pair(got, rel, mapping, first)
@@ -809,7 +790,7 @@ def test_listed_instances_serialise_like_to_json_dict(monkeypatch):
     assert len(res.counterexamples) == len(res.uniqueness_violations) == 1
     for listed, violation in zip(res.counterexamples, res.uniqueness_violations):
         g = tuple(tuple(row) for row in listed["g"])
-        inst = FiniteInstance(n, g, rel, mapping, Fraction(listed["alpha"]), listed["index"])
+        inst = FiniteInstance(Pair(rel, mapping), g, Fraction(listed["alpha"]), listed["index"])
         ok, reason = hypotheses_hold(inst)
         assert ok
         own = {

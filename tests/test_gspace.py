@@ -59,7 +59,7 @@ class TestGlobalScan:
         report = verify_g_properties(g, samples)
         assert report.g3_witness == (0, 2, 1)
 
-        report = relation_pattern_report(g, FiniteRelation.from_pairs(3, [(0, 1)]), samples)
+        report = relation_pattern_report(g, FiniteRelation(3, [(0, 1)]), samples)
         assert report.g3_witness is None
         assert report.passed
 
@@ -116,7 +116,7 @@ NAN = math.nan
         (
             relation_pattern_report,
             {(0, 0): 0.0, (0, 1): 1.0},
-            FiniteRelation.from_pairs(2, [(0, 1)]),
+            FiniteRelation(2, [(0, 1)]),
             [0, 1],
         ),
     ],
@@ -209,7 +209,7 @@ def squared_gap(a, b):
 
 @pytest.mark.parametrize(
     "rel",
-    [FiniteRelation.from_pairs(3, LESS), lambda a, b: a < b, np.less],
+    [FiniteRelation(3, LESS), lambda a, b: a < b, np.less],
     ids=["finite-relation", "lambda", "numpy-ufunc"],
 )
 def test_any_relation_predicate_drives_the_scans(rel):

@@ -8,8 +8,8 @@ number gives the same result as the Python number, and a numpy integer is
 stored as ``int``.
 
 An array parameter (grid values, sample points, rhs results) follows
-the same rule through ``gridfn._real_array``: numpy must read it with an
-integer or float dtype.
+the same rule through ``gridfn._real_array``: numpy must read it, and
+each element of a list or tuple, with an integer or float dtype.
 
 Row ids ending in ``-new`` fail without the rule: a bad value was accepted
 (a bool read as 0 or 1, an unchecked float) or raised ``TypeError`` from
@@ -75,7 +75,7 @@ SITES = [
     ("FiniteRelation-index", INT, 1, lambda v: FiniteRelation(2, {(v, 0)}),
      "relation index must be an integer, got ", ()),
     ("hypotheses_hold-g", INT, 1,
-     lambda v: hypotheses_hold(FiniteInstance(2, ((0, v), (1, 0)), REL, (0, 0))),
+     lambda v: hypotheses_hold(FiniteInstance(Pair(REL, (0, 0)), ((0, v), (1, 0)))),
      "g entry must be an integer, got ", ()),
     ("from_json_dict-index", INT, 7,
      lambda v: FiniteInstance.from_json_dict({**DOC, "index": v}),
@@ -201,19 +201,12 @@ def test_slice_out_of_range_keeps_the_ranges_message(spec, message):
         report(spec)
 
 
-# these fail without the rule: True and 2.0 equal the ground size
-@pytest.mark.parametrize(
-    "n, rel", [(True, FiniteRelation(1, {(0, 0)})), (2.0, REL)], ids=["True-new", "2.0-new"]
-)
-def test_finite_instance_n_must_be_an_integer(n, rel):
-    g = tuple((0,) * rel.ground_size for _ in range(rel.ground_size))
-    with pytest.raises(ValueError, match="^n must be an integer, got "):
-        FiniteInstance(n, g, rel, (0,) * rel.ground_size)
-
-
-def test_finite_instance_n_may_be_a_numpy_integer():
-    inst = FiniteInstance(np.int64(2), ((0, 1), (1, 0)), REL, (0, 0))
-    assert hypotheses_hold(inst) == hypotheses_hold(FiniteInstance(2, ((0, 1), (1, 0)), REL, (0, 0)))
+def test_instance_ground_size_may_be_a_numpy_integer():
+    rel = FiniteRelation(np.int64(2), REL.pairs)
+    assert type(rel.ground_size) is int and rel == REL
+    g = ((0, 1), (1, 0))
+    inst = FiniteInstance(Pair(rel, (0, 0)), g)
+    assert hypotheses_hold(inst) == hypotheses_hold(FiniteInstance(Pair(REL, (0, 0)), g))
 
 
 @pytest.mark.parametrize("rule", [integer, real])
@@ -268,6 +261,42 @@ ARRAY_ROWS = [
 def test_array_of_non_reals_raises_the_sites_value_error(call, value, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         call(value)
+
+
+# a list or tuple that mixes a bool with reals, which numpy reads as floats:
+# (site, the call on such a sequence, the site's message)
+MIXED_SITES = [
+    ("GridFunction-values", lambda seq: GridFunction(1, seq),
+     "node values must be real numbers, got dtype "),
+    ("GridFunction.from_callable", lambda seq: GridFunction.from_callable(
+        lambda t: seq[int(t)], 1), "node values must be real numbers, got dtype "),
+    ("interpolate-t", lambda seq: interpolate(LINE, seq), "t must be real, got dtype "),
+    ("lipschitz_check-t_samples", lambda seq: lipschitz_check(PROBE, seq, PAIRS),
+     "t_samples must be real, got dtype "),
+]
+MIXED = {
+    "list-True": [True, 0.5],
+    "tuple-numpy-True": (0.5, np.True_),
+    "nested-False": [[0.5], [False]],
+}
+
+
+@pytest.mark.parametrize("seq", list(MIXED.values()), ids=[f"{k}-new" for k in MIXED])
+@pytest.mark.parametrize(
+    "call, message", [site[1:] for site in MIXED_SITES], ids=[site[0] for site in MIXED_SITES]
+)
+def test_sequence_mixing_a_bool_with_reals_raises(call, message, seq):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "bool$"):
+        call(seq)
+
+
+@pytest.mark.parametrize(
+    "call", [site[1] for site in MIXED_SITES], ids=[site[0] for site in MIXED_SITES]
+)
+def test_sequence_of_mixed_real_types_passes(call):
+    mixed = [np.float64(0.25), 1]
+    assert np.all(call(mixed) == call([0.25, 1.0]))
+    assert np.all(call(tuple(mixed)) == call(np.array([0.25, 1.0])))
 
 
 @pytest.mark.parametrize(

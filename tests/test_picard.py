@@ -1,10 +1,15 @@
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
+from relfix import cli
 from relfix.demos import example1_run
+from relfix.finite_oracle import (
+    FiniteInstance, conclusion_holds, contraction_alpha, enumerate_instances, hypotheses_hold,
+)
 from relfix.picard import (
     IterationTrace,
     StoppingPolicy,
@@ -12,7 +17,7 @@ from relfix.picard import (
     iterate,
     trace_to_csv,
 )
-from relfix.relations import FiniteRelation, universal_view
+from relfix.relations import FiniteRelation, seed_set, universal_view
 
 ABS_DIFF = lambda a, b: abs(a - b)
 PAIRS = {(1, 0), (0, 0)}
@@ -74,10 +79,10 @@ class TestIterate:
     @pytest.mark.parametrize(
         "smap, rel, g",
         [
-            (lambda i: 0, FiniteRelation.from_pairs(2, PAIRS), ABS_DIFF),
+            (lambda i: 0, FiniteRelation(2, PAIRS), ABS_DIFF),
             ((0, 0).__getitem__, lambda a, b: (a, b) in PAIRS, ABS_DIFF),
             ((0, 0).__getitem__, lambda a, b: np.bool_((a, b) in PAIRS), ABS_DIFF),
-            (lambda i: 0, FiniteRelation.from_pairs(2, PAIRS), lambda a, b: abs(a - b)),
+            (lambda i: 0, FiniteRelation(2, PAIRS), lambda a, b: abs(a - b)),
         ],
         ids=["finite-relation", "bound-method-map", "numpy-bool", "plain-function-g"],
     )
@@ -214,3 +219,60 @@ class TestStoppingPolicy:
     def test_step_budget_must_be_an_int(self, steps):
         with pytest.raises(ValueError, match="max_iterations must be a positive integer"):
             StoppingPolicy(max_iterations=steps)
+
+
+# a finite g-space that satisfies every hypothesis at alpha = 1/2, where the
+# certificate bounds the residual tail but not the gap |g(r0, r2)|: no
+# hypothesis reads g[0][2], as (0, 2) is related to nothing along the orbit
+CERTIFICATE_GAP = {
+    "n": 3,
+    "pairs": [[0, 1], [1, 2], [2, 2]],
+    "map": [1, 2, 2],
+    "g": [[0, 2, 5], [2, 0, 1], [5, 1, 0]],
+}
+
+
+def instance_run(inst, r0, alpha):
+    g = lambda i, j: float(inst.g_matrix[i][j])
+    return g, iterate(inst.mapping.__getitem__, g, inst.rel, r0, alpha=alpha)
+
+
+class TestWhatACertificateBounds:
+    def test_the_gap_needs_the_triangle_inequality(self):
+        inst = FiniteInstance.from_json_dict(CERTIFICATE_GAP)
+        ok, reason = hypotheses_hold(inst)
+        assert ok and "alpha = 1/2" in reason
+        assert conclusion_holds(inst.pair)
+        g, trace = instance_run(inst, 0, 0.5)
+        assert trace.certified and trace.preserved and trace.converged
+        assert trace.iterates == (0, 1, 2, 2) and trace.residuals == (2.0, 1.0, 0.0)
+        assert trace.bound_certificates[0] == 4.0
+        assert sum(trace.residuals) == 3.0 <= trace.bound_certificates[0]
+        assert abs(g(trace.iterates[0], trace.iterates[2])) == 5.0 > trace.bound_certificates[0]
+
+    def test_the_cli_accepts_the_instance(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(CERTIFICATE_GAP))
+        assert cli.run(["verify", "--instance", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["hypotheses_hold"] and doc["conclusion_holds"]
+        assert "alpha = 1/2" in doc["reason"]
+        assert cli.run(["iterate", "--instance", str(path), "--r0", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certified"] and doc["converged"] and doc["steps"] == 3
+
+    def test_the_tail_is_bounded_on_every_satisfying_two_point_instance(self):
+        # every satisfying instance of SweepSpec(2, 2, None), run from each seed
+        instances = runs = 0
+        for inst in enumerate_instances(2, 2):
+            if not hypotheses_hold(inst)[0]:
+                continue
+            instances += 1
+            alpha = float(contraction_alpha(inst))
+            for r0 in seed_set(inst.rel, inst.mapping.__getitem__):
+                trace = instance_run(inst, r0, alpha)[1]
+                assert trace.certified and trace.converged
+                for m, bound in enumerate(trace.bound_certificates):
+                    assert sum(trace.residuals[m:]) <= bound, (inst, r0, m)
+                runs += 1
+        assert (instances, runs) == (1255, 1600)

@@ -52,8 +52,8 @@ RECORDS = [
     (Pair, (REL, (0, 0)), ("rel", "mapping"), True),
     (
         FiniteInstance,
-        (2, ((0, 1), (1, 0)), REL, (0, 0), Fraction(1, 4), 7),
-        ("n", "g_matrix", "rel", "mapping", "alpha", "index"),
+        (Pair(REL, (0, 0)), ((0, 1), (1, 0)), Fraction(1, 4), 7),
+        ("pair", "g_matrix", "alpha", "index"),
         False,
     ),
     (SweepSpec, (3, 1, 8), ("n", "g_max", "rel_count_cap"), True),
@@ -76,11 +76,8 @@ CHANGED = {
     (FdeProblem, "gamma_variant"): "zeta_plus_one",
     (Pair, "rel"): FiniteRelation(2, frozenset()),
     (Pair, "mapping"): (1, 1),
-    (FiniteInstance, "rel"): FiniteRelation(2, frozenset()),
+    (FiniteInstance, "pair"): Pair(REL, (1, 1)),
 }
-
-# fields computed from the others, which cannot change on their own
-DERIVED = {(FiniteInstance, "n")}
 
 
 @pytest.mark.parametrize("cls, args, fields, frozen", RECORDS, ids=IDS)
@@ -98,8 +95,6 @@ def test_equality_is_field_wise(cls, args, fields, frozen):
     assert not cls(*args) != cls(*args)
     # a different value in any one field breaks equality
     for pos, name in enumerate(fields):
-        if (cls, name) in DERIVED:
-            continue
         other = list(args)
         other[pos] = CHANGED.get((cls, name), None)
         assert cls(*args) != cls(*other), name
@@ -137,7 +132,7 @@ def test_assignment_raises_exactly_on_frozen_records(cls, args, fields, frozen):
                 "gamma_variant": "zeta_plus_one",
             },
         ),
-        (lambda: FiniteInstance(2, (), REL, (0, 0)), {"alpha": None, "index": -1}),
+        (lambda: FiniteInstance(Pair(REL, (0, 0)), ()), {"alpha": None, "index": -1}),
         (lambda: SweepSpec(2), {"g_max": 3, "rel_count_cap": None}),
         (
             lambda: SweepResult(SPEC),
@@ -210,7 +205,6 @@ def test_sweep_results_do_not_share_their_lists():
         (lambda: FdeProblem(demo_rhs, gamma_variant="beta"), "gamma_variant must be one"),
         (lambda: GridFunction(2, [0.0, 1.0]), "need 3 node values"),
         (lambda: GridFunction(2, [0.0, np.nan, 1.0]), "node values must be finite"),
-        (lambda: FiniteInstance(3, (), REL, (0, 0)), "n = 3 is not the relation's ground size 2"),
         (lambda: Pair(REL, (0,)), r"map must send each of 0\.\.1 into the ground set, got \(0,\)"),
         (lambda: Pair(REL, (0, 2)), r"map must send each of 0\.\.1 into the ground set, got \(0, 2\)"),
     ],
@@ -229,7 +223,7 @@ class TestFiniteRelation:
 
     def test_equality_and_hash_ignore_sorted_pairs(self):
         a = FiniteRelation(3, frozenset({(0, 1), (2, 0)}))
-        b = FiniteRelation.from_pairs(3, [(2, 0), (0, 1)])
+        b = FiniteRelation(3, [(2, 0), (0, 1)])
         object.__setattr__(b, "sorted_pairs", ())
         assert a == b and hash(a) == hash(b)
         assert {a: 1}[b] == 1

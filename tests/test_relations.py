@@ -14,7 +14,7 @@ from relfix.relations import (
 
 
 def rel_of(n, *pairs):
-    return FiniteRelation.from_pairs(n, pairs)
+    return FiniteRelation(n, pairs)
 
 
 def ground_and_pairs(max_n=6):
@@ -33,7 +33,7 @@ def ground_and_pairs(max_n=6):
 
 
 def small_relations(max_n=6):
-    return ground_and_pairs(max_n).map(lambda drawn: FiniteRelation.from_pairs(*drawn))
+    return ground_and_pairs(max_n).map(lambda drawn: FiniteRelation(*drawn))
 
 
 def brute_force_shortest(rel, start, goal):
