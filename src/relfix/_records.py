@@ -17,10 +17,11 @@ define. ``dataclasses`` would import ``inspect``, ``ast`` and ``dis``
 class's methods with ``exec`` (about 0.5 ms a class), which every short
 CLI command would pay.
 
-Every integer parameter goes through :func:`integer` and every real one
-through :func:`real`, with its bounds: bools are refused, numpy numbers
-pass, and anything else raises :class:`ValueError` with the caller's
-message, formatted only on failure (some callers check every g entry).
+Each integer parameter's type and range are decided by one :func:`integer`
+call, and each real one's by one :func:`real` call: bools are refused,
+numpy numbers pass, and anything else raises :class:`ValueError` with the
+caller's message, which names the range and the value, formatted only on
+failure (some callers check every g entry).
 """
 
 from __future__ import annotations

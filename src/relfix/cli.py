@@ -178,15 +178,16 @@ def _cmd_verify(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_iterate(args: argparse.Namespace) -> _Outcome:
+    from ._records import integer
     from .picard import StoppingPolicy, trace_to_csv
 
     policy = StoppingPolicy(residual_tol=args.tol, max_iterations=args.max_iter)
     if args.instance is not None:
         inst = _load_instance(args.instance)
-        if not 0 <= args.r0 < inst.n:
-            raise ValueError(f"--r0 must be a ground index below {inst.n}")
+        message = "--r0 must be a ground index in 0..{0}, got {value!r}"
+        r0 = integer(args.r0, message, inst.n - 1, at_least=0, below=inst.n)
         g = lambda i, j: float(inst.g_matrix[i][j])
-        trace = _cli.iterate(inst.mapping.__getitem__, g, inst.rel, args.r0, policy)
+        trace = _cli.iterate(inst.mapping.__getitem__, g, inst.rel, r0, policy)
     else:
         from . import demos
 

@@ -56,7 +56,12 @@ ALPHA_GRID: tuple[Fraction, ...] = (
     Fraction(3, 4),
 )
 
+# the grid as messages spell it
+_GRID_TEXT = ", ".join(map(str, ALPHA_GRID))
+
 MAX_GROUND_SIZE = 4
+# default_sweep and every slice check the ground size with this message
+_GROUND_SIZE = f"ground size must be an integer in 2..{MAX_GROUND_SIZE}, got {{value!r}}"
 DEFAULT_G_MAX = 3
 
 # rejection histogram keys: the first hypothesis that fails, in the order
@@ -147,8 +152,7 @@ class FiniteInstance(Record):
             except (ValueError, ZeroDivisionError):
                 value = None
             if value not in ALPHA_GRID:
-                grid = ", ".join(map(str, ALPHA_GRID))
-                raise ValueError(f"alpha must be null or one of {grid}, got {alpha!r}")
+                raise ValueError(f"alpha must be null or one of {_GRID_TEXT}, got {alpha!r}")
             alpha = value
         index = _json_int(doc.get("index", -1), "index")
         return cls(pair, g_matrix, alpha, index)
@@ -176,24 +180,14 @@ def _json_ints(value: object, length: int, what: str) -> list[int]:
 
 
 def _check_slice(n: int, g_max: int, rel_count_cap: Optional[int]) -> "SweepSpec":
-    """The slice as a :class:`SweepSpec` of Python integers, or ValueError; a
-    number out of range gets the range's message, even ``n=True`` or 1.5."""
-    try:
-        if n < 2:
-            raise ValueError("ground size must be at least 2")
-        if n > MAX_GROUND_SIZE:
-            raise ValueError("instance space too large")
-        if g_max < 0:
-            raise ValueError("g_max must be nonnegative")
-        # a cap below 1 would sweep no relation at all and pass vacuously
-        if rel_count_cap is not None and rel_count_cap < 1:
-            raise ValueError("rel_count_cap must be at least 1")
-    except TypeError:  # a value that does not compare with an int: no integer
-        pass
-    n = integer(n, "ground size must be an integer, got {value!r}")
-    g_max = integer(g_max, "g_max must be an integer, got {value!r}")
+    """The slice as a :class:`SweepSpec` of Python integers, or ValueError
+    naming the parameter's range and the value given."""
+    n = integer(n, _GROUND_SIZE, at_least=2, below=MAX_GROUND_SIZE + 1)
+    g_max = integer(g_max, "g_max must be an integer >= 0, got {value!r}", at_least=0)
     if rel_count_cap is not None:
-        rel_count_cap = integer(rel_count_cap, "rel_count_cap must be an integer, got {value!r}")
+        # a cap below 1 would sweep no relation at all and pass vacuously
+        message = "rel_count_cap must be None or an integer >= 1, got {value!r}"
+        rel_count_cap = integer(rel_count_cap, message, at_least=1)
     return SweepSpec(n, g_max, rel_count_cap)
 
 
@@ -260,7 +254,7 @@ _REASONS: tuple[str, ...] = (
     "(g3) fails on constrained triple ({0}, {1}, {2})",
     "relation not closed under the map: image of ({0}, {1}) escapes",
     "seed set empty: no u with (u, map(u)) related",
-    "contraction fails on a related pair for every alpha in {{1/4, 1/2, 3/4}}",
+    "contraction fails on a related pair for every alpha in {{" + _GRID_TEXT + "}}",
     "hypotheses hold at alpha = {0}; completeness and continuity are "
     "automatic on a finite carrier (discrete reading)",
 )
@@ -452,21 +446,20 @@ class SweepResult(Record):
 def default_sweep(n: int) -> SweepSpec:
     """Per-size default slice: all of n=2, capped slices of n=3 and n=4.
 
-    The n=4 slice is 2 x 4^4 x 3^16, about 2.2e10 instances. The sweep
-    walks each relation's g1-g3 cells once and decides its n^n maps by
-    bitmask, so these slices take milliseconds. Uncapped, in one process
-    (2 vCPU, Python 3.11), n=3 takes about 0.07 s at g_max=1 and 0.4 s at
-    g_max=2, where g3 fires, and n=4 at g_max=1 (7.2e14 instances) 50 s
-    (a 2-vCPU Intel Xeon, Python 3.11.7).
+    ``n`` must be an integer in 2..4, as in every slice (2.0 is not), else
+    ValueError. The n=4 slice is 2 x 4^4 x 3^16, about 2.2e10 instances.
+    The sweep walks each relation's g1-g3 cells once and decides its n^n
+    maps by bitmask, so these slices take milliseconds. Uncapped, in one
+    process on a 2-vCPU Intel Xeon with Python 3.11.7, n=3 takes about
+    0.07 s at g_max=1 and 0.4 s at g_max=2, where g3 fires, and n=4 at
+    g_max=1 (7.2e14 instances) about 28 s.
     """
     table = {
         2: SweepSpec(2, g_max=2, rel_count_cap=None),
         3: SweepSpec(3, g_max=1, rel_count_cap=8),
         4: SweepSpec(4, g_max=1, rel_count_cap=2),
     }
-    if n not in table:
-        raise ValueError("ground size must be 2, 3, or 4")
-    return table[n]
+    return table[integer(n, _GROUND_SIZE, at_least=2, below=MAX_GROUND_SIZE + 1)]
 
 
 def _classify(pat: _Patterns, g_max: int) -> tuple[list[int], dict[tuple[int, ...], int]]:

@@ -46,11 +46,11 @@ def gamma(x: float) -> float:
     domain checked.
 
     Accuracy contract: relative error <= 1e-10 on [0.05, 20]. An argument
-    that is not a positive finite real, or whose Gamma overflows a float
-    (above about 171.62 or below about 5.6e-309), raises :class:`ValueError`.
+    that is not a positive finite real raises :class:`ValueError` naming
+    it, and so does one whose Gamma overflows a float (above about 171.62
+    or below about 5.6e-309).
     """
-    if real(x, "gamma argument must be finite") <= 0.0:
-        raise ValueError("gamma argument must be positive")
+    real(x, "gamma argument must be a finite real > 0, got {value!r}", above=0.0)
     try:
         return math.gamma(x)
     except OverflowError:
@@ -169,13 +169,15 @@ class FdeProblem(FrozenRecord):
     (N+1,); the Lipschitz probe passes its pairs stacked, one row each, so
     the rhs must act elementwise on arrays of any shape. Write it with numpy
     ufuncs (``np.sin``, not ``math.sin``) and branch with ``np.where``, not
-    ``if``. ``zeta`` is a positive finite real and ``n_intervals`` an
-    integer of at least 8, stored as ``int``. ``lipschitz_alpha``, in
-    (0, 1), is the contraction parameter the Lipschitz condition is tested
-    against; ``gamma_variant`` selects whose order feeds the Gamma factor
-    in the Lipschitz bound ("alpha_plus_one" uses the contraction
-    parameter, "zeta_plus_one" the integral order — both appear in
-    circulation, so both are supported).
+    ``if``. The rhs must not write to its arguments: they are read-only,
+    so an in-place update such as ``u *= 0.0`` raises :class:`ValueError`.
+    ``zeta`` is a positive finite real and ``n_intervals`` an integer of at
+    least 8, stored as ``int``. ``lipschitz_alpha``, in (0, 1), is the
+    contraction parameter the Lipschitz condition is tested against;
+    ``gamma_variant`` selects whose order feeds the Gamma factor in the
+    Lipschitz bound ("alpha_plus_one" uses the contraction parameter,
+    "zeta_plus_one" the integral order — both appear in circulation, so
+    both are supported).
     The quadrature weights and the read-only node array are built with the
     problem, which checks ``zeta`` there, after the other parameters: a
     ``zeta`` that is not a positive finite real, whose Gamma overflows, or
@@ -301,6 +303,7 @@ def _stacked_check(
     if not keep.any():
         return LipschitzReport(bound, 0.0, None)
     t = np.broadcast_to(t, lower.shape)
+    lower.flags.writeable = upper.flags.writeable = False  # the rhs reads them
     high = _rhs_values(prob, t, upper)
     low = _rhs_values(prob, t, lower)
     # row-major boolean indexing keeps pair-then-sample order
@@ -324,7 +327,9 @@ def apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:
     if u.n_intervals != prob.n_intervals:
         raise ValueError("grid function does not match the problem grid")
     w, nodes = prob.weights, prob.nodes
-    hv = _rhs_values(prob, nodes, u.values)
+    values = u.values.view()
+    values.flags.writeable = False  # the rhs must not change the iterate
+    hv = _rhs_values(prob, nodes, values)
     bad = _first_non_finite(hv)
     if bad is not None:
         raise ArithmeticError(f"rhs diverged at node {bad}")

@@ -15,12 +15,10 @@ DEFAULT_INTERVALS = 512
 
 
 def _check_intervals(n_intervals: int, minimum: int) -> int:
-    """An interval count as an ``int``: an integer (not a bool) >= minimum."""
-    # a float or bool would pass the bound and fail later inside numpy
-    n = integer(n_intervals, "n_intervals must be an integer, got {value!r}")
-    if n < minimum:
-        raise ValueError(f"n_intervals must be >= {minimum}")
-    return n
+    """An interval count as an ``int``: an integer (not a bool) >= minimum,
+    else ValueError naming the minimum and the value given."""
+    message = "n_intervals must be an integer >= {0}, got {value!r}"
+    return integer(n_intervals, message, minimum, at_least=minimum)
 
 
 def _real_array(values: Any, message: str) -> np.ndarray:

@@ -37,15 +37,13 @@ class FiniteRelation(FrozenRecord):
     __slots__ = (*_fields, "sorted_pairs")
 
     def __init__(self, ground_size: int, pairs: Iterable[tuple[int, int]]) -> None:
-        ground_size = integer(ground_size, "ground_size must be an integer, got {value!r}")
-        if ground_size < 0:
-            raise ValueError("ground_size must be nonnegative")
-        index = "relation index must be an integer, got {value!r}"
-        pairs = frozenset((integer(r, index), integer(s, index)) for r, s in pairs)
-        for r, s in pairs:
-            if not (0 <= r < ground_size and 0 <= s < ground_size):
-                raise ValueError(f"pair {(r, s)} outside ground set")
-        super().__init__(ground_size, pairs)
+        n = integer(ground_size, "ground_size must be an integer >= 0, got {value!r}", at_least=0)
+        index = "pair {0!r} outside ground set 0..{1}, got {value!r}"
+        pairs = frozenset(
+            (integer(r, index, (r, s), n - 1, at_least=0, below=n),
+             integer(s, index, (r, s), n - 1, at_least=0, below=n)) for r, s in pairs
+        )
+        super().__init__(n, pairs)
         object.__setattr__(self, "sorted_pairs", tuple(sorted(pairs)))
 
     def __call__(self, a: Any, b: Any) -> bool:

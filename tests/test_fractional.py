@@ -572,6 +572,26 @@ class TestWholeArrayEvaluation:
         assert len(calls) == trace.steps + 2
         assert set(calls) == {(np.ndarray, np.ndarray)}
 
+    def test_the_rhs_cannot_write_to_its_arguments(self):
+        # zeroing u in place would make the probe divide by zero and the
+        # Picard loop run its whole budget; a read-only u refuses the write
+        def rhs(t, u):
+            out = u / 16.0 + np.sin(t)
+            u *= 0.0
+            return out
+
+        prob = FdeProblem(rhs, zeta=0.9, n_intervals=64)
+        with pytest.raises(ValueError, match="read-only"):
+            solve_fde(prob)
+        ones = GridFunction(64, np.ones(65))
+        for call in (
+            lambda: apply_T(ones, prob),
+            lambda: lipschitz_check(prob, [0.5], [(GridFunction.zeros(64), ones)]),
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                call()
+        assert np.array_equal(ones.values, np.ones(65))
+
     def test_weights_are_built_once_per_problem(self, monkeypatch):
         built = []
         real = fractional.quadrature_weights

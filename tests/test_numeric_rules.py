@@ -29,6 +29,7 @@ from relfix.finite_oracle import (
     FiniteInstance,
     Pair,
     SweepSpec,
+    default_sweep,
     enumerate_instances,
     hypotheses_hold,
     run_oracle,
@@ -65,15 +66,16 @@ BAD = {
     REAL: [True, "1", None, math.nan, math.inf, -math.inf],
 }
 
-# (site, kind, a valid Python value, the call, the site's message, the
-# labels of the rows that fail without the rule: bad values it newly
-# refuses, and "numpy" where a numpy number newly gives the Python result)
+# (site, kind, a valid Python value, the call, the site's message, in
+# which {value!r} stands for the value given, the labels of the rows that
+# fail without the rule: bad values it newly refuses, and "numpy" where a
+# numpy number newly gives the Python result)
 ALL_INT = ("True", "'1'", "None", "nan", "inf", "1.5", "numpy")
 SITES = [
     ("FiniteRelation-ground_size", INT, 2, lambda v: FiniteRelation(v, {(0, 1)}),
-     "ground_size must be an integer, got ", ()),
+     "ground_size must be an integer >= 0, got {value!r}", ()),
     ("FiniteRelation-index", INT, 1, lambda v: FiniteRelation(2, {(v, 0)}),
-     "relation index must be an integer, got ", ()),
+     "pair ({value!r}, 0) outside ground set 0..1, got {value!r}", ()),
     ("hypotheses_hold-g", INT, 1,
      lambda v: hypotheses_hold(FiniteInstance(Pair(REL, (0, 0)), ((0, v), (1, 0)))),
      "g entry must be an integer, got ", ()),
@@ -84,27 +86,27 @@ SITES = [
      "map must send each of 0..1 into the ground set, got ",
      ("True", "'1'", "None", "1.5", "numpy")),
     ("SweepSpec-n", INT, 2, lambda v: report(SweepSpec(v, 1)),
-     "ground size must be an integer, got ", ("'1'", "None", "nan", "numpy")),
+     "ground size must be an integer in 2..4, got {value!r}", ("'1'", "None", "nan", "numpy")),
     ("SweepSpec-g_max", INT, 1, lambda v: report(SweepSpec(2, v)),
-     "g_max must be an integer, got ", ALL_INT),
+     "g_max must be an integer >= 0, got {value!r}", ALL_INT),
     ("SweepSpec-rel_count_cap", INT, 3, lambda v: report(SweepSpec(2, 1, v)),
-     "rel_count_cap must be an integer, got ", ALL_INT),
+     "rel_count_cap must be None or an integer >= 1, got {value!r}", ALL_INT),
     ("enumerate_instances-g_max", INT, 1, lambda v: next(enumerate_instances(2, v, 1)),
-     "g_max must be an integer, got ", ALL_INT[:-1]),
+     "g_max must be an integer >= 0, got {value!r}", ALL_INT[:-1]),
     ("is_connected-subset", INT, 1, lambda v: is_connected(REL, [v]),
      "subset element outside ground set 0..1, got ", ALL_INT[:-1]),
     ("seed_set-image", INT, 0, lambda v: seed_set(REL, lambda u: v),
      "image of 0 must be an integer in 0..1, got ", ALL_INT[:-1]),
     ("GridFunction-n_intervals", INT, 2, lambda v: GridFunction(v, np.zeros(3)),
-     "n_intervals must be an integer, got ", ("numpy",)),
+     "n_intervals must be an integer >= 1, got {value!r}", ("numpy",)),
     ("GridFunction.zeros", INT, 4, GridFunction.zeros,
-     "n_intervals must be an integer, got ", ("numpy",)),
+     "n_intervals must be an integer >= 1, got {value!r}", ("numpy",)),
     ("GridFunction.from_callable", INT, 4, lambda v: GridFunction.from_callable(math.sin, v),
-     "n_intervals must be an integer, got ", ("'1'", "None", "nan", "inf", "numpy")),
+     "n_intervals must be an integer >= 1, got {value!r}", ("'1'", "None", "nan", "inf", "numpy")),
     ("quadrature_weights-n_intervals", INT, 8, lambda v: weights(0.9, v),
-     "n_intervals must be an integer, got ", ("numpy",)),
+     "n_intervals must be an integer >= 1, got {value!r}", ("numpy",)),
     ("FdeProblem-n_intervals", INT, 8, lambda v: FdeProblem(demo_rhs, n_intervals=v),
-     "n_intervals must be an integer, got ", ("numpy",)),
+     "n_intervals must be an integer >= 8, got {value!r}", ("numpy",)),
     ("StoppingPolicy-max_iterations", INT, 5, lambda v: StoppingPolicy(max_iterations=v),
      "max_iterations must be a positive integer", ("numpy",)),
     ("a_priori_bound-m", INT, 2, lambda v: a_priori_bound(0.5, 1.0, v),
@@ -118,7 +120,8 @@ SITES = [
      "alpha must lie in (0, 1)", ("'1'", "None")),
     ("a_priori_bound-g01", REAL, 1.0, lambda v: a_priori_bound(0.5, v, 2),
      "g01 is an absolute residual, must be finite and >= 0", ("True", "'1'", "None")),
-    ("gamma", REAL, 2.5, gamma, "gamma argument must be finite", ("True", "'1'", "None")),
+    ("gamma", REAL, 2.5, gamma, "gamma argument must be a finite real > 0, got {value!r}",
+     ("True", "'1'", "None")),
     ("quadrature_weights-zeta", REAL, 0.9, lambda v: weights(v, 8),
      "zeta must be positive and finite", ("True", "'1'", "None")),
     ("FdeProblem-zeta", REAL, 0.9, lambda v: FdeProblem(demo_rhs, zeta=v),
@@ -144,17 +147,9 @@ SITES = [
 # None is a valid value here: no relation cap, no contraction certificate
 NONE_ALLOWED = {"SweepSpec-rel_count_cap", "iterate-alpha"}
 
-# a slice's ranges are checked before the rule, so a number out of range
-# keeps the range's message
-RANGE_MESSAGES = {
-    ("SweepSpec-n", "True"): "ground size must be at least 2",
-    ("SweepSpec-n", "1.5"): "ground size must be at least 2",
-    ("SweepSpec-n", "inf"): "instance space too large",
-}
-
 BAD_ROWS = [
     pytest.param(
-        call, value, RANGE_MESSAGES.get((site, repr(value)), message),
+        call, value, message.format(value=value),
         id=f"{site}-{value!r}" + ("-new" if repr(value) in new else ""),
     )
     for site, kind, _, call, message, new in SITES
@@ -185,20 +180,30 @@ def test_numpy_number_gives_the_python_result(call, kind, valid):
         assert repr(got) == repr(expected)
 
 
+# a non-integer and an integer out of range get the parameter's one message
 @pytest.mark.parametrize(
     "spec, message",
     [
-        (SweepSpec(False, 1), "ground size must be at least 2"),
-        (SweepSpec(4.5, 1), "instance space too large"),
-        (SweepSpec(2, -0.5), "g_max must be nonnegative"),
-        (SweepSpec(2, 1, False), "rel_count_cap must be at least 1"),
-        (SweepSpec(2, 1, 0.5), "rel_count_cap must be at least 1"),
-        (SweepSpec(2.5, -1), "g_max must be nonnegative"),
+        (SweepSpec(1.5, 1), "ground size must be an integer in 2..4, got 1.5"),
+        (SweepSpec(5, 1), "ground size must be an integer in 2..4, got 5"),
+        (SweepSpec(2, 0.5), "g_max must be an integer >= 0, got 0.5"),
+        (SweepSpec(2, -1), "g_max must be an integer >= 0, got -1"),
+        (SweepSpec(2, 1, 2.5), "rel_count_cap must be None or an integer >= 1, got 2.5"),
+        (SweepSpec(2, 1, 0), "rel_count_cap must be None or an integer >= 1, got 0"),
     ],
+    ids=["n-1.5", "n-5", "g_max-0.5", "g_max--1", "rel_count_cap-2.5", "rel_count_cap-0"],
 )
-def test_slice_out_of_range_keeps_the_ranges_message(spec, message):
+def test_slice_parameter_has_one_message(spec, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         report(spec)
+
+
+@pytest.mark.parametrize("n", [2.0, np.float64(3.0)], ids=["2.0-new", "float64-new"])
+def test_default_sweep_refuses_a_float_ground_size(n):
+    message = f"ground size must be an integer in 2..4, got {n!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        default_sweep(n)
+    assert default_sweep(np.int64(3)) == default_sweep(3)
 
 
 def test_instance_ground_size_may_be_a_numpy_integer():
@@ -312,5 +317,5 @@ def test_from_callable_with_no_intervals_warns_nothing():
     # the count is checked before the nodes are divided by it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="n_intervals must be >= 1"):
+        with pytest.raises(ValueError, match="^n_intervals must be an integer >= 1, got 0$"):
             GridFunction.from_callable(math.sin, 0)

@@ -196,10 +196,10 @@ def test_sweep_results_do_not_share_their_lists():
     [
         (lambda: StoppingPolicy(residual_tol=-1.0), "residual_tol must be finite and nonnegative"),
         (lambda: StoppingPolicy(max_iterations=0), "max_iterations must be a positive"),
-        (lambda: FiniteRelation(-1, frozenset()), "ground_size must be nonnegative"),
+        (lambda: FiniteRelation(-1, frozenset()), "ground_size must be an integer >= 0, got -1"),
         (lambda: FiniteRelation(2, frozenset({(0, 2)})), r"pair \(0, 2\) outside"),
         (lambda: FdeProblem(demo_rhs, zeta=0.0), "zeta must be positive"),
-        (lambda: FdeProblem(demo_rhs, n_intervals=4), "n_intervals must be >= 8"),
+        (lambda: FdeProblem(demo_rhs, n_intervals=4), "n_intervals must be an integer >= 8, got 4"),
         (lambda: FdeProblem(demo_rhs, n_intervals=16.0), "n_intervals must be an integer"),
         (lambda: FdeProblem(demo_rhs, lipschitz_alpha=1.0), "lipschitz_alpha must lie"),
         (lambda: FdeProblem(demo_rhs, gamma_variant="beta"), "gamma_variant must be one"),
