@@ -2,13 +2,11 @@
 
 A record that validates its input is a :class:`FrozenRecord`; a plain
 result, built from values an engine computed, is a ``typing.NamedTuple``.
-The mutable :class:`Record` is kept only for the two records filled in
-after construction: ``SweepResult``, the tallies ``run_oracle`` fills in,
-and ``FiniteInstance``, whose ``alpha`` the test-only reference sets once
-it has decided the instance (its ``Pair`` is frozen). ``GridFunction``,
-built once per Picard step, is a ``Record`` for speed alone and treated
-as immutable; the computed ``QuadratureWeights`` is a ``FrozenRecord`` so
-that ``vars()`` lists it.
+Either is read-only once built, and so are the arrays ``GridFunction``
+holds. Two exceptions remain: ``SweepResult``, the tallies ``run_oracle``
+fills in, is the one mutable :class:`Record`, and the computed
+``QuadratureWeights`` is a ``FrozenRecord`` so that ``vars()`` lists its
+read-only arrays.
 
 A record lists its fields in ``_fields`` and gets a field-wise ``==`` and a
 ``Name(field=value, ...)`` repr. Plain classes cost next to nothing to

@@ -64,7 +64,8 @@ def example2_g(p: PlanePoint, q: PlanePoint) -> float:
 
 def validate_point(p: tuple[float, float]) -> PlanePoint:
     """The start point as floats; each coordinate must pass the real rule."""
-    return PlanePoint(*[float(real(c, "plane point coordinates must be finite")) for c in p])
+    message = "plane point coordinates must be finite, got {value!r}"
+    return PlanePoint(*[float(real(c, message)) for c in p])
 
 
 def _run(
@@ -92,7 +93,8 @@ def example2_run(u0: float = 0.0, y0: float = 1.0, n: int = 30) -> IterationTrac
     The first-coordinate recursion u -> u^2/4 converges only for |u0| < 4;
     anything outside that basin is rejected.
     """
-    real(u0, "first coordinate must satisfy |u0| < 4 (basin of u^2/4)", above=-4.0, below=4.0)
+    message = "first coordinate must satisfy |u0| < 4 (basin of u^2/4), got {value!r}"
+    real(u0, message, above=-4.0, below=4.0)
     return _run(example2_map, example2_g, (u0, y0), n)
 
 
@@ -109,7 +111,7 @@ def example2_noncontraction_witness(scale: float = 10.0) -> NoncontractionWitnes
     (2 scale + 1) / 4 exceeds 1 from scale 2 on, which is why no global
     contraction argument can apply to this map.
     """
-    real(scale, "need scale >= 2 for an expanding pair", at_least=2.0)
+    real(scale, "need scale >= 2 for an expanding pair, got {value!r}", at_least=2.0)
     a = PlanePoint(float(scale), 0.0)
     b = PlanePoint(float(scale) + 1.0, 0.0)
     est: ContractionEstimate = estimate_contraction_factor(

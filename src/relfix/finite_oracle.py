@@ -91,22 +91,16 @@ class Pair(FrozenRecord):
         return {"pairs": [list(p) for p in self.rel.sorted_pairs], "map": list(self.mapping)}
 
 
-class FiniteInstance(Record):
-    """One model-check instance: a checked :class:`Pair` and a g matrix."""
+class FiniteInstance(NamedTuple):
+    """One model-check instance: a checked :class:`Pair` and a g matrix.
 
-    __slots__ = _fields = ("pair", "g_matrix", "alpha", "index")
+    Read-only: ``inst._replace(alpha=...)`` is a copy with another field.
+    """
 
-    def __init__(
-        self,
-        pair: Pair,
-        g_matrix: tuple[tuple[int, ...], ...],
-        alpha: Optional[Fraction] = None,
-        index: int = -1,
-    ) -> None:
-        self.pair = pair
-        self.g_matrix = g_matrix
-        self.alpha = alpha
-        self.index = index
+    pair: Pair
+    g_matrix: tuple[tuple[int, ...], ...]
+    alpha: Optional[Fraction] = None
+    index: int = -1
 
     # read through the pair
     rel = property(lambda self: self.pair.rel)

@@ -81,7 +81,8 @@ class QuadratureWeights(FrozenRecord):
     ``band_spectrum`` is the real FFT of ``band`` zero-padded to length 2N,
     the half of the convolution that does not depend on the input.
     Immutable; the fields live in the instance ``__dict__`` (no
-    ``__slots__``), so ``vars()`` lists the arrays.
+    ``__slots__``), so ``vars()`` lists the arrays, which
+    :func:`quadrature_weights` builds read-only.
     """
 
     _fields = ("zeta", "n_intervals", "start", "band", "band_spectrum")
@@ -113,7 +114,7 @@ def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
     A ``zeta`` above about 709.78 / ln N - 1 overflows m^zeta and raises
     :class:`ValueError` naming ``zeta`` and N.
     """
-    real(zeta, "zeta must be positive and finite", above=0.0)
+    real(zeta, "zeta must be positive and finite, got {value!r}", above=0.0)
     n = _check_intervals(n_intervals, 1)
     h = 1.0 / n
     scale = h**zeta / gamma(zeta)  # before the moments: they divide by zeta
@@ -133,6 +134,7 @@ def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
         raise ValueError(
             f"quadrature weights for zeta={float(zeta)!r} on {n} intervals overflow a float"
         )
+    start.flags.writeable = band.flags.writeable = spectrum.flags.writeable = False
     return QuadratureWeights(
         zeta=zeta, n_intervals=n, start=start, band=band, band_spectrum=spectrum
     )
@@ -182,7 +184,8 @@ class FdeProblem(FrozenRecord):
     problem, which checks ``zeta`` there, after the other parameters: a
     ``zeta`` that is not a positive finite real, whose Gamma overflows, or
     whose weights overflow on this grid raises :class:`ValueError` here.
-    They are kept as ``weights`` and ``nodes``, outside ``==`` and the hash.
+    They are kept as ``weights`` and ``nodes``, outside ``==`` and the hash;
+    every array they hold is read-only, so no write can alter a later solve.
     """
 
     _fields = ("rhs", "zeta", "n_intervals", "policy", "lipschitz_alpha", "gamma_variant")
@@ -198,7 +201,8 @@ class FdeProblem(FrozenRecord):
         gamma_variant: str = "zeta_plus_one",
     ) -> None:
         n_intervals = _check_intervals(n_intervals, 8)
-        real(lipschitz_alpha, "lipschitz_alpha must lie in (0, 1)", above=0.0, below=1.0)
+        message = "lipschitz_alpha must lie in (0, 1), got {value!r}"
+        real(lipschitz_alpha, message, above=0.0, below=1.0)
         if gamma_variant not in GAMMA_VARIANTS:
             raise ValueError(f"gamma_variant must be one of {GAMMA_VARIANTS}")
         super().__init__(rhs, zeta, n_intervals, policy, lipschitz_alpha, gamma_variant)
@@ -327,9 +331,7 @@ def apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:
     if u.n_intervals != prob.n_intervals:
         raise ValueError("grid function does not match the problem grid")
     w, nodes = prob.weights, prob.nodes
-    values = u.values.view()
-    values.flags.writeable = False  # the rhs must not change the iterate
-    hv = _rhs_values(prob, nodes, values)
+    hv = _rhs_values(prob, nodes, u.values)
     bad = _first_non_finite(hv)
     if bad is not None:
         raise ArithmeticError(f"rhs diverged at node {bad}")

@@ -7,7 +7,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import _EXPORTS
-from ._records import Record, integer
+from ._records import FrozenRecord, integer
 
 __all__ = list(_EXPORTS["gridfn"])
 
@@ -41,13 +41,15 @@ def _real_array(values: Any, message: str) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
-class GridFunction(Record):
+class GridFunction(FrozenRecord):
     """Values on the uniform nodes t_j = j / n_intervals, j = 0..n_intervals.
 
     ``n_intervals``, an integer of at least 1, is stored as ``int``, and the
-    values are finite reals, read as floats. Treated as immutable once
-    built; comparisons and arithmetic go through the module functions
-    rather than operator overloads.
+    values are finite reals, read as floats. Both are read-only through the
+    record. A float64 array passed in is kept as a view, so a caller who
+    later writes to that array changes the values; pass a copy to prevent
+    that. Comparisons and arithmetic go through the module functions rather
+    than operator overloads.
     """
 
     __slots__ = _fields = ("n_intervals", "values")
@@ -59,8 +61,11 @@ class GridFunction(Record):
             raise ValueError(f"need {n_intervals + 1} node values, got shape {vals.shape}")
         if not np.isfinite(vals).all():
             raise ValueError("node values must be finite")
-        self.n_intervals = n_intervals
-        self.values = vals
+        vals = vals.view()
+        vals.flags.writeable = False
+        # the two slots directly: this runs once per Picard step
+        object.__setattr__(self, "n_intervals", n_intervals)
+        object.__setattr__(self, "values", vals)
 
     @property
     def nodes(self) -> np.ndarray:

@@ -102,7 +102,7 @@ def relation_pattern_report(
     """
     # every comparison with NaN is false, so a NaN tolerance would hide each
     # witness; a negative one would manufacture them
-    real(tol, "tol must be finite and nonnegative", at_least=0.0)
+    real(tol, "tol must be finite and nonnegative, got {value!r}", at_least=0.0)
 
     def mag(a: Any, b: Any) -> float:
         return abs(_check_finite(g(a, b), a, b))

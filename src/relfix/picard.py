@@ -19,6 +19,8 @@ from .relations import is_preserving_sequence
 
 __all__ = list(_EXPORTS["picard"])
 
+_ALPHA = "alpha must lie in (0, 1), got {value!r}"
+
 
 class StoppingPolicy(FrozenRecord):
     """When to stop iterating: residual threshold (a nonnegative finite
@@ -28,8 +30,10 @@ class StoppingPolicy(FrozenRecord):
     __slots__ = _fields = ("residual_tol", "max_iterations")
 
     def __init__(self, residual_tol: float = 1e-12, max_iterations: int = 1000) -> None:
-        real(residual_tol, "residual_tol must be finite and nonnegative", at_least=0.0)
-        steps = integer(max_iterations, "max_iterations must be a positive integer", at_least=1)
+        message = "residual_tol must be finite and nonnegative, got {value!r}"
+        real(residual_tol, message, at_least=0.0)
+        message = "max_iterations must be a positive integer, got {value!r}"
+        steps = integer(max_iterations, message, at_least=1)
         super().__init__(residual_tol, steps)
 
 
@@ -79,9 +83,9 @@ def a_priori_bound(alpha: float, g01: float, m: int) -> float:
     residual contracts by alpha, and so |g(r_m, r_n)| for every n > m where
     |g| obeys the triangle inequality along the orbit.
     """
-    real(alpha, "alpha must lie in (0, 1)", above=0.0, below=1.0)
-    real(g01, "g01 is an absolute residual, must be finite and >= 0", at_least=0.0)
-    m = integer(m, "m must be a nonnegative integer", at_least=0)
+    real(alpha, _ALPHA, above=0.0, below=1.0)
+    real(g01, "g01 is an absolute residual, must be finite and >= 0, got {value!r}", at_least=0.0)
+    m = integer(m, "m must be a nonnegative integer, got {value!r}", at_least=0)
     return (alpha**m) / (1.0 - alpha) * g01
 
 
@@ -104,7 +108,7 @@ def iterate(
     returns.
     """
     if alpha is not None:
-        real(alpha, "alpha must lie in (0, 1)", above=0.0, below=1.0)
+        real(alpha, _ALPHA, above=0.0, below=1.0)
     iterates: list[Any] = [r0]
     residuals: list[float] = []
     converged = False

@@ -148,7 +148,7 @@ def sweep_instances(res, instances):
         if not ok:
             continue
         res.hypotheses_satisfied += 1
-        inst.alpha = reference_alpha(inst)
+        inst = inst._replace(alpha=reference_alpha(inst))
         pair = inst.pair
         if not finite_oracle.conclusion_holds(pair):
             list_grouped(res.counterexamples, inst.to_json_dict(), "reason", reason)
@@ -286,7 +286,7 @@ def sweep_pair(res: SweepResult, rel: FiniteRelation, mapping: tuple[int, ...], 
         reason = finite_oracle._REASONS[key].format(*witness)
         raise RuntimeError(f"instance {index} misclassified: {reason}")
     inst = FiniteInstance(pair, g, None, index)
-    inst.alpha = reference_alpha(inst)
+    inst = inst._replace(alpha=reference_alpha(inst))
     doc = {**inst.to_json_dict(), "instances": satisfied}
     reason = finite_oracle._REASONS[key].format(inst.alpha)
     if not concludes:

@@ -270,7 +270,8 @@ class TestSolveFdeCommand:
     def test_non_finite_zeta_is_an_error(self, zeta, capsys):
         code = cli.run(["solve-fde", "--grid", "64", "--zeta", zeta])
         assert code == 1
-        assert capsys.readouterr().err == "error: zeta must be positive and finite\n"
+        expected = f"error: zeta must be positive and finite, got {float(zeta)!r}\n"
+        assert capsys.readouterr().err == expected
 
     @pytest.mark.parametrize(
         "zeta, variant, argument",

@@ -243,7 +243,7 @@ class TestShapeChecks:
         for verdict in (hypotheses_hold, contraction_alpha):
             with pytest.raises(ValueError, match="g entry must be an integer"):
                 verdict(inst)
-        inst.g_matrix = ((5, 1), (1, 1))
+        inst = inst._replace(g_matrix=((5, 1), (1, 1)))
         assert contraction_alpha(inst) is None and not hypotheses_hold(inst)[0]
 
     @pytest.mark.parametrize(
@@ -349,7 +349,7 @@ class TestDoubleEntry:
 class TestInstanceJson:
     def test_round_trip(self):
         inst = mk(3, [(0, 1), (2, 0)], (1, 1, 0), [[0, 1, -2], [1, 0, 3], [2, 3, 0]])
-        inst.alpha, inst.index = Fraction(1, 2), 17
+        inst = inst._replace(alpha=Fraction(1, 2), index=17)
         doc = json.loads(json.dumps(inst.to_json_dict()))
         assert FiniteInstance.from_json_dict(doc) == inst
 

@@ -460,6 +460,28 @@ class TestSolver:
         assert trace.alpha_used is None
         assert trace.bound_certificates is None
 
+    def test_a_solution_cannot_be_written_into(self):
+        # a writable solution let sol.values[:] = 0 leave a trace that
+        # still read certified=True with fixed point u(1) = 0.0
+        trace, sol = solve_fde(demo_problem(64))
+        u1 = sol.values[-1]
+        for values in (sol.values, trace.iterates[3].values, trace.fixed_point.values):
+            with pytest.raises(ValueError, match="read-only"):
+                values[:] = 0.0
+        assert trace.certified and trace.fixed_point.values[-1] == u1 > 0.9
+
+    def test_a_problem_weights_cannot_be_written_into(self):
+        # writable weights let band_spectrum[:] = 0 make the next solve of
+        # the frozen problem return u(1) = 0.0, converged and certified
+        prob = demo_problem(64)
+        _, before = solve_fde(prob)
+        w = prob.weights
+        for values in (w.start, w.band, w.band_spectrum):
+            with pytest.raises(ValueError, match="read-only"):
+                values[:] = 0.0
+        _, after = solve_fde(prob)
+        assert np.array_equal(after.values, before.values) and after.values[-1] > 0.9
+
     def test_self_convergence_under_grid_refinement(self, demo_solutions):
         fine = demo_solutions[512][1].values
         e128 = max(

@@ -108,39 +108,41 @@ SITES = [
     ("FdeProblem-n_intervals", INT, 8, lambda v: FdeProblem(demo_rhs, n_intervals=v),
      "n_intervals must be an integer >= 8, got {value!r}", ("numpy",)),
     ("StoppingPolicy-max_iterations", INT, 5, lambda v: StoppingPolicy(max_iterations=v),
-     "max_iterations must be a positive integer", ("numpy",)),
+     "max_iterations must be a positive integer, got {value!r}", ("numpy",)),
     ("a_priori_bound-m", INT, 2, lambda v: a_priori_bound(0.5, 1.0, v),
-     "m must be a nonnegative integer", ("numpy",)),
+     "m must be a nonnegative integer, got {value!r}", ("numpy",)),
     ("StoppingPolicy-residual_tol", REAL, 1e-6, lambda v: StoppingPolicy(residual_tol=v),
-     "residual_tol must be finite and nonnegative", ()),
+     "residual_tol must be finite and nonnegative, got {value!r}", ()),
     ("iterate-alpha", REAL, 0.5,
      lambda v: iterate(lambda x: x / 2.0, dist, universal_view(), 1.0, POLICY, alpha=v),
-     "alpha must lie in (0, 1)", ("'1'",)),
+     "alpha must lie in (0, 1), got {value!r}", ("'1'",)),
     ("a_priori_bound-alpha", REAL, 0.5, lambda v: a_priori_bound(v, 1.0, 2),
-     "alpha must lie in (0, 1)", ("'1'", "None")),
+     "alpha must lie in (0, 1), got {value!r}", ("'1'", "None")),
     ("a_priori_bound-g01", REAL, 1.0, lambda v: a_priori_bound(0.5, v, 2),
-     "g01 is an absolute residual, must be finite and >= 0", ("True", "'1'", "None")),
+     "g01 is an absolute residual, must be finite and >= 0, got {value!r}",
+     ("True", "'1'", "None")),
     ("gamma", REAL, 2.5, gamma, "gamma argument must be a finite real > 0, got {value!r}",
      ("True", "'1'", "None")),
     ("quadrature_weights-zeta", REAL, 0.9, lambda v: weights(v, 8),
-     "zeta must be positive and finite", ("True", "'1'", "None")),
+     "zeta must be positive and finite, got {value!r}", ("True", "'1'", "None")),
     ("FdeProblem-zeta", REAL, 0.9, lambda v: FdeProblem(demo_rhs, zeta=v),
-     "zeta must be positive and finite", ("True", "'1'", "None")),
+     "zeta must be positive and finite, got {value!r}", ("True", "'1'", "None")),
     ("FdeProblem-lipschitz_alpha", REAL, 0.5,
      lambda v: FdeProblem(demo_rhs, lipschitz_alpha=v),
-     "lipschitz_alpha must lie in (0, 1)", ("'1'", "None")),
+     "lipschitz_alpha must lie in (0, 1), got {value!r}", ("'1'", "None")),
     ("verify_g_properties-tol", REAL, 1e-12,
      lambda v: verify_g_properties(dist, [0.0, 1.0, 3.0], tol=v).to_json_dict(),
-     "tol must be finite and nonnegative", ("True", "'1'", "None")),
+     "tol must be finite and nonnegative, got {value!r}", ("True", "'1'", "None")),
     ("relation_pattern_report-tol", REAL, 1e-12,
      lambda v: relation_pattern_report(dist, universal_view(), [0.0, 1.0], tol=v).to_json_dict(),
-     "tol must be finite and nonnegative", ("True", "'1'", "None")),
+     "tol must be finite and nonnegative, got {value!r}", ("True", "'1'", "None")),
     ("example1_run-y0", REAL, 1.0, lambda v: example1_run(y0=v, n=3),
-     "plane point coordinates must be finite", ("True", "'1'", "None")),
+     "plane point coordinates must be finite, got {value!r}", ("True", "'1'", "None")),
     ("example2_run-u0", REAL, 1.0, lambda v: example2_run(u0=v, n=3),
-     "first coordinate must satisfy |u0| < 4", ("True", "'1'", "None")),
+     "first coordinate must satisfy |u0| < 4 (basin of u^2/4), got {value!r}",
+     ("True", "'1'", "None")),
     ("example2_noncontraction_witness-scale", REAL, 10.0, example2_noncontraction_witness,
-     "need scale >= 2 for an expanding pair", ("'1'", "None", "nan", "inf")),
+     "need scale >= 2 for an expanding pair, got {value!r}", ("'1'", "None", "nan", "inf")),
 ]
 
 

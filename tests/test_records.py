@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from relfix._records import FrozenRecord, Record
 from relfix.finite_oracle import FiniteInstance, Pair, SweepResult, SweepSpec
 from relfix.fractional import FdeProblem, LipschitzReport, QuadratureWeights, demo_rhs
 from relfix.gridfn import GridFunction
@@ -54,7 +55,7 @@ RECORDS = [
         FiniteInstance,
         (Pair(REL, (0, 0)), ((0, 1), (1, 0)), Fraction(1, 4), 7),
         ("pair", "g_matrix", "alpha", "index"),
-        False,
+        True,
     ),
     (SweepSpec, (3, 1, 8), ("n", "g_max", "rel_count_cap"), True),
     (SweepResult, (SPEC,), ("spec",), False),
@@ -180,6 +181,20 @@ def test_plain_results_are_named_tuples(cls, args):
     assert tuple(record) == args and record == args
 
 
+def test_sweep_result_is_the_one_mutable_record():
+    assert set(Record.__subclasses__()) == {FrozenRecord, SweepResult}
+
+
+def test_an_instance_with_another_alpha_is_a_replaced_copy():
+    inst = FiniteInstance(Pair(REL, (0, 0)), ((0, 1), (1, 0)), None, 7)
+    with pytest.raises(AttributeError):
+        inst.alpha = Fraction(1, 2)
+    half = inst._replace(alpha=Fraction(1, 2))
+    built = FiniteInstance(inst.pair, inst.g_matrix, Fraction(1, 2), 7)
+    assert half == built and hash(half) == hash(built)
+    assert inst.alpha is None
+
+
 def test_sweep_results_do_not_share_their_lists():
     a, b = SweepResult(SPEC), SweepResult(SPEC)
     a.counterexamples.append({})
@@ -242,6 +257,20 @@ class TestArrayRecords:
         assert u != GridFunction(2, [0.0, 1.0, 3.0])
         with pytest.raises(TypeError):
             hash(u)
+
+    def test_grid_functions_are_read_only_views(self):
+        mine = np.array([0.0, 1.0, 2.0])
+        u = GridFunction(2, mine)
+        with pytest.raises(AttributeError):
+            u.values = np.zeros(3)
+        with pytest.raises(AttributeError):
+            u.n_intervals = 3
+        with pytest.raises(ValueError, match="read-only"):
+            u.values[0] = 5.0
+        # the caller's array stays writable and is not copied
+        mine[0] = 5.0
+        assert u.values[0] == 5.0 and not u.values.flags.writeable
+        assert not GridFunction(2, [0, 1, 2]).values.flags.writeable
 
     def test_quadrature_weights_are_frozen_and_keep_their_arrays_in_vars(self):
         arrays = {"start": np.ones(2), "band": np.ones(2), "band_spectrum": np.ones(3)}
