@@ -18,14 +18,16 @@ plain callables.
 
 The rhs is only ever called on whole arrays: once per Picard step on the
 node array, and once per side of the Lipschitz probe on the values of every
-probe pair stacked into one array. A problem builds its weights and node
-array once and reuses them in every step.
+probe pair stacked into one array. A problem builds its node array once and
+reuses it in every step; its weights are the one read-only table that every
+live problem with the same (zeta, N) shares.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -33,7 +35,13 @@ import numpy as np
 from . import _EXPORTS
 from ._records import FrozenRecord, real
 from .gridfn import (
-    GridFunction, _check_intervals, _real_array, interpolate, pointwise_leq, sup_diff
+    GridFunction,
+    _check_intervals,
+    _first_non_finite,
+    _real_array,
+    interpolate,
+    pointwise_leq,
+    sup_diff,
 )
 from .picard import IterationTrace, StoppingPolicy, iterate
 
@@ -57,17 +65,17 @@ def gamma(x: float) -> float:
         raise ValueError(f"Gamma({float(x)!r}) is too large for a float") from None
 
 
-def _stable_power_diff(ms: np.ndarray, p: float) -> np.ndarray:
-    """m^p - (m-1)^p without cancellation, for ms = 1, 2, ..., n.
+def _stable_power_diff(m: np.ndarray, log_ratio: np.ndarray, p: float) -> np.ndarray:
+    """m^p - (m-1)^p without cancellation, for m = 1, 2, ..., n, given the
+    floats m = 2..n and log_ratio = log1p(-1/m) for each of them.
 
     Written as m^p * (-expm1(p * log1p(-1/m))) so the difference keeps full
     relative precision even when m is large and the two powers nearly agree.
     m = 1, at index 0, is exactly 1 (the formula would take log1p(-1)).
     """
-    out = np.empty(len(ms))
+    out = np.empty(len(m) + 1)
     out[0] = 1.0
-    m = ms[1:].astype(float)
-    out[1:] = m**p * (-np.expm1(p * np.log1p(-1.0 / m)))
+    out[1:] = m**p * (-np.expm1(p * log_ratio))
     return out
 
 
@@ -82,7 +90,8 @@ class QuadratureWeights(FrozenRecord):
     the half of the convolution that does not depend on the input.
     Immutable; the fields live in the instance ``__dict__`` (no
     ``__slots__``), so ``vars()`` lists the arrays, which
-    :func:`quadrature_weights` builds read-only.
+    :func:`quadrature_weights` builds read-only, and a table can be held
+    weakly by the module's table of live weights.
     """
 
     _fields = ("zeta", "n_intervals", "start", "band", "band_spectrum")
@@ -102,8 +111,20 @@ class QuadratureWeights(FrozenRecord):
         return 1.0 / self.n_intervals
 
 
+# Every live weight table, by (type(zeta), zeta, N). Its arrays are read-only,
+# so problems can share it; held weakly, a table is freed with the last
+# problem that holds it, and memory at large N is that of the problems.
+_TABLES: weakref.WeakValueDictionary[tuple, QuadratureWeights] = weakref.WeakValueDictionary()
+
+
 def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
-    """Build the node-0 column, the Toeplitz band and its spectrum.
+    """The node-0 column, the Toeplitz band and its spectrum for (zeta, N).
+
+    The arguments are checked first. A live table for the same
+    ``(type(zeta), zeta, N)`` is then returned as it is, the same object
+    (so ``1`` and ``1.0`` get tables of their own); only a miss builds one.
+    A table is read-only and held weakly here: it lives as long as some
+    problem, or other caller, holds it.
 
     Exact on piecewise-linear integrands. For each source interval
     [t_{m-1}, t_m] relative to the target, the kernel moments
@@ -116,13 +137,23 @@ def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
     """
     real(zeta, "zeta must be positive and finite, got {value!r}", above=0.0)
     n = _check_intervals(n_intervals, 1)
+    key = (type(zeta), zeta, n)  # hashable: zeta is a real number by now
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = _build_weights(zeta, n)
+    return table
+
+
+def _build_weights(zeta: float, n: int) -> QuadratureWeights:
     h = 1.0 / n
     scale = h**zeta / gamma(zeta)  # before the moments: they divide by zeta
     ms = np.arange(1, n + 1)
+    m = ms[1:].astype(float)
+    log_ratio = np.log1p(-1.0 / m)  # shared by both power differences
     # an overflowing m^zeta is refused below, not left to numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        p = _stable_power_diff(ms, zeta) / zeta
-        q = _stable_power_diff(ms, zeta + 1.0) / (zeta + 1.0)
+        p = _stable_power_diff(m, log_ratio, zeta) / zeta
+        q = _stable_power_diff(m, log_ratio, zeta + 1.0) / (zeta + 1.0)
         a = q - (ms - 1) * p
         b = ms * p - q
         start = a * scale
@@ -151,9 +182,13 @@ def _apply_weights(w: QuadratureWeights, values: np.ndarray) -> np.ndarray:
 
 
 def frac_integral(u: GridFunction, zeta: float) -> GridFunction:
-    """Order-zeta integral of a grid function, evaluated at every node."""
+    """Order-zeta integral of a grid function, evaluated at every node.
+
+    An integral that overflows a float raises :class:`ArithmeticError`
+    naming the first node where it does.
+    """
     w = quadrature_weights(zeta, u.n_intervals)
-    return GridFunction(u.n_intervals, _apply_weights(w, u.values))
+    return GridFunction._computed(u.n_intervals, _apply_weights(w, u.values))
 
 
 def _trapezoid(values: np.ndarray, h: float) -> float:
@@ -180,10 +215,12 @@ class FdeProblem(FrozenRecord):
     Lipschitz bound ("alpha_plus_one" uses the contraction parameter,
     "zeta_plus_one" the integral order — both appear in circulation, so
     both are supported).
-    The quadrature weights and the read-only node array are built with the
-    problem, which checks ``zeta`` there, after the other parameters: a
-    ``zeta`` that is not a positive finite real, whose Gamma overflows, or
-    whose weights overflow on this grid raises :class:`ValueError` here.
+    The read-only node array is built with the problem, and the quadrature
+    weights are fetched with it from :func:`quadrature_weights`, which
+    checks ``zeta`` after the other parameters: a ``zeta`` that is not a
+    positive finite real, whose Gamma overflows, or whose weights overflow
+    on this grid raises :class:`ValueError` here. Problems alive at the same
+    time with the same ``(zeta, n_intervals)`` share one weights object.
     They are kept as ``weights`` and ``nodes``, outside ``==`` and the hash;
     every array they hold is read-only, so no write can alter a later solve.
     """
@@ -247,9 +284,16 @@ class LipschitzReport(NamedTuple):
         return self.worst_at is not None and self.worst_ratio <= self.bound
 
 
+_FLOAT = np.dtype(float)
+
+
 def _rhs_values(prob: FdeProblem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The rhs on arrays ``t`` and ``u`` of one shape: nodes, or probe rows."""
-    values = _real_array(prob.rhs(t, u), "rhs(t, u) must return real values, got dtype {dtype}")
+    values = prob.rhs(t, u)
+    # the usual result, a float64 array of the shape of t, is used as it is
+    if type(values) is np.ndarray and values.dtype is _FLOAT and values.shape == t.shape:
+        return values
+    values = _real_array(values, "rhs(t, u) must return real values, got dtype {dtype}")
     if values.shape == t.shape:
         return values
     try:
@@ -259,11 +303,6 @@ def _rhs_values(prob: FdeProblem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
             "rhs(t, u) must return an array that broadcasts to the node shape "
             f"{t.shape[-1:]}, got shape {values.shape} for t and u of shape {t.shape}"
         ) from None
-
-
-def _first_non_finite(values: np.ndarray) -> Optional[int]:
-    finite = np.isfinite(values)
-    return None if finite.all() else int(np.argmin(finite))
 
 
 def lipschitz_check(
@@ -324,7 +363,9 @@ def _stacked_check(
 def apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:
     """One application of the integral operator to a grid function.
 
-    The rhs is evaluated once, on the problem's node array. The linear-in-t
+    The rhs is evaluated once, on the problem's node array; a non-finite
+    rhs value raises :class:`ArithmeticError` naming its node, and so does
+    a finite rhs whose integral overflows a float. The linear-in-t
     correction 2 t C uses C = trapezoid of the inner integral's node values,
     computed once per call.
     """
@@ -336,8 +377,9 @@ def apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:
     if bad is not None:
         raise ArithmeticError(f"rhs diverged at node {bad}")
     inner = _apply_weights(w, hv)
-    inner += 2.0 * nodes * _trapezoid(inner, w.step)
-    return GridFunction(u.n_intervals, inner)
+    inner += nodes * (2.0 * _trapezoid(inner, w.step))
+    # inner is this call's own array: it becomes the iterate without a copy
+    return GridFunction._computed(u.n_intervals, inner)
 
 
 class ConvergenceFailure(RuntimeError):

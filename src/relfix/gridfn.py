@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -41,15 +41,22 @@ def _real_array(values: Any, message: str) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
+def _first_non_finite(values: np.ndarray) -> Optional[int]:
+    """Index of the first NaN or infinity in a 1-D array, or None."""
+    finite = np.isfinite(values)
+    return None if finite.all() else int(np.argmin(finite))
+
+
 class GridFunction(FrozenRecord):
     """Values on the uniform nodes t_j = j / n_intervals, j = 0..n_intervals.
 
     ``n_intervals``, an integer of at least 1, is stored as ``int``, and the
-    values are finite reals, read as floats. Both are read-only through the
-    record. A float64 array passed in is kept as a view, so a caller who
-    later writes to that array changes the values; pass a copy to prevent
-    that. Comparisons and arithmetic go through the module functions rather
-    than operator overloads.
+    values are finite reals, read as floats into a read-only copy, so a
+    caller who later writes to the array passed in changes nothing here.
+    Both are read-only through the record. The solver builds its iterates
+    through a private constructor that takes over an array it computed,
+    without the copy. Comparisons and arithmetic go through the module
+    functions rather than operator overloads.
     """
 
     __slots__ = _fields = ("n_intervals", "values")
@@ -61,11 +68,28 @@ class GridFunction(FrozenRecord):
             raise ValueError(f"need {n_intervals + 1} node values, got shape {vals.shape}")
         if not np.isfinite(vals).all():
             raise ValueError("node values must be finite")
-        vals = vals.view()
+        vals = vals.copy()
         vals.flags.writeable = False
-        # the two slots directly: this runs once per Picard step
         object.__setattr__(self, "n_intervals", n_intervals)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _computed(cls, n_intervals: int, values: np.ndarray) -> "GridFunction":
+        """Take over ``values``, a float64 array of shape (n_intervals + 1,)
+        that the caller computed and holds no other reference to: it is made
+        read-only in place, not copied, and only its finiteness is checked.
+        A non-finite value there is an overflow in the computation, not bad
+        input, so it raises :class:`ArithmeticError` naming the first such
+        node."""
+        bad = _first_non_finite(values)
+        if bad is not None:
+            raise ArithmeticError(f"computed value overflows a float at node {bad}")
+        values.flags.writeable = False
+        self = object.__new__(cls)
+        # the two slots directly: this runs once per Picard step
+        object.__setattr__(self, "n_intervals", n_intervals)
+        object.__setattr__(self, "values", values)
+        return self
 
     @property
     def nodes(self) -> np.ndarray:
@@ -85,7 +109,7 @@ class GridFunction(FrozenRecord):
     @classmethod
     def zeros(cls, n_intervals: int = DEFAULT_INTERVALS) -> "GridFunction":
         n = _check_intervals(n_intervals, 1)
-        return cls(n, np.zeros(n + 1))
+        return cls._computed(n, np.zeros(n + 1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridFunction):

@@ -1,9 +1,11 @@
+import gc
 import math
 import os
 import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +364,18 @@ class TestOperator:
         with pytest.raises(ArithmeticError, match="node 5"):
             apply_T(GridFunction.zeros(8), prob)
 
+    def test_overflowing_integral_reports_node(self):
+        # a finite rhs whose integral overflows: the FFT sums turn every
+        # node non-finite, so the correction 2 t C makes node 0 NaN too.
+        # numpy's overflow warnings stay on this failure path
+        prob = FdeProblem(lambda t, u: np.full_like(t, 1.7e308), zeta=0.5, n_intervals=64)
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(ArithmeticError, match="^computed value overflows a float at node 0$"):
+                apply_T(GridFunction.zeros(64), prob)
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(ArithmeticError, match="overflows a float at node"):
+                frac_integral(GridFunction(64, np.full(65, 1.7e308)), 0.5)
+
     def test_rhs_of_the_wrong_shape_names_the_contract(self):
         prob = FdeProblem(rhs=lambda t, u: u[:-1], n_intervals=8)
         message = r"rhs\(t, u\) must return an array that broadcasts to the node shape \(9,\)"
@@ -643,6 +657,56 @@ class TestWholeArrayEvaluation:
         assert trace.converged
         assert trace.steps == 10
         assert solution.n_intervals == 65536
+
+
+class TestSharedWeights:
+    """Live problems with one (type(zeta), zeta, N) share one read-only table."""
+
+    def test_live_problems_with_one_key_share_one_table(self):
+        a = demo_problem(64, 1.375)
+        b = demo_problem(64, 1.375, gamma_variant="alpha_plus_one")
+        assert a.weights is b.weights is quadrature_weights(1.375, 64)
+
+    def test_a_solve_on_a_shared_table_equals_one_on_a_fresh_table(self):
+        first = demo_problem(96, 1.4375)
+        shared = demo_problem(96, 1.4375, gamma_variant="alpha_plus_one")
+        assert shared.weights is first.weights
+        trace_shared, on_shared = solve_fde(shared)
+        table = weakref.ref(shared.weights)
+        del first, shared
+        gc.collect()
+        assert table() is None
+        fresh = demo_problem(96, 1.4375, gamma_variant="alpha_plus_one")
+        trace_fresh, on_fresh = solve_fde(fresh)
+        assert np.array_equal(on_fresh.values, on_shared.values)
+        assert trace_fresh.residuals == trace_shared.residuals
+
+    def test_another_key_gets_its_own_table(self):
+        base = FdeProblem(demo_rhs, zeta=1.0, n_intervals=64)
+        others = (
+            FdeProblem(demo_rhs, zeta=1.5, n_intervals=64),
+            FdeProblem(demo_rhs, zeta=1.0, n_intervals=128),
+            FdeProblem(demo_rhs, zeta=1, n_intervals=64),
+        )
+        for other in others:
+            assert other.weights is not base.weights
+        assert type(others[2].weights.zeta) is int and type(base.weights.zeta) is float
+
+    def test_a_table_is_freed_with_its_last_holder(self):
+        prob = FdeProblem(demo_rhs, zeta=1.5625, n_intervals=80)
+        table = weakref.ref(prob.weights)
+        del prob
+        gc.collect()
+        assert table() is None
+
+    @pytest.mark.parametrize(
+        "zeta", [[0.5], "0.5", math.nan, True, 200.0], ids=["list", "str", "nan", "bool", "200"]
+    )
+    def test_a_bad_zeta_is_refused_before_the_lookup(self, zeta):
+        # a list is unhashable: the lookup must never see it
+        for build in (lambda: FdeProblem(demo_rhs, zeta=zeta), lambda: quadrature_weights(zeta, 8)):
+            with pytest.raises(ValueError, match=re.escape(repr(zeta))):
+                build()
 
 
 SWEEP_ZETAS = tuple(0.5 + k / 16 for k in range(25))
