@@ -17,10 +17,13 @@ map ``fn -> apply_T(fn, prob)`` and the predicate ``pointwise_leq`` as
 plain callables.
 
 The rhs is only ever called on whole arrays: once per Picard step on the
-node array, and once per side of the Lipschitz probe on the values of every
-probe pair stacked into one array. A problem builds its node array once and
-reuses it in every step; its weights are the one read-only table that every
-live problem with the same (zeta, N) shares.
+node array, and once per side of the Lipschitz probe for each block of
+``_PROBE_BLOCK`` nodes, on the values of every probe pair stacked into one
+array, so the probe's memory beyond its rows is O(block), not O(N). A step
+scans its nodes for finiteness only when the trapezoid C of its integral
+says one may be non-finite (see :func:`apply_T`). A problem builds its node
+array once and reuses it in every step; its weights are the one read-only
+table that every live problem with the same (zeta, N) shares.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from ._records import FrozenRecord, real
 from .gridfn import (
     GridFunction,
     _check_intervals,
-    _first_non_finite,
     _real_array,
     interpolate,
     pointwise_leq,
@@ -181,6 +183,17 @@ def _apply_weights(w: QuadratureWeights, values: np.ndarray) -> np.ndarray:
     return out
 
 
+_OVERFLOW = "computed value overflows a float at node {}"
+
+
+def _require_finite(values: np.ndarray, message: str) -> None:
+    """Raise :class:`ArithmeticError` with ``message`` naming the index of
+    the first NaN or infinity in the 1-D array ``values``, if it has one."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ArithmeticError(message.format(int(np.argmin(finite))))
+
+
 def frac_integral(u: GridFunction, zeta: float) -> GridFunction:
     """Order-zeta integral of a grid function, evaluated at every node.
 
@@ -188,7 +201,9 @@ def frac_integral(u: GridFunction, zeta: float) -> GridFunction:
     naming the first node where it does.
     """
     w = quadrature_weights(zeta, u.n_intervals)
-    return GridFunction._computed(u.n_intervals, _apply_weights(w, u.values))
+    values = _apply_weights(w, u.values)
+    _require_finite(values, _OVERFLOW)
+    return GridFunction._computed(u.n_intervals, values)
 
 
 def _trapezoid(values: np.ndarray, h: float) -> float:
@@ -314,21 +329,29 @@ def lipschitz_check(
 
     Every supplied pair must satisfy u <= v pointwise. Each pair is
     interpolated at the samples and the pairs are stacked, one row each, so
-    the rhs is called once per side for all of them. Samples where the two
-    functions agree carry no ratio information and are skipped. With no
-    informative sample at all (no samples, no pairs, or every gap zero) the
-    margin degenerates to the full bound and the check does not pass. A
-    non-finite rhs difference raises :class:`ArithmeticError` naming the
-    first such t in pair-then-sample order. ``worst_at`` is the first
-    maximum in that order.
+    the rhs is called once per side for all of them in each block of
+    ``_PROBE_BLOCK`` samples that holds an informative one. Samples where
+    the two functions agree carry no ratio information and are skipped.
+    With no informative sample at all (no samples, no pairs, or every gap
+    zero) the margin degenerates to the full bound and the check does not
+    pass. A non-finite rhs difference raises :class:`ArithmeticError`
+    naming the first such t in pair-then-sample order. ``worst_at`` is the
+    first maximum in that order.
     """
     for u, v in pairs:
         if not pointwise_leq(u, v):
             raise ValueError("pair is not ordered: need u <= v pointwise")
-    ts = _real_array(t_samples, "t_samples must be real, got dtype {dtype}")
-    lower = np.array([interpolate(u, ts) for u, _ in pairs])
-    upper = np.array([interpolate(v, ts) for _, v in pairs])
+    ts = _real_array(t_samples, "t_samples must be real, got dtype {dtype}").ravel()
+    lower = np.empty((len(pairs), len(ts)))
+    upper = np.empty_like(lower)
+    for row, (u, v) in enumerate(pairs):
+        lower[row], upper[row] = interpolate(u, ts), interpolate(v, ts)
     return _stacked_check(prob, ts, lower, upper)
+
+
+# Samples per block of the Lipschitz probe: its work arrays hold at most
+# this many columns of the stacked rows, whatever the number of samples.
+_PROBE_BLOCK = 65536
 
 
 def _stacked_check(
@@ -337,27 +360,62 @@ def _stacked_check(
     """The Lipschitz probe on stacked values: row p of ``lower`` and
     ``upper`` holds pair p's two functions at the samples ``t``.
 
-    The rhs is called on the whole stack, uninformative samples included,
-    so its arrays keep the stacked shape; only informative samples are
-    checked and ranked.
+    The stack is walked in blocks of ``_PROBE_BLOCK`` columns, so memory
+    beyond the rows is O(block). The rhs is called on a block's whole
+    columns, uninformative samples included, and not at all on a block
+    without an informative sample; only informative samples are checked
+    and ranked. Across blocks the walk keeps the first maximum so far and
+    the first non-finite difference so far by (row, column), which is
+    pair-then-sample order.
     """
     bound = lipschitz_bound(prob)
-    keep = upper != lower
-    if not keep.any():
-        return LipschitzReport(bound, 0.0, None)
-    t = np.broadcast_to(t, lower.shape)
     lower.flags.writeable = upper.flags.writeable = False  # the rhs reads them
-    high = _rhs_values(prob, t, upper)
-    low = _rhs_values(prob, t, lower)
-    # row-major boolean indexing keeps pair-then-sample order
-    t, lower, upper = t[keep], lower[keep], upper[keep]
-    diff = high[keep] - low[keep]
-    bad = _first_non_finite(diff)
+    stacked_t = np.broadcast_to(t, lower.shape)
+    best, best_row, best_col = -1.0, 0, 0
+    bad: Optional[tuple[int, int]] = None
+    for first in range(0, lower.shape[1], _PROBE_BLOCK):
+        cols = slice(first, first + _PROBE_BLOCK)
+        lo, up = lower[:, cols], upper[:, cols]
+        keep = up != lo
+        if not keep.any():
+            continue
+        ts = stacked_t[:, cols]
+        high = _rhs_values(prob, ts, up)
+        low = _rhs_values(prob, ts, lo)
+        # the differences, with -1 (below every ratio) at uninformative samples
+        ratio = np.subtract(high, low, out=np.full(lo.shape, -1.0), where=keep)
+        finite = np.isfinite(ratio)
+        if not finite.all():
+            row, col = divmod(int(np.argmin(finite)), lo.shape[1])
+            if bad is None or row < bad[0]:
+                bad = (row, first + col)
+            continue
+        np.abs(ratio, out=ratio, where=keep)
+        np.divide(ratio, np.subtract(up, lo, out=None, where=keep), out=ratio, where=keep)
+        k = int(np.argmax(ratio))
+        row, col = divmod(k, lo.shape[1])
+        value = float(ratio.flat[k])
+        # a later block wins a tie only from an earlier row
+        if value > best or (value == best and row < best_row):
+            best, best_row, best_col = value, row, first + col
     if bad is not None:
-        raise ArithmeticError(f"rhs difference not finite at t = {float(t[bad])!r}")
-    ratio = np.abs(diff) / (upper - lower)
-    k = int(np.argmax(ratio))
-    return LipschitzReport(bound, float(ratio[k]), (float(t[k]), float(lower[k]), float(upper[k])))
+        raise ArithmeticError(f"rhs difference not finite at t = {float(t[bad[1]])!r}")
+    if best < 0.0:
+        return LipschitzReport(bound, 0.0, None)
+    worst_at = (float(t[best_col]), float(lower[best_row, best_col]), float(upper[best_row, best_col]))
+    return LipschitzReport(bound, best, worst_at)
+
+
+# The Picard step reads its overflow test off the trapezoid C alone. IEEE
+# sums and products carry a NaN or an infinity: a non-finite rhs value makes
+# nodes of the integral non-finite (through the node-0 column or the FFT),
+# and a non-finite node makes C = h (v_0 / 2 + v_1 + ... + v_N / 2)
+# non-finite. So a finite C means every node v_k is finite, and
+# |C| < 2**969 keeps the correction from overflowing:
+# |fl(t_k * 2C)| <= |2C| < 2**970, half an ulp of the largest float
+# 2**1024 - 2**971, so v_k + t_k * 2C stays below 2**1024 - 2**970, from
+# where rounding goes to infinity.
+_SAFE_TRAPEZOID = 2.0**969
 
 
 def apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:
@@ -365,20 +423,27 @@ def apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:
 
     The rhs is evaluated once, on the problem's node array; a non-finite
     rhs value raises :class:`ArithmeticError` naming its node, and so does
-    a finite rhs whose integral overflows a float. The linear-in-t
-    correction 2 t C uses C = trapezoid of the inner integral's node values,
-    computed once per call.
+    a finite rhs whose integral overflows a float, at the integral's first
+    non-finite node. The linear-in-t correction 2 t C uses C = trapezoid
+    of the inner integral's node values, computed once per call. C alone
+    decides whether any node can be non-finite: below 2**969 in magnitude
+    no node is scanned; otherwise (NaN included) the rhs values, the
+    integral and the corrected nodes are scanned in that order.
     """
     if u.n_intervals != prob.n_intervals:
         raise ValueError("grid function does not match the problem grid")
     w, nodes = prob.weights, prob.nodes
     hv = _rhs_values(prob, nodes, u.values)
-    bad = _first_non_finite(hv)
-    if bad is not None:
-        raise ArithmeticError(f"rhs diverged at node {bad}")
     inner = _apply_weights(w, hv)
-    inner += nodes * (2.0 * _trapezoid(inner, w.step))
-    # inner is this call's own array: it becomes the iterate without a copy
+    c = _trapezoid(inner, w.step)
+    if abs(c) < _SAFE_TRAPEZOID:
+        inner += nodes * (2.0 * c)
+    else:
+        _require_finite(hv, "rhs diverged at node {}")
+        _require_finite(inner, _OVERFLOW)
+        inner += nodes * (2.0 * c)
+        _require_finite(inner, _OVERFLOW)
+    # inner is this call's own array, checked: it becomes the iterate as it is
     return GridFunction._computed(u.n_intervals, inner)
 
 
@@ -406,7 +471,8 @@ def solve_fde(prob: FdeProblem) -> tuple[IterationTrace, GridFunction]:
     The Lipschitz condition is first sampled at every node on three ordered
     pairs, (0, 1), (0, t) and (t/2, t/2 + 1/4). At a node a grid function
     equals its node value, so the probe reads node values directly, stacked,
-    and calls the rhs twice in all. Residuals are sup-norm successive
+    and calls the rhs twice per block of ``_PROBE_BLOCK`` nodes: twice in
+    all up to N = 65535. Residuals are sup-norm successive
     differences; the pointwise order is audited along the orbit. When the
     sampled Lipschitz condition passes, the contraction parameter is
     recorded on the trace and drives the per-step bound certificates.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 
@@ -41,12 +41,6 @@ def _real_array(values: Any, message: str) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
-def _first_non_finite(values: np.ndarray) -> Optional[int]:
-    """Index of the first NaN or infinity in a 1-D array, or None."""
-    finite = np.isfinite(values)
-    return None if finite.all() else int(np.argmin(finite))
-
-
 class GridFunction(FrozenRecord):
     """Values on the uniform nodes t_j = j / n_intervals, j = 0..n_intervals.
 
@@ -76,14 +70,11 @@ class GridFunction(FrozenRecord):
     @classmethod
     def _computed(cls, n_intervals: int, values: np.ndarray) -> "GridFunction":
         """Take over ``values``, a float64 array of shape (n_intervals + 1,)
-        that the caller computed and holds no other reference to: it is made
-        read-only in place, not copied, and only its finiteness is checked.
-        A non-finite value there is an overflow in the computation, not bad
-        input, so it raises :class:`ArithmeticError` naming the first such
-        node."""
-        bad = _first_non_finite(values)
-        if bad is not None:
-            raise ArithmeticError(f"computed value overflows a float at node {bad}")
+        that the caller computed, checked finite and holds no other
+        reference to: it is made read-only in place, neither copied nor
+        checked again. The caller names an overflow itself, as
+        :func:`relfix.fractional.apply_T` and
+        :func:`relfix.fractional.frac_integral` do."""
         values.flags.writeable = False
         self = object.__new__(cls)
         # the two slots directly: this runs once per Picard step

@@ -10,7 +10,10 @@ probe was stacked and its step preallocated: the masked power difference,
 the concatenating weight apply, the operator that rebuilds the node array
 and always broadcasts the rhs, and the probe that interpolates every pair
 at the nodes and calls the rhs once per pair and side. The lean solver must
-reproduce it bit for bit.
+reproduce it bit for bit. The step and the probe as they were before the step
+read its overflow test off the trapezoid C and the probe walked node blocks:
+the step that scans the rhs values and the corrected nodes on every call, and
+the probe that ranks boolean-mask copies of the stacked rows.
 """
 
 import math
@@ -23,6 +26,9 @@ from relfix.fractional import (
     ConvergenceFailure,
     FdeProblem,
     LipschitzReport,
+    _apply_weights,
+    _probe_rows,
+    _rhs_values,
     _trapezoid,
     gamma,
     lipschitz_bound,
@@ -227,3 +233,65 @@ def scalar_lipschitz_check(prob, t_samples, pairs) -> LipschitzReport:
                 worst_ratio = float(ratio)
                 worst_at = (t, uv, vv)
     return LipschitzReport(bound=bound, worst_ratio=worst_ratio, worst_at=worst_at)
+
+
+def scanning_apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:
+    """The step that scans the rhs values before the weight apply and every
+    corrected node after it."""
+    if u.n_intervals != prob.n_intervals:
+        raise ValueError("grid function does not match the problem grid")
+    w, nodes = prob.weights, prob.nodes
+    hv = _rhs_values(prob, nodes, u.values)
+    bad = first_non_finite(hv)
+    if bad is not None:
+        raise ArithmeticError(f"rhs diverged at node {bad}")
+    inner = _apply_weights(w, hv)
+    inner += nodes * (2.0 * _trapezoid(inner, w.step))
+    bad = first_non_finite(inner)
+    if bad is not None:
+        raise ArithmeticError(f"computed value overflows a float at node {bad}")
+    return GridFunction._computed(u.n_intervals, inner)
+
+
+def masked_stacked_check(
+    prob: FdeProblem, t: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> LipschitzReport:
+    """The probe on the whole stack, ranking boolean-mask copies of it."""
+    bound = lipschitz_bound(prob)
+    keep = upper != lower
+    if not keep.any():
+        return LipschitzReport(bound, 0.0, None)
+    t = np.broadcast_to(t, lower.shape)
+    lower.flags.writeable = upper.flags.writeable = False
+    high = _rhs_values(prob, t, upper)
+    low = _rhs_values(prob, t, lower)
+    t, lower, upper = t[keep], lower[keep], upper[keep]
+    diff = high[keep] - low[keep]
+    bad = first_non_finite(diff)
+    if bad is not None:
+        raise ArithmeticError(f"rhs difference not finite at t = {float(t[bad])!r}")
+    ratio = np.abs(diff) / (upper - lower)
+    k = int(np.argmax(ratio))
+    return LipschitzReport(bound, float(ratio[k]), (float(t[k]), float(lower[k]), float(upper[k])))
+
+
+def scanning_solve_fde(prob: FdeProblem) -> tuple[LipschitzReport, IterationTrace]:
+    """The solver with the masked probe and the scanning step.
+
+    Returns the probe's report with the trace; raises like ``solve_fde``.
+    """
+    report = masked_stacked_check(prob, prob.nodes, *_probe_rows(prob.nodes))
+    alpha = prob.lipschitz_alpha if report.passed else None
+    if alpha is None:
+        warnings.warn("rhs failed the sampled Lipschitz condition", stacklevel=2)
+    trace = iterate(
+        lambda fn: scanning_apply_T(fn, prob),
+        sup_diff,
+        pointwise_leq,
+        GridFunction.zeros(prob.n_intervals),
+        prob.policy,
+        alpha=alpha,
+    )
+    if not trace.converged:
+        raise ConvergenceFailure("no convergence", trace)
+    return report, trace

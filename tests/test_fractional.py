@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -31,9 +32,10 @@ from relfix.fractional import (
     quadrature_weights,
     solve_fde,
 )
-from relfix.gridfn import GridFunction, pointwise_leq, sup_diff
+from relfix.gridfn import GridFunction, interpolate, pointwise_leq, sup_diff
 from relfix.picard import StoppingPolicy
 
+import fractional_reference
 from fractional_reference import (
     concat_apply_T,
     concat_apply_weights,
@@ -41,9 +43,12 @@ from fractional_reference import (
     dense_apply,
     dense_weights,
     interpolating_lipschitz_check,
+    masked_stacked_check,
     per_node_apply_T,
     reference_solve_fde,
     scalar_lipschitz_check,
+    scanning_apply_T,
+    scanning_solve_fde,
     table_from_band,
 )
 from reference_values import (
@@ -57,6 +62,14 @@ from reference_values import (
 
 ZETAS = (0.5, 0.9, 1.5)
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def assert_invalid_fft_warnings(caught):
+    """An infinite rhs value warns in the real FFT and in the spectrum
+    product, and nowhere else."""
+    messages = {str(w.message) for w in caught}
+    assert all(m.startswith("invalid value encountered in ") for m in messages), messages
+    assert any("rfft" in m for m in messages) and any("multiply" in m for m in messages)
 
 
 @pytest.fixture(scope="module")
@@ -358,19 +371,24 @@ class TestOperator:
             apply_T(GridFunction.zeros(32), demo_problem(64))
 
     def test_divergent_rhs_reports_node(self):
+        # the infinite rhs values reach the FFT before the step diagnoses
+        # them, so numpy warns on this failure path
         prob = FdeProblem(
             rhs=lambda t, u: np.where(t > 0.5, np.inf, 0.0), n_intervals=8
         )
-        with pytest.raises(ArithmeticError, match="node 5"):
-            apply_T(GridFunction.zeros(8), prob)
+        with pytest.warns(RuntimeWarning) as caught:
+            with pytest.raises(ArithmeticError, match="^rhs diverged at node 5$"):
+                apply_T(GridFunction.zeros(8), prob)
+        assert_invalid_fft_warnings(caught)
 
     def test_overflowing_integral_reports_node(self):
-        # a finite rhs whose integral overflows: the FFT sums turn every
-        # node non-finite, so the correction 2 t C makes node 0 NaN too.
-        # numpy's overflow warnings stay on this failure path
+        # a finite rhs whose integral overflows: the FFT sums make node 0 of
+        # the integral 0 and every later node non-finite, so the error names
+        # node 1, read before the correction 2 t C (which would make node 0
+        # NaN too). numpy's overflow warnings stay on this failure path
         prob = FdeProblem(lambda t, u: np.full_like(t, 1.7e308), zeta=0.5, n_intervals=64)
         with pytest.warns(RuntimeWarning):
-            with pytest.raises(ArithmeticError, match="^computed value overflows a float at node 0$"):
+            with pytest.raises(ArithmeticError, match="^computed value overflows a float at node 1$"):
                 apply_T(GridFunction.zeros(64), prob)
         with pytest.warns(RuntimeWarning):
             with pytest.raises(ArithmeticError, match="overflows a float at node"):
@@ -786,6 +804,182 @@ class TestLeanSolverEqualsTheReference:
         assert np.array_equal(prob.nodes, GridFunction.zeros(64).nodes)
         with pytest.raises(ValueError, match="read-only"):
             prob.nodes[1] = 0.5
+
+
+class TestScanFreeStepEqualsTheReference:
+    """The step that reads its overflow test off C and the probe that walks
+    node blocks reproduce the scanning step and the masked probe exactly."""
+
+    @staticmethod
+    def _assert_same_run(prob):
+        report, ref = scanning_solve_fde(prob)
+        trace, solution = solve_fde(prob)
+        assert len(trace.iterates) == len(ref.iterates)
+        for got, want in zip(trace.iterates, ref.iterates):
+            assert np.array_equal(got.values, want.values)
+        assert np.array_equal(solution.values, ref.iterates[-1].values)
+        assert trace.residuals == ref.residuals
+        assert trace.bound_certificates == ref.bound_certificates
+        assert (trace.alpha_used, trace.preserved, trace.certified, trace.converged) == (
+            ref.alpha_used, ref.preserved, ref.certified, ref.converged
+        )
+        got = _stacked_check(prob, prob.nodes, *_probe_rows(prob.nodes))
+        assert got == report
+        assert (got.margin, got.passed) == (report.margin, report.passed)
+
+    @pytest.mark.parametrize("variant", GAMMA_VARIANTS)
+    @pytest.mark.parametrize("zeta", SWEEP_ZETAS)
+    def test_sweep_grid(self, zeta, variant):
+        self._assert_same_run(demo_problem(512, zeta, gamma_variant=variant))
+
+    @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
+    def test_large_grid(self, zeta):
+        for variant in GAMMA_VARIANTS:
+            self._assert_same_run(demo_problem(4096, zeta, gamma_variant=variant))
+
+    @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
+    def test_many_probe_blocks(self, monkeypatch, zeta):
+        # 65 nodes in blocks of 5: the probe walks 13 blocks
+        monkeypatch.setattr(fractional, "_PROBE_BLOCK", 5)
+        for variant in GAMMA_VARIANTS:
+            self._assert_same_run(demo_problem(64, zeta, gamma_variant=variant))
+        with pytest.warns(UserWarning, match="Lipschitz"):
+            self._assert_same_run(FdeProblem(rhs=lambda t, u: u, n_intervals=64))
+
+    @staticmethod
+    def _rows(ts, pairs):
+        lower = np.array([interpolate(u, ts) for u, _ in pairs])
+        upper = np.array([interpolate(v, ts) for _, v in pairs])
+        return lower, upper
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [demo_rhs, lambda t, u: u, lambda t, u: np.cos(3.0 * t) * u * u, lambda t, u: 2.0 * u],
+        ids=["demo", "steep", "curved", "tied"],
+    )
+    def test_arbitrary_samples_in_many_blocks(self, monkeypatch, rhs):
+        monkeypatch.setattr(fractional, "_PROBE_BLOCK", 5)
+        prob = FdeProblem(rhs=rhs, n_intervals=64)
+        ts, pairs = TestWholeArrayEvaluation._probes(64)
+        ts = np.array(ts)
+        want = masked_stacked_check(prob, ts, *self._rows(ts, pairs))
+        assert lipschitz_check(prob, ts, pairs) == want
+        assert want.worst_at is not None
+
+    @staticmethod
+    def _marked_rows():
+        """Two pairs on 65 nodes and the nodes 2, 12 and 20 that the rhs
+        singles out: row 0 is uninformative at 2 and 20, row 1 at 12. In
+        blocks of 5 the marked informative samples are (1, 2) in block 0,
+        (0, 12) in block 2 and (1, 20) in block 4; the first in
+        pair-then-sample order is (0, 12)."""
+        nodes = np.arange(65) / 64
+        upper = np.ones((2, 65))
+        upper[0, [2, 20]] = upper[1, 12] = 0.0
+        return nodes, np.zeros((2, 65)), upper, nodes[[2, 12, 20]]
+
+    def test_a_tie_in_an_earlier_row_of_a_later_block_wins(self, monkeypatch):
+        monkeypatch.setattr(fractional, "_PROBE_BLOCK", 5)
+        nodes, lower, upper, marked = self._marked_rows()
+        prob = FdeProblem(rhs=lambda t, u: np.where(np.isin(t, marked), 3.0, 1.0) * u, n_intervals=64)
+        want = masked_stacked_check(prob, nodes, lower.copy(), upper.copy())
+        assert want.worst_at == (float(nodes[12]), 0.0, 1.0)
+        assert _stacked_check(prob, nodes, lower, upper) == want
+
+    def test_a_non_finite_difference_in_an_earlier_row_of_a_later_block_is_named(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(fractional, "_PROBE_BLOCK", 5)
+        nodes, lower, upper, marked = self._marked_rows()
+        prob = FdeProblem(rhs=lambda t, u: np.where(np.isin(t, marked), np.nan, u), n_intervals=64)
+        message = f"^rhs difference not finite at t = {float(nodes[12])!r}$"
+        for check in (masked_stacked_check, _stacked_check):
+            with pytest.raises(ArithmeticError, match=message):
+                check(prob, nodes, lower.copy(), upper.copy())
+
+    def test_the_normal_step_scans_no_node(self, monkeypatch):
+        scans = []
+        real = fractional._require_finite
+        monkeypatch.setattr(fractional, "_require_finite", lambda *args: scans.append(args) or real(*args))
+        trace, _ = solve_fde(demo_problem(512, 1.5))
+        assert trace.steps > 1 and scans == []
+
+    @staticmethod
+    def _step(rhs, n=64):
+        return GridFunction.zeros(n), FdeProblem(rhs, zeta=0.5, n_intervals=n)
+
+    def test_a_nan_rhs_is_named_like_the_reference(self):
+        u, prob = self._step(lambda t, u: np.where(t > 0.5, np.nan, np.sin(t)))
+        for step in (scanning_apply_T, apply_T):
+            with pytest.raises(ArithmeticError, match="^rhs diverged at node 33$"):
+                step(u, prob)
+
+    def test_an_infinite_rhs_is_named_like_the_reference(self):
+        u, prob = self._step(lambda t, u: np.where(t > 0.5, -np.inf, np.sin(t)))
+        with pytest.raises(ArithmeticError, match="^rhs diverged at node 33$"):
+            scanning_apply_T(u, prob)
+        with pytest.warns(RuntimeWarning) as caught:
+            with pytest.raises(ArithmeticError, match="^rhs diverged at node 33$"):
+                apply_T(u, prob)
+        assert_invalid_fft_warnings(caught)
+
+    def test_an_overflowing_integral_names_its_first_overflowing_node(self):
+        # the scanning step named node 0, made NaN by the correction 0 * NaN
+        u, prob = self._step(lambda t, u: np.full_like(t, 1.7e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            integral = _apply_weights(prob.weights, np.full(65, 1.7e308))
+            with pytest.raises(ArithmeticError, match="^computed value overflows a float at node 0$"):
+                scanning_apply_T(u, prob)
+            with pytest.raises(ArithmeticError, match="^computed value overflows a float at node 1$"):
+                apply_T(u, prob)
+        assert integral[0] == 0.0 and not np.isfinite(integral[1:]).any()
+
+    def test_a_correction_that_overflows_a_finite_integral_is_named(self, monkeypatch):
+        # no rhs makes the FFT return this integral without overflowing
+        # itself, so it stands in for one: finite nodes, C = 1.06e307 and
+        # 1.7e308 + 2 C overflowing at node 8 only
+        integral = np.zeros(9)
+        integral[8] = 1.7e308
+        for module in (fractional, fractional_reference):
+            monkeypatch.setattr(module, "_apply_weights", lambda w, values: integral.copy())
+        u, prob = self._step(demo_rhs, n=8)
+        for step in (scanning_apply_T, apply_T):
+            with pytest.warns(RuntimeWarning, match="^overflow encountered in add$"):
+                with pytest.raises(ArithmeticError, match="^computed value overflows a float at node 8$"):
+                    step(u, prob)
+
+    def test_a_huge_finite_step_takes_the_slow_path_to_the_reference_values(self):
+        u, prob = self._step(lambda t, u: np.full_like(t, 1e300))
+        assert not abs(fractional._trapezoid(_apply_weights(prob.weights, np.full(65, 1e300)), 1 / 64)) < 2.0**969
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = apply_T(u, prob)
+        assert np.isfinite(got.values).all()
+        assert np.array_equal(got.values, scanning_apply_T(u, prob).values)
+
+    @staticmethod
+    def _probe_peak(n):
+        """Bytes tracemalloc sees at the peak of the solver's probe, beyond
+        the probe rows, which are built before tracing starts."""
+        prob = demo_problem(n)
+        rows = _probe_rows(prob.nodes)
+        tracemalloc.start()
+        try:
+            report = _stacked_check(prob, prob.nodes, *rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        return peak
+
+    def test_probe_memory_does_not_grow_with_the_grid(self):
+        # the peak is a few arrays of one block (8.3 MB here at both sizes);
+        # Python's own small objects move it by a few hundred bytes. Masked
+        # copies of the whole stack made it 25.6 MB and 102 MB
+        small, large = self._probe_peak(2**17), self._probe_peak(2**19)
+        assert large <= small + 16 * 1024
+        assert small < 8 * (3 * 8 * fractional._PROBE_BLOCK)
 
 
 class TestBoundary:
