@@ -1,12 +1,11 @@
 """Base classes for the package's records, and the numeric rules.
 
-A record that validates its input is a :class:`FrozenRecord`; a plain
-result, built from values an engine computed, is a ``typing.NamedTuple``.
-Either is read-only once built, and so are the arrays ``GridFunction``
-holds. Two exceptions remain: ``SweepResult``, the tallies ``run_oracle``
-fills in, is the one mutable :class:`Record`, and the computed
-``QuadratureWeights`` is a ``FrozenRecord`` so that ``vars()`` lists its
-read-only arrays.
+A record that validates its input is a :class:`FrozenRecord`, the one
+record base; a plain result, built once from values an engine computed, is
+a ``typing.NamedTuple``. No record is mutable: each is read-only once
+built, and so are the arrays ``GridFunction`` holds. One exception to the
+split remains: the computed ``QuadratureWeights`` is a ``FrozenRecord`` so
+that ``vars()`` lists its read-only arrays.
 
 A record lists its fields in ``_fields`` and gets a field-wise ``==`` and a
 ``Name(field=value, ...)`` repr. Plain classes cost next to nothing to
@@ -60,11 +59,18 @@ def real(
     raise ValueError(message.format(*args, value=value))
 
 
-class Record:
-    """Mutable record: field-wise ``==`` within one class, unhashable."""
+class FrozenRecord:
+    """Immutable record: assignment raises, ``==`` and the hash read the fields.
+
+    ``__init__`` stores its arguments as the fields, in ``_fields`` order;
+    a subclass that checks its input does so first, then calls it."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: Any) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple[Any, ...]:
         return tuple([getattr(self, name) for name in self._fields])
@@ -77,20 +83,6 @@ class Record:
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({body})"
-
-
-class FrozenRecord(Record):
-    """Immutable record: assignment raises, the hash is that of the fields.
-
-    ``__init__`` stores its arguments as the fields, in ``_fields`` order;
-    a subclass validates first and then calls it.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *values: Any) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

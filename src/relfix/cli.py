@@ -184,6 +184,8 @@ def _cmd_iterate(args: argparse.Namespace) -> _Outcome:
     policy = StoppingPolicy(residual_tol=args.tol, max_iterations=args.max_iter)
     if args.instance is not None:
         inst = _load_instance(args.instance)
+        if not inst.n:
+            raise ValueError(f"{args.instance}: the instance's ground set is empty: no --r0 exists")
         message = "--r0 must be a ground index in 0..{0}, got {value!r}"
         r0 = integer(args.r0, message, inst.n - 1, at_least=0, below=inst.n)
         g = lambda i, j: float(inst.g_matrix[i][j])

@@ -28,8 +28,9 @@ entries, so they are exact multiplicities of :func:`enumerate_instances`.
 Only a pair that breaks the conclusion or uniqueness builds matrices: the
 first matrix of each of its satisfying magnitude vectors, each re-checked
 on the relation's table, and the first of them in stream order is listed.
-The module uses Python integers throughout, so no count can overflow and
-running the oracle loads no array library.
+Each relation adds its instances to the running :class:`SweepResult` by
+building a new one; no result changes once built. Python integers
+throughout mean no count can overflow and no array library is loaded.
 
 Completeness and continuity are automatic on a finite carrier under the
 discrete reading; the success reason records that explicitly rather than
@@ -40,10 +41,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import _EXPORTS
-from ._records import FrozenRecord, Record, integer
+from ._records import FrozenRecord, integer
 from .relations import FiniteRelation, is_connected, seed_set, symmetric_closure
 
 __all__ = list(_EXPORTS["finite_oracle"])
@@ -407,34 +409,38 @@ class SweepSpec(NamedTuple):
     rel_count_cap: Optional[int] = None
 
 
-class SweepResult(Record):
-    """Tallies of one slice, starting at zero; ``run_oracle`` fills and returns them."""
+class SweepResult(NamedTuple):
+    """One slice's verdict, read-only; ``SweepResult(spec)`` is the zero tally.
 
-    __slots__ = _fields = (
-        "spec",
-        "instances_checked",
-        "hypotheses_satisfied",
-        "counterexamples",
-        "uniqueness_candidates",
-        "uniqueness_violations",
-        "rejections",
-        "completeness_note",
+    ``rejections`` counts each instance once, under its first failing
+    hypothesis or ``pass``, so the instances checked and those satisfying
+    every hypothesis are read off it. Each listed document is a plain dict."""
+
+    spec: SweepSpec
+    rejections: Mapping[str, int] = MappingProxyType(dict.fromkeys(REJECTION_KEYS, 0))
+    uniqueness_candidates: int = 0
+    counterexamples: tuple[dict, ...] = ()
+    uniqueness_violations: tuple[dict, ...] = ()
+
+    completeness_note = (
+        "completeness and continuity treated as automatic on finite carriers (discrete reading)"
     )
 
-    def __init__(self, spec: SweepSpec) -> None:
-        self.spec = spec
-        self.instances_checked = self.hypotheses_satisfied = self.uniqueness_candidates = 0
-        self.counterexamples: list[dict] = []
-        self.uniqueness_violations: list[dict] = []
-        self.rejections = dict.fromkeys(REJECTION_KEYS, 0)
-        self.completeness_note = (
-            "completeness and continuity treated as automatic on finite carriers (discrete reading)"
-        )
+    instances_checked = property(lambda self: sum(self.rejections.values()))
+    hypotheses_satisfied = property(lambda self: self.rejections["pass"])
 
     def to_json_dict(self) -> dict:
-        """The spec's fields, then the tallies in field order."""
-        doc = {**self.spec._asdict(), **{name: getattr(self, name) for name in self._fields[1:]}}
-        return {**doc, "rejections": dict(self.rejections)}
+        """The spec's fields, then the tallies and the note, in lists and dicts."""
+        return {
+            **self.spec._asdict(),
+            "instances_checked": self.instances_checked,
+            "hypotheses_satisfied": self.hypotheses_satisfied,
+            "counterexamples": list(self.counterexamples),
+            "uniqueness_candidates": self.uniqueness_candidates,
+            "uniqueness_violations": list(self.uniqueness_violations),
+            "rejections": dict(self.rejections),
+            "completeness_note": self.completeness_note,
+        }
 
 
 def default_sweep(n: int) -> SweepSpec:
@@ -497,22 +503,22 @@ def _first_matrix(n: int, g_max: int, cells: Sequence[int], mag: Sequence[int]) 
 
 def _sweep_relation(
     res: SweepResult, rel: FiniteRelation, maps: Sequence[tuple], first_index: int
-) -> None:
-    """Add every instance of the pairs (``rel``, m) to a sweep's tallies.
+) -> SweepResult:
+    """``res`` with every instance of the pairs (``rel``, m) added, a new result.
 
     ``maps`` lists each map m in stream order as ``(m, *_map_cells(n, m))``;
     ``first_index`` is the stream index of the first pair's first matrix.
     """
-    n, g_max = rel.ground_size, res.spec.g_max
+    spec, rejections, candidates, counterexamples, violations = res
+    n, g_max = rel.ground_size, spec.g_max
     k = 2 * g_max + 1
     matrices = k ** (n * n)
     pat = _patterns(rel)
     counts, passing = _classify(pat, g_max)
     multiplicity = matrices // k ** len(pat.cells)
-    rejections = res.rejections
+    rejections = dict(rejections)
     for key, count in zip(REJECTION_KEYS, counts[:3]):
         rejections[key] += count * multiplicity * len(maps)
-    res.instances_checked += matrices * len(maps)
     holds = counts[3] * multiplicity
     for pair_no, (mapping, images, seeds) in enumerate(maps if holds else ()):
         checks = structural, contraction = _pair_checks(pat, images, seeds)
@@ -525,14 +531,13 @@ def _sweep_relation(
         rejections["pass"] += satisfied
         if not satisfied:
             continue
-        res.hypotheses_satisfied += satisfied
         pair = Pair(rel, mapping)
         concludes = conclusion_holds(pair)
         candidate = image_symmetric_connected(pair)
         fixed = fixed_points(pair)
         unique = not candidate or len(fixed) == 1
         if candidate:
-            res.uniqueness_candidates += satisfied
+            candidates += satisfied
         if concludes and unique:
             continue
         # re-check each vector once, on its first matrix: its other matrices
@@ -549,9 +554,10 @@ def _sweep_relation(
         inst = FiniteInstance(pair, g, alpha, first + offset)
         doc = {**inst.to_json_dict(), "instances": satisfied}
         if not concludes:
-            res.counterexamples.append({**doc, "reason": reason})
+            counterexamples += ({**doc, "reason": reason},)
         if not unique:
-            res.uniqueness_violations.append({**doc, "fixed_points": fixed})
+            violations += ({**doc, "fixed_points": fixed},)
+    return SweepResult(spec, MappingProxyType(rejections), candidates, counterexamples, violations)
 
 
 def run_oracle(spec: SweepSpec) -> SweepResult:
@@ -564,16 +570,16 @@ def run_oracle(spec: SweepSpec) -> SweepResult:
     separately, also one per pair.
 
     Counts are exact multiplicities of :func:`enumerate_instances` (see the
-    module docstring). Each listed document is the one that
-    :meth:`FiniteInstance.to_json_dict` gives the pair's first satisfying
-    instance, then ``instances``, the number of the pair's satisfying
-    instances, then its reason or fixed points.
+    module docstring), added relation by relation to a new result. Each
+    listed document is the one :meth:`FiniteInstance.to_json_dict` gives the
+    pair's first satisfying instance, then ``instances``, the number of the
+    pair's satisfying instances, then its reason or fixed points.
     """
     spec = _check_slice(*spec)
-    res = SweepResult(spec=spec)
     n = spec.n
     maps = [(mapping, *_map_cells(n, mapping)) for mapping in product(range(n), repeat=n)]
     per_relation = len(maps) * (2 * spec.g_max + 1) ** (n * n)
+    res = SweepResult(spec)
     for rel_no, rel in enumerate(_relations(n, spec.rel_count_cap)):
-        _sweep_relation(res, rel, maps, rel_no * per_relation)
+        res = _sweep_relation(res, rel, maps, rel_no * per_relation)
     return res

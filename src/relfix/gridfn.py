@@ -64,8 +64,7 @@ class GridFunction(FrozenRecord):
             raise ValueError("node values must be finite")
         vals = vals.copy()
         vals.flags.writeable = False
-        object.__setattr__(self, "n_intervals", n_intervals)
-        object.__setattr__(self, "values", vals)
+        super().__init__(n_intervals, vals)
 
     @classmethod
     def _computed(cls, n_intervals: int, values: np.ndarray) -> "GridFunction":

@@ -5,13 +5,20 @@ with ``reference_hypotheses``, ``conclusion_holds`` and the uniqueness
 check, the brute-force definition the factored ``run_oracle`` must
 reproduce exactly. It lists a violating pair once, as its first violating
 instance's document plus ``instances``, the number of the pair's
-instances it decided to violate. ``reference_hypotheses`` is the
-hypothesis check written as plain integer loops over one instance,
-independent of the oracle's pattern table, and ``reference_alpha`` is the
-contraction factor walked on the g matrix once per grid factor,
-independent of the oracle's ``_contracts``. The other verdict functions
-are looked up on the module at call time, so a test that monkeypatches
-them changes both this reference and ``run_oracle``.
+instances it decided to violate. The references tally into a plain report
+dict laid out as ``SweepResult.to_json_dict`` (``empty_report``), and they
+count ``instances_checked`` and ``hypotheses_satisfied`` themselves, one
+instance or one pair at a time, rather than reading them off the
+rejection histogram as ``SweepResult`` does; so comparing reports checks
+those two properties against an independent count.
+
+``reference_hypotheses`` is the hypothesis check written as plain
+integer loops over one instance, independent of the oracle's pattern
+table, and ``reference_alpha`` is the contraction factor walked on the g
+matrix once per grid factor, independent of the oracle's ``_contracts``.
+The other verdict functions are looked up on the module at call time, so
+a test that monkeypatches them changes both this reference and
+``run_oracle``.
 
 ``per_pair_sweep`` is the factored sweep as it was before it shared one
 g1-g3 walk across a relation's maps: ``pair_table`` compiles each
@@ -44,7 +51,6 @@ from relfix.finite_oracle import (
     REJECTION_KEYS,
     FiniteInstance,
     Pair,
-    SweepResult,
     SweepSpec,
     enumerate_instances,
 )
@@ -139,31 +145,48 @@ def list_grouped(listed, doc, key, value):
         listed.append({**doc, "instances": 1, key: value})
 
 
-def sweep_instances(res, instances):
-    """Decide each instance one by one and add it to ``res``."""
+def empty_report(spec: SweepSpec) -> dict:
+    """A zero report for ``spec``, keyed and ordered as ``SweepResult.to_json_dict``."""
+    return {
+        **spec._asdict(),
+        "instances_checked": 0,
+        "hypotheses_satisfied": 0,
+        "counterexamples": [],
+        "uniqueness_candidates": 0,
+        "uniqueness_violations": [],
+        "rejections": dict.fromkeys(REJECTION_KEYS, 0),
+        "completeness_note": (
+            "completeness and continuity treated as automatic on finite carriers (discrete reading)"
+        ),
+    }
+
+
+def sweep_instances(report, instances):
+    """Decide each instance one by one and add it to ``report``."""
     for inst in instances:
-        res.instances_checked += 1
+        report["instances_checked"] += 1
         ok, reason = reference_hypotheses(inst)
-        res.rejections[rejection_key(reason)] += 1
+        report["rejections"][rejection_key(reason)] += 1
         if not ok:
             continue
-        res.hypotheses_satisfied += 1
+        report["hypotheses_satisfied"] += 1
         inst = inst._replace(alpha=reference_alpha(inst))
         pair = inst.pair
         if not finite_oracle.conclusion_holds(pair):
-            list_grouped(res.counterexamples, inst.to_json_dict(), "reason", reason)
+            list_grouped(report["counterexamples"], inst.to_json_dict(), "reason", reason)
         if finite_oracle.image_symmetric_connected(pair):
-            res.uniqueness_candidates += 1
+            report["uniqueness_candidates"] += 1
             fixed = finite_oracle.fixed_points(pair)
             if len(fixed) != 1:
-                list_grouped(res.uniqueness_violations, inst.to_json_dict(), "fixed_points", fixed)
-    return res
+                violations = report["uniqueness_violations"]
+                list_grouped(violations, inst.to_json_dict(), "fixed_points", fixed)
+    return report
 
 
-def reference_sweep(spec: SweepSpec) -> SweepResult:
-    """The whole slice, one instance at a time."""
+def reference_sweep(spec: SweepSpec) -> dict:
+    """The whole slice's report, one instance at a time."""
     instances = enumerate_instances(spec.n, spec.g_max, spec.rel_count_cap)
-    return sweep_instances(SweepResult(spec=spec), instances)
+    return sweep_instances(empty_report(spec), instances)
 
 
 class PairPatterns(NamedTuple):
@@ -256,9 +279,9 @@ def classify_magnitudes(pat: PairPatterns, g_max: int):
     return counts, passing
 
 
-def sweep_pair(res: SweepResult, rel: FiniteRelation, mapping: tuple[int, ...], first_index: int):
-    """Add every instance of one (relation, map) pair to a sweep's tallies."""
-    n, g_max = rel.ground_size, res.spec.g_max
+def sweep_pair(report: dict, rel: FiniteRelation, mapping: tuple[int, ...], first_index: int):
+    """Add every instance of one (relation, map) pair to a report's tallies."""
+    n, g_max = rel.ground_size, report["g_max"]
     matrices = (2 * g_max + 1) ** (n * n)
     pair = Pair(rel, mapping)
     concludes = finite_oracle.conclusion_holds(pair)
@@ -269,12 +292,12 @@ def sweep_pair(res: SweepResult, rel: FiniteRelation, mapping: tuple[int, ...], 
     counts, passing = classify_magnitudes(pat, g_max)
     multiplicity = matrices // (2 * g_max + 1) ** len(pat.cells)
     for key, count in zip(REJECTION_KEYS, counts):
-        res.rejections[key] += count * multiplicity
+        report["rejections"][key] += count * multiplicity
     satisfied = counts[-1] * multiplicity
-    res.instances_checked += matrices
-    res.hypotheses_satisfied += satisfied
+    report["instances_checked"] += matrices
+    report["hypotheses_satisfied"] += satisfied
     if candidate:
-        res.uniqueness_candidates += satisfied
+        report["uniqueness_candidates"] += satisfied
     if satisfied == 0 or (concludes and unique):
         return
     g = first_instance(n, g_max, pat.cells, passing)
@@ -290,9 +313,9 @@ def sweep_pair(res: SweepResult, rel: FiniteRelation, mapping: tuple[int, ...], 
     doc = {**inst.to_json_dict(), "instances": satisfied}
     reason = finite_oracle._REASONS[key].format(inst.alpha)
     if not concludes:
-        res.counterexamples.append({**doc, "reason": reason})
+        report["counterexamples"].append({**doc, "reason": reason})
     if not unique:
-        res.uniqueness_violations.append({**doc, "fixed_points": fixed})
+        report["uniqueness_violations"].append({**doc, "fixed_points": fixed})
 
 
 def first_instance(n: int, g_max: int, cells: Sequence[int], passing) -> tuple:
@@ -313,18 +336,18 @@ def first_instance(n: int, g_max: int, cells: Sequence[int], passing) -> tuple:
     return tuple(tuple(entries[row * n : row * n + n]) for row in range(n))
 
 
-def per_pair_sweep(spec: SweepSpec) -> SweepResult:
-    """The whole slice, one (relation, map) pair at a time."""
+def per_pair_sweep(spec: SweepSpec) -> dict:
+    """The whole slice's report, one (relation, map) pair at a time."""
     n = spec.n
-    res = SweepResult(spec=spec)
+    report = empty_report(spec)
     matrices = (2 * spec.g_max + 1) ** (n * n)
     maps = list(product(range(n), repeat=n))
     masks = 1 << (n * n) if spec.rel_count_cap is None else min(spec.rel_count_cap, 1 << (n * n))
     for mask in range(masks):
         rel = FiniteRelation(n, frozenset(divmod(b, n) for b in range(n * n) if mask >> b & 1))
         for map_no, mapping in enumerate(maps):
-            sweep_pair(res, rel, mapping, (mask * len(maps) + map_no) * matrices)
-    return res
+            sweep_pair(report, rel, mapping, (mask * len(maps) + map_no) * matrices)
+    return report
 
 
 def place_values(width: int, base: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -202,6 +203,19 @@ class TestIterateCommand:
         assert code == 1
         assert "--r0" in capsys.readouterr().err
 
+    def test_empty_ground_set_is_one_error_line(self, tmp_path, capsys):
+        # no start index exists, so the range 0..-1 is not named
+        path = write_json(tmp_path / "empty.json", {"n": 0, "pairs": [], "map": [], "g": []})
+        assert cli.run(["iterate", "--instance", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"error: {path}: the instance's ground set is empty: no --r0 exists"
+        assert captured.err.splitlines() == [message]
+        # verify decides the same file: no seed, so the hypotheses fail
+        code, doc = run_and_parse(capsys, ["verify", "--instance", path])
+        assert code == cli.EXIT_HYPOTHESIS_FAILURE
+        assert doc["reason"].startswith("seed set empty")
+
     def test_plane_scenario(self, capsys):
         code, summary = run_and_parse(
             capsys,
@@ -381,6 +395,25 @@ class TestOracleCommand:
             assert cli.run(["oracle", "--n", n]) == cli.EXIT_OK
             outputs.append(capsys.readouterr().out.encode())
         assert outputs[0] == outputs[1]
+
+    # sha256 of the whole report as printed at commit e01cafc: a change in key
+    # order or number formatting would pass a comparison of parsed JSON
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--n", "2"], "f65b605b9bce47be52579da5c017c40856d7050666be33c80d522965cdbf85a2"),
+            (["--n", "3"], "10ed3ae81f36b96cfc28bd3f0e912ec5655893b3506c58cb0b821ac1b8e82402"),
+            (["--n", "4"], "9a20483fae97457f5e735e3b95ae9d8bf9d4285484d2b555c4eb65de002bc759"),
+            (
+                ["--n", "3", "--g-max", "2", "--rel-cap", "2"],
+                "18241c0f1f016863a2417973741517d6b76ae01009374dec12c7eebef362dbe5",
+            ),
+        ],
+        ids=["n2", "n3", "n4", "n3-g2-cap2"],
+    )
+    def test_report_bytes_are_pinned(self, capsys, argv, digest):
+        assert cli.run(["oracle", *argv]) == cli.EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_default_sweep_for_four_points(self, capsys):
         code, doc = run_and_parse(capsys, ["oracle", "--n", "4"])

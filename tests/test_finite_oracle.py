@@ -11,6 +11,7 @@ import pytest
 import oracle_reference
 from oracle_reference import (
     closedness_witness,
+    empty_report,
     per_pair_sweep,
     reference_hypotheses,
     reference_sweep,
@@ -394,8 +395,8 @@ class TestSweeps:
         assert sweep.instances_checked == 5184
         assert sweep.hypotheses_satisfied == 315
         assert sweep.uniqueness_candidates == 252
-        assert sweep.counterexamples == []
-        assert sweep.uniqueness_violations == []
+        assert sweep.counterexamples == ()
+        assert sweep.uniqueness_violations == ()
 
     def test_report_serializes(self):
         doc = run_oracle(SweepSpec(2, 1, 2)).to_json_dict()
@@ -405,6 +406,19 @@ class TestSweeps:
         assert again["counterexamples"] == []
         assert again["g_max"] == 1
         assert "completeness" in again["completeness_note"]
+
+    def test_result_is_built_read_only(self):
+        sweep = run_oracle(SweepSpec(2, 1, 2))
+        assert "instances_checked" not in sweep._fields
+        assert "hypotheses_satisfied" not in sweep._fields
+        with pytest.raises(AttributeError):
+            sweep.uniqueness_candidates = 0
+        with pytest.raises(TypeError):
+            sweep.rejections["pass"] = 0
+        assert type(sweep.counterexamples) is type(sweep.uniqueness_violations) is tuple
+        # the report holds plain dicts and lists, which json writes as before
+        doc = sweep.to_json_dict()
+        assert type(doc["rejections"]) is dict and type(doc["counterexamples"]) is list
 
     def test_default_sweep_table(self):
         assert default_sweep(2) == SweepSpec(2, g_max=2, rel_count_cap=None)
@@ -436,17 +450,17 @@ REFERENCE_SLICES = [
 @functools.lru_cache(maxsize=None)
 def reference_report(spec):
     """The one-by-one sweep of a slice, computed once per test session."""
-    return reference_sweep(spec).to_json_dict()
+    return reference_sweep(spec)
 
 
 def relation_of(n, mask):
     return FiniteRelation(n, frozenset((b // n, b % n) for b in range(n * n) if mask >> b & 1))
 
 
-def sweep_one_pair(res, rel, mapping, first_index):
-    """The factored sweep restricted to the one pair (rel, mapping)."""
+def sweep_one_pair(spec, rel, mapping, first_index):
+    """The factored sweep's result for the one pair (rel, mapping) of the slice ``spec``."""
     maps = [(mapping, *finite_oracle._map_cells(rel.ground_size, mapping))]
-    finite_oracle._sweep_relation(res, rel, maps, first_index)
+    return finite_oracle._sweep_relation(SweepResult(spec), rel, maps, first_index)
 
 
 def pair_reports(n, g_max, mask, map_no):
@@ -458,12 +472,10 @@ def pair_reports(n, g_max, mask, map_no):
     matrices = product(product(range(-g_max, g_max + 1), repeat=n), repeat=n)
     first = (mask * len(maps) + map_no) * (2 * g_max + 1) ** (n * n)
     expected = sweep_instances(
-        SweepResult(spec),
+        empty_report(spec),
         (FiniteInstance(pair, g, None, first + k) for k, g in enumerate(matrices)),
     )
-    got = SweepResult(spec)
-    sweep_one_pair(got, rel, mapping, first)
-    return got.to_json_dict(), expected.to_json_dict()
+    return sweep_one_pair(spec, rel, mapping, first).to_json_dict(), expected
 
 
 def structurally_sound(n, mask, mapping):
@@ -525,7 +537,7 @@ class TestFactoredSweep:
         )
         spec = SweepSpec(2, 2, None)
         got = run_oracle(spec).to_json_dict()
-        expected = reference_sweep(spec).to_json_dict()
+        expected = reference_sweep(spec)
         assert got["counterexamples"] and got["uniqueness_violations"]
         assert got == expected
         # n = 3 pairs that have satisfying instances, with map[0] == map[2]
@@ -539,7 +551,7 @@ class TestFactoredSweep:
         assert sweep.instances_checked == 2 * 4**4 * 3**16
         assert sum(sweep.rejections.values()) == sweep.instances_checked
         assert sweep.rejections["pass"] == sweep.hypotheses_satisfied > 0
-        assert sweep.counterexamples == sweep.uniqueness_violations == []
+        assert sweep.counterexamples == sweep.uniqueness_violations == ()
 
     def test_slice_where_g3_fires(self):
         # the reference slices see g3 only at n=2, g_max=3; this slice shows
@@ -548,7 +560,7 @@ class TestFactoredSweep:
         # touched g[r][r] of every triple (r, u, t) with t == r
         sweep = run_oracle(SweepSpec(3, 2, 64))
         assert sweep.instances_checked == 3_375_000_000
-        assert sweep.counterexamples == sweep.uniqueness_violations == []
+        assert sweep.counterexamples == sweep.uniqueness_violations == ()
         assert sweep.rejections == {
             "g1": 1_160_662_500,
             "g2": 1_493_964_000,
@@ -566,7 +578,7 @@ class TestFactoredSweep:
         # whose sweep walked each (relation, map) pair's cells separately
         sweep = run_oracle(SweepSpec(3, 2, None))
         assert sweep.instances_checked == 27_000_000_000
-        assert sweep.counterexamples == sweep.uniqueness_violations == []
+        assert sweep.counterexamples == sweep.uniqueness_violations == ()
         assert sweep.hypotheses_satisfied == sweep.rejections["pass"] == 63_092_941
         assert sweep.uniqueness_candidates == 41_552_316
         assert sweep.rejections == {
@@ -607,13 +619,12 @@ class TestAgainstThePerPairSweep:
             rel = relation_of(n, mask)
             for map_no, mapping in enumerate(maps):
                 first = (mask * len(maps) + map_no) * matrices
-                got, expected = SweepResult(spec), SweepResult(spec)
-                sweep_one_pair(got, rel, mapping, first)
+                got, expected = sweep_one_pair(spec, rel, mapping, first), empty_report(spec)
                 sweep_pair(expected, rel, mapping, first)
-                assert got.to_json_dict() == expected.to_json_dict(), (mask, mapping)
+                assert got.to_json_dict() == expected, (mask, mapping)
         # the whole slice, where one walk serves all of a relation's maps
         got = run_oracle(spec).to_json_dict()
-        assert got == per_pair_sweep(spec).to_json_dict()
+        assert got == per_pair_sweep(spec)
 
     @pytest.mark.parametrize("spec", [SweepSpec(2, 2, None), SweepSpec(3, 1, 8)], ids=str)
     def test_forced_violations_list_the_same_documents(self, monkeypatch, spec):
@@ -622,7 +633,7 @@ class TestAgainstThePerPairSweep:
         monkeypatch.setattr(finite_oracle, "fixed_points", lambda pair: real_fixed(pair) * 2)
         got = run_oracle(spec)
         assert got.counterexamples and got.uniqueness_violations
-        assert json.dumps(got.to_json_dict()) == json.dumps(per_pair_sweep(spec).to_json_dict())
+        assert json.dumps(got.to_json_dict()) == json.dumps(per_pair_sweep(spec))
         # every satisfying instance breaks the conclusion, every candidate
         # uniqueness, and each is counted under its pair's one document
         assert sum(doc["instances"] for doc in got.counterexamples) == got.hypotheses_satisfied
@@ -672,8 +683,7 @@ def factored_pair(rel, mapping, g_max):
     """One pair through the factored sweep: the relation's cells, the
     per-key counts over whole matrices, and the magnitude vectors on those
     cells that pass every hypothesis."""
-    res = SweepResult(SweepSpec(rel.ground_size, g_max, None))
-    sweep_one_pair(res, rel, mapping, 0)
+    res = sweep_one_pair(SweepSpec(rel.ground_size, g_max, None), rel, mapping, 0)
     pat = finite_oracle._patterns(rel)
     _, passing = finite_oracle._classify(pat, g_max)
     images, seeds = finite_oracle._map_cells(pat.n, mapping)
@@ -717,8 +727,7 @@ class TestMagnitudeClassifier:
         monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda pair: False)
         _, sound = drawn_pairs(n, g_max, seed=78, count=1)
         for rel, mapping in sound:
-            res = SweepResult(SweepSpec(n, g_max, None))
-            sweep_one_pair(res, rel, mapping, 11)
+            res = sweep_one_pair(SweepSpec(n, g_max, None), rel, mapping, 11)
             (listed,) = res.counterexamples
             ref_cells, _, codes = oracle_reference.classify_pair(rel, mapping, g_max)
             expected = oracle_reference.materialise(rel, mapping, g_max, ref_cells, codes, 11)
@@ -746,12 +755,11 @@ def test_forced_violations_at_four_points(monkeypatch, g_max, count):
     mapping = (0, 0, 0, 0)
     monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda pair: False)
     first = 3 * (2 * g_max + 1) ** (n * n)
-    res = SweepResult(SweepSpec(n, g_max, None))
-    sweep_one_pair(res, rel, mapping, first)
+    res = sweep_one_pair(SweepSpec(n, g_max, None), rel, mapping, first)
     if g_max == 1:
-        expected = SweepResult(SweepSpec(n, g_max, None))
+        expected = empty_report(SweepSpec(n, g_max, None))
         sweep_pair(expected, rel, mapping, first)
-        assert json.dumps(res.to_json_dict()) == json.dumps(expected.to_json_dict())
+        assert json.dumps(res.to_json_dict()) == json.dumps(expected)
 
     (doc,) = res.counterexamples
     assert res.hypotheses_satisfied == doc["instances"] == count
@@ -773,7 +781,7 @@ def test_listed_instances_are_rechecked(monkeypatch):
     monkeypatch.setattr(finite_oracle, "_classify", lenient)
     monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda pair: False)
     with pytest.raises(RuntimeError, match=r"misclassified: \(g1\) fails"):
-        sweep_one_pair(SweepResult(SweepSpec(n, g_max, None)), rel, (0, 0), 0)
+        sweep_one_pair(SweepSpec(n, g_max, None), rel, (0, 0), 0)
 
 
 def test_listed_instances_serialise_like_to_json_dict(monkeypatch):
@@ -785,8 +793,7 @@ def test_listed_instances_serialise_like_to_json_dict(monkeypatch):
     monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda pair: False)
     monkeypatch.setattr(finite_oracle, "image_symmetric_connected", lambda pair: True)
     monkeypatch.setattr(finite_oracle, "fixed_points", lambda pair: [0, 2])
-    res = SweepResult(SweepSpec(n, g_max, None))
-    sweep_one_pair(res, rel, mapping, 5 * 3 ** (n * n))
+    res = sweep_one_pair(SweepSpec(n, g_max, None), rel, mapping, 5 * 3 ** (n * n))
     assert len(res.counterexamples) == len(res.uniqueness_violations) == 1
     for listed, violation in zip(res.counterexamples, res.uniqueness_violations):
         g = tuple(tuple(row) for row in listed["g"])

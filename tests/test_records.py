@@ -1,17 +1,26 @@
 """Record semantics of every public record type.
 
 Each record keeps its constructor signature and defaults, compares field
-by field, and stays immutable where it is documented as frozen (assignment
-raises ``AttributeError``) or mutable where it is filled in place.
+by field, and is immutable: assignment raises ``AttributeError``. No
+record is filled in place, so the one record base is ``FrozenRecord``.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from relfix._records import FrozenRecord, Record
-from relfix.finite_oracle import FiniteInstance, Pair, SweepResult, SweepSpec
+from relfix import _records
+from relfix._records import FrozenRecord
+from relfix.finite_oracle import (
+    REJECTION_KEYS,
+    FiniteInstance,
+    Pair,
+    SweepResult,
+    SweepSpec,
+    run_oracle,
+)
 from relfix.fractional import FdeProblem, LipschitzReport, QuadratureWeights, demo_rhs
 from relfix.gridfn import GridFunction
 from relfix.gspace import ContractionEstimate, PropertyReport
@@ -20,8 +29,9 @@ from relfix.relations import FiniteRelation
 
 REL = FiniteRelation(2, frozenset({(0, 1)}))
 SPEC = SweepSpec(2, 2, None)
+REJECTIONS = MappingProxyType(dict.fromkeys(REJECTION_KEYS, 1))
 
-# (class, positional arguments, their field names, frozen)
+# (class, positional arguments, their field names, hashable)
 RECORDS = [
     (FiniteRelation, (2, frozenset({(0, 1)})), ("ground_size", "pairs"), True),
     (
@@ -58,7 +68,12 @@ RECORDS = [
         True,
     ),
     (SweepSpec, (3, 1, 8), ("n", "g_max", "rel_count_cap"), True),
-    (SweepResult, (SPEC,), ("spec",), False),
+    (
+        SweepResult,
+        (SPEC, REJECTIONS, 2, ({"index": 0},), ()),
+        ("spec", "rejections", "uniqueness_candidates", "counterexamples", "uniqueness_violations"),
+        False,
+    ),
 ]
 IDS = [cls.__name__ for cls, *_ in RECORDS]
 
@@ -81,8 +96,8 @@ CHANGED = {
 }
 
 
-@pytest.mark.parametrize("cls, args, fields, frozen", RECORDS, ids=IDS)
-def test_positional_and_keyword_construction_agree(cls, args, fields, frozen):
+@pytest.mark.parametrize("cls, args, fields, hashable", RECORDS, ids=IDS)
+def test_positional_and_keyword_construction_agree(cls, args, fields, hashable):
     by_position = cls(*args)
     by_keyword = cls(**dict(zip(fields, args)))
     assert by_position == by_keyword
@@ -90,8 +105,8 @@ def test_positional_and_keyword_construction_agree(cls, args, fields, frozen):
         assert getattr(by_keyword, name) == value
 
 
-@pytest.mark.parametrize("cls, args, fields, frozen", RECORDS, ids=IDS)
-def test_equality_is_field_wise(cls, args, fields, frozen):
+@pytest.mark.parametrize("cls, args, fields, hashable", RECORDS, ids=IDS)
+def test_equality_is_field_wise(cls, args, fields, hashable):
     assert cls(*args) == cls(*args)
     assert not cls(*args) != cls(*args)
     # a different value in any one field breaks equality
@@ -101,16 +116,16 @@ def test_equality_is_field_wise(cls, args, fields, frozen):
         assert cls(*args) != cls(*other), name
 
 
-@pytest.mark.parametrize("cls, args, fields, frozen", RECORDS, ids=IDS)
-def test_assignment_raises_exactly_on_frozen_records(cls, args, fields, frozen):
+@pytest.mark.parametrize("cls, args, fields, hashable", RECORDS, ids=IDS)
+def test_assignment_raises_on_every_record(cls, args, fields, hashable):
     record = cls(*args)
-    if frozen:
+    for name, value in zip(fields, args):
         with pytest.raises(AttributeError):
-            setattr(record, fields[0], args[0])
+            setattr(record, name, value)
+    if hashable:
         assert hash(record) == hash(cls(*args))
     else:
-        setattr(record, fields[-1], None)
-        assert getattr(record, fields[-1]) is None
+        # a result holding a mapping compares by value but has no hash
         with pytest.raises(TypeError):
             hash(record)
 
@@ -138,14 +153,27 @@ def test_assignment_raises_exactly_on_frozen_records(cls, args, fields, frozen):
         (
             lambda: SweepResult(SPEC),
             {
+                "rejections": dict.fromkeys(REJECTION_KEYS, 0),
+                "uniqueness_candidates": 0,
+                "counterexamples": (),
+                "uniqueness_violations": (),
                 "instances_checked": 0,
                 "hypotheses_satisfied": 0,
-                "counterexamples": [],
+            },
+        ),
+        (
+            # the empty relation on 2 points, g = 0: each of the 4 maps has
+            # an empty seed set
+            lambda: run_oracle(SweepSpec(2, 0, 1)),
+            {
+                "instances_checked": 4,
+                "hypotheses_satisfied": 0,
+                "counterexamples": (),
                 "uniqueness_candidates": 0,
-                "uniqueness_violations": [],
+                "uniqueness_violations": (),
                 "rejections": {
                     "g1": 0, "g2": 0, "g3": 0, "not_closed": 0,
-                    "seed_empty": 0, "contraction": 0, "pass": 0,
+                    "seed_empty": 4, "contraction": 0, "pass": 0,
                 },
                 "completeness_note": (
                     "completeness and continuity treated as automatic on "
@@ -160,6 +188,7 @@ def test_assignment_raises_exactly_on_frozen_records(cls, args, fields, frozen):
         "FdeProblem",
         "FiniteInstance",
         "SweepSpec",
+        "SweepResult-zero",
         "SweepResult",
     ],
 )
@@ -181,8 +210,9 @@ def test_plain_results_are_named_tuples(cls, args):
     assert tuple(record) == args and record == args
 
 
-def test_sweep_result_is_the_one_mutable_record():
-    assert set(Record.__subclasses__()) == {FrozenRecord, SweepResult}
+def test_records_module_has_no_mutable_record():
+    assert not hasattr(_records, "Record")
+    assert FrozenRecord.__bases__ == (object,)
 
 
 def test_an_instance_with_another_alpha_is_a_replaced_copy():
@@ -193,17 +223,6 @@ def test_an_instance_with_another_alpha_is_a_replaced_copy():
     built = FiniteInstance(inst.pair, inst.g_matrix, Fraction(1, 2), 7)
     assert half == built and hash(half) == hash(built)
     assert inst.alpha is None
-
-
-def test_sweep_results_do_not_share_their_lists():
-    a, b = SweepResult(SPEC), SweepResult(SPEC)
-    a.counterexamples.append({})
-    a.uniqueness_violations.append({})
-    a.rejections["pass"] += 1
-    assert b.counterexamples == [] and b.uniqueness_violations == []
-    assert b.rejections["pass"] == 0
-    # the tallies are fields too
-    assert a != b
 
 
 @pytest.mark.parametrize(
