@@ -1,11 +1,12 @@
 """Base classes for the package's records, and the numeric rules.
 
 A record that validates its input is a :class:`FrozenRecord`, the one
-record base; a plain result, built once from values an engine computed, is
-a ``typing.NamedTuple``. No record is mutable: each is read-only once
-built, and so are the arrays ``GridFunction`` holds. One exception to the
-split remains: the computed ``QuadratureWeights`` is a ``FrozenRecord`` so
-that ``vars()`` lists its read-only arrays.
+record base, whose one constructor takes fields by position or keyword; a
+plain result, built once from values an engine computed, is a
+``typing.NamedTuple``. No record is mutable, nor are the arrays
+``GridFunction`` holds. One exception to the split remains: the computed
+``QuadratureWeights`` is a ``FrozenRecord``, so that ``vars()`` lists its
+read-only arrays.
 
 A record lists its fields in ``_fields`` and gets a field-wise ``==`` and a
 ``Name(field=value, ...)`` repr. Plain classes cost next to nothing to
@@ -62,14 +63,19 @@ def real(
 class FrozenRecord:
     """Immutable record: assignment raises, ``==`` and the hash read the fields.
 
-    ``__init__`` stores its arguments as the fields, in ``_fields`` order;
-    a subclass that checks its input does so first, then calls it."""
+    ``__init__`` takes each of ``_fields`` once, by position or keyword, or
+    raises :class:`TypeError`; a subclass checks its input, then calls it."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init__(self, *values: Any) -> None:
-        for name, value in zip(self._fields, values):
+    def __init__(self, *values: Any, **named: Any) -> None:
+        fields = self._fields
+        if named:  # keywords fill the fields after the positional ones
+            values += tuple([named.pop(name) for name in fields[len(values):] if name in named])
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes each of its fields {fields} once")
+        for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple[Any, ...]:

@@ -107,18 +107,15 @@ def _write(doc: Any, files: dict[Optional[str], Callable[[], str]]) -> None:
     sys.stdout.write(_dumps(doc))
 
 
-def _read_json(path: str) -> Any:
-    # json raises RecursionError on deep nesting; that is bad input, not a fault
-    try:
-        return json.loads(Path(path).read_text())
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply") from None
-
-
 def _load_instance(path: str) -> FiniteInstance:
     from .finite_oracle import FiniteInstance
 
-    return FiniteInstance.from_json_dict(_read_json(path))
+    try:
+        return FiniteInstance.from_json_dict(json.loads(Path(path).read_text()))
+    except RecursionError:  # json's answer to deep nesting: bad input, not a fault
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # each refusal names the file once
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _scenario(which: int) -> tuple[Callable[..., float], Callable[[PlanePoint], PlanePoint]]:

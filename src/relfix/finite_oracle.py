@@ -42,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import _EXPORTS
 from ._records import FrozenRecord, integer
@@ -409,18 +409,28 @@ class SweepSpec(NamedTuple):
     rel_count_cap: Optional[int] = None
 
 
+def _rebuilt(value: Any, seq: Callable, mapping: Callable) -> Any:
+    """``value`` with each list or tuple rebuilt by ``seq``, each mapping by ``mapping``."""
+    if isinstance(value, Mapping):
+        return mapping({key: _rebuilt(item, seq, mapping) for key, item in value.items()})
+    if isinstance(value, (list, tuple)):
+        return seq([_rebuilt(item, seq, mapping) for item in value])
+    return value
+
+
 class SweepResult(NamedTuple):
     """One slice's verdict, read-only; ``SweepResult(spec)`` is the zero tally.
 
     ``rejections`` counts each instance once, under its first failing
     hypothesis or ``pass``, so the instances checked and those satisfying
-    every hypothesis are read off it. Each listed document is a plain dict."""
+    every hypothesis are read off it. Each listed document is a read-only
+    mapping of tuples, which :meth:`to_json_dict` renders in fresh dicts."""
 
     spec: SweepSpec
     rejections: Mapping[str, int] = MappingProxyType(dict.fromkeys(REJECTION_KEYS, 0))
     uniqueness_candidates: int = 0
-    counterexamples: tuple[dict, ...] = ()
-    uniqueness_violations: tuple[dict, ...] = ()
+    counterexamples: tuple[Mapping[str, Any], ...] = ()
+    uniqueness_violations: tuple[Mapping[str, Any], ...] = ()
 
     completeness_note = (
         "completeness and continuity treated as automatic on finite carriers (discrete reading)"
@@ -435,9 +445,9 @@ class SweepResult(NamedTuple):
             **self.spec._asdict(),
             "instances_checked": self.instances_checked,
             "hypotheses_satisfied": self.hypotheses_satisfied,
-            "counterexamples": list(self.counterexamples),
+            "counterexamples": _rebuilt(self.counterexamples, list, dict),
             "uniqueness_candidates": self.uniqueness_candidates,
-            "uniqueness_violations": list(self.uniqueness_violations),
+            "uniqueness_violations": _rebuilt(self.uniqueness_violations, list, dict),
             "rejections": dict(self.rejections),
             "completeness_note": self.completeness_note,
         }
@@ -554,9 +564,9 @@ def _sweep_relation(
         inst = FiniteInstance(pair, g, alpha, first + offset)
         doc = {**inst.to_json_dict(), "instances": satisfied}
         if not concludes:
-            counterexamples += ({**doc, "reason": reason},)
+            counterexamples += (_rebuilt({**doc, "reason": reason}, tuple, MappingProxyType),)
         if not unique:
-            violations += ({**doc, "fixed_points": fixed},)
+            violations += (_rebuilt({**doc, "fixed_points": fixed}, tuple, MappingProxyType),)
     return SweepResult(spec, MappingProxyType(rejections), candidates, counterexamples, violations)
 
 
@@ -571,9 +581,9 @@ def run_oracle(spec: SweepSpec) -> SweepResult:
 
     Counts are exact multiplicities of :func:`enumerate_instances` (see the
     module docstring), added relation by relation to a new result. Each
-    listed document is the one :meth:`FiniteInstance.to_json_dict` gives the
-    pair's first satisfying instance, then ``instances``, the number of the
-    pair's satisfying instances, then its reason or fixed points.
+    listed document holds, in tuples, what :meth:`FiniteInstance.to_json_dict`
+    gives the pair's first satisfying instance, then ``instances``, the
+    number of the pair's satisfying instances, then its reason or fixed points.
     """
     spec = _check_slice(*spec)
     n = spec.n

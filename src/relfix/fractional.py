@@ -17,13 +17,15 @@ map ``fn -> apply_T(fn, prob)`` and the predicate ``pointwise_leq`` as
 plain callables.
 
 The rhs is only ever called on whole arrays: once per Picard step on the
-node array, and once per side of the Lipschitz probe for each block of
-``_PROBE_BLOCK`` nodes, on the values of every probe pair stacked into one
-array, so the probe's memory beyond its rows is O(block), not O(N). A step
-scans its nodes for finiteness only when the trapezoid C of its integral
-says one may be non-finite (see :func:`apply_T`). A problem builds its node
-array once and reuses it in every step; its weights are the one read-only
-table that every live problem with the same (zeta, N) shares.
+node array, and once per side for each block of the Lipschitz probe. While
+a pair's samples fit in ``_PROBE_BLOCK``, one block stacks every pair, one
+row each; above that, a block is one pair's next run of ``_PROBE_BLOCK``
+samples. The walk is in pair-then-sample order, and the probe's memory
+beyond its rows is O(block), not O(N). A step scans its nodes for
+finiteness only when the trapezoid C of its integral says one may be
+non-finite (see :func:`apply_T`). A problem builds its node array once and
+reuses it in every step; its weights are the one read-only table that
+every live problem with the same (zeta, N) shares.
 """
 
 from __future__ import annotations
@@ -97,16 +99,6 @@ class QuadratureWeights(FrozenRecord):
     """
 
     _fields = ("zeta", "n_intervals", "start", "band", "band_spectrum")
-
-    def __init__(
-        self,
-        zeta: float,
-        n_intervals: int,
-        start: np.ndarray,
-        band: np.ndarray,
-        band_spectrum: np.ndarray,
-    ) -> None:
-        super().__init__(zeta, n_intervals, start, band, band_spectrum)
 
     @property
     def step(self) -> float:
@@ -218,11 +210,12 @@ class FdeProblem(FrozenRecord):
     one shape) and returns an array of real values that broadcasts to that
     shape (a scalar does); any other result, a complex one included, raises
     :class:`ValueError`. The Picard step passes the node array, of shape
-    (N+1,); the Lipschitz probe passes its pairs stacked, one row each, so
-    the rhs must act elementwise on arrays of any shape. Write it with numpy
-    ufuncs (``np.sin``, not ``math.sin``) and branch with ``np.where``, not
-    ``if``. The rhs must not write to its arguments: they are read-only,
-    so an in-place update such as ``u *= 0.0`` raises :class:`ValueError`.
+    (N+1,); the Lipschitz probe passes 2-D blocks of one or more stacked
+    pairs, one row each, so the rhs must act elementwise on arrays of any
+    shape. Write it with numpy ufuncs (``np.sin``, not ``math.sin``) and
+    branch with ``np.where``, not ``if``. The rhs must not write to its
+    arguments: they are read-only, so an in-place update such as
+    ``u *= 0.0`` raises :class:`ValueError`.
     ``zeta`` is a positive finite real and ``n_intervals`` an integer of at
     least 8, stored as ``int``. ``lipschitz_alpha``, in (0, 1), is the
     contraction parameter the Lipschitz condition is tested against;
@@ -328,13 +321,14 @@ def lipschitz_check(
     """Test |rhs(t, v) - rhs(t, u)| <= bound * (v - u) on ordered samples.
 
     Every supplied pair must satisfy u <= v pointwise. Each pair is
-    interpolated at the samples and the pairs are stacked, one row each, so
-    the rhs is called once per side for all of them in each block of
-    ``_PROBE_BLOCK`` samples that holds an informative one. Samples where
-    the two functions agree carry no ratio information and are skipped.
-    With no informative sample at all (no samples, no pairs, or every gap
-    zero) the margin degenerates to the full bound and the check does not
-    pass. A non-finite rhs difference raises :class:`ArithmeticError`
+    interpolated at the samples and the pairs are stacked, one row each.
+    The rhs is called once per side on each block that holds an
+    informative sample: up to ``_PROBE_BLOCK`` samples, one block of every
+    pair; above that, one pair's runs of ``_PROBE_BLOCK`` samples, pair by
+    pair. Samples where the two functions agree carry no ratio information
+    and are skipped. With no informative sample at all (no samples, no
+    pairs, or every gap zero) the margin degenerates to the full bound and
+    the check does not pass. A non-finite rhs difference raises :class:`ArithmeticError`
     naming the first such t in pair-then-sample order. ``worst_at`` is the
     first maximum in that order.
     """
@@ -349,8 +343,8 @@ def lipschitz_check(
     return _stacked_check(prob, ts, lower, upper)
 
 
-# Samples per block of the Lipschitz probe: its work arrays hold at most
-# this many columns of the stacked rows, whatever the number of samples.
+# Samples per block of the Lipschitz probe: up to this many samples a block is
+# every pair at once, above it one pair's next run of this many samples.
 _PROBE_BLOCK = 65536
 
 
@@ -360,50 +354,42 @@ def _stacked_check(
     """The Lipschitz probe on stacked values: row p of ``lower`` and
     ``upper`` holds pair p's two functions at the samples ``t``.
 
-    The stack is walked in blocks of ``_PROBE_BLOCK`` columns, so memory
-    beyond the rows is O(block). The rhs is called on a block's whole
-    columns, uninformative samples included, and not at all on a block
+    Up to ``_PROBE_BLOCK`` samples, one block holds every pair; above that,
+    a block is one pair's next run of up to ``_PROBE_BLOCK`` samples, and
+    the blocks run pair by pair. So the walk is in pair-then-sample order
+    and memory beyond the rows is O(block). The rhs is called on a block's
+    whole run, uninformative samples included, and not at all on a block
     without an informative sample; only informative samples are checked
-    and ranked. Across blocks the walk keeps the first maximum so far and
-    the first non-finite difference so far by (row, column), which is
-    pair-then-sample order.
+    and ranked. The walk keeps the running maximum, which only a strictly
+    larger ratio replaces, and raises at the first non-finite difference.
     """
     bound = lipschitz_bound(prob)
     lower.flags.writeable = upper.flags.writeable = False  # the rhs reads them
-    stacked_t = np.broadcast_to(t, lower.shape)
-    best, best_row, best_col = -1.0, 0, 0
-    bad: Optional[tuple[int, int]] = None
-    for first in range(0, lower.shape[1], _PROBE_BLOCK):
-        cols = slice(first, first + _PROBE_BLOCK)
-        lo, up = lower[:, cols], upper[:, cols]
-        keep = up != lo
-        if not keep.any():
-            continue
-        ts = stacked_t[:, cols]
-        high = _rhs_values(prob, ts, up)
-        low = _rhs_values(prob, ts, lo)
-        # the differences, with -1 (below every ratio) at uninformative samples
-        ratio = np.subtract(high, low, out=np.full(lo.shape, -1.0), where=keep)
-        finite = np.isfinite(ratio)
-        if not finite.all():
-            row, col = divmod(int(np.argmin(finite)), lo.shape[1])
-            if bad is None or row < bad[0]:
-                bad = (row, first + col)
-            continue
-        np.abs(ratio, out=ratio, where=keep)
-        np.divide(ratio, np.subtract(up, lo, out=None, where=keep), out=ratio, where=keep)
-        k = int(np.argmax(ratio))
-        row, col = divmod(k, lo.shape[1])
-        value = float(ratio.flat[k])
-        # a later block wins a tie only from an earlier row
-        if value > best or (value == best and row < best_row):
-            best, best_row, best_col = value, row, first + col
-    if bad is not None:
-        raise ArithmeticError(f"rhs difference not finite at t = {float(t[bad[1]])!r}")
-    if best < 0.0:
-        return LipschitzReport(bound, 0.0, None)
-    worst_at = (float(t[best_col]), float(lower[best_row, best_col]), float(upper[best_row, best_col]))
-    return LipschitzReport(bound, best, worst_at)
+    pairs, samples = lower.shape
+    height = max(pairs, 1) if samples <= _PROBE_BLOCK else 1
+    best, worst_at = -1.0, None
+    for top in range(0, pairs, height):
+        for first in range(0, samples, _PROBE_BLOCK):
+            rows, cols = slice(top, top + height), slice(first, first + _PROBE_BLOCK)
+            lo, up = lower[rows, cols], upper[rows, cols]
+            keep = up != lo
+            if not keep.any():
+                continue
+            ts = np.broadcast_to(t[cols], lo.shape)
+            high = _rhs_values(prob, ts, up)
+            low = _rhs_values(prob, ts, lo)
+            # the differences, with -1 (below every ratio) at uninformative samples
+            ratio = np.subtract(high, low, out=np.full(lo.shape, -1.0), where=keep)
+            finite = np.isfinite(ratio)
+            if not finite.all():
+                at = divmod(int(np.argmin(finite)), lo.shape[1])
+                raise ArithmeticError(f"rhs difference not finite at t = {float(ts[at])!r}")
+            np.abs(ratio, out=ratio, where=keep)
+            np.divide(ratio, np.subtract(up, lo, out=None, where=keep), out=ratio, where=keep)
+            at = divmod(int(np.argmax(ratio)), lo.shape[1])  # (row, column)
+            if ratio[at] > best:
+                best, worst_at = float(ratio[at]), (float(ts[at]), float(lo[at]), float(up[at]))
+    return LipschitzReport(bound, max(best, 0.0), worst_at)  # 0.0 if nothing was informative
 
 
 # The Picard step reads its overflow test off the trapezoid C alone. IEEE
@@ -471,8 +457,8 @@ def solve_fde(prob: FdeProblem) -> tuple[IterationTrace, GridFunction]:
     The Lipschitz condition is first sampled at every node on three ordered
     pairs, (0, 1), (0, t) and (t/2, t/2 + 1/4). At a node a grid function
     equals its node value, so the probe reads node values directly, stacked,
-    and calls the rhs twice per block of ``_PROBE_BLOCK`` nodes: twice in
-    all up to N = 65535. Residuals are sup-norm successive
+    and calls the rhs twice in all up to N = 65535; above that, twice per
+    pair per run of 65,536 nodes. Residuals are sup-norm successive
     differences; the pointwise order is audited along the orbit. When the
     sampled Lipschitz condition passes, the contraction parameter is
     recorded on the trace and drives the per-step bound certificates.

@@ -154,10 +154,11 @@ class TestVerifyCommand:
             '{"n": 2, "pairs": [[0, 0]], "map": [true, 0], "g": [[0, 1], [1, 0]]}',
             '{"n": 2, "pairs": [[0, 0]], "map": [0, 0], "g": [[0, Infinity], [1, 0]]}',
             "[" * 100_000,
+            "",
         ],
         ids=[
             "missing-g", "string-n", "top-level-list", "fractional-g", "bool-map", "infinity",
-            "deeply-nested",
+            "deeply-nested", "not-json",
         ],
     )
     @pytest.mark.parametrize("command", ["verify", "iterate"])
@@ -169,7 +170,9 @@ class TestVerifyCommand:
         assert code == 1
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        # the file is named once, right after the prefix
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+        assert lines[0].count(str(path)) == 1
         assert "Traceback" not in captured.err
 
     def test_missing_instance_file(self, tmp_path, capsys):

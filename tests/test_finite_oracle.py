@@ -420,6 +420,23 @@ class TestSweeps:
         doc = sweep.to_json_dict()
         assert type(doc["rejections"]) is dict and type(doc["counterexamples"]) is list
 
+    def test_listed_documents_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(finite_oracle, "conclusion_holds", lambda pair: False)
+        sweep = run_oracle(default_sweep(2))
+        listed = sweep.counterexamples[0]
+        before = sweep.to_json_dict()
+        # a report is rendered fresh: writing into it leaves the result alone
+        report = sweep.to_json_dict()
+        report["counterexamples"][0]["instances"] = 0
+        report["counterexamples"][0]["g"][0][0] = 99
+        assert sweep.to_json_dict() == before
+        assert listed["instances"] == before["counterexamples"][0]["instances"] > 0
+        # and the result's own documents refuse both writes
+        with pytest.raises(TypeError):
+            listed["instances"] = 0
+        with pytest.raises(TypeError):
+            listed["g"][0][0] = 99
+
     def test_default_sweep_table(self):
         assert default_sweep(2) == SweepSpec(2, g_max=2, rel_count_cap=None)
         assert default_sweep(3) == SweepSpec(3, g_max=1, rel_count_cap=8)
@@ -732,7 +749,7 @@ class TestMagnitudeClassifier:
             ref_cells, _, codes = oracle_reference.classify_pair(rel, mapping, g_max)
             expected = oracle_reference.materialise(rel, mapping, g_max, ref_cells, codes, 11)
             first = next(expected)
-            assert (listed["index"], listed["g"]) == (first.index, list(map(list, first.g_matrix)))
+            assert (listed["index"], listed["g"]) == (first.index, first.g_matrix)
             assert listed["instances"] == 1 + sum(1 for _ in expected) > 1
 
 
@@ -761,7 +778,7 @@ def test_forced_violations_at_four_points(monkeypatch, g_max, count):
         sweep_pair(expected, rel, mapping, first)
         assert json.dumps(res.to_json_dict()) == json.dumps(expected)
 
-    (doc,) = res.counterexamples
+    (doc,) = res.to_json_dict()["counterexamples"]
     assert res.hypotheses_satisfied == doc["instances"] == count
     assert doc["g"] == decoded_matrix(doc["index"] - first, n, g_max)
     assert reference_hypotheses(FiniteInstance.from_json_dict(doc))[0]
@@ -794,8 +811,9 @@ def test_listed_instances_serialise_like_to_json_dict(monkeypatch):
     monkeypatch.setattr(finite_oracle, "image_symmetric_connected", lambda pair: True)
     monkeypatch.setattr(finite_oracle, "fixed_points", lambda pair: [0, 2])
     res = sweep_one_pair(SweepSpec(n, g_max, None), rel, mapping, 5 * 3 ** (n * n))
-    assert len(res.counterexamples) == len(res.uniqueness_violations) == 1
-    for listed, violation in zip(res.counterexamples, res.uniqueness_violations):
+    report = res.to_json_dict()
+    assert len(report["counterexamples"]) == len(report["uniqueness_violations"]) == 1
+    for listed, violation in zip(report["counterexamples"], report["uniqueness_violations"]):
         g = tuple(tuple(row) for row in listed["g"])
         inst = FiniteInstance(Pair(rel, mapping), g, Fraction(listed["alpha"]), listed["index"])
         ok, reason = hypotheses_hold(inst)

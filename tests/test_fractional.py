@@ -626,6 +626,24 @@ class TestWholeArrayEvaluation:
         assert len(calls) == trace.steps + 2
         assert set(calls) == {(np.ndarray, np.ndarray)}
 
+    @pytest.mark.parametrize(
+        "n, probe",
+        # up to N = 65535 one block holds the three pairs; above that each
+        # pair is walked in runs of 65,536 nodes, here one full and one of a
+        # single node, two sides each: 12 calls
+        [(65535, [(3, 65536)] * 2), (65536, [(1, 65536), (1, 65536), (1, 1), (1, 1)] * 3)],
+        ids=["one-block", "two-runs-per-pair"],
+    )
+    def test_probe_calls_the_rhs_twice_per_block(self, n, probe):
+        shapes = []
+
+        def rhs(t, u):
+            shapes.append(t.shape)
+            return demo_rhs(t, u)
+
+        trace, _ = solve_fde(FdeProblem(rhs=rhs, n_intervals=n))
+        assert shapes == probe + [(n + 1,)] * trace.steps
+
     def test_the_rhs_cannot_write_to_its_arguments(self):
         # zeroing u in place would make the probe divide by zero and the
         # Picard loop run its whole budget; a read-only u refuses the write
@@ -869,10 +887,10 @@ class TestScanFreeStepEqualsTheReference:
     @staticmethod
     def _marked_rows():
         """Two pairs on 65 nodes and the nodes 2, 12 and 20 that the rhs
-        singles out: row 0 is uninformative at 2 and 20, row 1 at 12. In
-        blocks of 5 the marked informative samples are (1, 2) in block 0,
-        (0, 12) in block 2 and (1, 20) in block 4; the first in
-        pair-then-sample order is (0, 12)."""
+        singles out: row 0 is uninformative at 2 and 20, row 1 at 12. The
+        marked informative samples are (1, 2), (0, 12) and (1, 20); the
+        first in pair-then-sample order is (0, 12), though (1, 2) comes
+        first column by column."""
         nodes = np.arange(65) / 64
         upper = np.ones((2, 65))
         upper[0, [2, 20]] = upper[1, 12] = 0.0
@@ -974,12 +992,13 @@ class TestScanFreeStepEqualsTheReference:
         return peak
 
     def test_probe_memory_does_not_grow_with_the_grid(self):
-        # the peak is a few arrays of one block (8.3 MB here at both sizes);
-        # Python's own small objects move it by a few hundred bytes. Masked
-        # copies of the whole stack made it 25.6 MB and 102 MB
+        # the peak is a few arrays of one pair's block (2.8 MB here at both
+        # sizes); Python's own small objects move it by a few hundred bytes.
+        # Blocks of all three pairs made it 8.3 MB, and masked copies of the
+        # whole stack 25.6 MB and 102 MB
         small, large = self._probe_peak(2**17), self._probe_peak(2**19)
         assert large <= small + 16 * 1024
-        assert small < 8 * (3 * 8 * fractional._PROBE_BLOCK)
+        assert small < 8 * (8 * fractional._PROBE_BLOCK)
 
 
 class TestBoundary:

@@ -5,6 +5,7 @@ by field, and is immutable: assignment raises ``AttributeError``. No
 record is filled in place, so the one record base is ``FrozenRecord``.
 """
 
+import re
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -301,6 +302,21 @@ class TestArrayRecords:
         assert w.step == 0.5
         with pytest.raises(AttributeError):
             w.zeta = 1.0
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            ((0.5, 2), {}),
+            ((), {"zeta": 0.5, "n_intervals": 2}),
+            ((0.5, 2, None, None), {"spectrum": None}),
+            ((0.5, 2, None, None), {"zeta": 0.5}),
+        ],
+        ids=["positional-count", "keyword-count", "unknown-keyword", "duplicated-field"],
+    )
+    def test_record_constructor_takes_each_field_once(self, args, named):
+        message = f"QuadratureWeights takes each of its fields {QuadratureWeights._fields} once"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            QuadratureWeights(*args, **named)
 
     def test_problem_caches_do_not_enter_equality(self):
         a, b = FdeProblem(demo_rhs, n_intervals=16), FdeProblem(demo_rhs, n_intervals=16)
