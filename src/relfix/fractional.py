@@ -16,16 +16,15 @@ pointwise order as audit relation: the solver hands ``picard.iterate`` the
 map ``fn -> apply_T(fn, prob)`` and the predicate ``pointwise_leq`` as
 plain callables.
 
-The rhs is only ever called on whole arrays: once per Picard step on the
-node array, and once per side for each block of the Lipschitz probe. While
-a pair's samples fit in ``_PROBE_BLOCK``, one block stacks every pair, one
-row each; above that, a block is one pair's next run of ``_PROBE_BLOCK``
-samples. The walk is in pair-then-sample order, and the probe's memory
-beyond its rows is O(block), not O(N). A step scans its nodes for
-finiteness only when the trapezoid C of its integral says one may be
-non-finite (see :func:`apply_T`). A problem builds its node array once and
-reuses it in every step; its weights are the one read-only table that
-every live problem with the same (zeta, N) shares.
+The rhs is only ever called on whole 1-D arrays: once per Picard step on
+the node array, and once per side for each run of the Lipschitz probe. The
+probe reads its pairs as one pair-major stream, pair 0's samples first, and
+walks it in 1-D runs of up to ``_PROBE_BLOCK`` samples, so the walk is in
+pair-then-sample order and the probe's memory beyond its rows is O(run),
+not O(N). A step scans its nodes for finiteness only when the trapezoid C
+of its integral says one may be non-finite (see :func:`apply_T`). A problem
+builds its node array once and reuses it in every step; its weights are the
+one read-only table that every live problem with the same (zeta, N) shares.
 """
 
 from __future__ import annotations
@@ -205,17 +204,15 @@ def _trapezoid(values: np.ndarray, h: float) -> float:
 class FdeProblem(FrozenRecord):
     """A fractional-order two-point problem and its solver configuration.
 
-    ``rhs(t, u)`` is the driving term, evaluated elementwise on whole
-    arrays: it receives the node array ``t`` and the value array ``u`` (of
-    one shape) and returns an array of real values that broadcasts to that
-    shape (a scalar does); any other result, a complex one included, raises
-    :class:`ValueError`. The Picard step passes the node array, of shape
-    (N+1,); the Lipschitz probe passes 2-D blocks of one or more stacked
-    pairs, one row each, so the rhs must act elementwise on arrays of any
-    shape. Write it with numpy ufuncs (``np.sin``, not ``math.sin``) and
-    branch with ``np.where``, not ``if``. The rhs must not write to its
-    arguments: they are read-only, so an in-place update such as
-    ``u *= 0.0`` raises :class:`ValueError`.
+    ``rhs(t, u)`` is the driving term, evaluated elementwise on 1-D arrays
+    ``t`` and ``u`` of one shape: the node array, of shape (N+1,), in the
+    Picard step, and 1-D runs of the pair-major stream of samples in the
+    Lipschitz probe. It returns real values that broadcast to that shape (a
+    scalar does); any other result, a complex one included, raises
+    :class:`ValueError` naming the shape it was given. Write it with numpy
+    ufuncs (``np.sin``, not ``math.sin``) and branch with ``np.where``, not
+    ``if``. The rhs must not write to its arguments: they are read-only, so
+    an in-place update such as ``u *= 0.0`` raises :class:`ValueError`.
     ``zeta`` is a positive finite real and ``n_intervals`` an integer of at
     least 8, stored as ``int``. ``lipschitz_alpha``, in (0, 1), is the
     contraction parameter the Lipschitz condition is tested against;
@@ -296,7 +293,7 @@ _FLOAT = np.dtype(float)
 
 
 def _rhs_values(prob: FdeProblem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The rhs on arrays ``t`` and ``u`` of one shape: nodes, or probe rows."""
+    """The rhs on 1-D arrays ``t`` and ``u`` of one shape: nodes, or a probe run."""
     values = prob.rhs(t, u)
     # the usual result, a float64 array of the shape of t, is used as it is
     if type(values) is np.ndarray and values.dtype is _FLOAT and values.shape == t.shape:
@@ -308,8 +305,8 @@ def _rhs_values(prob: FdeProblem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.broadcast_to(values, t.shape)
     except ValueError:
         raise ValueError(
-            "rhs(t, u) must return an array that broadcasts to the node shape "
-            f"{t.shape[-1:]}, got shape {values.shape} for t and u of shape {t.shape}"
+            "rhs(t, u) must return an array that broadcasts to the shape of t and u, "
+            f"{t.shape}, got shape {values.shape}"
         ) from None
 
 
@@ -322,15 +319,14 @@ def lipschitz_check(
 
     Every supplied pair must satisfy u <= v pointwise. Each pair is
     interpolated at the samples and the pairs are stacked, one row each.
-    The rhs is called once per side on each block that holds an
-    informative sample: up to ``_PROBE_BLOCK`` samples, one block of every
-    pair; above that, one pair's runs of ``_PROBE_BLOCK`` samples, pair by
-    pair. Samples where the two functions agree carry no ratio information
-    and are skipped. With no informative sample at all (no samples, no
-    pairs, or every gap zero) the margin degenerates to the full bound and
-    the check does not pass. A non-finite rhs difference raises :class:`ArithmeticError`
-    naming the first such t in pair-then-sample order. ``worst_at`` is the
-    first maximum in that order.
+    The rhs is called once per side on each 1-D run of their pair-major
+    stream that holds an informative sample; samples where the two
+    functions agree carry no ratio information and are skipped. With no
+    informative sample at all (no samples, no pairs, or every gap zero) the
+    margin degenerates to the full bound and the check does not pass. The
+    first non-finite rhs difference in pair-then-sample order raises
+    :class:`ArithmeticError` naming its t, without a numpy warning;
+    ``worst_at`` is the first maximum in that order.
     """
     for u, v in pairs:
         if not pointwise_leq(u, v):
@@ -340,11 +336,12 @@ def lipschitz_check(
     upper = np.empty_like(lower)
     for row, (u, v) in enumerate(pairs):
         lower[row], upper[row] = interpolate(u, ts), interpolate(v, ts)
-    return _stacked_check(prob, ts, lower, upper)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _stacked_check(prob, ts, lower, upper)
 
 
-# Samples per block of the Lipschitz probe: up to this many samples a block is
-# every pair at once, above it one pair's next run of this many samples.
+# Samples per run of the Lipschitz probe's pair-major stream: the rhs gets 1-D
+# arrays of at most this length, and probe memory beyond the rows is O(run).
 _PROBE_BLOCK = 65536
 
 
@@ -354,41 +351,40 @@ def _stacked_check(
     """The Lipschitz probe on stacked values: row p of ``lower`` and
     ``upper`` holds pair p's two functions at the samples ``t``.
 
-    Up to ``_PROBE_BLOCK`` samples, one block holds every pair; above that,
-    a block is one pair's next run of up to ``_PROBE_BLOCK`` samples, and
-    the blocks run pair by pair. So the walk is in pair-then-sample order
-    and memory beyond the rows is O(block). The rhs is called on a block's
-    whole run, uninformative samples included, and not at all on a block
-    without an informative sample; only informative samples are checked
-    and ranked. The walk keeps the running maximum, which only a strictly
-    larger ratio replaces, and raises at the first non-finite difference.
+    The rows are walked as one pair-major stream, in 1-D runs of up to
+    ``_PROBE_BLOCK`` samples that may span pairs. The rhs is called on a
+    run's whole length, and not at all on a run without an informative
+    sample; only informative samples are checked and ranked. The running
+    maximum is replaced only by a strictly larger ratio, and the first
+    non-finite difference raises.
     """
     bound = lipschitz_bound(prob)
+    lower, upper = lower.ravel(), upper.ravel()
     lower.flags.writeable = upper.flags.writeable = False  # the rhs reads them
-    pairs, samples = lower.shape
-    height = max(pairs, 1) if samples <= _PROBE_BLOCK else 1
     best, worst_at = -1.0, None
-    for top in range(0, pairs, height):
-        for first in range(0, samples, _PROBE_BLOCK):
-            rows, cols = slice(top, top + height), slice(first, first + _PROBE_BLOCK)
-            lo, up = lower[rows, cols], upper[rows, cols]
-            keep = up != lo
-            if not keep.any():
-                continue
-            ts = np.broadcast_to(t[cols], lo.shape)
-            high = _rhs_values(prob, ts, up)
-            low = _rhs_values(prob, ts, lo)
-            # the differences, with -1 (below every ratio) at uninformative samples
-            ratio = np.subtract(high, low, out=np.full(lo.shape, -1.0), where=keep)
-            finite = np.isfinite(ratio)
-            if not finite.all():
-                at = divmod(int(np.argmin(finite)), lo.shape[1])
-                raise ArithmeticError(f"rhs difference not finite at t = {float(ts[at])!r}")
-            np.abs(ratio, out=ratio, where=keep)
-            np.divide(ratio, np.subtract(up, lo, out=None, where=keep), out=ratio, where=keep)
-            at = divmod(int(np.argmax(ratio)), lo.shape[1])  # (row, column)
-            if ratio[at] > best:
-                best, worst_at = float(ratio[at]), (float(ts[at]), float(lo[at]), float(up[at]))
+    for first in range(0, lower.size, _PROBE_BLOCK):
+        lo, up = lower[first : first + _PROBE_BLOCK], upper[first : first + _PROBE_BLOCK]
+        keep = up != lo
+        if not keep.any():
+            continue
+        # t from the run's first sample on, then t again per pair; np.resize copies all it gets
+        head = t[first % len(t) :][: len(lo)]
+        rest = len(lo) - len(head)
+        ts = np.concatenate((head, np.resize(t[:rest], rest)))
+        ts.flags.writeable = False
+        high = _rhs_values(prob, ts, up)
+        low = _rhs_values(prob, ts, lo)
+        # the differences, with -1 (below every ratio) at uninformative samples
+        ratio = np.subtract(high, low, out=np.full(len(lo), -1.0), where=keep)
+        finite = np.isfinite(ratio)
+        if not finite.all():
+            at = int(np.argmin(finite))
+            raise ArithmeticError(f"rhs difference not finite at t = {float(ts[at])!r}")
+        np.abs(ratio, out=ratio, where=keep)
+        np.divide(ratio, np.subtract(up, lo, out=None, where=keep), out=ratio, where=keep)
+        at = int(np.argmax(ratio))
+        if ratio[at] > best:
+            best, worst_at = float(ratio[at]), (float(ts[at]), float(lo[at]), float(up[at]))
     return LipschitzReport(bound, max(best, 0.0), worst_at)  # 0.0 if nothing was informative
 
 
@@ -414,7 +410,8 @@ def apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:
     of the inner integral's node values, computed once per call. C alone
     decides whether any node can be non-finite: below 2**969 in magnitude
     no node is scanned; otherwise (NaN included) the rhs values, the
-    integral and the corrected nodes are scanned in that order.
+    integral and the corrected nodes are scanned in that order. Unlike
+    :func:`solve_fde`, a direct call lets numpy warn of it in the FFT too.
     """
     if u.n_intervals != prob.n_intervals:
         raise ValueError("grid function does not match the problem grid")
@@ -457,32 +454,34 @@ def solve_fde(prob: FdeProblem) -> tuple[IterationTrace, GridFunction]:
     The Lipschitz condition is first sampled at every node on three ordered
     pairs, (0, 1), (0, t) and (t/2, t/2 + 1/4). At a node a grid function
     equals its node value, so the probe reads node values directly, stacked,
-    and calls the rhs twice in all up to N = 65535; above that, twice per
-    pair per run of 65,536 nodes. Residuals are sup-norm successive
-    differences; the pointwise order is audited along the orbit. When the
-    sampled Lipschitz condition passes, the contraction parameter is
-    recorded on the trace and drives the per-step bound certificates.
-    Non-convergence raises :class:`ConvergenceFailure` with the partial
-    trace attached.
+    and calls the rhs twice per 1-D run of their pair-major stream (twice in
+    all up to N = 21844). Residuals are sup-norm successive differences; the
+    pointwise order is audited along the orbit. When the sampled Lipschitz
+    condition passes, the contraction parameter is recorded on the trace and
+    drives the per-step bound certificates. Non-convergence raises
+    :class:`ConvergenceFailure` with the partial trace attached. numpy does
+    not warn during a solve, not even of the rhs's own non-finite values, so
+    ``-W error`` still gets the :class:`ArithmeticError` naming them.
     """
-    report = _stacked_check(prob, prob.nodes, *_probe_rows(prob.nodes))
-    alpha: Optional[float] = prob.lipschitz_alpha
-    if not report.passed:
-        warnings.warn(
-            "rhs failed the sampled Lipschitz condition "
-            f"(worst ratio {report.worst_ratio:.6g} > bound {report.bound:.6g}); "
-            "no contraction certificate will be attached",
-            stacklevel=2,
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        report = _stacked_check(prob, prob.nodes, *_probe_rows(prob.nodes))
+        alpha: Optional[float] = prob.lipschitz_alpha
+        if not report.passed:
+            warnings.warn(
+                "rhs failed the sampled Lipschitz condition "
+                f"(worst ratio {report.worst_ratio:.6g} > bound {report.bound:.6g}); "
+                "no contraction certificate will be attached",
+                stacklevel=2,
+            )
+            alpha = None
+        trace = iterate(
+            lambda fn: apply_T(fn, prob),
+            sup_diff,
+            pointwise_leq,
+            GridFunction.zeros(prob.n_intervals),
+            prob.policy,
+            alpha=alpha,
         )
-        alpha = None
-    trace = iterate(
-        lambda fn: apply_T(fn, prob),
-        sup_diff,
-        pointwise_leq,
-        GridFunction.zeros(prob.n_intervals),
-        prob.policy,
-        alpha=alpha,
-    )
     if not trace.converged:
         raise ConvergenceFailure(
             f"no convergence within {prob.policy.max_iterations} iterations "

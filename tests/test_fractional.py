@@ -381,6 +381,29 @@ class TestOperator:
                 apply_T(GridFunction.zeros(8), prob)
         assert_invalid_fft_warnings(caught)
 
+    def test_solve_and_probe_raise_no_numpy_warning(self):
+        # under -W error each call ends in its own ArithmeticError, not in
+        # numpy's RuntimeWarning
+        def infinite(t, u):
+            return np.where(t > 0.5, np.inf, 0.0)
+
+        calls = []
+
+        def finite_then_infinite(t, u):
+            calls.append(t.shape)  # the probe's two calls pass, the first step does not
+            return demo_rhs(t, u) if len(calls) <= 2 else infinite(t, u)
+
+        pair = (GridFunction.zeros(8), GridFunction(8, np.ones(9)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="^rhs difference not finite at t = 0.625$"):
+                solve_fde(FdeProblem(infinite, n_intervals=8))
+            with pytest.raises(ArithmeticError, match="^rhs difference not finite at t = 0.75$"):
+                lipschitz_check(FdeProblem(infinite, n_intervals=8), [0.25, 0.75], [pair])
+            with pytest.raises(ArithmeticError, match="^rhs diverged at node 5$"):
+                solve_fde(FdeProblem(finite_then_infinite, n_intervals=8))
+        assert calls == [(27,), (27,), (9,)]
+
     def test_overflowing_integral_reports_node(self):
         # a finite rhs whose integral overflows: the FFT sums make node 0 of
         # the integral 0 and every later node non-finite, so the error names
@@ -395,12 +418,22 @@ class TestOperator:
                 frac_integral(GridFunction(64, np.full(65, 1.7e308)), 0.5)
 
     def test_rhs_of_the_wrong_shape_names_the_contract(self):
+        def refused(given, got):
+            return re.escape(
+                "rhs(t, u) must return an array that broadcasts to the shape of t and u, "
+                f"{given}, got shape {got}"
+            ) + "$"
+
         prob = FdeProblem(rhs=lambda t, u: u[:-1], n_intervals=8)
-        message = r"rhs\(t, u\) must return an array that broadcasts to the node shape \(9,\)"
-        with pytest.raises(ValueError, match=message):
+        # the probe's one run holds the 3 pairs' 9 samples
+        with pytest.raises(ValueError, match=refused((27,), (26,))):
             solve_fde(prob)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=refused((9,), (8,))):
             apply_T(GridFunction.zeros(8), prob)
+        # an rhs that returns a node-length array is refused at every grid
+        for n, given in ((512, (1539,)), (65536, (65536,))):
+            with pytest.raises(ValueError, match=refused(given, (n + 1,))):
+                solve_fde(FdeProblem(lambda t, u: np.ones(n + 1), 0.9, n))
 
     @pytest.mark.parametrize(
         "rhs, dtype",
@@ -628,16 +661,21 @@ class TestWholeArrayEvaluation:
 
     @pytest.mark.parametrize(
         "n, probe",
-        # up to N = 65535 one block holds the three pairs; above that each
-        # pair is walked in runs of 65,536 nodes, here one full and one of a
-        # single node, two sides each: 12 calls
-        [(65535, [(3, 65536)] * 2), (65536, [(1, 65536), (1, 65536), (1, 1), (1, 1)] * 3)],
-        ids=["one-block", "two-runs-per-pair"],
+        # the three pairs' 3 (N + 1) samples are one stream walked in 1-D
+        # runs of 65,536, two sides each: one run at N = 512, three at
+        # N = 65535, and three plus one of 3 samples at N = 65536
+        [
+            (512, [(1539,)] * 2),
+            (65535, [(65536,)] * 6),
+            (65536, [(65536,)] * 6 + [(3,)] * 2),
+        ],
+        ids=["one-run", "one-run-per-pair", "runs-across-pairs"],
     )
     def test_probe_calls_the_rhs_twice_per_block(self, n, probe):
         shapes = []
 
         def rhs(t, u):
+            assert u.shape == t.shape
             shapes.append(t.shape)
             return demo_rhs(t, u)
 
@@ -810,11 +848,14 @@ class TestLeanSolverEqualsTheReference:
         ids=["demo", "steep", "curved"],
     )
     @pytest.mark.parametrize("n", (8, 100, 512))
-    def test_arbitrary_samples(self, n, rhs):
+    def test_arbitrary_samples(self, monkeypatch, n, rhs):
         prob = FdeProblem(rhs=rhs, n_intervals=n)
         ts, pairs = TestWholeArrayEvaluation._probes(n)
-        got = lipschitz_check(prob, ts, pairs)
-        assert got == interpolating_lipschitz_check(prob, ts, pairs)
+        want = interpolating_lipschitz_check(prob, ts, pairs)
+        # one run of every pair, then runs of 7 that straddle pairs
+        for block in (fractional._PROBE_BLOCK, 7):
+            monkeypatch.setattr(fractional, "_PROBE_BLOCK", block)
+            assert lipschitz_check(prob, ts, pairs) == want
 
     def test_problem_nodes_are_built_once_and_read_only(self):
         prob = demo_problem(64)
@@ -857,12 +898,14 @@ class TestScanFreeStepEqualsTheReference:
 
     @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
     def test_many_probe_blocks(self, monkeypatch, zeta):
-        # 65 nodes in blocks of 5: the probe walks 13 blocks
-        monkeypatch.setattr(fractional, "_PROBE_BLOCK", 5)
-        for variant in GAMMA_VARIANTS:
-            self._assert_same_run(demo_problem(64, zeta, gamma_variant=variant))
-        with pytest.warns(UserWarning, match="Lipschitz"):
-            self._assert_same_run(FdeProblem(rhs=lambda t, u: u, n_intervals=64))
+        # 3 x 65 nodes in runs of 5 (39 runs, none across pairs) and of 7
+        # (28 runs, two of them across pairs)
+        for block in (5, 7):
+            monkeypatch.setattr(fractional, "_PROBE_BLOCK", block)
+            for variant in GAMMA_VARIANTS:
+                self._assert_same_run(demo_problem(64, zeta, gamma_variant=variant))
+            with pytest.warns(UserWarning, match="Lipschitz"):
+                self._assert_same_run(FdeProblem(rhs=lambda t, u: u, n_intervals=64))
 
     @staticmethod
     def _rows(ts, pairs):
@@ -876,13 +919,14 @@ class TestScanFreeStepEqualsTheReference:
         ids=["demo", "steep", "curved", "tied"],
     )
     def test_arbitrary_samples_in_many_blocks(self, monkeypatch, rhs):
-        monkeypatch.setattr(fractional, "_PROBE_BLOCK", 5)
         prob = FdeProblem(rhs=rhs, n_intervals=64)
         ts, pairs = TestWholeArrayEvaluation._probes(64)
         ts = np.array(ts)
         want = masked_stacked_check(prob, ts, *self._rows(ts, pairs))
-        assert lipschitz_check(prob, ts, pairs) == want
         assert want.worst_at is not None
+        for block in (5, 7):
+            monkeypatch.setattr(fractional, "_PROBE_BLOCK", block)
+            assert lipschitz_check(prob, ts, pairs) == want
 
     @staticmethod
     def _marked_rows():
@@ -897,23 +941,46 @@ class TestScanFreeStepEqualsTheReference:
         return nodes, np.zeros((2, 65)), upper, nodes[[2, 12, 20]]
 
     def test_a_tie_in_an_earlier_row_of_a_later_block_wins(self, monkeypatch):
-        monkeypatch.setattr(fractional, "_PROBE_BLOCK", 5)
         nodes, lower, upper, marked = self._marked_rows()
         prob = FdeProblem(rhs=lambda t, u: np.where(np.isin(t, marked), 3.0, 1.0) * u, n_intervals=64)
         want = masked_stacked_check(prob, nodes, lower.copy(), upper.copy())
         assert want.worst_at == (float(nodes[12]), 0.0, 1.0)
-        assert _stacked_check(prob, nodes, lower, upper) == want
+        for block in (5, 7):
+            monkeypatch.setattr(fractional, "_PROBE_BLOCK", block)
+            assert _stacked_check(prob, nodes, lower.copy(), upper.copy()) == want
 
     def test_a_non_finite_difference_in_an_earlier_row_of_a_later_block_is_named(
         self, monkeypatch
     ):
-        monkeypatch.setattr(fractional, "_PROBE_BLOCK", 5)
         nodes, lower, upper, marked = self._marked_rows()
         prob = FdeProblem(rhs=lambda t, u: np.where(np.isin(t, marked), np.nan, u), n_intervals=64)
         message = f"^rhs difference not finite at t = {float(nodes[12])!r}$"
+        for block in (5, 7):
+            monkeypatch.setattr(fractional, "_PROBE_BLOCK", block)
+            for check in (masked_stacked_check, _stacked_check):
+                with pytest.raises(ArithmeticError, match=message):
+                    check(prob, nodes, lower.copy(), upper.copy())
+
+    def test_a_run_across_two_pairs_reads_each_pair_at_its_own_t(self, monkeypatch):
+        # two pairs on 65 nodes in runs of 7: samples 63..69 of the stream
+        # are nodes 63 and 64 of pair 0 and nodes 0..4 of pair 1, and pair 0
+        # is uninformative at node 0. Tripling the rhs at nodes 0 and 64 ties
+        # (0, 64) and (1, 0) in that run, and (0, 64), at t = 1.0, comes
+        # first; a NaN at node 0 alone is informative only at (1, 0), so the
+        # run must read pair 1's samples at pair 1's own t to meet it
+        monkeypatch.setattr(fractional, "_PROBE_BLOCK", 7)
+        nodes = np.arange(65) / 64
+        lower, upper = np.zeros((2, 65)), np.ones((2, 65))
+        upper[0, 0] = 0.0
+        marked = nodes[[0, 64]]
+        tied = FdeProblem(lambda t, u: np.where(np.isin(t, marked), 3.0, 1.0) * u, n_intervals=64)
+        want = masked_stacked_check(tied, nodes, lower.copy(), upper.copy())
+        assert want.worst_at == (1.0, 0.0, 1.0)
+        assert _stacked_check(tied, nodes, lower.copy(), upper.copy()) == want
+        nan = FdeProblem(lambda t, u: np.where(t == 0.0, np.nan, u), n_intervals=64)
         for check in (masked_stacked_check, _stacked_check):
-            with pytest.raises(ArithmeticError, match=message):
-                check(prob, nodes, lower.copy(), upper.copy())
+            with pytest.raises(ArithmeticError, match=r"^rhs difference not finite at t = 0\.0$"):
+                check(nan, nodes, lower.copy(), upper.copy())
 
     def test_the_normal_step_scans_no_node(self, monkeypatch):
         scans = []
@@ -992,13 +1059,14 @@ class TestScanFreeStepEqualsTheReference:
         return peak
 
     def test_probe_memory_does_not_grow_with_the_grid(self):
-        # the peak is a few arrays of one pair's block (2.8 MB here at both
-        # sizes); Python's own small objects move it by a few hundred bytes.
-        # Blocks of all three pairs made it 8.3 MB, and masked copies of the
-        # whole stack 25.6 MB and 102 MB
+        # the peak is a few arrays of one run (3.3 MB here at every size);
+        # Python's own small objects move it by a few hundred bytes. A 2-D
+        # block of all three pairs made it 6.7 MB at N = 65535, and masked
+        # copies of the whole stack 25.6 MB and 102 MB
+        one_run_per_pair = self._probe_peak(65535)
         small, large = self._probe_peak(2**17), self._probe_peak(2**19)
         assert large <= small + 16 * 1024
-        assert small < 8 * (8 * fractional._PROBE_BLOCK)
+        assert max(one_run_per_pair, small) < 8 * (8 * fractional._PROBE_BLOCK)
 
 
 class TestBoundary:
