@@ -48,6 +48,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "pointwise_leq",
         "interpolate",
         "grid_to_csv",
+        "grid_csv_blocks",
     ),
     "fractional": (
         "gamma",

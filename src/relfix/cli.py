@@ -10,8 +10,12 @@ oracle found a counterexample or a uniqueness violation.
 Output files are never overwritten without --force, and never partly
 written: before any work, ``run`` refuses an existing output, one file
 named by two flags, a directory, or a path whose directory is missing; it
-renders every file before writing the first. Only an OS error met while
-writing, such as a full disk, leaves the files written before it.
+renders every file, and the document it prints, before writing the first.
+The one exception is solve-fde's solution CSV, whose size grows with the
+grid: it is formatted in node blocks while it is written, after every other
+file has been rendered and written. Only an error met while writing, such
+as a full disk or a failed allocation, leaves the files written before it,
+and part of the one being written.
 
 Each subcommand imports only the engine it runs, when it runs, so only
 solve-fde loads numpy. The engine functions the handlers call through this
@@ -28,7 +32,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, NoReturn, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Optional, Sequence
 
 if TYPE_CHECKING:
     from .demos import PlanePoint
@@ -76,8 +80,10 @@ EXIT_COUNTEREXAMPLE = 3
 
 
 # a handler's exit code, JSON document and the render of each output file by
-# path; a flag left out gives the path None, which is not written
-_Outcome = tuple[int, Any, dict[Optional[str], Callable[[], str]]]
+# path, as one text or as an iterable of blocks formatted while they are
+# written; a flag left out gives the path None, which is not written
+_Render = Callable[[], "str | Iterable[str]"]
+_Outcome = tuple[int, Any, dict[Optional[str], _Render]]
 
 
 def _vet_outputs(args: argparse.Namespace) -> None:
@@ -99,12 +105,16 @@ def _dumps(doc: Any) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _write(doc: Any, files: dict[Optional[str], Callable[[], str]]) -> None:
-    """Render every file before writing the first, then print the document."""
+def _write(doc: Any, files: dict[Optional[str], _Render]) -> None:
+    """Render the document and every file before writing the first, then
+    print the document. A file rendered as blocks is formatted as it is
+    written, after the files rendered whole."""
+    out = _dumps(doc)
     texts = {path: render() for path, render in files.items() if path is not None}
-    for path, text in texts.items():
-        Path(path).write_text(text)
-    sys.stdout.write(_dumps(doc))
+    for path, text in sorted(texts.items(), key=lambda item: not isinstance(item[1], str)):
+        with open(path, "w") as file:
+            file.writelines((text,) if isinstance(text, str) else text)
+    sys.stdout.write(out)
 
 
 def _load_instance(path: str) -> FiniteInstance:
@@ -212,7 +222,7 @@ def _cmd_iterate(args: argparse.Namespace) -> _Outcome:
 
 def _cmd_solve_fde(args: argparse.Namespace) -> _Outcome:
     from . import fractional
-    from .gridfn import grid_to_csv
+    from .gridfn import grid_csv_blocks
     from .picard import StoppingPolicy, trace_to_csv
 
     policy = StoppingPolicy(residual_tol=args.tol, max_iterations=args.max_iter)
@@ -237,7 +247,7 @@ def _cmd_solve_fde(args: argparse.Namespace) -> _Outcome:
         "boundary_residuals": [r1, r2],
     }
     return EXIT_OK, summary, {
-        args.out: lambda: grid_to_csv(solution),
+        args.out: lambda: grid_csv_blocks(solution),
         args.residuals_out: lambda: trace_to_csv(trace),
         args.svg: lambda: _cli.render_residual_plot(trace.residuals, "solver residuals (sup norm)"),
     }

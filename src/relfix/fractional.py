@@ -20,11 +20,13 @@ The rhs is only ever called on whole 1-D arrays: once per Picard step on
 the node array, and once per side for each run of the Lipschitz probe. The
 probe reads its pairs as one pair-major stream, pair 0's samples first, and
 walks it in 1-D runs of up to ``_PROBE_BLOCK`` samples, so the walk is in
-pair-then-sample order and the probe's memory beyond its rows is O(run),
-not O(N). A step scans its nodes for finiteness only when the trapezoid C
-of its integral says one may be non-finite (see :func:`apply_T`). A problem
-builds its node array once and reuses it in every step; its weights are the
-one read-only table that every live problem with the same (zeta, N) shares.
+pair-then-sample order; each run's values are built when the walk reaches
+it, so the probe's memory is O(run), not O(N). A solve keeps three
+iterates of its orbit (see :func:`solve_fde`). A step scans its nodes for
+finiteness only when the trapezoid C of its integral says one may be
+non-finite (see :func:`apply_T`). A problem builds its node array once and
+reuses it in every step; its weights are the one read-only table that
+every live problem with the same (zeta, N) shares.
 """
 
 from __future__ import annotations
@@ -337,55 +339,81 @@ def lipschitz_check(
     for row, (u, v) in enumerate(pairs):
         lower[row], upper[row] = interpolate(u, ts), interpolate(v, ts)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _stacked_check(prob, ts, lower, upper)
+        return _stacked_check(prob, ts, len(pairs), lambda p, a, b: (lower[p, a:b], upper[p, a:b]))
 
 
 # Samples per run of the Lipschitz probe's pair-major stream: the rhs gets 1-D
-# arrays of at most this length, and probe memory beyond the rows is O(run).
+# arrays of at most this length, and the probe's memory is O(run).
 _PROBE_BLOCK = 65536
 
 
 def _stacked_check(
-    prob: FdeProblem, t: np.ndarray, lower: np.ndarray, upper: np.ndarray
+    prob: FdeProblem,
+    t: np.ndarray,
+    height: int,
+    pair_values: Callable[[int, int, int], tuple],
 ) -> LipschitzReport:
-    """The Lipschitz probe on stacked values: row p of ``lower`` and
-    ``upper`` holds pair p's two functions at the samples ``t``.
+    """The Lipschitz probe on ``height`` pairs sampled at ``t``:
+    ``pair_values(p, a, b)`` gives pair p's two functions at the samples
+    a..b-1, lower then upper, as arrays or scalars.
 
-    The rows are walked as one pair-major stream, in 1-D runs of up to
-    ``_PROBE_BLOCK`` samples that may span pairs. The rhs is called on a
-    run's whole length, and not at all on a run without an informative
-    sample; only informative samples are checked and ranked. The running
-    maximum is replaced only by a strictly larger ratio, and the first
-    non-finite difference raises.
+    The pairs are walked as one pair-major stream, in 1-D runs of up to
+    ``_PROBE_BLOCK`` samples that may span pairs (see :func:`_probe_run`).
+    The running maximum is replaced only by a strictly larger ratio, so
+    ``worst_at`` is the first maximum in pair-then-sample order.
     """
-    bound = lipschitz_bound(prob)
-    lower, upper = lower.ravel(), upper.ravel()
-    lower.flags.writeable = upper.flags.writeable = False  # the rhs reads them
+    total = height * len(t)
     best, worst_at = -1.0, None
-    for first in range(0, lower.size, _PROBE_BLOCK):
-        lo, up = lower[first : first + _PROBE_BLOCK], upper[first : first + _PROBE_BLOCK]
-        keep = up != lo
-        if not keep.any():
-            continue
-        # t from the run's first sample on, then t again per pair; np.resize copies all it gets
-        head = t[first % len(t) :][: len(lo)]
-        rest = len(lo) - len(head)
-        ts = np.concatenate((head, np.resize(t[:rest], rest)))
-        ts.flags.writeable = False
-        high = _rhs_values(prob, ts, up)
-        low = _rhs_values(prob, ts, lo)
-        # the differences, with -1 (below every ratio) at uninformative samples
-        ratio = np.subtract(high, low, out=np.full(len(lo), -1.0), where=keep)
-        finite = np.isfinite(ratio)
-        if not finite.all():
-            at = int(np.argmin(finite))
-            raise ArithmeticError(f"rhs difference not finite at t = {float(ts[at])!r}")
-        np.abs(ratio, out=ratio, where=keep)
-        np.divide(ratio, np.subtract(up, lo, out=None, where=keep), out=ratio, where=keep)
-        at = int(np.argmax(ratio))
-        if ratio[at] > best:
-            best, worst_at = float(ratio[at]), (float(ts[at]), float(lo[at]), float(up[at]))
-    return LipschitzReport(bound, max(best, 0.0), worst_at)  # 0.0 if nothing was informative
+    for first in range(0, total, _PROBE_BLOCK):
+        found = _probe_run(prob, t, pair_values, first, min(_PROBE_BLOCK, total - first))
+        if found is not None and found[0] > best:
+            best, worst_at = found
+    # 0.0 if nothing was informative
+    return LipschitzReport(lipschitz_bound(prob), max(best, 0.0), worst_at)
+
+
+def _probe_run(
+    prob: FdeProblem,
+    t: np.ndarray,
+    pair_values: Callable[[int, int, int], tuple],
+    first: int,
+    size: int,
+) -> Optional[tuple[float, tuple[float, float, float]]]:
+    """The largest ratio of the run of ``size`` samples from sample
+    ``first`` of the stream, with its (t, lower, upper), or None when the
+    run has no informative sample.
+
+    The run's t, lower and upper values are gathered into read-only arrays
+    of its own, one piece per pair it meets, and live only while the run is
+    walked. The rhs is called once per side on the run's whole length, and
+    not at all on a run without an informative sample; only informative
+    samples are checked and ranked. The first non-finite difference raises.
+    """
+    ts, lo, up = np.empty(size), np.empty(size), np.empty(size)
+    at = 0
+    while at < size:
+        p, a = divmod(first + at, len(t))
+        b = min(len(t), a + size - at)
+        piece = slice(at, at + b - a)
+        ts[piece] = t[a:b]
+        lo[piece], up[piece] = pair_values(p, a, b)
+        at += b - a
+    keep = up != lo
+    if not keep.any():
+        return None
+    ts.flags.writeable = lo.flags.writeable = up.flags.writeable = False  # the rhs reads them
+    high = _rhs_values(prob, ts, up)
+    low = _rhs_values(prob, ts, lo)
+    # the differences, with -1 (below every ratio) at uninformative samples
+    ratio = np.subtract(high, low, out=np.full(size, -1.0), where=keep)
+    finite = np.isfinite(ratio)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        raise ArithmeticError(f"rhs difference not finite at t = {float(ts[at])!r}")
+    np.abs(ratio, out=ratio, where=keep)
+    np.divide(ratio, np.subtract(up, lo, out=None, where=keep), out=ratio, where=keep)
+    at = int(np.argmax(ratio))
+    return float(ratio[at]), (float(ts[at]), float(lo[at]), float(up[at]))
 
 
 # The Picard step reads its overflow test off the trapezoid C alone. IEEE
@@ -438,14 +466,21 @@ class ConvergenceFailure(RuntimeError):
         self.trace = trace
 
 
-def _probe_rows(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Node values of the probe pairs (0, 1), (0, t) and (t/2, t/2 + 1/4),
-    stacked one pair per row: the lower functions, then the upper ones."""
-    half = 0.5 * nodes
-    lower = np.zeros((3, len(nodes)))
-    lower[2] = half
-    upper = np.array((np.ones_like(nodes), nodes, half + 0.25))
-    return lower, upper
+def _probe_pair(p: int, t: np.ndarray) -> tuple:
+    """Pair p of the probe pairs (0, 1), (0, t) and (t/2, t/2 + 1/4) at the
+    nodes ``t``: the lower function's values, then the upper one's."""
+    if p == 0:
+        return 0.0, 1.0
+    if p == 1:
+        return 0.0, t
+    half = 0.5 * t
+    return half, half + 0.25
+
+
+def _node_probe(prob: FdeProblem) -> LipschitzReport:
+    """The solver's Lipschitz probe: the three probe pairs at every node."""
+    nodes = prob.nodes
+    return _stacked_check(prob, nodes, 3, lambda p, a, b: _probe_pair(p, nodes[a:b]))
 
 
 def solve_fde(prob: FdeProblem) -> tuple[IterationTrace, GridFunction]:
@@ -453,18 +488,22 @@ def solve_fde(prob: FdeProblem) -> tuple[IterationTrace, GridFunction]:
 
     The Lipschitz condition is first sampled at every node on three ordered
     pairs, (0, 1), (0, t) and (t/2, t/2 + 1/4). At a node a grid function
-    equals its node value, so the probe reads node values directly, stacked,
-    and calls the rhs twice per 1-D run of their pair-major stream (twice in
-    all up to N = 21844). Residuals are sup-norm successive differences; the
-    pointwise order is audited along the orbit. When the sampled Lipschitz
-    condition passes, the contraction parameter is recorded on the trace and
-    drives the per-step bound certificates. Non-convergence raises
-    :class:`ConvergenceFailure` with the partial trace attached. numpy does
-    not warn during a solve, not even of the rhs's own non-finite values, so
-    ``-W error`` still gets the :class:`ArithmeticError` naming them.
+    equals its node value, so the probe builds each 1-D run of the pairs'
+    pair-major stream from these closed forms at the nodes as it walks, and
+    calls the rhs twice per run (twice in all up to N = 21844). Residuals
+    are sup-norm successive differences; the pointwise order is audited at
+    every step. When the sampled Lipschitz condition passes, the
+    contraction parameter is recorded on the trace and drives the per-step
+    bound certificates. The trace keeps a window of the orbit, (r_0,
+    r_(m-1), r_m), so a solve holds the weights, the nodes, three iterates
+    and one step's or one probe run's work arrays, whatever the step
+    count. Non-convergence raises :class:`ConvergenceFailure` with the
+    partial trace attached. numpy does not warn during a solve, not even of
+    the rhs's own non-finite values, so ``-W error`` still gets the
+    :class:`ArithmeticError` naming them.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        report = _stacked_check(prob, prob.nodes, *_probe_rows(prob.nodes))
+        report = _node_probe(prob)
         alpha: Optional[float] = prob.lipschitz_alpha
         if not report.passed:
             warnings.warn(
@@ -481,6 +520,7 @@ def solve_fde(prob: FdeProblem) -> tuple[IterationTrace, GridFunction]:
             GridFunction.zeros(prob.n_intervals),
             prob.policy,
             alpha=alpha,
+            window=True,
         )
     if not trace.converged:
         raise ConvergenceFailure(
@@ -488,7 +528,7 @@ def solve_fde(prob: FdeProblem) -> tuple[IterationTrace, GridFunction]:
             f"(last residual {trace.residuals[-1]:.3e})",
             trace,
         )
-    return trace, trace.iterates[-1]
+    return trace, trace.fixed_point
 
 
 def boundary_residuals(solution: GridFunction) -> tuple[float, float]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -143,9 +143,25 @@ def interpolate(u: GridFunction, t: float | np.ndarray) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
+# Nodes per block of the streamed CSV: what formatting holds at once is
+# O(block), not O(N).
+_CSV_BLOCK = 65536
+
+
+def grid_csv_blocks(u: GridFunction) -> Iterator[str]:
+    """The text of :func:`grid_to_csv` in pieces: the header, then the rows
+    of each block of up to ``_CSV_BLOCK`` nodes, formatted when it is reached."""
+    yield "t,value\n"
+    n = u.n_intervals
+    for first in range(0, n + 1, _CSV_BLOCK):
+        last = min(first + _CSV_BLOCK, n + 1)
+        # one % over the interleaved Python floats, which format faster than
+        # numpy scalars, to the same text; the nodes are u.nodes[first:last]
+        nodes = np.arange(first, last) / n
+        cells = np.column_stack((nodes, u.values[first:last])).ravel().tolist()
+        yield "%.16e,%.16e\n" * (last - first) % tuple(cells)
+
+
 def grid_to_csv(u: GridFunction) -> str:
     """Node values as CSV with header t,value."""
-    # one % over the interleaved Python floats, which format faster than
-    # numpy scalars, to the same text
-    cells = np.column_stack((u.nodes, u.values)).ravel().tolist()
-    return "t,value\n" + "%.16e,%.16e\n" * (u.n_intervals + 1) % tuple(cells)
+    return "".join(grid_csv_blocks(u))

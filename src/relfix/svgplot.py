@@ -2,8 +2,8 @@
 
 No plotting library: the artifact's figures must be reproducible from the
 package alone, byte-identical across runs. Nonpositive residuals cannot sit
-on a log axis, so they are floored at a fixed tiny value and the plot says
-so explicitly.
+on a log axis, so every value below a fixed tiny floor, a positive one
+included, is plotted at the floor, and the plot says so explicitly.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def render_residual_plot(
         parts.append(
             f'<text x="{_WIDTH - _MARGIN_R}" y="{_MARGIN_T - 8}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11" fill="#b22222">'
-            f"nonpositive values plotted at {FLOOR:.0e}</text>"
+            f"values below {FLOOR:.0e} plotted at {FLOOR:.0e}</text>"
         )
 
     parts.append("</svg>")

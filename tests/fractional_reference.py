@@ -13,7 +13,10 @@ at the nodes and calls the rhs once per pair and side. The lean solver must
 reproduce it bit for bit. The step and the probe as they were before the step
 read its overflow test off the trapezoid C and the probe walked node blocks:
 the step that scans the rhs values and the corrected nodes on every call, and
-the probe that ranks boolean-mask copies of the stacked rows.
+the probe that ranks boolean-mask copies of the stacked rows. The probe's
+rows as they were before each run of the probe built its own: all three
+pairs at every node, stacked whole. The references keep every iterate of
+the orbit.
 """
 
 import math
@@ -27,7 +30,6 @@ from relfix.fractional import (
     FdeProblem,
     LipschitzReport,
     _apply_weights,
-    _probe_rows,
     _rhs_values,
     _trapezoid,
     gamma,
@@ -253,6 +255,16 @@ def scanning_apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:
     return GridFunction._computed(u.n_intervals, inner)
 
 
+def stacked_probe_rows(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node values of the probe pairs (0, 1), (0, t) and (t/2, t/2 + 1/4),
+    stacked one pair per row: the lower functions, then the upper ones."""
+    half = 0.5 * nodes
+    lower = np.zeros((3, len(nodes)))
+    lower[2] = half
+    upper = np.array((np.ones_like(nodes), nodes, half + 0.25))
+    return lower, upper
+
+
 def masked_stacked_check(
     prob: FdeProblem, t: np.ndarray, lower: np.ndarray, upper: np.ndarray
 ) -> LipschitzReport:
@@ -280,7 +292,7 @@ def scanning_solve_fde(prob: FdeProblem) -> tuple[LipschitzReport, IterationTrac
 
     Returns the probe's report with the trace; raises like ``solve_fde``.
     """
-    report = masked_stacked_check(prob, prob.nodes, *_probe_rows(prob.nodes))
+    report = masked_stacked_check(prob, prob.nodes, *stacked_probe_rows(prob.nodes))
     alpha = prob.lipschitz_alpha if report.passed else None
     if alpha is None:
         warnings.warn("rhs failed the sampled Lipschitz condition", stacklevel=2)

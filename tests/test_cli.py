@@ -647,6 +647,40 @@ class TestOutputRule:
         assert capsys.readouterr().err == "error: no plot\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_render_writes_no_streamed_solution(self, tmp_path, capsys, monkeypatch):
+        # the solution CSV is formatted while it is written, so it is
+        # written only once every other file has been rendered
+        def refuse(*args, **kwargs):
+            raise ValueError("no plot")
+
+        monkeypatch.setattr(cli, "render_residual_plot", refuse)
+        argv = ["solve-fde", "--grid", "64", "--out", "a.csv", "--svg", "p.svg",
+                "--residuals-out", "r.csv"]
+        assert self._run_in(tmp_path, monkeypatch, argv) == 1
+        assert capsys.readouterr().err == "error: no plot\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_streamed_solution_is_written_last(self, tmp_path, capsys, monkeypatch):
+        import relfix.gridfn as gridfn
+
+        seen = []
+        real = gridfn.grid_csv_blocks
+
+        def blocks(u):
+            seen.append(sorted(p.name for p in tmp_path.iterdir() if p.stat().st_size))
+            yield from real(u)
+
+        monkeypatch.setattr(gridfn, "grid_csv_blocks", blocks)
+        argv = ["solve-fde", "--grid", "64", "--out", "a.csv", "--svg", "p.svg",
+                "--residuals-out", "r.csv"]
+        assert self._run_in(tmp_path, monkeypatch, argv) == cli.EXIT_OK
+        assert seen == [["p.svg", "r.csv"]]
+        from relfix.fractional import demo_problem, solve_fde
+
+        want = gridfn.grid_to_csv(solve_fde(demo_problem(64))[1])
+        assert (tmp_path / "a.csv").read_bytes() == want.encode()
+        assert json.loads(capsys.readouterr().out)["grid"] == 64
+
 
 def write_args(path, *lines):
     path.write_text("".join(line + "\n" for line in lines))

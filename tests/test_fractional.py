@@ -16,7 +16,7 @@ import relfix.fractional as fractional
 from relfix.fractional import (
     GAMMA_VARIANTS,
     _apply_weights,
-    _probe_rows,
+    _node_probe,
     _stacked_check,
     ConvergenceFailure,
     FdeProblem,
@@ -33,7 +33,7 @@ from relfix.fractional import (
     solve_fde,
 )
 from relfix.gridfn import GridFunction, interpolate, pointwise_leq, sup_diff
-from relfix.picard import StoppingPolicy
+from relfix.picard import StoppingPolicy, iterate
 
 import fractional_reference
 from fractional_reference import (
@@ -49,8 +49,10 @@ from fractional_reference import (
     scalar_lipschitz_check,
     scanning_apply_T,
     scanning_solve_fde,
+    stacked_probe_rows,
     table_from_band,
 )
+from picard_reference import assert_window_of, posthoc_iterate
 from reference_values import (
     DOUBLE_TERM_CONSTANT_SIN,
     FRAC_INT_SIN_09,
@@ -70,6 +72,31 @@ def assert_invalid_fft_warnings(caught):
     messages = {str(w.message) for w in caught}
     assert all(m.startswith("invalid value encountered in ") for m in messages), messages
     assert any("rfft" in m for m in messages) and any("multiply" in m for m in messages)
+
+
+def full_orbit(prob, alpha, run=iterate):
+    """``solve_fde``'s Picard run, every iterate of its orbit kept."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return run(
+            lambda fn: apply_T(fn, prob),
+            sup_diff,
+            pointwise_leq,
+            GridFunction.zeros(prob.n_intervals),
+            prob.policy,
+            alpha=alpha,
+        )
+
+
+def rows_check(prob, t, lower, upper):
+    """The probe on stacked rows, as :func:`lipschitz_check` walks them."""
+    return _stacked_check(prob, t, len(lower), lambda p, a, b: (lower[p, a:b], upper[p, a:b]))
+
+
+def assert_same_orbit(got, want):
+    """Two orbits of grid functions, bit for bit."""
+    assert len(got) == len(want)
+    for u, v in zip(got, want):
+        assert u.values.tobytes() == v.values.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -507,8 +534,10 @@ class TestSolver:
 
     def test_orbit_is_monotone(self, demo_solutions):
         trace, _ = demo_solutions[256]
-        for u, v in zip(trace.iterates, trace.iterates[1:]):
+        full = full_orbit(demo_problem(256), trace.alpha_used)
+        for u, v in zip(full.iterates, full.iterates[1:]):
             assert pointwise_leq(u, v)
+        assert trace.preserved is full.preserved is True
 
     def test_budget_exhaustion_raises_with_trace(self):
         prob = demo_problem(
@@ -530,7 +559,7 @@ class TestSolver:
         # still read certified=True with fixed point u(1) = 0.0
         trace, sol = solve_fde(demo_problem(64))
         u1 = sol.values[-1]
-        for values in (sol.values, trace.iterates[3].values, trace.fixed_point.values):
+        for values in (sol.values, *(u.values for u in trace.iterates)):
             with pytest.raises(ValueError, match="read-only"):
                 values[:] = 0.0
         assert trace.certified and trace.fixed_point.values[-1] == u1 > 0.9
@@ -628,7 +657,7 @@ class TestWholeArrayEvaluation:
             pairs = default_probe_pairs(512)
             got = lipschitz_check(prob, nodes, pairs)
             assert got == scalar_lipschitz_check(prob, nodes.tolist(), pairs)
-            assert got == _stacked_check(prob, nodes, *_probe_rows(nodes))
+            assert got == _node_probe(prob)
             assert got.passed
 
     def test_tied_ratios_keep_the_first_maximum(self):
@@ -791,19 +820,21 @@ class TestLeanSolverEqualsTheReference:
 
     @staticmethod
     def _assert_same_run(prob, exact_probe=True):
+        # the reference keeps the whole orbit; solve_fde keeps a window of
+        # the same run, which a full-orbit run of its map gives whole
         report, ref = reference_solve_fde(prob)
         trace, solution = solve_fde(prob)
-        assert np.array_equal(solution.values, ref.iterates[-1].values)
-        assert len(trace.iterates) == len(ref.iterates)
-        for got, want in zip(trace.iterates, ref.iterates):
-            assert np.array_equal(got.values, want.values)
+        full = full_orbit(prob, trace.alpha_used)
+        assert_same_orbit(full.iterates, ref.iterates)
+        assert_window_of(trace, full)
+        assert_same_orbit(trace.iterates, (ref.iterates[0], *ref.iterates[-2:]))
+        assert solution.values.tobytes() == ref.iterates[-1].values.tobytes()
         assert trace.residuals == ref.residuals
         assert trace.bound_certificates == ref.bound_certificates
         assert (trace.alpha_used, trace.preserved, trace.certified, trace.converged) == (
             ref.alpha_used, ref.preserved, ref.certified, ref.converged
         )
-        nodes = prob.nodes
-        got = _stacked_check(prob, nodes, *_probe_rows(nodes))
+        got = _node_probe(prob)
         if exact_probe:
             assert got == report
         assert got.passed == report.passed
@@ -873,16 +904,16 @@ class TestScanFreeStepEqualsTheReference:
     def _assert_same_run(prob):
         report, ref = scanning_solve_fde(prob)
         trace, solution = solve_fde(prob)
-        assert len(trace.iterates) == len(ref.iterates)
-        for got, want in zip(trace.iterates, ref.iterates):
-            assert np.array_equal(got.values, want.values)
-        assert np.array_equal(solution.values, ref.iterates[-1].values)
+        full = full_orbit(prob, trace.alpha_used)
+        assert_same_orbit(full.iterates, ref.iterates)
+        assert_window_of(trace, full)
+        assert solution.values.tobytes() == ref.iterates[-1].values.tobytes()
         assert trace.residuals == ref.residuals
         assert trace.bound_certificates == ref.bound_certificates
         assert (trace.alpha_used, trace.preserved, trace.certified, trace.converged) == (
             ref.alpha_used, ref.preserved, ref.certified, ref.converged
         )
-        got = _stacked_check(prob, prob.nodes, *_probe_rows(prob.nodes))
+        got = _node_probe(prob)
         assert got == report
         assert (got.margin, got.passed) == (report.margin, report.passed)
 
@@ -947,7 +978,7 @@ class TestScanFreeStepEqualsTheReference:
         assert want.worst_at == (float(nodes[12]), 0.0, 1.0)
         for block in (5, 7):
             monkeypatch.setattr(fractional, "_PROBE_BLOCK", block)
-            assert _stacked_check(prob, nodes, lower.copy(), upper.copy()) == want
+            assert rows_check(prob, nodes, lower.copy(), upper.copy()) == want
 
     def test_a_non_finite_difference_in_an_earlier_row_of_a_later_block_is_named(
         self, monkeypatch
@@ -957,7 +988,7 @@ class TestScanFreeStepEqualsTheReference:
         message = f"^rhs difference not finite at t = {float(nodes[12])!r}$"
         for block in (5, 7):
             monkeypatch.setattr(fractional, "_PROBE_BLOCK", block)
-            for check in (masked_stacked_check, _stacked_check):
+            for check in (masked_stacked_check, rows_check):
                 with pytest.raises(ArithmeticError, match=message):
                     check(prob, nodes, lower.copy(), upper.copy())
 
@@ -976,9 +1007,9 @@ class TestScanFreeStepEqualsTheReference:
         tied = FdeProblem(lambda t, u: np.where(np.isin(t, marked), 3.0, 1.0) * u, n_intervals=64)
         want = masked_stacked_check(tied, nodes, lower.copy(), upper.copy())
         assert want.worst_at == (1.0, 0.0, 1.0)
-        assert _stacked_check(tied, nodes, lower.copy(), upper.copy()) == want
+        assert rows_check(tied, nodes, lower.copy(), upper.copy()) == want
         nan = FdeProblem(lambda t, u: np.where(t == 0.0, np.nan, u), n_intervals=64)
-        for check in (masked_stacked_check, _stacked_check):
+        for check in (masked_stacked_check, rows_check):
             with pytest.raises(ArithmeticError, match=r"^rhs difference not finite at t = 0\.0$"):
                 check(nan, nodes, lower.copy(), upper.copy())
 
@@ -1046,12 +1077,11 @@ class TestScanFreeStepEqualsTheReference:
     @staticmethod
     def _probe_peak(n):
         """Bytes tracemalloc sees at the peak of the solver's probe, beyond
-        the probe rows, which are built before tracing starts."""
+        the problem's nodes and weights, which are built with it."""
         prob = demo_problem(n)
-        rows = _probe_rows(prob.nodes)
         tracemalloc.start()
         try:
-            report = _stacked_check(prob, prob.nodes, *rows)
+            report = _node_probe(prob)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1059,14 +1089,107 @@ class TestScanFreeStepEqualsTheReference:
         return peak
 
     def test_probe_memory_does_not_grow_with_the_grid(self):
-        # the peak is a few arrays of one run (3.3 MB here at every size);
-        # Python's own small objects move it by a few hundred bytes. A 2-D
-        # block of all three pairs made it 6.7 MB at N = 65535, and masked
-        # copies of the whole stack 25.6 MB and 102 MB
+        # the peak is a few arrays of one run, the run's own t, lower and
+        # upper values included (3.6 MB here at every size); Python's own
+        # small objects move it by a few hundred bytes. Rows of every pair
+        # at every node, built before the walk, added 6 (N + 1) floats; a
+        # 2-D block of all three pairs made it 6.7 MB at N = 65535 beyond
+        # those, and masked copies of the whole stack 25.6 MB and 102 MB
         one_run_per_pair = self._probe_peak(65535)
         small, large = self._probe_peak(2**17), self._probe_peak(2**19)
         assert large <= small + 16 * 1024
         assert max(one_run_per_pair, small) < 8 * (8 * fractional._PROBE_BLOCK)
+
+    @pytest.mark.parametrize("block", (5, 7, 65536))
+    @pytest.mark.parametrize("n", (8, 64, 100))
+    def test_probe_runs_built_per_run_equal_the_stacked_rows(self, monkeypatch, n, block):
+        # runs of 5 and 7 start and end inside pairs and span them
+        monkeypatch.setattr(fractional, "_PROBE_BLOCK", block)
+        rhs = (demo_rhs, lambda t, u: u, lambda t, u: np.cos(3.0 * t) * u * u, lambda t, u: 2.0 * u)
+        for prob in (FdeProblem(f, zeta, n) for f in rhs for zeta in (0.5, 2.0)):
+            nodes = prob.nodes
+            want = rows_check(prob, nodes, *stacked_probe_rows(nodes))
+            assert want == masked_stacked_check(prob, nodes, *stacked_probe_rows(nodes))
+            assert _node_probe(prob) == want
+
+
+class TestBoundedMemory:
+    """A solve holds the weights, the nodes, three iterates and one step's
+    or one probe run's work arrays, whatever its step count."""
+
+    @staticmethod
+    def _solve_peak(prob):
+        """The solve's trace, failed or not, and the bytes tracemalloc sees
+        at its peak beyond the problem's weights and nodes."""
+        tracemalloc.start()
+        try:
+            try:
+                trace = solve_fde(prob)[0]
+            except ConvergenceFailure as failure:
+                trace = failure.trace
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return trace, peak
+
+    def test_a_solve_holds_three_iterates_and_one_phase_of_work(self):
+        n = 2**16
+        node = 8 * (n + 1)
+        run = 8 * min(fractional._PROBE_BLOCK, 3 * (n + 1))
+        # The probe ends before the first step, so the peak is that of one
+        # of two phases. A probe run holds its t, lower, upper, the two rhs
+        # results and the ratios, the gap and two boolean masks: under 8
+        # run arrays. A step holds the window's three iterates (the two it
+        # keeps into the step and the one it builds) and the step's FFT work
+        # besides its result: the rhs values, the spectrum product (N + 1
+        # complex) and the 2N-float convolution, 5 node arrays. Every iterate
+        # the trace kept beyond these would add a node array per step.
+        budget = max(8 * run, 3 * node + 5 * node)
+        base, base_peak = self._solve_peak(demo_problem(n))
+        # residual_tol 0 stops no run: twice the steps, to the budget's end
+        policy = StoppingPolicy(residual_tol=0.0, max_iterations=2 * base.steps)
+        doubled, doubled_peak = self._solve_peak(demo_problem(n, policy=policy))
+        assert (base.steps, doubled.steps) == (10, 20)
+        assert len(base.iterates) == len(doubled.iterates) == 3
+        assert max(base_peak, doubled_peak) <= budget
+        assert doubled_peak <= base_peak + 16 * 1024
+
+
+class TestWindowedSolve:
+    """solve_fde keeps (r_0, r_(m-1), r_m) of the orbit: the window of the
+    run that keeps every iterate, and of the run audited after it ended."""
+
+    @pytest.mark.parametrize("variant", GAMMA_VARIANTS)
+    @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
+    @pytest.mark.parametrize("n", (64, 512))
+    def test_window_equals_the_full_orbit(self, n, zeta, variant):
+        prob = demo_problem(n, zeta, gamma_variant=variant)
+        trace, solution = solve_fde(prob)
+        full = full_orbit(prob, trace.alpha_used)
+        assert_window_of(trace, full)
+        assert full == full_orbit(prob, trace.alpha_used, run=posthoc_iterate)
+        # at N = 512 and zeta = 2.0 the orbit is not monotone, and preserved
+        # is False in all three runs
+        assert solution is trace.iterates[-1] and trace.converged
+
+    def test_a_failed_probe_and_a_failed_run_keep_the_window(self):
+        prob = FdeProblem(lambda t, u: u, n_intervals=64)
+        with pytest.warns(UserWarning, match="Lipschitz"):
+            trace, _ = solve_fde(prob)
+        assert trace.alpha_used is None
+        assert_window_of(trace, full_orbit(prob, None))
+        prob = demo_problem(64, policy=StoppingPolicy(residual_tol=0.0, max_iterations=1))
+        with pytest.raises(ConvergenceFailure) as caught:
+            solve_fde(prob)
+        one = caught.value.trace
+        assert one.steps == 1 and one.iterates[0] is one.iterates[1]
+        assert_window_of(one, full_orbit(prob, 0.5))
+
+    def test_the_order_is_audited_once_per_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fractional, "pointwise_leq", lambda u, v: calls.append(1) or pointwise_leq(u, v))
+        trace, _ = solve_fde(demo_problem(64))
+        assert len(calls) == trace.steps
 
 
 class TestBoundary:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relfix.gridfn as gridfn
 from relfix.gridfn import (
     GridFunction,
+    grid_csv_blocks,
     grid_to_csv,
     interpolate,
     pointwise_leq,
@@ -162,6 +164,13 @@ def row_by_row_csv(u):
     return "\n".join(lines) + "\n"
 
 
+def whole_csv(u):
+    """The CSV as it was formatted before it was streamed: one % over the
+    interleaved node and value floats of the whole grid."""
+    cells = np.column_stack((u.nodes, u.values)).ravel().tolist()
+    return "t,value\n" + "%.16e,%.16e\n" * (u.n_intervals + 1) % tuple(cells)
+
+
 def assert_same_lines(got, want):
     """Compare two CSV texts, reporting only the first differing line: a full
     diff of thousands of lines takes pytest minutes."""
@@ -208,3 +217,28 @@ class TestCsv:
         rng = np.random.default_rng(n)
         u = GridFunction(n, CSV_VALUES[kind](rng, n + 1))
         assert_same_lines(grid_to_csv(u), row_by_row_csv(u))
+
+    @pytest.mark.parametrize(
+        "n", (8, 100, 4096, gridfn._CSV_BLOCK - 1, gridfn._CSV_BLOCK, gridfn._CSV_BLOCK + 1)
+    )
+    def test_streamed_blocks_equal_the_whole_file_formatter(self, n):
+        # N = B - 1 fills one block of B nodes; N = B and B + 1 leave one
+        # and two nodes to a second block
+        rng = np.random.default_rng(n)
+        u = GridFunction(n, rng.standard_normal(n + 1) * 10.0 ** rng.integers(-300, 300, n + 1))
+        blocks = list(grid_csv_blocks(u))
+        assert blocks[0] == "t,value\n"
+        assert [b.count("\n") for b in blocks[1:]] == [
+            min(gridfn._CSV_BLOCK, n + 1 - first) for first in range(0, n + 1, gridfn._CSV_BLOCK)
+        ]
+        text = "".join(blocks)
+        assert text.encode() == whole_csv(u).encode() == grid_to_csv(u).encode()
+
+    def test_small_blocks_split_the_grid_anywhere(self, monkeypatch):
+        u = GridFunction(100, np.random.default_rng(1).standard_normal(101))
+        want = whole_csv(u)
+        for block in (1, 7, 100, 101, 102):
+            monkeypatch.setattr(gridfn, "_CSV_BLOCK", block)
+            blocks = list(grid_csv_blocks(u))
+            assert len(blocks) == 1 + -(-101 // block)
+            assert "".join(blocks) == want

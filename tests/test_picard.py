@@ -1,11 +1,13 @@
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from relfix import cli
+from relfix import demos
 from relfix.demos import example1_run
 from relfix.finite_oracle import (
     FiniteInstance, conclusion_holds, contraction_alpha, enumerate_instances, hypotheses_hold,
@@ -18,6 +20,8 @@ from relfix.picard import (
     trace_to_csv,
 )
 from relfix.relations import FiniteRelation, seed_set, universal_view
+
+from picard_reference import assert_window_of, posthoc_iterate
 
 ABS_DIFF = lambda a, b: abs(a - b)
 PAIRS = {(1, 0), (0, 0)}
@@ -108,6 +112,92 @@ class TestIterate:
     def test_overflow_aborts_with_step_index(self):
         with pytest.raises(ArithmeticError, match="diverged at step 1"):
             iterate(lambda x: x * 1e200, ABS_DIFF, universal_view(), 1.0)
+
+
+def counted(rel):
+    """``rel`` and the list of the pairs it was called on."""
+    calls = []
+    return (lambda a, b: calls.append((a, b)) or rel(a, b)), calls
+
+
+class TestWindow:
+    """A run with ``window=True`` keeps (r_0, r_(m-1), r_m) of the orbit and
+    is otherwise the full run, which is the post-run audit's trace."""
+
+    @staticmethod
+    def _assert_modes_agree(smap, g, rel, r0, policy, alpha=None):
+        want = posthoc_iterate(smap, g, rel, r0, policy, alpha=alpha)
+        traces = {}
+        for window in (False, True):
+            audit, calls = counted(rel)
+            trace = iterate(smap, g, audit, r0, policy, alpha=alpha, window=window)
+            # one audit per step, on the step's own pair
+            assert calls == list(zip(want.iterates, want.iterates[1:]))
+            assert type(trace.certified) is bool and type(trace.preserved) is bool
+            traces[window] = trace
+        assert traces[False] == want
+        assert len(traces[True].iterates) == 3
+        assert_window_of(traces[True], traces[False])
+        return want
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 30))
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_plane_scenarios(self, which, n):
+        smap, g = (demos.example1_map, demos.example1_g) if which == 1 else (
+            demos.example2_map, demos.example2_g
+        )
+        policy = StoppingPolicy(residual_tol=0.0, max_iterations=n)
+        # scenario 2 moves a first coordinate other than 0, so its last two
+        # starts are neither certified nor preserved
+        for start in ((0.0, 1.0), (1.5, 2.0), (-1.0, 0.0)):
+            r0 = demos.validate_point(start)
+            want = self._assert_modes_agree(smap, g, demos.first_coord_relation(), r0, policy, 0.25)
+            assert want.steps == n
+            assert want.certified == want.preserved == (which == 1 or start[0] == 0.0)
+
+    def test_one_step_keeps_the_start_twice(self):
+        trace = iterate(lambda x: 0.0, ABS_DIFF, universal_view(), 0.0, window=True)
+        assert trace.iterates == (0.0, 0.0, 0.0) and trace.steps == 1 and trace.converged
+        self._assert_modes_agree(lambda x: x / 2.0, ABS_DIFF, universal_view(), 1.0,
+                                 StoppingPolicy(max_iterations=1), 0.5)
+
+    @pytest.mark.parametrize("fails_at", (0, 1, 4, 9))
+    def test_a_relation_that_fails_mid_orbit(self, fails_at):
+        # x -> x + 1 from 0 for 10 steps; the pair (fails_at, fails_at + 1)
+        # is the one unrelated pair, and each later pair is still audited
+        rel = lambda a, b: a != fails_at
+        want = self._assert_modes_agree(
+            lambda x: x + 1, ABS_DIFF, rel, 0, StoppingPolicy(residual_tol=0.0, max_iterations=10)
+        )
+        assert want.preserved is False and want.certified is (fails_at != 0)
+
+    def test_budget_exhaustion(self):
+        want = self._assert_modes_agree(
+            lambda x: x / 2.0, ABS_DIFF, lambda a, b: b <= a, 1.0,
+            StoppingPolicy(residual_tol=1e-30, max_iterations=5), 0.5,
+        )
+        assert not want.converged and want.steps == 5
+
+    def test_the_window_drops_each_iterate_before_the_step_after_next(self):
+        # the step that builds r_m may hold r_0 and r_(m-1), never r_(m-2)
+        alive = []
+
+        class Box:
+            def __init__(self, k):
+                self.k = k
+
+        def smap(box):
+            alive.append(sum(1 for ref in boxes if ref() is not None))
+            nxt = Box(box.k + 1)
+            boxes.append(weakref.ref(nxt))
+            return nxt
+
+        start = Box(0)
+        boxes = [weakref.ref(start)]
+        trace = iterate(smap, lambda a, b: 1.0, universal_view(), start,
+                        StoppingPolicy(residual_tol=0.0, max_iterations=6), window=True)
+        assert [box.k for box in trace.iterates] == [0, 5, 6]
+        assert alive == [1, 2, 2, 2, 2, 2]
 
 
 class TestTraceRecord:

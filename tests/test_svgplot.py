@@ -48,14 +48,25 @@ def test_title_markup_is_escaped():
     assert titles[0] == "a < b & c > d"
 
 
+CAPTION = f"values below {FLOOR:.0e} plotted at {FLOOR:.0e}"
+
+
 def test_nonpositive_values_are_floored_and_annotated():
     svg = render_residual_plot([1.0, 0.0, 1e-30])
-    assert f"nonpositive values plotted at {FLOOR:.0e}" in svg
+    assert CAPTION in svg
+
+
+def test_a_tiny_positive_value_is_floored_and_captioned_as_below_the_floor():
+    # a positive residual under the floor is no nonpositive value
+    svg = render_residual_plot([1.0, 1e-20])
+    assert CAPTION in svg and "nonpositive" not in svg
+    assert svg == render_residual_plot([1.0, FLOOR / 2])
 
 
 def test_positive_values_carry_no_annotation():
-    svg = render_residual_plot([1.0, 0.5])
-    assert "nonpositive" not in svg
+    for values in ([1.0, 0.5], [1.0, FLOOR]):
+        svg = render_residual_plot(values)
+        assert "plotted at" not in svg and "nonpositive" not in svg
 
 
 def test_decade_labels_are_thinned():
