@@ -319,10 +319,11 @@ def lipschitz_check(
 ) -> LipschitzReport:
     """Test |rhs(t, v) - rhs(t, u)| <= bound * (v - u) on ordered samples.
 
-    Every supplied pair must satisfy u <= v pointwise. Each pair is
-    interpolated at the samples and the pairs are stacked, one row each.
-    The rhs is called once per side on each 1-D run of their pair-major
-    stream that holds an informative sample; samples where the two
+    Every supplied pair must satisfy u <= v pointwise. The pairs are walked
+    as one pair-major stream of their values at the samples, each run's
+    piece of a pair interpolated as the run is built. The rhs is called
+    once per side on each 1-D run of the stream that holds an informative
+    sample; samples where the two
     functions agree carry no ratio information and are skipped. With no
     informative sample at all (no samples, no pairs, or every gap zero) the
     margin degenerates to the full bound and the check does not pass. The
@@ -334,12 +335,13 @@ def lipschitz_check(
         if not pointwise_leq(u, v):
             raise ValueError("pair is not ordered: need u <= v pointwise")
     ts = _real_array(t_samples, "t_samples must be real, got dtype {dtype}").ravel()
-    lower = np.empty((len(pairs), len(ts)))
-    upper = np.empty_like(lower)
-    for row, (u, v) in enumerate(pairs):
-        lower[row], upper[row] = interpolate(u, ts), interpolate(v, ts)
+
+    def pair_values(p: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        u, v = pairs[p]
+        return interpolate(u, ts[a:b]), interpolate(v, ts[a:b])
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _stacked_check(prob, ts, len(pairs), lambda p, a, b: (lower[p, a:b], upper[p, a:b]))
+        return _stacked_check(prob, ts, len(pairs), pair_values)
 
 
 # Samples per run of the Lipschitz probe's pair-major stream: the rhs gets 1-D
@@ -520,7 +522,6 @@ def solve_fde(prob: FdeProblem) -> tuple[IterationTrace, GridFunction]:
             GridFunction.zeros(prob.n_intervals),
             prob.policy,
             alpha=alpha,
-            window=True,
         )
     if not trace.converged:
         raise ConvergenceFailure(

@@ -42,9 +42,9 @@ class StoppingPolicy(FrozenRecord):
 class IterationTrace(NamedTuple):
     """Record of one Picard run, in tuples: what the run measured.
 
-    ``iterates`` is the orbit r_0, r_1, ..., r_m of the m = ``steps`` map
-    applications, or, from a run with ``window=True``, the three iterates
-    (r_0, r_(m-1), r_m) (r_0 twice after one step). ``residuals[k]`` is
+    ``iterates`` is a window of the orbit of the m = ``steps`` map
+    applications: the three iterates (r_0, r_(m-1), r_m), r_0 twice after
+    one step. ``residuals[k]`` is
     |g(r_k, r_(k+1))|, one residual per map application. ``certified`` is
     False when the start point was not in the seed set (the run still
     proceeds), and ``preserved`` says whether every step's pair
@@ -103,7 +103,6 @@ def iterate(
     policy: StoppingPolicy = StoppingPolicy(),
     *,
     alpha: Optional[float] = None,
-    window: bool = False,
 ) -> IterationTrace:
     """Run the Picard orbit of ``smap`` from ``r0`` under ``policy``.
 
@@ -115,9 +114,8 @@ def iterate(
     aborts with the offending step index. A contraction factor outside
     (0, 1) is rejected before the first step. ``certified`` and
     ``preserved`` are Python bools whatever truthy values ``rel`` returns.
-    With ``window=True`` the run holds and returns only r_0 and the last
-    two iterates instead of the whole orbit; everything else in the trace
-    is the same.
+    The run holds and returns only r_0 and the last two iterates, so its
+    memory does not grow with the step count.
     """
     if alpha is not None:
         real(alpha, _ALPHA, above=0.0, below=1.0)
@@ -126,8 +124,7 @@ def iterate(
     certified = preserved = True
     converged = False
     for step in range(policy.max_iterations):
-        if window:
-            del orbit[1:-1]  # r_0 and the current iterate: the next step needs no more
+        del orbit[1:-1]  # r_0 and the current iterate: the next step needs no more
         current = orbit[-1]
         nxt = smap(current)
         value = abs(g(current, nxt))
@@ -144,7 +141,7 @@ def iterate(
             break
 
     return IterationTrace(
-        iterates=(orbit[0], orbit[-2], orbit[-1]) if window else tuple(orbit),
+        iterates=(orbit[0], orbit[-2], orbit[-1]),
         residuals=tuple(residuals),
         alpha_used=alpha,
         preserved=preserved,

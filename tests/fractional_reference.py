@@ -15,8 +15,8 @@ read its overflow test off the trapezoid C and the probe walked node blocks:
 the step that scans the rhs values and the corrected nodes on every call, and
 the probe that ranks boolean-mask copies of the stacked rows. The probe's
 rows as they were before each run of the probe built its own: all three
-pairs at every node, stacked whole. The references keep every iterate of
-the orbit.
+pairs at every node, stacked whole. The references run the Picard engine
+of ``picard_reference``, which keeps every iterate of the orbit.
 """
 
 import math
@@ -37,7 +37,9 @@ from relfix.fractional import (
     quadrature_weights,
 )
 from relfix.gridfn import GridFunction, interpolate, pointwise_leq, sup_diff
-from relfix.picard import IterationTrace, iterate
+from relfix.picard import IterationTrace
+
+from picard_reference import posthoc_iterate
 
 
 def masked_power_diff(ms: np.ndarray, p: float) -> np.ndarray:
@@ -165,7 +167,7 @@ def reference_solve_fde(prob: FdeProblem) -> tuple[LipschitzReport, IterationTra
     alpha = prob.lipschitz_alpha if report.passed else None
     if alpha is None:
         warnings.warn("rhs failed the sampled Lipschitz condition", stacklevel=2)
-    trace = iterate(
+    trace = posthoc_iterate(
         lambda fn: concat_apply_T(fn, prob),
         sup_diff,
         pointwise_leq,
@@ -296,7 +298,7 @@ def scanning_solve_fde(prob: FdeProblem) -> tuple[LipschitzReport, IterationTrac
     alpha = prob.lipschitz_alpha if report.passed else None
     if alpha is None:
         warnings.warn("rhs failed the sampled Lipschitz condition", stacklevel=2)
-    trace = iterate(
+    trace = posthoc_iterate(
         lambda fn: scanning_apply_T(fn, prob),
         sup_diff,
         pointwise_leq,

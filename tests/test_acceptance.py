@@ -41,8 +41,9 @@ from relfix.gspace import (
     related_pairs,
     verify_g_properties,
 )
-from relfix.picard import a_priori_bound, iterate
+from relfix.picard import a_priori_bound
 
+from picard_reference import plane_orbit, whole_run
 from reference_values import POWER_RULE_COEFF, SQRT_PI_OVER_16
 
 
@@ -62,8 +63,12 @@ def test_plane_traces_reproduce_the_exact_geometric_decay():
         one = example1_run(1.0, 30)
         two = example2_run(0.0, 1.0, 30)
 
-        for trace in (one, two):
-            for k, point in enumerate(trace.iterates):
+        orbits = [
+            plane_orbit(one, example1_map, example1_g),
+            plane_orbit(two, example2_map, example2_g),
+        ]
+        for orbit in orbits:
+            for k, point in enumerate(orbit):
                 assert point.second == 4.0 ** (-k)
 
         for trace in (one, two):
@@ -73,7 +78,7 @@ def test_plane_traces_reproduce_the_exact_geometric_decay():
 
         gap = max(
             abs(p.second - q.second)
-            for p, q in zip(one.iterates, two.iterates)
+            for p, q in zip(*orbits)
         )
         assert gap <= 1e-15
         assert time.perf_counter() - start < 1.0
@@ -182,27 +187,25 @@ def test_a_priori_certificates_dominate_all_measured_gaps():
                    "gap m < n <= 50"):
         slack = 1.0 + 1e-9
 
+        # a trace keeps a window of its orbit; every gap needs the whole
+        # orbit, which the same run gives when it keeps every iterate
         trace = example1_run(1.0, 50)
         assert trace.alpha_used == 0.25
         g = example1_g
+        orbit = plane_orbit(trace, example1_map, g)
         for m in range(trace.steps):
             bound = a_priori_bound(0.25, trace.residuals[0], m)
             assert trace.bound_certificates[m] == bound
-            for n in range(m + 1, len(trace.iterates)):
-                gap = abs(g(trace.iterates[m], trace.iterates[n]))
+            for n in range(m + 1, len(orbit)):
+                gap = abs(g(orbit[m], orbit[n]))
                 assert gap <= bound * slack, (m, n)
 
-        # solve_fde keeps a window of its orbit; every gap needs the whole
-        # orbit, which the same Picard run gives when it keeps every iterate
         prob = demo_problem(128)
         window, _ = solve_fde(prob)
         assert window.alpha_used == 0.5
-        solver_trace = iterate(
-            lambda fn: apply_T(fn, prob), sup_diff, pointwise_leq,
-            GridFunction.zeros(128), prob.policy, alpha=window.alpha_used,
+        solver_trace = whole_run(
+            window, lambda fn: apply_T(fn, prob), sup_diff, pointwise_leq, prob.policy
         )
-        assert solver_trace._replace(iterates=()) == window._replace(iterates=())
-        assert window.iterates == (solver_trace.iterates[0], *solver_trace.iterates[-2:])
         for m in range(solver_trace.steps):
             bound = a_priori_bound(0.5, solver_trace.residuals[0], m)
             for n in range(m + 1, len(solver_trace.iterates)):

@@ -14,12 +14,14 @@ from relfix.demos import (
 )
 from relfix.picard import a_priori_bound
 
+from picard_reference import plane_orbit
+
 
 class TestScenario1:
     def test_second_coordinates_are_exact_powers(self):
-        trace = example1_run(1.0, 30)
-        assert len(trace.iterates) == 31
-        for k, point in enumerate(trace.iterates):
+        orbit = plane_orbit(example1_run(1.0, 30), example1_map, example1_g)
+        assert len(orbit) == 31
+        for k, point in enumerate(orbit):
             assert point.first == 0.0
             assert point.second == 4.0 ** (-k)
 
@@ -39,14 +41,15 @@ class TestScenario1:
     def test_certificates_dominate_pairwise_gaps(self):
         trace = example1_run(1.0, 20)
         g = example1_g
+        orbit = plane_orbit(trace, example1_map, g)
         for m in range(trace.steps):
             cert = a_priori_bound(0.25, trace.residuals[0], m)
-            for n in range(m + 1, len(trace.iterates)):
-                assert abs(g(trace.iterates[m], trace.iterates[n])) <= cert
+            for n in range(m + 1, len(orbit)):
+                assert abs(g(orbit[m], orbit[n])) <= cert
 
     def test_scaled_start(self):
-        trace = example1_run(8.0, 10)
-        for k, point in enumerate(trace.iterates):
+        orbit = plane_orbit(example1_run(8.0, 10), example1_map, example1_g)
+        for k, point in enumerate(orbit):
             assert point.second == 8.0 * 4.0 ** (-k)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -59,14 +62,14 @@ class TestScenario2:
     def test_matches_scenario1_from_the_shared_start(self):
         one = example1_run(1.0, 30)
         two = example2_run(0.0, 1.0, 30)
-        assert [p.second for p in one.iterates] == [
-            p.second for p in two.iterates
+        assert [p.second for p in plane_orbit(one, example1_map, example1_g)] == [
+            p.second for p in plane_orbit(two, example2_map, example2_g)
         ]
         assert one.residuals == two.residuals
 
     def test_first_coordinate_orbit(self):
-        trace = example2_run(2.0, 1.0, 3)
-        assert [p.first for p in trace.iterates] == [2.0, 1.0, 0.25, 0.015625]
+        orbit = plane_orbit(example2_run(2.0, 1.0, 3), example2_map, example2_g)
+        assert [p.first for p in orbit] == [2.0, 1.0, 0.25, 0.015625]
 
     def test_certified_and_preserved(self):
         trace = example2_run(0.0, 1.0, 10)

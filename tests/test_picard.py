@@ -21,7 +21,7 @@ from relfix.picard import (
 )
 from relfix.relations import FiniteRelation, seed_set, universal_view
 
-from picard_reference import assert_window_of, posthoc_iterate
+from picard_reference import assert_window_of, posthoc_iterate, whole_run
 
 ABS_DIFF = lambda a, b: abs(a - b)
 PAIRS = {(1, 0), (0, 0)}
@@ -31,30 +31,26 @@ class TestIterate:
     def test_instant_convergence(self):
         trace = iterate(lambda x: 0.0, ABS_DIFF, universal_view(), 0.0)
         assert trace.converged
-        assert trace.iterates == (0.0, 0.0)
+        assert trace.iterates == (0.0, 0.0, 0.0)
         assert trace.residuals == (0.0,)
         assert trace.steps == 1
         assert trace.fixed_point == 0.0
 
     def test_geometric_run(self):
-        trace = iterate(
-            lambda x: x / 2.0,
-            ABS_DIFF,
-            universal_view(),
-            1.0,
-            StoppingPolicy(residual_tol=1e-6, max_iterations=100),
-            alpha=0.5,
-        )
+        policy = StoppingPolicy(residual_tol=1e-6, max_iterations=100)
+        halve = lambda x: x / 2.0
+        trace = iterate(halve, ABS_DIFF, universal_view(), 1.0, policy, alpha=0.5)
         assert trace.converged
         assert trace.alpha_used == 0.5
         assert trace.residuals[0] == 0.5
         for prev, cur in zip(trace.residuals, trace.residuals[1:]):
             assert cur == prev / 2.0
-        # certificates dominate the later residuals they were issued for
+        # certificates dominate the later gaps they were issued for
+        orbit = whole_run(trace, halve, ABS_DIFF, universal_view(), policy).iterates
         for m, cert in enumerate(trace.bound_certificates):
             assert cert == a_priori_bound(0.5, trace.residuals[0], m)
-            for n in range(m + 1, len(trace.iterates)):
-                gap = abs(trace.iterates[m] - trace.iterates[n])
+            for n in range(m + 1, len(orbit)):
+                gap = abs(orbit[m] - orbit[n])
                 assert gap <= cert * (1.0 + 1e-12)
 
     def test_no_alpha_no_certificates(self):
@@ -121,23 +117,19 @@ def counted(rel):
 
 
 class TestWindow:
-    """A run with ``window=True`` keeps (r_0, r_(m-1), r_m) of the orbit and
-    is otherwise the full run, which is the post-run audit's trace."""
+    """A run keeps (r_0, r_(m-1), r_m) of the orbit and is otherwise the
+    full run that the post-run audit traces."""
 
     @staticmethod
-    def _assert_modes_agree(smap, g, rel, r0, policy, alpha=None):
+    def _assert_window_of_the_full_run(smap, g, rel, r0, policy, alpha=None):
         want = posthoc_iterate(smap, g, rel, r0, policy, alpha=alpha)
-        traces = {}
-        for window in (False, True):
-            audit, calls = counted(rel)
-            trace = iterate(smap, g, audit, r0, policy, alpha=alpha, window=window)
-            # one audit per step, on the step's own pair
-            assert calls == list(zip(want.iterates, want.iterates[1:]))
-            assert type(trace.certified) is bool and type(trace.preserved) is bool
-            traces[window] = trace
-        assert traces[False] == want
-        assert len(traces[True].iterates) == 3
-        assert_window_of(traces[True], traces[False])
+        audit, calls = counted(rel)
+        trace = iterate(smap, g, audit, r0, policy, alpha=alpha)
+        # one audit per step, on the step's own pair
+        assert calls == list(zip(want.iterates, want.iterates[1:]))
+        assert type(trace.certified) is bool and type(trace.preserved) is bool
+        assert len(trace.iterates) == 3
+        assert_window_of(trace, want)
         return want
 
     @pytest.mark.parametrize("n", (1, 2, 3, 30))
@@ -151,14 +143,16 @@ class TestWindow:
         # starts are neither certified nor preserved
         for start in ((0.0, 1.0), (1.5, 2.0), (-1.0, 0.0)):
             r0 = demos.validate_point(start)
-            want = self._assert_modes_agree(smap, g, demos.first_coord_relation(), r0, policy, 0.25)
+            want = self._assert_window_of_the_full_run(
+                smap, g, demos.first_coord_relation(), r0, policy, 0.25
+            )
             assert want.steps == n
             assert want.certified == want.preserved == (which == 1 or start[0] == 0.0)
 
     def test_one_step_keeps_the_start_twice(self):
-        trace = iterate(lambda x: 0.0, ABS_DIFF, universal_view(), 0.0, window=True)
+        trace = iterate(lambda x: 0.0, ABS_DIFF, universal_view(), 0.0)
         assert trace.iterates == (0.0, 0.0, 0.0) and trace.steps == 1 and trace.converged
-        self._assert_modes_agree(lambda x: x / 2.0, ABS_DIFF, universal_view(), 1.0,
+        self._assert_window_of_the_full_run(lambda x: x / 2.0, ABS_DIFF, universal_view(), 1.0,
                                  StoppingPolicy(max_iterations=1), 0.5)
 
     @pytest.mark.parametrize("fails_at", (0, 1, 4, 9))
@@ -166,13 +160,13 @@ class TestWindow:
         # x -> x + 1 from 0 for 10 steps; the pair (fails_at, fails_at + 1)
         # is the one unrelated pair, and each later pair is still audited
         rel = lambda a, b: a != fails_at
-        want = self._assert_modes_agree(
+        want = self._assert_window_of_the_full_run(
             lambda x: x + 1, ABS_DIFF, rel, 0, StoppingPolicy(residual_tol=0.0, max_iterations=10)
         )
         assert want.preserved is False and want.certified is (fails_at != 0)
 
     def test_budget_exhaustion(self):
-        want = self._assert_modes_agree(
+        want = self._assert_window_of_the_full_run(
             lambda x: x / 2.0, ABS_DIFF, lambda a, b: b <= a, 1.0,
             StoppingPolicy(residual_tol=1e-30, max_iterations=5), 0.5,
         )
@@ -195,7 +189,7 @@ class TestWindow:
         start = Box(0)
         boxes = [weakref.ref(start)]
         trace = iterate(smap, lambda a, b: 1.0, universal_view(), start,
-                        StoppingPolicy(residual_tol=0.0, max_iterations=6), window=True)
+                        StoppingPolicy(residual_tol=0.0, max_iterations=6))
         assert [box.k for box in trace.iterates] == [0, 5, 6]
         assert alive == [1, 2, 2, 2, 2, 2]
 
@@ -335,10 +329,11 @@ class TestWhatACertificateBounds:
         assert conclusion_holds(inst.pair)
         g, trace = instance_run(inst, 0, 0.5)
         assert trace.certified and trace.preserved and trace.converged
-        assert trace.iterates == (0, 1, 2, 2) and trace.residuals == (2.0, 1.0, 0.0)
+        orbit = whole_run(trace, inst.mapping.__getitem__, g, inst.rel, StoppingPolicy()).iterates
+        assert orbit == (0, 1, 2, 2) and trace.residuals == (2.0, 1.0, 0.0)
         assert trace.bound_certificates[0] == 4.0
         assert sum(trace.residuals) == 3.0 <= trace.bound_certificates[0]
-        assert abs(g(trace.iterates[0], trace.iterates[2])) == 5.0 > trace.bound_certificates[0]
+        assert abs(g(orbit[0], orbit[2])) == 5.0 > trace.bound_certificates[0]
 
     def test_the_cli_accepts_the_instance(self, tmp_path, capsys):
         path = tmp_path / "instance.json"
