@@ -22,9 +22,10 @@ probe reads its pairs as one pair-major stream, pair 0's samples first, and
 walks it in 1-D runs of up to ``_PROBE_BLOCK`` samples, so the walk is in
 pair-then-sample order; each run's values are built when the walk reaches
 it, so the probe's memory is O(run), not O(N). A solve keeps three
-iterates of its orbit (see :func:`solve_fde`). A step scans its nodes for
-finiteness only when the trapezoid C of its integral says one may be
-non-finite (see :func:`apply_T`). A problem builds its node array once and
+iterates of its orbit (see :func:`solve_fde`). A step scans its rhs values
+for finiteness only when node 0 or the first bin of their transform is not
+finite, and the nodes of its integral only when the trapezoid C says one may
+be non-finite (see :func:`apply_T`). A problem builds its node array once and
 reuses it in every step; its weights are the one read-only table that
 every live problem with the same (zeta, N) shares.
 """
@@ -32,6 +33,7 @@ every live problem with the same (zeta, N) shares.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 import weakref
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -70,18 +72,24 @@ def gamma(x: float) -> float:
         raise ValueError(f"Gamma({float(x)!r}) is too large for a float") from None
 
 
-def _stable_power_diff(m: np.ndarray, log_ratio: np.ndarray, p: float) -> np.ndarray:
-    """m^p - (m-1)^p without cancellation, for m = 1, 2, ..., n, given the
-    floats m = 2..n and log_ratio = log1p(-1/m) for each of them.
+def _stable_power_diff(
+    m: np.ndarray, log_ratio: np.ndarray, p: float, out: np.ndarray, work: np.ndarray
+) -> None:
+    """m^p - (m-1)^p without cancellation into ``out``, for m = 1, 2, ..., n,
+    given the floats m = 1..n and, from index 1 on, log_ratio = log1p(-1/m).
 
     Written as m^p * (-expm1(p * log1p(-1/m))) so the difference keeps full
     relative precision even when m is large and the two powers nearly agree.
     m = 1, at index 0, is exactly 1 (the formula would take log1p(-1)).
+    ``work`` is scratch of the same length; it may be ``log_ratio`` itself,
+    which is then consumed.
     """
-    out = np.empty(len(m) + 1)
     out[0] = 1.0
-    out[1:] = m**p * (-np.expm1(p * log_ratio))
-    return out
+    np.power(m[1:], p, out=out[1:])
+    tail = np.multiply(p, log_ratio[1:], out=work[1:])
+    np.expm1(tail, out=tail)
+    np.negative(tail, out=tail)
+    out[1:] *= tail
 
 
 class QuadratureWeights(FrozenRecord):
@@ -96,10 +104,17 @@ class QuadratureWeights(FrozenRecord):
     Immutable; the fields live in the instance ``__dict__`` (no
     ``__slots__``), so ``vars()`` lists the arrays, which
     :func:`quadrature_weights` builds read-only, and a table can be held
-    weakly by the module's table of live weights.
+    weakly by the module's table of live weights. Like a
+    :class:`GridFunction`, two tables are equal when their fields are, the
+    arrays compared by value, and a table is unhashable.
     """
 
     _fields = ("zeta", "n_intervals", "start", "band", "band_spectrum")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QuadratureWeights):
+            return NotImplemented
+        return all(np.array_equal(x, y) for x, y in zip(self._values(), other._values()))
 
     @property
     def step(self) -> float:
@@ -127,8 +142,13 @@ def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
     left/right endpoint contributions A(m) = Q_m - (m-1) P_m and
     B(m) = m P_m - Q_m (in units of h^z). Node 0 at distance i gets A(i),
     an interior node at distance d gets A(d) + B(d + 1) and the target B(1).
-    A ``zeta`` above about 709.78 / ln N - 1 overflows m^zeta and raises
-    :class:`ValueError` naming ``zeta`` and N.
+    Each is then scaled by h^z / Gamma(z); where that product is not a
+    normal float (from zeta = 64 at N = 4096), h^z and 1 / Gamma(z) are
+    applied one after the other, so the table still sums to the constants
+    above rather than to 0. A ``zeta`` above about 709.78 / ln N - 1
+    overflows m^zeta and raises :class:`ValueError` naming ``zeta`` and N.
+    A build holds four arrays of N floats, reused in place, and then the
+    table alone: its peak is the table's size and a finiteness mask.
     """
     real(zeta, "zeta must be positive and finite, got {value!r}", above=0.0)
     n = _check_intervals(n_intervals, 1)
@@ -141,18 +161,37 @@ def quadrature_weights(zeta: float, n_intervals: int) -> QuadratureWeights:
 
 def _build_weights(zeta: float, n: int) -> QuadratureWeights:
     h = 1.0 / n
-    scale = h**zeta / gamma(zeta)  # before the moments: they divide by zeta
-    ms = np.arange(1, n + 1)
-    m = ms[1:].astype(float)
-    log_ratio = np.log1p(-1.0 / m)  # shared by both power differences
+    power, gamma_zeta = h**zeta, gamma(zeta)  # before the moments: they divide by zeta
+    scale = power / gamma_zeta
+    # Four arrays of n floats, each reused through out=: m, log_ratio, p and q
+    # become m p - q, A, the band and nothing. Every element takes the same
+    # operations as in a whole-array expression, so the table's bits are those.
+    m = np.arange(1.0, n + 1.0)  # m = 1..n, exact
+    log_ratio, p, q = np.empty(n), np.empty(n), np.empty(n)
     # an overflowing m^zeta is refused below, not left to numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        p = _stable_power_diff(m, log_ratio, zeta) / zeta
-        q = _stable_power_diff(m, log_ratio, zeta + 1.0) / (zeta + 1.0)
-        a = q - (ms - 1) * p
-        b = ms * p - q
-        start = a * scale
-        band = np.concatenate((b[:1], a[:-1] + b[1:])) * scale
+        np.log1p(np.divide(-1.0, m[1:], out=log_ratio[1:]), out=log_ratio[1:])
+        _stable_power_diff(m, log_ratio, zeta, p, q)
+        p /= zeta
+        _stable_power_diff(m, log_ratio, zeta + 1.0, q, log_ratio)  # the last use of log_ratio
+        q /= zeta + 1.0
+        start = np.subtract(m, 1.0, out=log_ratio)  # A = Q - (m - 1) P
+        start *= p
+        np.subtract(q, start, out=start)
+        b = np.multiply(m, p, out=m)  # B = m P - Q
+        b -= q
+        band = p
+        band[0] = b[0]
+        np.add(start[:-1], b[1:], out=band[1:])
+        del m, b, q
+        # A scale below the normal range would round the table to zeros or to
+        # a few bits: its two factors are then applied one at a time.
+        for x in (start, band):
+            if scale >= sys.float_info.min:
+                x *= scale
+            else:
+                x *= power
+                x /= gamma_zeta
         # np.fft runs single-threaded, so results do not depend on BLAS threads
         # (np.convolve does). np.fft is loaded on first use, not at import.
         spectrum = np.fft.rfft(band, 2 * n)
@@ -167,12 +206,31 @@ def _build_weights(zeta: float, n: int) -> QuadratureWeights:
 
 
 def _apply_weights(w: QuadratureWeights, values: np.ndarray) -> np.ndarray:
-    # linear convolution of the band with values[1:] by zero-padded real FFT
+    """The integral of the node values ``values``: node 0's column plus the
+    linear convolution of the band with values[1:], by zero-padded real FFT.
+
+    A NaN or an infinity in ``values`` raises :class:`ArithmeticError`
+    naming its first node as the rhs's: only a step's rhs values can hold
+    one, since a grid function's are finite. Node 0 and the first bin of the
+    forward transform, which sums values[1:], tell whether to scan. A step
+    passes its rhs values as a temporary, so this frame holds their last
+    reference and frees them before the inverse transform: its work is then
+    the spectrum, multiplied in place, and the convolution, four node arrays.
+    """
     fft, n = np.fft, w.n_intervals
-    conv = fft.irfft(w.band_spectrum * fft.rfft(values[1:], 2 * n), 2 * n)
+    first = float(values[0])
+    spectrum = fft.rfft(values[1:], 2 * n)
+    if not (math.isfinite(first) and math.isfinite(spectrum[0].real)):
+        _require_finite(values, "rhs diverged at node {}")
+    del values
+    # band_spectrum first: the other operand order does not give these bits
+    np.multiply(w.band_spectrum, spectrum, out=spectrum)
+    conv = fft.irfft(spectrum, 2 * n)
+    del spectrum
     out = np.empty(n + 1)
     out[0] = 0.0
-    np.add(conv[:n], w.start * values[0], out=out[1:])
+    np.multiply(w.start, first, out=out[1:])
+    out[1:] += conv[:n]
     return out
 
 
@@ -418,12 +476,11 @@ def _probe_run(
     return float(ratio[at]), (float(ts[at]), float(lo[at]), float(up[at]))
 
 
-# The Picard step reads its overflow test off the trapezoid C alone. IEEE
-# sums and products carry a NaN or an infinity: a non-finite rhs value makes
-# nodes of the integral non-finite (through the node-0 column or the FFT),
-# and a non-finite node makes C = h (v_0 / 2 + v_1 + ... + v_N / 2)
-# non-finite. So a finite C means every node v_k is finite, and
-# |C| < 2**969 keeps the correction from overflowing:
+# The Picard step reads its overflow test off the trapezoid C alone, once
+# :func:`_apply_weights` has refused a non-finite rhs value. IEEE sums and
+# products carry a NaN or an infinity: a non-finite node of the integral makes
+# C = h (v_0 / 2 + v_1 + ... + v_N / 2) non-finite. So a finite C means every
+# node v_k is finite, and |C| < 2**969 keeps the correction from overflowing:
 # |fl(t_k * 2C)| <= |2C| < 2**970, half an ulp of the largest float
 # 2**1024 - 2**971, so v_k + t_k * 2C stays below 2**1024 - 2**970, from
 # where rounding goes to infinity.
@@ -434,25 +491,27 @@ def apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:
     """One application of the integral operator to a grid function.
 
     The rhs is evaluated once, on the problem's node array; a non-finite
-    rhs value raises :class:`ArithmeticError` naming its node, and so does
-    a finite rhs whose integral overflows a float, at the integral's first
-    non-finite node. The linear-in-t correction 2 t C uses C = trapezoid
-    of the inner integral's node values, computed once per call. C alone
-    decides whether any node can be non-finite: below 2**969 in magnitude
-    no node is scanned; otherwise (NaN included) the rhs values, the
-    integral and the corrected nodes are scanned in that order. Unlike
-    :func:`solve_fde`, a direct call lets numpy warn of it in the FFT too.
+    rhs value raises :class:`ArithmeticError` naming its first node, read
+    off before the spectrum product (see :func:`_apply_weights`), so the
+    rhs is not called again. A finite rhs whose integral overflows a float
+    raises it too, at the integral's first non-finite node. The
+    linear-in-t correction 2 t C uses C = trapezoid of the inner integral's
+    node values, computed once per call. C alone decides whether any node
+    can be non-finite: below 2**969 in magnitude no node is scanned;
+    otherwise (NaN included) the integral and the corrected nodes are
+    scanned in that order. The step's work beyond the three iterates of a
+    solve is four node arrays. Unlike :func:`solve_fde`, a direct call lets
+    numpy warn of a non-finite rhs value in the forward FFT.
     """
     if u.n_intervals != prob.n_intervals:
         raise ValueError("grid function does not match the problem grid")
     w, nodes = prob.weights, prob.nodes
-    hv = _rhs_values(prob, nodes, u.values)
-    inner = _apply_weights(w, hv)
+    # the rhs values go to _apply_weights as a temporary, for it to free
+    inner = _apply_weights(w, _rhs_values(prob, nodes, u.values))
     c = _trapezoid(inner, w.step)
     if abs(c) < _SAFE_TRAPEZOID:
         inner += nodes * (2.0 * c)
     else:
-        _require_finite(hv, "rhs diverged at node {}")
         _require_finite(inner, _OVERFLOW)
         inner += nodes * (2.0 * c)
         _require_finite(inner, _OVERFLOW)
@@ -499,9 +558,11 @@ def solve_fde(prob: FdeProblem) -> tuple[IterationTrace, GridFunction]:
     bound certificates. The trace keeps a window of the orbit, (r_0,
     r_(m-1), r_m), so a solve holds the weights, the nodes, three iterates
     and one step's or one probe run's work arrays, whatever the step
-    count. Non-convergence raises :class:`ConvergenceFailure` with the
-    partial trace attached. numpy does not warn during a solve, not even of
-    the rhs's own non-finite values, so ``-W error`` still gets the
+    count: a step's work is four node arrays, the spectrum of its rhs
+    values and the 2N-float convolution (see :func:`apply_T`).
+    Non-convergence raises :class:`ConvergenceFailure` with the partial
+    trace attached. numpy does not warn during a solve, not even of the
+    rhs's own non-finite values, so ``-W error`` still gets the
     :class:`ArithmeticError` naming them.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

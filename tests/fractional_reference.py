@@ -15,8 +15,12 @@ read its overflow test off the trapezoid C and the probe walked node blocks:
 the step that scans the rhs values and the corrected nodes on every call, and
 the probe that ranks boolean-mask copies of the stacked rows. The probe's
 rows as they were before each run of the probe built its own: all three
-pairs at every node, stacked whole. The references run the Picard engine
-of ``picard_reference``, which keeps every iterate of the orbit.
+pairs at every node, stacked whole. The weight build and the step as they
+were before both reused their buffers: the build that keeps every moment
+array of the whole grid alive, and the step that holds the rhs values
+through both transforms and multiplies the spectrum out of place. The
+references run the Picard engine of ``picard_reference``, which keeps every
+iterate of the orbit.
 """
 
 import math
@@ -29,7 +33,11 @@ from relfix.fractional import (
     ConvergenceFailure,
     FdeProblem,
     LipschitzReport,
+    QuadratureWeights,
+    _OVERFLOW,
+    _SAFE_TRAPEZOID,
     _apply_weights,
+    _require_finite,
     _rhs_values,
     _trapezoid,
     gamma,
@@ -309,3 +317,68 @@ def scanning_solve_fde(prob: FdeProblem) -> tuple[LipschitzReport, IterationTrac
     if not trace.converged:
         raise ConvergenceFailure("no convergence", trace)
     return report, trace
+
+
+def whole_array_power_diff(m: np.ndarray, log_ratio: np.ndarray, p: float) -> np.ndarray:
+    """m^p - (m-1)^p for m = 1..n, given the floats m = 2..n and
+    log_ratio = log1p(-1/m) for each of them, as a fresh array."""
+    out = np.empty(len(m) + 1)
+    out[0] = 1.0
+    out[1:] = m**p * (-np.expm1(p * log_ratio))
+    return out
+
+
+def whole_array_weights(zeta: float, n: int) -> QuadratureWeights:
+    """The weight table from whole-array expressions, every moment array of
+    the grid alive at once; ``scale`` applied as one factor, even where it
+    is not a normal float."""
+    h = 1.0 / n
+    scale = h**zeta / gamma(zeta)
+    ms = np.arange(1, n + 1)
+    m = ms[1:].astype(float)
+    log_ratio = np.log1p(-1.0 / m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = whole_array_power_diff(m, log_ratio, zeta) / zeta
+        q = whole_array_power_diff(m, log_ratio, zeta + 1.0) / (zeta + 1.0)
+        a = q - (ms - 1) * p
+        b = ms * p - q
+        start = a * scale
+        band = np.concatenate((b[:1], a[:-1] + b[1:])) * scale
+        spectrum = np.fft.rfft(band, 2 * n)
+    if not all(np.isfinite(x).all() for x in (start, band, spectrum)):
+        raise ValueError(
+            f"quadrature weights for zeta={float(zeta)!r} on {n} intervals overflow a float"
+        )
+    return QuadratureWeights(
+        zeta=zeta, n_intervals=n, start=start, band=band, band_spectrum=spectrum
+    )
+
+
+def holding_apply_weights(w, values: np.ndarray) -> np.ndarray:
+    """The FFT weight apply with an out-of-place spectrum product."""
+    fft, n = np.fft, w.n_intervals
+    conv = fft.irfft(w.band_spectrum * fft.rfft(values[1:], 2 * n), 2 * n)
+    out = np.empty(n + 1)
+    out[0] = 0.0
+    np.add(conv[:n], w.start * values[0], out=out[1:])
+    return out
+
+
+def holding_apply_T(u: GridFunction, prob: FdeProblem) -> GridFunction:
+    """The step that holds the rhs values until C is read, and scans them,
+    then the integral and the corrected nodes, only when C is not safe."""
+    if u.n_intervals != prob.n_intervals:
+        raise ValueError("grid function does not match the problem grid")
+    w, nodes = prob.weights, prob.nodes
+    hv = _rhs_values(prob, nodes, u.values)
+    inner = holding_apply_weights(w, hv)
+    c = _trapezoid(inner, w.step)
+    if abs(c) < _SAFE_TRAPEZOID:
+        inner += nodes * (2.0 * c)
+    else:
+        _require_finite(hv, "rhs diverged at node {}")
+        _require_finite(inner, _OVERFLOW)
+        inner += nodes * (2.0 * c)
+        _require_finite(inner, _OVERFLOW)
+    return GridFunction._computed(u.n_intervals, inner)
+

@@ -33,7 +33,7 @@ from relfix.fractional import (
     solve_fde,
 )
 from relfix.gridfn import GridFunction, interpolate, pointwise_leq, sup_diff
-from relfix.picard import StoppingPolicy
+from relfix.picard import StoppingPolicy, iterate
 
 import fractional_reference
 from fractional_reference import (
@@ -42,6 +42,7 @@ from fractional_reference import (
     default_probe_pairs,
     dense_apply,
     dense_weights,
+    holding_apply_T,
     interpolating_lipschitz_check,
     masked_stacked_check,
     per_node_apply_T,
@@ -51,6 +52,7 @@ from fractional_reference import (
     scanning_solve_fde,
     stacked_probe_rows,
     table_from_band,
+    whole_array_weights,
 )
 from picard_reference import assert_window_of, posthoc_iterate
 from reference_values import (
@@ -67,18 +69,39 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def assert_invalid_fft_warnings(caught):
-    """An infinite rhs value warns in the real FFT and in the spectrum
-    product, and nowhere else."""
+    """An infinite rhs value warns in the forward real FFT and nowhere else:
+    the step names it before the spectrum product."""
     messages = {str(w.message) for w in caught}
-    assert all(m.startswith("invalid value encountered in ") for m in messages), messages
-    assert any("rfft" in m for m in messages) and any("multiply" in m for m in messages)
+    assert all(m.startswith("invalid value encountered in rfft") for m in messages), messages
+    assert messages
 
 
-def full_orbit(prob, alpha):
+def largest_normal_scale_zeta(n):
+    """The largest zeta whose weight scale (1/N)^zeta / Gamma(zeta) is a
+    normal float, by bisection over the floats of (1, 171)."""
+    def normal(zeta):
+        return (1.0 / n) ** zeta / gamma(zeta) >= sys.float_info.min
+
+    lo, hi = 1.0, 171.0
+    assert normal(lo) and not normal(hi)
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if normal(mid) else (lo, mid)
+    return lo
+
+
+def assert_reproduces_the_constant(w):
+    """The last row of a table sums to 1 / Gamma(zeta + 1), the order-zeta
+    integral of 1 at t = 1."""
+    total = w.start[-1] + math.fsum(w.band)
+    assert total == pytest.approx(1.0 / math.gamma(w.zeta + 1.0), rel=1e-13, abs=0.0), w.zeta
+
+
+def full_orbit(prob, alpha, step=apply_T):
     """``solve_fde``'s Picard run, every iterate of its orbit kept."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return posthoc_iterate(
-            lambda fn: apply_T(fn, prob),
+            lambda fn: step(fn, prob),
             sup_diff,
             pointwise_leq,
             GridFunction.zeros(prob.n_intervals),
@@ -215,9 +238,28 @@ class TestQuadratureWeights:
             warnings.simplefilter("error")
             w = quadrature_weights(largest, n)
             assert all(np.isfinite(x).all() for x in (w.start, w.band, w.band_spectrum))
+            # the last row reproduces the constant 1 / Gamma(zeta + 1) (8.0e-128,
+            # 1.9e-184 and 1.1e-306 here), whose scale h^zeta / Gamma(zeta)
+            # underflows: as one factor it made every weight 0.0
+            assert_reproduces_the_constant(w)
             message = f"^quadrature weights for zeta={refused} on {n} intervals overflow a float$"
             with pytest.raises(ValueError, match=message):
                 quadrature_weights(refused, n)
+            with pytest.raises(ValueError, match=message):
+                whole_array_weights(refused, n)
+
+    def test_every_zeta_up_to_the_overflow_keeps_its_weights(self):
+        # at N = 4096 the scale is subnormal from zeta = 64 and 0 from 65
+        for zeta in range(60, 85):
+            assert_reproduces_the_constant(quadrature_weights(float(zeta), 4096))
+
+    @pytest.mark.parametrize("n", (8, 9, 511, 512, 4096, 65537))
+    def test_the_build_equals_the_whole_array_reference(self, n):
+        for zeta in (1e-5, 0.5, 0.9, 1.0, 1.5, 2.0, 30, largest_normal_scale_zeta(n)):
+            got, want = fractional._build_weights(zeta, n), whole_array_weights(zeta, n)
+            assert (got.zeta, got.n_intervals) == (want.zeta, want.n_intervals)
+            for name in ("start", "band", "band_spectrum"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (zeta, name)
 
 
 class TestPowerRule:
@@ -398,8 +440,8 @@ class TestOperator:
             apply_T(GridFunction.zeros(32), demo_problem(64))
 
     def test_divergent_rhs_reports_node(self):
-        # the infinite rhs values reach the FFT before the step diagnoses
-        # them, so numpy warns on this failure path
+        # the infinite rhs values reach the forward FFT before the step
+        # diagnoses them, so numpy warns on this failure path
         prob = FdeProblem(
             rhs=lambda t, u: np.where(t > 0.5, np.inf, 0.0), n_intervals=8
         )
@@ -1057,10 +1099,14 @@ class TestScanFreeStepEqualsTheReference:
         # 1.7e308 + 2 C overflowing at node 8 only
         integral = np.zeros(9)
         integral[8] = 1.7e308
-        for module in (fractional, fractional_reference):
-            monkeypatch.setattr(module, "_apply_weights", lambda w, values: integral.copy())
+        for module, name in (
+            (fractional, "_apply_weights"),
+            (fractional_reference, "_apply_weights"),
+            (fractional_reference, "holding_apply_weights"),
+        ):
+            monkeypatch.setattr(module, name, lambda w, values: integral.copy())
         u, prob = self._step(demo_rhs, n=8)
-        for step in (scanning_apply_T, apply_T):
+        for step in (scanning_apply_T, holding_apply_T, apply_T):
             with pytest.warns(RuntimeWarning, match="^overflow encountered in add$"):
                 with pytest.raises(ArithmeticError, match="^computed value overflows a float at node 8$"):
                     step(u, prob)
@@ -1113,46 +1159,129 @@ class TestScanFreeStepEqualsTheReference:
             assert _node_probe(prob) == want
 
 
+class TestFourArrayStepEqualsTheReference:
+    """The step that frees the rhs values before the inverse transform and
+    multiplies the spectrum in place reproduces the step that held them
+    through both transforms, iterate for iterate and error for error."""
+
+    @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
+    @pytest.mark.parametrize("n", (64, 512, 4096))
+    def test_orbits(self, n, zeta):
+        prob = demo_problem(n, zeta)
+        got = full_orbit(prob, prob.lipschitz_alpha)
+        want = full_orbit(prob, prob.lipschitz_alpha, holding_apply_T)
+        assert_same_orbit(got.iterates, want.iterates)
+        assert got.residuals == want.residuals
+        assert (got.preserved, got.certified, got.converged) == (
+            want.preserved, want.certified, want.converged
+        )
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [
+            lambda t, u: np.where(t > 0.5, np.nan, np.sin(t)),
+            lambda t, u: np.where(t > 0.5, np.inf, np.sin(t)),
+            lambda t, u: np.where(t > 0.5, -np.inf, np.sin(t)),
+            lambda t, u: np.where(t < 0.5, -np.inf, np.inf),
+            lambda t, u: np.where(t == 0.0, np.inf, np.sin(t)),
+            lambda t, u: np.where(t == 0.0, np.nan, np.sin(t)),
+            lambda t, u: np.where(t == 1.0, np.nan, np.sin(t)),
+            lambda t, u: np.full_like(t, 1.7e308),
+            lambda t, u: np.full_like(t, 1e300),
+            lambda t, u: np.where(t == 1.0, 1.7e308, 0.0),
+        ],
+        ids=[
+            "nan", "inf", "minus-inf", "both-infinities", "inf-at-node-0", "nan-at-node-0",
+            "nan-at-node-N", "overflowing-integral", "huge-finite", "one-huge-node",
+        ],
+    )
+    def test_steps_off_the_fast_path(self, rhs):
+        u, prob = GridFunction.zeros(64), FdeProblem(rhs, zeta=0.5, n_intervals=64)
+        outcomes = []
+        for step in (apply_T, holding_apply_T):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    outcomes.append(step(u, prob).values.tobytes())
+                except ArithmeticError as error:
+                    outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
+
+
 class TestBoundedMemory:
     """A solve holds the weights, the nodes, three iterates and one step's
-    or one probe run's work arrays, whatever its step count."""
+    or one probe run's work arrays, whatever its step count; the weights'
+    build holds the table and one node array more."""
+
+    def test_a_build_holds_the_table_and_one_node_array(self):
+        n = 2**16
+        np.fft.rfft(np.ones(8))  # numpy imports np.fft on first use: not the build's memory
+        tracemalloc.start()
+        try:
+            w = fractional._build_weights(0.9, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The moments use four n-float arrays, reused in turn; two of them
+        # become the column and the band, and the spectrum (N + 1 complex) is
+        # built once the other two are freed: 4 node arrays at either peak,
+        # and the finiteness mask. Whole-array expressions peaked at 11.1.
+        table = w.start.nbytes + w.band.nbytes + w.band_spectrum.nbytes
+        assert peak <= table + 8 * (n + 1)
 
     @staticmethod
-    def _solve_peak(prob):
+    def _solve_peaks(prob, monkeypatch):
         """The solve's trace, failed or not, and the bytes tracemalloc sees
-        at its peak beyond the problem's weights and nodes."""
+        at the peak of its probe and at the peak of its steps, beyond the
+        problem's weights and nodes."""
+        probe = []
+
+        def steps_alone(*args, **kwargs):
+            probe.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return iterate(*args, **kwargs)
+
+        monkeypatch.setattr(fractional, "iterate", steps_alone)
         tracemalloc.start()
         try:
             try:
                 trace = solve_fde(prob)[0]
             except ConvergenceFailure as failure:
                 trace = failure.trace
-            peak = tracemalloc.get_traced_memory()[1]
+            steps = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return trace, peak
+        return trace, probe[0], steps
 
-    def test_a_solve_holds_three_iterates_and_one_phase_of_work(self):
+    def test_a_solve_holds_three_iterates_and_one_phase_of_work(self, monkeypatch):
         n = 2**16
         node = 8 * (n + 1)
         run = 8 * min(fractional._PROBE_BLOCK, 3 * (n + 1))
-        # The probe ends before the first step, so the peak is that of one
-        # of two phases. A probe run holds its t, lower, upper, the two rhs
-        # results and the ratios, the gap and two boolean masks: under 8
-        # run arrays. A step holds the window's three iterates (the two it
-        # keeps into the step and the one it builds) and the step's FFT work
-        # besides its result: the rhs values, the spectrum product (N + 1
-        # complex) and the 2N-float convolution, 5 node arrays. Every iterate
-        # the trace kept beyond these would add a node array per step.
-        budget = max(8 * run, 3 * node + 5 * node)
-        base, base_peak = self._solve_peak(demo_problem(n))
+        # The probe ends before the first step. A probe run holds its t,
+        # lower, upper, the two rhs results and the ratios, the gap and two
+        # boolean masks: under 8 run arrays.
+        probe_budget = 8 * run
+        # A step holds the window's three iterates: the two it keeps into
+        # the step and the one it builds. Its work is the rhs values, freed
+        # after the forward transform, the spectrum (N + 1 complex),
+        # multiplied in place, and the 2N-float convolution: the spectrum
+        # and the convolution, 4 node arrays, at its peak, before the
+        # iterate it builds is allocated. The step that held the rhs values
+        # through both transforms and built the spectrum product out of
+        # place peaked at 5. Every iterate the trace kept beyond these
+        # would add a node array per step.
+        step_budget = 2 * node + 4 * node + node // 8
+        base, base_probe, base_steps = self._solve_peaks(demo_problem(n), monkeypatch)
         # residual_tol 0 stops no run: twice the steps, to the budget's end
         policy = StoppingPolicy(residual_tol=0.0, max_iterations=2 * base.steps)
-        doubled, doubled_peak = self._solve_peak(demo_problem(n, policy=policy))
+        doubled, doubled_probe, doubled_steps = self._solve_peaks(
+            demo_problem(n, policy=policy), monkeypatch
+        )
         assert (base.steps, doubled.steps) == (10, 20)
         assert len(base.iterates) == len(doubled.iterates) == 3
-        assert max(base_peak, doubled_peak) <= budget
-        assert doubled_peak <= base_peak + 16 * 1024
+        assert max(base_probe, doubled_probe) <= probe_budget
+        assert max(base_steps, doubled_steps) <= step_budget
+        assert doubled_steps <= base_steps + 16 * 1024
 
 
 class TestWindowedSolve:

@@ -22,7 +22,13 @@ from relfix.finite_oracle import (
     SweepSpec,
     run_oracle,
 )
-from relfix.fractional import FdeProblem, LipschitzReport, QuadratureWeights, demo_rhs
+from relfix.fractional import (
+    FdeProblem,
+    LipschitzReport,
+    QuadratureWeights,
+    _build_weights,
+    demo_rhs,
+)
 from relfix.gridfn import GridFunction
 from relfix.gspace import ContractionEstimate, PropertyReport
 from relfix.picard import IterationTrace, StoppingPolicy
@@ -302,6 +308,25 @@ class TestArrayRecords:
         assert w.step == 0.5
         with pytest.raises(AttributeError):
             w.zeta = 1.0
+
+    def test_quadrature_weights_compare_arrays_by_value_and_have_no_hash(self):
+        # field-wise == on the arrays raised numpy's "truth value of an
+        # array ... is ambiguous" for two distinct tables, and hash raised
+        # "unhashable type: 'numpy.ndarray'"
+        a, b = _build_weights(0.9, 8), _build_weights(0.9, 8)
+        assert a is not b
+        assert a == b and not a != b
+        for name, value in vars(a).items():
+            if isinstance(value, np.ndarray):
+                changed = value.copy()
+                changed[-1] *= 2.0
+            else:
+                changed = value + 1
+            other = QuadratureWeights(**{**vars(a), name: changed})
+            assert a != other and not a == other, name
+        assert a != GridFunction(2, [0.0, 1.0, 2.0]) and a != None  # noqa: E711
+        with pytest.raises(TypeError, match="^unhashable type: 'QuadratureWeights'$"):
+            hash(a)
 
     @pytest.mark.parametrize(
         "args, named",
