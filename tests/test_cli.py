@@ -1,8 +1,15 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relfix import cli
 
@@ -884,3 +891,113 @@ class TestTopLevel:
         assert cli.EXIT_OK == 0
         assert cli.EXIT_HYPOTHESIS_FAILURE == 2
         assert cli.EXIT_COUNTEREXAMPLE == 3
+
+
+# Generative check of the "never a traceback" contract: command lines built
+# from the parser's own flags and hostile values, run in-process. Values that
+# are accepted and cost time in proportion are capped: `example --which 1
+# --n 10**20` would run for ever, and `oracle --n 4` is slow uncapped. Every
+# path a command line names lies in the example's own temporary directory.
+TIME_CAPS = {"--n": 10**4, "--max-iter": 10**4, "--grid": 2**12, "--g-max": 2, "--rel-cap": 2**9}
+HOSTILE = ["", "nan", "inf", "-inf", "1e400", "-1", "0", "1.5", "x", "1,2", "0x10", "\x00"]
+PATHS = ["<tmp>/new.csv", "<tmp>/existing.txt", "<tmp>", "<tmp>/missing/out.csv", "", "<tmp>/a\x00b"]
+INSTANCES = ["<tmp>/instance.json", "<tmp>/missing.json", "<tmp>", "", "<tmp>/a\x00b"]
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1e308", "-1e308", "5e-324", "-0.0", "1e-300", "0.5", "1", "2"]),
+)
+
+
+def mostly(good, bad):
+    """``good`` seven times in eight, ``bad`` otherwise."""
+    return st.integers(0, 7).flatmap(lambda k: bad if k == 7 else good)
+
+
+def flag_values(action):
+    """Values for one flag: those it accepts and those it must refuse."""
+    if action.choices is not None:
+        return mostly(st.sampled_from([str(c) for c in action.choices]), st.sampled_from(HOSTILE))
+    if action.type is int:
+        cap = TIME_CAPS.get(action.option_strings[0])
+        ints = st.integers(-2, cap) if cap else st.integers(-(10**30), 10**30)
+        return mostly(ints.map(str), st.sampled_from(HOSTILE))
+    if action.type is float:
+        return mostly(NUMBERS, st.sampled_from(HOSTILE))
+    if action.dest == "r0_point":
+        return mostly(st.lists(NUMBERS, max_size=3).map(",".join), st.sampled_from(HOSTILE))
+    return st.sampled_from(INSTANCES if action.dest == "instance" else PATHS)
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand and some of its flags, the required ones and one flag of
+    each required group seven times in eight; or no subcommand, an unknown
+    one, or an arguments file holding the instance file's bytes."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    others = st.sampled_from(["", "bogus", "@<tmp>/instance.json"])
+    name = draw(mostly(st.sampled_from(sorted(commands)), others))
+    if name not in commands:
+        return [name] if name else []
+    command = commands[name]
+    groups = [group._group_actions for group in command._mutually_exclusive_groups]
+    grouped = [a for group in groups for a in group]
+    flags = [a for a in command._actions if a.option_strings and a.dest != "help" and a not in grouped]
+    chosen = draw(st.lists(st.sampled_from(flags), unique=True, max_size=len(flags)))
+    complete = draw(mostly(st.just(True), st.just(False)))
+    if complete:
+        chosen += [a for a in flags if a.required and a not in chosen]
+    for group in groups:
+        one = st.sampled_from(group).map(lambda a: [a])
+        chosen += draw(one if complete else st.lists(st.sampled_from(group), unique=True))
+    argv = [name]
+    for action in draw(st.permutations(chosen)):
+        flag = action.option_strings[-1]
+        argv.append(flag if action.nargs == 0 else f"{flag}={draw(flag_values(action))}")
+    return argv
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+INSTANCE_DOCS = st.fixed_dictionaries(
+    {"n": JSON_VALUES, "pairs": JSON_VALUES, "map": JSON_VALUES, "g": JSON_VALUES},
+    optional={"alpha": JSON_VALUES, "index": JSON_VALUES},
+)
+SMALL_INSTANCES = st.integers(0, 3).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "n": st.just(n),
+            "pairs": st.lists(st.lists(st.integers(-1, n), min_size=2, max_size=2), max_size=4),
+            "map": st.lists(st.integers(-1, n), min_size=n, max_size=n),
+            "g": st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n),
+        }
+    )
+)
+INSTANCE_FILES = st.one_of(
+    SMALL_INSTANCES.map(json.dumps).map(str.encode),
+    INSTANCE_DOCS.map(json.dumps).map(str.encode),
+    JSON_VALUES.map(json.dumps).map(str.encode),
+    st.sampled_from([b"", b"{", b"[" * 100_000, b'{"n": 1e999}', b"\xff\xfe", b'{"n": NaN}']),
+    st.binary(max_size=16),
+)
+
+
+class TestNeverATraceback:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(argv=command_lines(), instance=INSTANCE_FILES)
+    def test_any_command_line_exits_with_a_documented_code(self, argv, instance):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "existing.txt").write_text("kept\n")
+            (Path(tmp) / "instance.json").write_bytes(instance)
+            argv = [arg.replace("<tmp>", tmp) for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = cli.run(argv)
+        assert code in (0, 1, 2, 3), argv
+        if code == 1:
+            message = err.getvalue()
+            assert message.startswith("error: ") and message.count("\n") == 1, (argv, message)

@@ -32,25 +32,19 @@ from relfix.fractional import (
     quadrature_weights,
     solve_fde,
 )
-from relfix.gridfn import GridFunction, interpolate, pointwise_leq, sup_diff
+from relfix.gridfn import GridFunction, pointwise_leq, sup_diff
 from relfix.picard import StoppingPolicy, iterate
 
 import fractional_reference
 from fractional_reference import (
-    concat_apply_T,
+    NODE_PROBE_PAIRS,
     concat_apply_weights,
-    default_probe_pairs,
     dense_apply,
     dense_weights,
-    holding_apply_T,
-    interpolating_lipschitz_check,
-    masked_stacked_check,
+    interpolated,
     per_node_apply_T,
     reference_solve_fde,
     scalar_lipschitz_check,
-    scanning_apply_T,
-    scanning_solve_fde,
-    stacked_probe_rows,
     table_from_band,
     whole_array_weights,
 )
@@ -97,11 +91,11 @@ def assert_reproduces_the_constant(w):
     assert total == pytest.approx(1.0 / math.gamma(w.zeta + 1.0), rel=1e-13, abs=0.0), w.zeta
 
 
-def full_orbit(prob, alpha, step=apply_T):
+def full_orbit(prob, alpha):
     """``solve_fde``'s Picard run, every iterate of its orbit kept."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return posthoc_iterate(
-            lambda fn: step(fn, prob),
+            lambda fn: apply_T(fn, prob),
             sup_diff,
             pointwise_leq,
             GridFunction.zeros(prob.n_intervals),
@@ -557,6 +551,13 @@ class TestOperator:
             num = sup_diff(apply_T(u, prob), apply_T(v, prob))
             assert num <= 0.25 * sup_diff(u, v)
 
+    def test_the_normal_step_scans_no_node(self, monkeypatch):
+        scans = []
+        real = fractional._require_finite
+        monkeypatch.setattr(fractional, "_require_finite", lambda *args: scans.append(args) or real(*args))
+        trace, _ = solve_fde(demo_problem(512, 1.5))
+        assert trace.steps > 1 and scans == []
+
 
 class TestSolver:
     def test_demo_run(self, demo_solutions):
@@ -655,67 +656,7 @@ class TestDerivedContraction:
 
 
 class TestWholeArrayEvaluation:
-    """The rhs and the probe run on node arrays, equal to per-node loops."""
-
-    @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
-    @pytest.mark.parametrize("n", (8, 64, 512, 4096))
-    def test_apply_T_equals_the_per_node_loop(self, n, zeta):
-        prob = demo_problem(n, zeta)
-        u = GridFunction(n, np.random.default_rng(n).standard_normal(n + 1))
-        assert np.array_equal(apply_T(u, prob).values, per_node_apply_T(u, prob).values)
-
-    @staticmethod
-    def _probes(n):
-        rng = np.random.default_rng(n)
-        base = rng.standard_normal(n + 1)
-        bump = np.abs(rng.standard_normal(n + 1))
-        bump[::3] = 0.0  # gaps of zero between nodes 3k
-        pairs = [
-            (GridFunction(n, base), GridFunction(n, base + bump)),
-            (GridFunction.zeros(n), GridFunction(n, np.ones(n + 1))),
-            (GridFunction(n, base), GridFunction(n, base)),
-        ]
-        ts = sorted(set(rng.uniform(0.0, 1.0, 40).tolist() + [k / n for k in range(n + 1)]))
-        return ts, pairs
-
-    @pytest.mark.parametrize("variant", GAMMA_VARIANTS)
-    @pytest.mark.parametrize(
-        "rhs",
-        [demo_rhs, lambda t, u: u, lambda t, u: np.cos(3.0 * t) * u * u],
-        ids=["demo", "steep", "curved"],
-    )
-    @pytest.mark.parametrize("n", (8, 64, 512))
-    def test_lipschitz_report_equals_the_scalar_loop(self, n, rhs, variant):
-        prob = FdeProblem(rhs=rhs, n_intervals=n, gamma_variant=variant)
-        ts, pairs = self._probes(n)
-        got = lipschitz_check(prob, np.array(ts), pairs)
-        assert got == scalar_lipschitz_check(prob, ts, pairs)
-        assert got.worst_at is not None
-
-    def test_default_probe_equals_the_scalar_loop(self):
-        for variant in GAMMA_VARIANTS:
-            prob = demo_problem(512, 1.5, gamma_variant=variant)
-            nodes = np.arange(513) / 512
-            pairs = default_probe_pairs(512)
-            got = lipschitz_check(prob, nodes, pairs)
-            assert got == scalar_lipschitz_check(prob, nodes.tolist(), pairs)
-            assert got == _node_probe(prob)
-            assert got.passed
-
-    def test_tied_ratios_keep_the_first_maximum(self):
-        # rhs = 2u gives the ratio 2.0 exactly at every informative sample of
-        # every pair, so worst_at is the first informative sample of pair 1
-        prob = FdeProblem(rhs=lambda t, u: 2.0 * u, n_intervals=16)
-        ident = GridFunction.from_callable(lambda t: t, 16)
-        pairs = [
-            (GridFunction.zeros(16), ident),
-            (GridFunction.zeros(16), GridFunction(16, np.ones(17))),
-        ]
-        ts = [0.0, 0.25, 0.5, 1.0]
-        got = lipschitz_check(prob, ts, pairs)
-        assert got == scalar_lipschitz_check(prob, ts, pairs)
-        assert got.worst_ratio == 2.0
-        assert got.worst_at == (0.25, 0.0, 0.25)
+    """The rhs runs on whole arrays: once per step and twice per probe run."""
 
     def test_solve_calls_the_rhs_on_arrays_a_few_times(self):
         calls = []
@@ -726,7 +667,7 @@ class TestWholeArrayEvaluation:
 
         prob = FdeProblem(rhs=rhs, n_intervals=256)
         trace, _ = solve_fde(prob)
-        # one call per Picard step, one per side of the stacked probe
+        # one call per Picard step, one per side of the probe's one run
         assert len(calls) == trace.steps + 2
         assert set(calls) == {(np.ndarray, np.ndarray)}
 
@@ -855,96 +796,32 @@ class TestSharedWeights:
 
 
 SWEEP_ZETAS = tuple(0.5 + k / 16 for k in range(25))
+RHS_CASES = {
+    "demo": demo_rhs,
+    "steep": lambda t, u: u,
+    "curved": lambda t, u: np.cos(3.0 * t) * u * u,
+    "tied": lambda t, u: 2.0 * u,
+    # every ratio is 0: the first informative sample is still the worst
+    "flat": lambda t, u: np.sin(t),
+}
 
 
-class TestLeanSolverEqualsTheReference:
-    """The stacked probe and the preallocated step reproduce the old path."""
-
-    @staticmethod
-    def _assert_same_run(prob, exact_probe=True):
-        # the reference keeps the whole orbit; solve_fde keeps a window of
-        # the same run, which a full-orbit run of its map gives whole
-        report, ref = reference_solve_fde(prob)
-        trace, solution = solve_fde(prob)
-        full = full_orbit(prob, trace.alpha_used)
-        assert_same_orbit(full.iterates, ref.iterates)
-        assert_window_of(trace, full)
-        assert_same_orbit(trace.iterates, (ref.iterates[0], *ref.iterates[-2:]))
-        assert solution.values.tobytes() == ref.iterates[-1].values.tobytes()
-        assert trace.residuals == ref.residuals
-        assert trace.bound_certificates == ref.bound_certificates
-        assert (trace.alpha_used, trace.preserved, trace.certified, trace.converged) == (
-            ref.alpha_used, ref.preserved, ref.certified, ref.converged
-        )
-        got = _node_probe(prob)
-        if exact_probe:
-            assert got == report
-        assert got.passed == report.passed
-
-    @pytest.mark.parametrize("variant", GAMMA_VARIANTS)
-    @pytest.mark.parametrize("zeta", SWEEP_ZETAS)
-    def test_sweep_grid(self, zeta, variant):
-        self._assert_same_run(demo_problem(512, zeta, gamma_variant=variant))
-
-    @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
-    @pytest.mark.parametrize("n", (8, 4096))
-    def test_other_grids(self, n, zeta):
-        for variant in GAMMA_VARIANTS:
-            self._assert_same_run(demo_problem(n, zeta, gamma_variant=variant))
-
-    @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
-    def test_grid_where_interpolation_at_a_node_rounds(self, zeta):
-        # (j / 100) * 100 != j for some j, so the old probe's interpolated
-        # node values can differ from the node values in the last bit
-        nodes = np.arange(101) / 100
-        assert not np.array_equal(nodes * 100, np.arange(101))
-        for variant in GAMMA_VARIANTS:
-            self._assert_same_run(demo_problem(100, zeta, gamma_variant=variant), False)
-
-    def test_failed_probe_drops_certificates_on_both_paths(self):
-        prob = FdeProblem(rhs=lambda t, u: u, n_intervals=64)
-        with pytest.warns(UserWarning, match="Lipschitz"):
-            self._assert_same_run(prob)
-
-    @pytest.mark.parametrize("n", (8, 100, 512))
-    def test_step_and_weight_apply(self, n):
-        u = GridFunction(n, np.random.default_rng(n).standard_normal(n + 1))
-        for zeta in (0.5, 0.9, 2.0):
-            prob = demo_problem(n, zeta)
-            assert np.array_equal(apply_T(u, prob).values, concat_apply_T(u, prob).values)
-            w = prob.weights
-            assert np.array_equal(_apply_weights(w, u.values), concat_apply_weights(w, u.values))
-
-    @pytest.mark.parametrize(
-        "rhs",
-        [demo_rhs, lambda t, u: u, lambda t, u: np.cos(3.0 * t) * u * u],
-        ids=["demo", "steep", "curved"],
-    )
-    @pytest.mark.parametrize("n", (8, 100, 512))
-    def test_arbitrary_samples(self, monkeypatch, n, rhs):
-        prob = FdeProblem(rhs=rhs, n_intervals=n)
-        ts, pairs = TestWholeArrayEvaluation._probes(n)
-        want = interpolating_lipschitz_check(prob, ts, pairs)
-        # one run of every pair, then runs of 7 that straddle pairs
-        for block in (fractional._PROBE_BLOCK, 7):
-            monkeypatch.setattr(fractional, "_PROBE_BLOCK", block)
-            assert lipschitz_check(prob, ts, pairs) == want
-
-    def test_problem_nodes_are_built_once_and_read_only(self):
-        prob = demo_problem(64)
-        assert prob.nodes is prob.nodes
-        assert np.array_equal(prob.nodes, GridFunction.zeros(64).nodes)
-        with pytest.raises(ValueError, match="read-only"):
-            prob.nodes[1] = 0.5
+def row_pairs(t, lower, upper):
+    """Row p of ``lower`` and ``upper`` as two functions of the samples ``t``."""
+    at = {float(s): k for k, s in enumerate(t)}
+    return [((lambda s, r=lo: r[at[s]]), (lambda s, r=up: r[at[s]])) for lo, up in zip(lower, upper)]
 
 
-class TestScanFreeStepEqualsTheReference:
-    """The step that reads its overflow test off C and the probe that walks
-    node blocks reproduce the scanning step and the masked probe exactly."""
+class TestSolverEqualsTheReference:
+    """``solve_fde``, its step and its probe reproduce ``fractional_reference``
+    bit for bit: every iterate, residual, certificate and flag of a solve, the
+    probe's report and each error's text, whatever the probe's run size."""
 
     @staticmethod
     def _assert_same_run(prob):
-        report, ref = scanning_solve_fde(prob)
+        # the reference keeps the whole orbit; solve_fde keeps a window of
+        # the same run, which a full-orbit run of its map gives whole
+        report, ref = reference_solve_fde(prob)
         trace, solution = solve_fde(prob)
         full = full_orbit(prob, trace.alpha_used)
         assert_same_orbit(full.iterates, ref.iterates)
@@ -965,9 +842,16 @@ class TestScanFreeStepEqualsTheReference:
         self._assert_same_run(demo_problem(512, zeta, gamma_variant=variant))
 
     @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
-    def test_large_grid(self, zeta):
+    @pytest.mark.parametrize("n", (8, 64, 100, 512, 4096))
+    def test_other_grids(self, n, zeta):
+        # at N = 100, (j / 100) * 100 != j for some j: the probes read closed forms
         for variant in GAMMA_VARIANTS:
-            self._assert_same_run(demo_problem(4096, zeta, gamma_variant=variant))
+            self._assert_same_run(demo_problem(n, zeta, gamma_variant=variant))
+
+    def test_failed_probe_drops_certificates_on_both_paths(self):
+        prob = FdeProblem(rhs=lambda t, u: u, n_intervals=64)
+        with pytest.warns(UserWarning, match="Lipschitz"):
+            self._assert_same_run(prob)
 
     @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
     def test_many_probe_blocks(self, monkeypatch, zeta):
@@ -980,26 +864,128 @@ class TestScanFreeStepEqualsTheReference:
             with pytest.warns(UserWarning, match="Lipschitz"):
                 self._assert_same_run(FdeProblem(rhs=lambda t, u: u, n_intervals=64))
 
-    @staticmethod
-    def _rows(ts, pairs):
-        lower = np.array([interpolate(u, ts) for u, _ in pairs])
-        upper = np.array([interpolate(v, ts) for _, v in pairs])
-        return lower, upper
+    @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
+    @pytest.mark.parametrize("n", (8, 64, 100, 512, 4096))
+    def test_step_and_weight_apply(self, n, zeta):
+        prob = demo_problem(n, zeta)
+        u = GridFunction(n, np.random.default_rng(n).standard_normal(n + 1))
+        assert np.array_equal(apply_T(u, prob).values, per_node_apply_T(u, prob).values)
+        w = prob.weights
+        assert np.array_equal(_apply_weights(w, u.values), concat_apply_weights(w, u.values))
 
     @pytest.mark.parametrize(
-        "rhs",
-        [demo_rhs, lambda t, u: u, lambda t, u: np.cos(3.0 * t) * u * u, lambda t, u: 2.0 * u],
-        ids=["demo", "steep", "curved", "tied"],
+        "rhs, outcome",
+        [
+            (lambda t, u: np.where(t > 0.5, np.nan, np.sin(t)), "rhs diverged at node 33"),
+            (lambda t, u: np.where(t > 0.5, np.inf, np.sin(t)), "rhs diverged at node 33"),
+            (lambda t, u: np.where(t > 0.5, -np.inf, np.sin(t)), "rhs diverged at node 33"),
+            (lambda t, u: np.where(t < 0.5, -np.inf, np.inf), "rhs diverged at node 0"),
+            (lambda t, u: np.where(t == 0.0, np.inf, np.sin(t)), "rhs diverged at node 0"),
+            (lambda t, u: np.where(t == 0.0, np.nan, np.sin(t)), "rhs diverged at node 0"),
+            (lambda t, u: np.where(t == 1.0, np.nan, np.sin(t)), "rhs diverged at node 64"),
+            # node 1, the integral's first non-finite node, read before 2 t C
+            (lambda t, u: np.full_like(t, 1.7e308), "computed value overflows a float at node 1"),
+            (lambda t, u: np.full_like(t, 1e300), None),
+            (lambda t, u: np.where(t == 1.0, 1.7e308, 0.0), None),
+        ],
+        ids=[
+            "nan", "inf", "minus-inf", "both-infinities", "inf-at-node-0", "nan-at-node-0",
+            "nan-at-node-N", "overflowing-integral", "huge-finite", "one-huge-node",
+        ],
     )
-    def test_arbitrary_samples_in_many_blocks(self, monkeypatch, rhs):
-        prob = FdeProblem(rhs=rhs, n_intervals=64)
-        ts, pairs = TestWholeArrayEvaluation._probes(64)
-        ts = np.array(ts)
-        want = masked_stacked_check(prob, ts, *self._rows(ts, pairs))
+    def test_steps_off_the_fast_path(self, rhs, outcome):
+        u, prob = GridFunction.zeros(64), FdeProblem(rhs, zeta=0.5, n_intervals=64)
+        outcomes = []
+        for step in (apply_T, per_node_apply_T):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    values = step(u, prob).values
+                    assert np.isfinite(values).all()
+                    outcomes.append(values.tobytes())
+                except ArithmeticError as error:
+                    outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
+        assert outcome is None or outcomes[0] == outcome
+
+    def test_a_correction_that_overflows_a_finite_integral_is_named(self, monkeypatch):
+        # no rhs makes the FFT return this integral without overflowing
+        # itself, so it stands in for one: finite nodes, C = 1.06e307 and
+        # 1.7e308 + 2 C overflowing at node 8 only
+        integral = np.zeros(9)
+        integral[8] = 1.7e308
+        for module, name in ((fractional, "_apply_weights"), (fractional_reference, "concat_apply_weights")):
+            monkeypatch.setattr(module, name, lambda w, values: integral.copy())
+        u, prob = GridFunction.zeros(8), FdeProblem(demo_rhs, zeta=0.5, n_intervals=8)
+        for step in (per_node_apply_T, apply_T):
+            with pytest.warns(RuntimeWarning, match="^overflow encountered in add$"):
+                with pytest.raises(ArithmeticError, match="^computed value overflows a float at node 8$"):
+                    step(u, prob)
+
+    def test_a_huge_finite_step_takes_the_slow_path_to_the_reference_values(self):
+        u, prob = GridFunction.zeros(64), FdeProblem(lambda t, u: np.full_like(t, 1e300), zeta=0.5, n_intervals=64)
+        assert not abs(fractional._trapezoid(_apply_weights(prob.weights, np.full(65, 1e300)), 1 / 64)) < 2.0**969
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(apply_T(u, prob).values, per_node_apply_T(u, prob).values)
+
+    @pytest.mark.parametrize("block", (5, 7, 65536))
+    @pytest.mark.parametrize("n", (8, 64, 100, 512))
+    def test_node_probe(self, monkeypatch, n, block):
+        # runs of 5 and 7 start and end inside pairs and span them
+        monkeypatch.setattr(fractional, "_PROBE_BLOCK", block)
+        nodes = np.arange(n + 1) / n
+        for prob in (FdeProblem(f, zeta, n) for f in RHS_CASES.values() for zeta in (0.5, 2.0)):
+            assert _node_probe(prob) == scalar_lipschitz_check(prob, nodes, NODE_PROBE_PAIRS)
+
+    def test_default_probe_equals_the_scalar_loop(self):
+        # at N = 512 interpolation at a node returns the node value
+        nodes = np.arange(513) / 512
+        lower, upper = (np.zeros(513), np.zeros(513), 0.5 * nodes), (np.ones(513), nodes, 0.5 * nodes + 0.25)
+        pairs = [(GridFunction(512, lo), GridFunction(512, up)) for lo, up in zip(lower, upper)]
+        for variant in GAMMA_VARIANTS:
+            prob = demo_problem(512, 1.5, gamma_variant=variant)
+            got = lipschitz_check(prob, nodes, pairs)
+            assert got == _node_probe(prob) == scalar_lipschitz_check(prob, nodes, NODE_PROBE_PAIRS)
+            assert got.passed
+
+    @staticmethod
+    def _probes(n):
+        rng = np.random.default_rng(n)
+        base = rng.standard_normal(n + 1)
+        bump = np.abs(rng.standard_normal(n + 1))
+        bump[::3] = 0.0  # gaps of zero between nodes 3k
+        pairs = [
+            (GridFunction(n, base), GridFunction(n, base + bump)),
+            (GridFunction.zeros(n), GridFunction(n, np.ones(n + 1))),
+            (GridFunction(n, base), GridFunction(n, base)),
+        ]
+        ts = sorted(set(rng.uniform(0.0, 1.0, 40).tolist() + [k / n for k in range(n + 1)]))
+        return np.array(ts), pairs
+
+    @pytest.mark.parametrize("rhs", RHS_CASES.values(), ids=RHS_CASES.keys())
+    @pytest.mark.parametrize("n", (8, 64, 100, 512))
+    def test_arbitrary_samples(self, monkeypatch, n, rhs):
+        prob = FdeProblem(rhs=rhs, n_intervals=n)
+        ts, pairs = self._probes(n)
+        want = scalar_lipschitz_check(prob, ts, [interpolated(u, v) for u, v in pairs])
         assert want.worst_at is not None
-        for block in (5, 7):
+        # one run of every pair, then runs of 5 and 7 that straddle pairs
+        for block in (fractional._PROBE_BLOCK, 5, 7):
             monkeypatch.setattr(fractional, "_PROBE_BLOCK", block)
             assert lipschitz_check(prob, ts, pairs) == want
+
+    def test_tied_ratios_keep_the_first_maximum(self):
+        # rhs = 2u gives the ratio 2.0 exactly at every informative sample of
+        # every pair, so worst_at is the first informative sample of pair 1
+        prob = FdeProblem(rhs=lambda t, u: 2.0 * u, n_intervals=16)
+        zero, one = GridFunction.zeros(16), GridFunction(16, np.ones(17))
+        pairs = [(zero, GridFunction.from_callable(lambda t: t, 16)), (zero, one)]
+        ts = [0.0, 0.25, 0.5, 1.0]
+        got = lipschitz_check(prob, ts, pairs)
+        assert got == scalar_lipschitz_check(prob, ts, [interpolated(u, v) for u, v in pairs])
+        assert got.worst_ratio == 2.0
+        assert got.worst_at == (0.25, 0.0, 0.25)
 
     @staticmethod
     def _marked_rows():
@@ -1016,23 +1002,22 @@ class TestScanFreeStepEqualsTheReference:
     def test_a_tie_in_an_earlier_row_of_a_later_block_wins(self, monkeypatch):
         nodes, lower, upper, marked = self._marked_rows()
         prob = FdeProblem(rhs=lambda t, u: np.where(np.isin(t, marked), 3.0, 1.0) * u, n_intervals=64)
-        want = masked_stacked_check(prob, nodes, lower.copy(), upper.copy())
+        want = scalar_lipschitz_check(prob, nodes, row_pairs(nodes, lower, upper))
         assert want.worst_at == (float(nodes[12]), 0.0, 1.0)
         for block in (5, 7):
             monkeypatch.setattr(fractional, "_PROBE_BLOCK", block)
-            assert rows_check(prob, nodes, lower.copy(), upper.copy()) == want
+            assert rows_check(prob, nodes, lower, upper) == want
 
-    def test_a_non_finite_difference_in_an_earlier_row_of_a_later_block_is_named(
-        self, monkeypatch
-    ):
+    def test_a_non_finite_difference_in_an_earlier_row_of_a_later_block_is_named(self, monkeypatch):
         nodes, lower, upper, marked = self._marked_rows()
         prob = FdeProblem(rhs=lambda t, u: np.where(np.isin(t, marked), np.nan, u), n_intervals=64)
         message = f"^rhs difference not finite at t = {float(nodes[12])!r}$"
+        with pytest.raises(ArithmeticError, match=message):
+            scalar_lipschitz_check(prob, nodes, row_pairs(nodes, lower, upper))
         for block in (5, 7):
             monkeypatch.setattr(fractional, "_PROBE_BLOCK", block)
-            for check in (masked_stacked_check, rows_check):
-                with pytest.raises(ArithmeticError, match=message):
-                    check(prob, nodes, lower.copy(), upper.copy())
+            with pytest.raises(ArithmeticError, match=message):
+                rows_check(prob, nodes, lower, upper)
 
     def test_a_run_across_two_pairs_reads_each_pair_at_its_own_t(self, monkeypatch):
         # two pairs on 65 nodes in runs of 7: samples 63..69 of the stream
@@ -1047,165 +1032,15 @@ class TestScanFreeStepEqualsTheReference:
         upper[0, 0] = 0.0
         marked = nodes[[0, 64]]
         tied = FdeProblem(lambda t, u: np.where(np.isin(t, marked), 3.0, 1.0) * u, n_intervals=64)
-        want = masked_stacked_check(tied, nodes, lower.copy(), upper.copy())
+        want = scalar_lipschitz_check(tied, nodes, row_pairs(nodes, lower, upper))
         assert want.worst_at == (1.0, 0.0, 1.0)
-        assert rows_check(tied, nodes, lower.copy(), upper.copy()) == want
+        assert rows_check(tied, nodes, lower, upper) == want
         nan = FdeProblem(lambda t, u: np.where(t == 0.0, np.nan, u), n_intervals=64)
-        for check in (masked_stacked_check, rows_check):
-            with pytest.raises(ArithmeticError, match=r"^rhs difference not finite at t = 0\.0$"):
-                check(nan, nodes, lower.copy(), upper.copy())
-
-    def test_the_normal_step_scans_no_node(self, monkeypatch):
-        scans = []
-        real = fractional._require_finite
-        monkeypatch.setattr(fractional, "_require_finite", lambda *args: scans.append(args) or real(*args))
-        trace, _ = solve_fde(demo_problem(512, 1.5))
-        assert trace.steps > 1 and scans == []
-
-    @staticmethod
-    def _step(rhs, n=64):
-        return GridFunction.zeros(n), FdeProblem(rhs, zeta=0.5, n_intervals=n)
-
-    def test_a_nan_rhs_is_named_like_the_reference(self):
-        u, prob = self._step(lambda t, u: np.where(t > 0.5, np.nan, np.sin(t)))
-        for step in (scanning_apply_T, apply_T):
-            with pytest.raises(ArithmeticError, match="^rhs diverged at node 33$"):
-                step(u, prob)
-
-    def test_an_infinite_rhs_is_named_like_the_reference(self):
-        u, prob = self._step(lambda t, u: np.where(t > 0.5, -np.inf, np.sin(t)))
-        with pytest.raises(ArithmeticError, match="^rhs diverged at node 33$"):
-            scanning_apply_T(u, prob)
-        with pytest.warns(RuntimeWarning) as caught:
-            with pytest.raises(ArithmeticError, match="^rhs diverged at node 33$"):
-                apply_T(u, prob)
-        assert_invalid_fft_warnings(caught)
-
-    def test_an_overflowing_integral_names_its_first_overflowing_node(self):
-        # the scanning step named node 0, made NaN by the correction 0 * NaN
-        u, prob = self._step(lambda t, u: np.full_like(t, 1.7e308))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            integral = _apply_weights(prob.weights, np.full(65, 1.7e308))
-            with pytest.raises(ArithmeticError, match="^computed value overflows a float at node 0$"):
-                scanning_apply_T(u, prob)
-            with pytest.raises(ArithmeticError, match="^computed value overflows a float at node 1$"):
-                apply_T(u, prob)
-        assert integral[0] == 0.0 and not np.isfinite(integral[1:]).any()
-
-    def test_a_correction_that_overflows_a_finite_integral_is_named(self, monkeypatch):
-        # no rhs makes the FFT return this integral without overflowing
-        # itself, so it stands in for one: finite nodes, C = 1.06e307 and
-        # 1.7e308 + 2 C overflowing at node 8 only
-        integral = np.zeros(9)
-        integral[8] = 1.7e308
-        for module, name in (
-            (fractional, "_apply_weights"),
-            (fractional_reference, "_apply_weights"),
-            (fractional_reference, "holding_apply_weights"),
-        ):
-            monkeypatch.setattr(module, name, lambda w, values: integral.copy())
-        u, prob = self._step(demo_rhs, n=8)
-        for step in (scanning_apply_T, holding_apply_T, apply_T):
-            with pytest.warns(RuntimeWarning, match="^overflow encountered in add$"):
-                with pytest.raises(ArithmeticError, match="^computed value overflows a float at node 8$"):
-                    step(u, prob)
-
-    def test_a_huge_finite_step_takes_the_slow_path_to_the_reference_values(self):
-        u, prob = self._step(lambda t, u: np.full_like(t, 1e300))
-        assert not abs(fractional._trapezoid(_apply_weights(prob.weights, np.full(65, 1e300)), 1 / 64)) < 2.0**969
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = apply_T(u, prob)
-        assert np.isfinite(got.values).all()
-        assert np.array_equal(got.values, scanning_apply_T(u, prob).values)
-
-    @staticmethod
-    def _probe_peak(n):
-        """Bytes tracemalloc sees at the peak of the solver's probe, beyond
-        the problem's nodes and weights, which are built with it."""
-        prob = demo_problem(n)
-        tracemalloc.start()
-        try:
-            report = _node_probe(prob)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.passed
-        return peak
-
-    def test_probe_memory_does_not_grow_with_the_grid(self):
-        # the peak is a few arrays of one run, the run's own t, lower and
-        # upper values included (3.6 MB here at every size); Python's own
-        # small objects move it by a few hundred bytes. Rows of every pair
-        # at every node, built before the walk, added 6 (N + 1) floats; a
-        # 2-D block of all three pairs made it 6.7 MB at N = 65535 beyond
-        # those, and masked copies of the whole stack 25.6 MB and 102 MB
-        one_run_per_pair = self._probe_peak(65535)
-        small, large = self._probe_peak(2**17), self._probe_peak(2**19)
-        assert large <= small + 16 * 1024
-        assert max(one_run_per_pair, small) < 8 * (8 * fractional._PROBE_BLOCK)
-
-    @pytest.mark.parametrize("block", (5, 7, 65536))
-    @pytest.mark.parametrize("n", (8, 64, 100))
-    def test_probe_runs_built_per_run_equal_the_stacked_rows(self, monkeypatch, n, block):
-        # runs of 5 and 7 start and end inside pairs and span them
-        monkeypatch.setattr(fractional, "_PROBE_BLOCK", block)
-        rhs = (demo_rhs, lambda t, u: u, lambda t, u: np.cos(3.0 * t) * u * u, lambda t, u: 2.0 * u)
-        for prob in (FdeProblem(f, zeta, n) for f in rhs for zeta in (0.5, 2.0)):
-            nodes = prob.nodes
-            want = rows_check(prob, nodes, *stacked_probe_rows(nodes))
-            assert want == masked_stacked_check(prob, nodes, *stacked_probe_rows(nodes))
-            assert _node_probe(prob) == want
-
-
-class TestFourArrayStepEqualsTheReference:
-    """The step that frees the rhs values before the inverse transform and
-    multiplies the spectrum in place reproduces the step that held them
-    through both transforms, iterate for iterate and error for error."""
-
-    @pytest.mark.parametrize("zeta", (0.5, 0.9, 2.0))
-    @pytest.mark.parametrize("n", (64, 512, 4096))
-    def test_orbits(self, n, zeta):
-        prob = demo_problem(n, zeta)
-        got = full_orbit(prob, prob.lipschitz_alpha)
-        want = full_orbit(prob, prob.lipschitz_alpha, holding_apply_T)
-        assert_same_orbit(got.iterates, want.iterates)
-        assert got.residuals == want.residuals
-        assert (got.preserved, got.certified, got.converged) == (
-            want.preserved, want.certified, want.converged
-        )
-
-    @pytest.mark.parametrize(
-        "rhs",
-        [
-            lambda t, u: np.where(t > 0.5, np.nan, np.sin(t)),
-            lambda t, u: np.where(t > 0.5, np.inf, np.sin(t)),
-            lambda t, u: np.where(t > 0.5, -np.inf, np.sin(t)),
-            lambda t, u: np.where(t < 0.5, -np.inf, np.inf),
-            lambda t, u: np.where(t == 0.0, np.inf, np.sin(t)),
-            lambda t, u: np.where(t == 0.0, np.nan, np.sin(t)),
-            lambda t, u: np.where(t == 1.0, np.nan, np.sin(t)),
-            lambda t, u: np.full_like(t, 1.7e308),
-            lambda t, u: np.full_like(t, 1e300),
-            lambda t, u: np.where(t == 1.0, 1.7e308, 0.0),
-        ],
-        ids=[
-            "nan", "inf", "minus-inf", "both-infinities", "inf-at-node-0", "nan-at-node-0",
-            "nan-at-node-N", "overflowing-integral", "huge-finite", "one-huge-node",
-        ],
-    )
-    def test_steps_off_the_fast_path(self, rhs):
-        u, prob = GridFunction.zeros(64), FdeProblem(rhs, zeta=0.5, n_intervals=64)
-        outcomes = []
-        for step in (apply_T, holding_apply_T):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                try:
-                    outcomes.append(step(u, prob).values.tobytes())
-                except ArithmeticError as error:
-                    outcomes.append(str(error))
-        assert outcomes[0] == outcomes[1]
+        message = r"^rhs difference not finite at t = 0\.0$"
+        with pytest.raises(ArithmeticError, match=message):
+            scalar_lipschitz_check(nan, nodes, row_pairs(nodes, lower, upper))
+        with pytest.raises(ArithmeticError, match=message):
+            rows_check(nan, nodes, lower, upper)
 
 
 class TestBoundedMemory:
@@ -1282,6 +1117,32 @@ class TestBoundedMemory:
         assert max(base_probe, doubled_probe) <= probe_budget
         assert max(base_steps, doubled_steps) <= step_budget
         assert doubled_steps <= base_steps + 16 * 1024
+
+    @staticmethod
+    def _probe_peak(n):
+        """Bytes tracemalloc sees at the peak of the solver's probe, beyond
+        the problem's nodes and weights, which are built with it."""
+        prob = demo_problem(n)
+        tracemalloc.start()
+        try:
+            report = _node_probe(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        return peak
+
+    def test_probe_memory_does_not_grow_with_the_grid(self):
+        # the peak is a few arrays of one run, the run's own t, lower and
+        # upper values included (3.6 MB here at every size); Python's own
+        # small objects move it by a few hundred bytes. Rows of every pair
+        # at every node, built before the walk, added 6 (N + 1) floats; a
+        # 2-D block of all three pairs made it 6.7 MB at N = 65535 beyond
+        # those, and masked copies of the whole stack 25.6 MB and 102 MB
+        one_run_per_pair = self._probe_peak(65535)
+        small, large = self._probe_peak(2**17), self._probe_peak(2**19)
+        assert large <= small + 16 * 1024
+        assert max(one_run_per_pair, small) < 8 * (8 * fractional._PROBE_BLOCK)
 
 
 class TestWindowedSolve:
@@ -1378,3 +1239,10 @@ class TestProblemConfig:
 
     def test_demo_rhs_value(self):
         assert demo_rhs(0.3, 16.0) == 1.0 + math.sin(0.3)
+
+    def test_problem_nodes_are_built_once_and_read_only(self):
+        prob = demo_problem(64)
+        assert prob.nodes is prob.nodes
+        assert np.array_equal(prob.nodes, GridFunction.zeros(64).nodes)
+        with pytest.raises(ValueError, match="read-only"):
+            prob.nodes[1] = 0.5
