@@ -938,16 +938,17 @@ class TestSolverEqualsTheReference:
         for prob in (FdeProblem(f, zeta, n) for f in RHS_CASES.values() for zeta in (0.5, 2.0)):
             assert _node_probe(prob) == scalar_lipschitz_check(prob, nodes, NODE_PROBE_PAIRS)
 
-    def test_default_probe_equals_the_scalar_loop(self):
+    @pytest.mark.parametrize("variant", GAMMA_VARIANTS)
+    @pytest.mark.parametrize("zeta", SWEEP_ZETAS)
+    def test_default_probe_equals_the_scalar_loop(self, zeta, variant):
         # at N = 512 interpolation at a node returns the node value
         nodes = np.arange(513) / 512
         lower, upper = (np.zeros(513), np.zeros(513), 0.5 * nodes), (np.ones(513), nodes, 0.5 * nodes + 0.25)
         pairs = [(GridFunction(512, lo), GridFunction(512, up)) for lo, up in zip(lower, upper)]
-        for variant in GAMMA_VARIANTS:
-            prob = demo_problem(512, 1.5, gamma_variant=variant)
-            got = lipschitz_check(prob, nodes, pairs)
-            assert got == _node_probe(prob) == scalar_lipschitz_check(prob, nodes, NODE_PROBE_PAIRS)
-            assert got.passed
+        prob = demo_problem(512, zeta, gamma_variant=variant)
+        got = lipschitz_check(prob, nodes, pairs)
+        assert got == _node_probe(prob) == scalar_lipschitz_check(prob, nodes, NODE_PROBE_PAIRS)
+        assert got.passed
 
     @staticmethod
     def _probes(n):
@@ -963,10 +964,11 @@ class TestSolverEqualsTheReference:
         ts = sorted(set(rng.uniform(0.0, 1.0, 40).tolist() + [k / n for k in range(n + 1)]))
         return np.array(ts), pairs
 
+    @pytest.mark.parametrize("variant", GAMMA_VARIANTS)
     @pytest.mark.parametrize("rhs", RHS_CASES.values(), ids=RHS_CASES.keys())
     @pytest.mark.parametrize("n", (8, 64, 100, 512))
-    def test_arbitrary_samples(self, monkeypatch, n, rhs):
-        prob = FdeProblem(rhs=rhs, n_intervals=n)
+    def test_arbitrary_samples(self, monkeypatch, n, rhs, variant):
+        prob = FdeProblem(rhs=rhs, n_intervals=n, gamma_variant=variant)
         ts, pairs = self._probes(n)
         want = scalar_lipschitz_check(prob, ts, [interpolated(u, v) for u, v in pairs])
         assert want.worst_at is not None
